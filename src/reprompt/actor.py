@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol
 
-import yaml
-
 from . import prompts
 from .errors import (
     BatchFailedError,
@@ -32,6 +30,7 @@ from .gateway import (
     Role,
 )
 from .prompt_model import PromptDocument, fill_slots
+from .yamlio import load_yaml
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +78,7 @@ class TaskSample:
 def load_dataset(path: str) -> list[TaskSample]:
     """Read task samples from a YAML list of {id, slot_values} rows."""
     with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        data = load_yaml(fh)
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: a dataset is a non-empty list of samples")
     samples = []

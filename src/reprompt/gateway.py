@@ -8,7 +8,10 @@ end-to-end fixtures.
 """
 from __future__ import annotations
 
+import collections
+import itertools
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -17,6 +20,7 @@ from typing import Callable, Protocol
 
 import requests
 import yaml
+from requests.adapters import HTTPAdapter
 
 from .errors import (
     AmbiguousScriptError,
@@ -26,6 +30,7 @@ from .errors import (
     ScriptParseError,
     TransportError,
 )
+from .yamlio import SafeLoader
 
 DEFAULT_TEMPERATURE = 0.0
 DEFAULT_SEED = 42
@@ -114,10 +119,10 @@ class ScriptEntry:
     """One canned response, matched by substring fingerprint.
 
     ``contains`` anchors must appear in order within the request content
-    (all message contents joined with newlines). ``roles`` pins the exact
-    role sequence when given. ``excludes`` lets an entry opt out when a
-    marker is present, which is how scripts branch on prompt content.
-    ``max_uses`` retires the entry after that many matches.
+    (all message contents joined with newlines), without overlapping.
+    ``roles`` pins the exact role sequence when given. ``excludes`` lets an
+    entry opt out when a marker is present, which is how scripts branch on
+    prompt content. ``max_uses`` retires the entry after that many matches.
     """
 
     contains: tuple[str, ...]
@@ -130,20 +135,6 @@ class ScriptEntry:
 
     def fingerprint(self) -> tuple:
         return (self.contains, self.roles, self.excludes)
-
-    def matches(self, request: ChatRequest) -> bool:
-        if self.roles is not None:
-            got = tuple(m.role.value for m in request.messages)
-            if got != self.roles:
-                return False
-        joined = "\n".join(m.content for m in request.messages)
-        position = 0
-        for anchor in self.contains:
-            found = joined.find(anchor, position)
-            if found < 0:
-                return False
-            position = found + len(anchor)
-        return all(marker not in joined for marker in self.excludes)
 
 
 @dataclass
@@ -201,26 +192,30 @@ def _entry_from_mapping(data, line: int | None) -> ScriptEntry:
 def load_script(path: str) -> Script:
     """Load a script file, preserving entry order.
 
-    Raises ScriptParseError with a line number for malformed files and
-    AmbiguousScriptError when two entries share a fingerprint.
+    The file is composed once; the data is built from that node tree, whose
+    marks give each entry's line. Raises ScriptParseError with a line number
+    for malformed files and AmbiguousScriptError when two entries share a
+    fingerprint.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
+    loader = SafeLoader(text)
     try:
-        data = yaml.safe_load(text)
-        root = yaml.compose(text)
+        root = loader.get_single_node()
+        data = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark is not None else None
         raise ScriptParseError(f"invalid script file: {exc}", line) from exc
+    finally:
+        loader.dispose()
     if data is None:
         raise ScriptParseError("script file is empty", 1)
     if not isinstance(data, list):
         raise ScriptParseError("a script is a list of entries", 1)
-    node_lines = [node.start_mark.line + 1 for node in root.value]
     entries = [
-        _entry_from_mapping(item, node_lines[idx] if idx < len(node_lines) else None)
-        for idx, item in enumerate(data)
+        _entry_from_mapping(item, node.start_mark.line + 1)
+        for item, node in zip(data, root.value)
     ]
     seen: dict[tuple, int | None] = {}
     for entry in entries:
@@ -233,20 +228,115 @@ def load_script(path: str) -> Script:
     return Script(entries=entries)
 
 
+# Past this many nested branch points the needle regex lists the remaining
+# suffixes flat, so that neither ``re`` nor ``_longest_of`` recurses deeper.
+_MAX_NESTING = 64
+
+
+def _longest_of(suffixes: list[str], depth: int = 0) -> str:
+    """A regex that matches the longest of ``suffixes`` (sorted, distinct).
+
+    The suffixes are factored into a trie: ``re`` then tests one literal
+    per branch point at each position, however many needles there are.
+    """
+    optional = suffixes[0] == ""
+    rest = suffixes[1:] if optional else suffixes
+    if not rest:
+        return ""
+    if depth >= _MAX_NESTING:
+        branches = [re.escape(s) for s in sorted(rest, key=len, reverse=True)]
+    else:
+        branches = []
+        for _, group in itertools.groupby(rest, key=lambda s: s[0]):
+            group = list(group)
+            shared = os.path.commonprefix(group)
+            tails = [s[len(shared):] for s in group]
+            branches.append(re.escape(shared) + _longest_of(tails, depth + 1))
+    if len(branches) == 1 and not optional:
+        return branches[0]
+    return "(?:" + "|".join(branches) + ")" + ("?" if optional else "")
+
+
+class _AnchorIndex:
+    """The entries that share one role signature, indexed by their needles.
+
+    A needle is any ``contains`` or ``excludes`` string. One ``re`` pass
+    over the request finds, at every position, the longest needle that
+    starts there; every needle that is a prefix of it occurs there too.
+    Each entry is keyed on its rarest anchor (the one the fewest entries
+    share), so a request looks only at the entries whose key occurs. Of
+    those, only the ones whose anchors all occur and whose excludes do not
+    get the in-order ``find`` check.
+    """
+
+    def __init__(self, entries: list[tuple[int, ScriptEntry]]):
+        needles = sorted({n for _, e in entries for n in (*e.contains, *e.excludes)})
+        pattern = f"(?=({_longest_of(needles)}))" if needles else "(?!)"
+        self._find = re.compile(pattern).findall
+        lengths = sorted({len(n) for n in needles})
+        known = set(needles)
+        self._prefixes = {
+            n: frozenset(n[:k] for k in lengths if k <= len(n) and n[:k] in known)
+            for n in needles
+        }
+        sharing = collections.Counter(a for _, e in entries for a in set(e.contains))
+        self._by_key: dict[str | None, list[tuple]] = {}
+        for index, e in entries:
+            key = min(e.contains, key=sharing.__getitem__, default=None)
+            self._by_key.setdefault(key, []).append(
+                (index, e, frozenset(e.contains), frozenset(e.excludes))
+            )
+
+    def matches(self, joined: str) -> list[tuple[int, ScriptEntry]]:
+        """(script index, entry) for every entry matching the request text."""
+        present: set[str] = set()
+        for longest in set(self._find(joined)):
+            present |= self._prefixes[longest]
+        return [
+            (index, e)
+            for key in (None, *present)
+            for index, e, anchors, excludes in self._by_key.get(key, ())
+            if anchors <= present
+            and excludes.isdisjoint(present)
+            and _in_order(e.contains, joined)
+        ]
+
+
+def _in_order(anchors: tuple[str, ...], joined: str) -> bool:
+    position = 0
+    for anchor in anchors:
+        found = joined.find(anchor, position)
+        if found < 0:
+            return False
+        position = found + len(anchor)
+    return True
+
+
 class ScriptedGateway:
     """Closed-world backend answering only requests its script anticipates.
 
     Matching is exact-one: no live entry matching a request raises
     RejectedError ("unscripted request"), more than one raises
-    AmbiguousScriptError. With no ``max_uses`` in play the backend is a pure
-    function of the script and the request.
+    AmbiguousScriptError, listing the entries' lines in script order. With
+    no ``max_uses`` in play the backend is a pure function of the script
+    and the request.
+
+    The script is indexed once, here, and must not change afterwards.
+    Entries are grouped by their pinned role sequence; a request consults
+    its own group and the group of entries that pin none. Per call the cost
+    is one regex pass over the request text, whose work grows with the
+    text and not with the number of entries, plus a check of the few
+    entries whose rarest anchor occurs. Only the ``max_uses`` check and
+    bump run under the lock, so concurrent episodes match in parallel.
     """
 
     def __init__(self, script: Script):
-        self._script = script
+        grouped: dict[tuple[str, ...] | None, list] = {}
+        for index, entry in enumerate(script.entries):
+            grouped.setdefault(entry.roles, []).append((index, entry))
+        self._indexes = {roles: _AnchorIndex(group) for roles, group in grouped.items()}
         self._lock = threading.Lock()
         self._counter = _CallCounter()
-        self.history: list[tuple[ChatRequest, str]] = []
 
     @property
     def calls(self) -> int:
@@ -254,26 +344,29 @@ class ScriptedGateway:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
+        roles = tuple(m.role.value for m in request.messages)
+        joined = "\n".join(m.content for m in request.messages)
+        matched = sorted(
+            hit
+            for key in (roles, None)
+            if key in self._indexes
+            for hit in self._indexes[key].matches(joined)
+        )
         with self._lock:
             live = [
-                e
-                for e in self._script.entries
-                if e.max_uses is None or e.uses < e.max_uses
+                e for _, e in matched if e.max_uses is None or e.uses < e.max_uses
             ]
-            matched = [e for e in live if e.matches(request)]
-            if not matched:
+            if not live:
                 raise RejectedError("unscripted request")
-            if len(matched) > 1:
-                lines = ", ".join(str(e.line) for e in matched)
+            if len(live) > 1:
+                lines = ", ".join(str(e.line) for e in live)
                 raise AmbiguousScriptError(
                     f"request matched several script entries (lines {lines})"
                 )
-            entry = matched[0]
+            entry = live[0]
             entry.uses += 1
-            self.history.append((request, entry.response))
         if entry.response == "":
             raise EmptyResponseError("scripted response is empty")
-        joined = "\n".join(m.content for m in request.messages)
         return ChatResponse(
             content=entry.response,
             finish_reason=FinishReason.STOP,
@@ -293,6 +386,14 @@ class HttpGateway:
     times with a fixed backoff schedule; other 4xx answers are rejected
     outright. The bearer token is read from the environment so secrets
     never travel through config files.
+
+    Without a ``transport``, calls go over keep-alive connections: each
+    thread posts through its own ``requests.Session``, and all sessions
+    share one connection pool, so a run reuses a connection for call after
+    call, across the worker threads of every batch. A pooled connection
+    the server has closed is dialled again before it is used. The pool
+    keeps up to 10 idle connections per host; the connections close when
+    the gateway is garbage-collected.
     """
 
     def __init__(
@@ -315,13 +416,27 @@ class HttpGateway:
         self._attempts = attempts
         self._backoff = backoff
         self._timeout = timeout
-        self._post = transport or requests.post
+        if transport is None:
+            self._adapter = HTTPAdapter()
+            self._local = threading.local()
+            transport = self._pooled_post
+        self._post = transport
         self._sleep = sleep
         self._counter = _CallCounter()
 
     @property
     def calls(self) -> int:
         return self._counter.calls
+
+    def _pooled_post(self, url: str, **kwargs) -> requests.Response:
+        # requests does not promise that a Session is thread-safe, so each
+        # thread gets its own; the shared adapter's urllib3 pool is.
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            session.mount("http://", self._adapter)
+            session.mount("https://", self._adapter)
+        return session.post(url, **kwargs)
 
     def _payload(self, request: ChatRequest) -> dict:
         payload = {

@@ -17,6 +17,7 @@ import yaml
 from .actor import TaskSample
 from .errors import UnparseableAnswerError
 from .prompt_model import PromptDocument, fill_slots
+from .yamlio import load_yaml
 
 PLAN_MARKER = "PLAN:"
 
@@ -274,7 +275,7 @@ def toy_sample_from_dict(data: dict) -> ToySample:
 
 def load_toy_samples(path) -> list[ToySample]:
     with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        data = load_yaml(fh)
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a non-empty list of toy samples")
     samples = [toy_sample_from_dict(row) for row in data]

@@ -53,6 +53,7 @@ from .prompt_model import (
     render_prompt,
 )
 from .summarizer import summarize_batch
+from .yamlio import load_yaml
 
 CURSOR_NAME = "state.cursor"
 RUN_META_NAME = "run.meta"
@@ -440,7 +441,7 @@ def load_versions(run_dir: str | Path) -> list[VersionRecord]:
         meta_path = paths.version_meta(n)
         if not meta_path.exists():
             raise CorruptRunError(f"prompt version {n} has no meta file")
-        meta = yaml.safe_load(meta_path.read_text(encoding="utf-8"))
+        meta = load_yaml(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise CorruptRunError(f"prompt version {n} meta is not a mapping")
         found[n] = VersionRecord(

@@ -64,6 +64,28 @@ def make_gateway(*entries_data: dict) -> ScriptedGateway:
     return ScriptedGateway(Script(built))
 
 
+class Recording:
+    """Passes calls to a gateway and keeps (request, response content) pairs."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.history: list = []
+
+    @property
+    def calls(self) -> int:
+        return self._inner.calls
+
+    def complete(self, request):
+        response = self._inner.complete(request)
+        self.history.append((request, response.content))
+        return response
+
+
+def make_recording_gateway(*entries_data: dict) -> Recording:
+    """Like ``make_gateway``, keeping every answered request in ``history``."""
+    return Recording(make_gateway(*entries_data))
+
+
 @pytest.fixture
 def toy_seg():
     return TOY_SEG

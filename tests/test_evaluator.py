@@ -17,7 +17,7 @@ from reprompt.evaluator import (
 from reprompt.prompt_model import parse_prompt
 from reprompt.toy_task import ToyAdapter, ToyOption, ToySample, format_plan
 
-from conftest import entry, make_gateway
+from conftest import entry, make_gateway, make_recording_gateway
 
 PROMPT = parse_prompt(
     "You plan one activity per day.\n\n"
@@ -88,7 +88,7 @@ def test_records_keep_sample_order():
 
 
 def test_filled_prompt_reaches_the_gateway():
-    gw = make_gateway(entry(["Task id: t1"], GOOD))
+    gw = make_recording_gateway(entry(["Task id: t1"], GOOD))
     evaluate(PROMPT, [toy("t1")], ToyAdapter(), gateway=gw, model="agent")
     request, _ = gw.history[0]
     opening = request.messages[0].content

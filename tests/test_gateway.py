@@ -1,7 +1,16 @@
+import dataclasses
+import http.server
+import json
+import os
+import sys
 import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprompt.errors import (
     AmbiguousScriptError,
@@ -19,7 +28,9 @@ from reprompt.gateway import (
     HttpGateway,
     Message,
     Role,
+    Script,
     ScriptEntry,
+    ScriptedGateway,
     Usage,
     load_script,
 )
@@ -60,34 +71,52 @@ def test_request_rejects_negative_temperature():
 # --- entry matching -------------------------------------------------------------
 
 
+def matches(e: ScriptEntry, request: ChatRequest) -> bool:
+    """Whether a gateway scripted with ``e`` alone answers ``request``."""
+    try:
+        ScriptedGateway(Script([e])).complete(request)
+    except RejectedError:
+        return False
+    return True
+
+
 def test_contains_anchors_must_appear_in_order():
     e = ScriptEntry(contains=("alpha", "beta"), response="r")
-    assert e.matches(req("alpha then beta"))
-    assert not e.matches(req("beta then alpha"))
+    assert matches(e, req("alpha then beta"))
+    assert not matches(e, req("beta then alpha"))
 
 
 def test_contains_anchors_may_not_overlap():
     e = ScriptEntry(contains=("aa", "aa"), response="r")
-    assert not e.matches(req("aaa"))
-    assert e.matches(req("aaaa"))
+    assert not matches(e, req("aaa"))
+    assert matches(e, req("aaaa"))
 
 
 def test_anchors_span_message_boundaries():
     e = ScriptEntry(contains=("first", "second"), response="r")
-    assert e.matches(req(("system", "the first part"), ("user", "the second part")))
+    assert matches(e, req(("system", "the first part"), ("user", "the second part")))
 
 
 def test_roles_pin_the_exact_sequence():
     e = ScriptEntry(contains=("x",), roles=("system", "user"), response="r")
-    assert e.matches(req(("system", "x"), ("user", "y")))
-    assert not e.matches(req("x"))
-    assert not e.matches(req(("system", "x"), ("user", "y"), ("user", "z")))
+    assert matches(e, req(("system", "x"), ("user", "y")))
+    assert not matches(e, req("x"))
+    assert not matches(e, req(("system", "x"), ("user", "y"), ("user", "z")))
 
 
 def test_excludes_veto_a_match():
     e = ScriptEntry(contains=("x",), excludes=("stop word",), response="r")
-    assert e.matches(req("x marks the spot"))
-    assert not e.matches(req("x plus the stop word"))
+    assert matches(e, req("x marks the spot"))
+    assert not matches(e, req("x plus the stop word"))
+
+
+def test_anchor_that_prefixes_another_needle_at_the_same_position():
+    gw = make_gateway(
+        entry(["Task"], "short"), entry(["Task id"], "long", excludes=["s10"])
+    )
+    assert gw.complete(req("Task id: s10")).content == "short"
+    with pytest.raises(AmbiguousScriptError):
+        gw.complete(req("Task id: s11"))
 
 
 # --- scripted gateway ------------------------------------------------------------
@@ -99,7 +128,7 @@ def test_single_match_returns_response():
     assert res.content == "world"
     assert res.finish_reason is FinishReason.STOP
     assert gw.calls == 1
-    assert gw.history[0][1] == "world"
+    assert res.usage == Usage(prompt_units=len("say hello"), output_units=len("world"))
 
 
 def test_unscripted_request_is_rejected():
@@ -143,12 +172,111 @@ def test_empty_scripted_response_raises():
     assert gw.calls == 1
 
 
-def test_history_records_requests_in_order():
-    gw = make_gateway(entry(["one"], "1"), entry(["two"], "2"))
-    gw.complete(req("one"))
-    gw.complete(req("two"))
-    assert [resp for _, resp in gw.history] == ["1", "2"]
-    assert gw.history[0][0].messages[0].content == "one"
+# --- reference matcher and differential test -------------------------------------
+
+
+class LinearGateway:
+    """The matcher before indexing: every live entry checked against the
+    whole request, in script order. Kept as the reference the indexed
+    ScriptedGateway must agree with."""
+
+    def __init__(self, entries):
+        self._entries = [dataclasses.replace(e) for e in entries]
+
+    @staticmethod
+    def _matches(e, request):
+        if e.roles is not None:
+            if tuple(m.role.value for m in request.messages) != e.roles:
+                return False
+        joined = "\n".join(m.content for m in request.messages)
+        position = 0
+        for anchor in e.contains:
+            found = joined.find(anchor, position)
+            if found < 0:
+                return False
+            position = found + len(anchor)
+        return all(marker not in joined for marker in e.excludes)
+
+    def complete(self, request):
+        live = [
+            e for e in self._entries if e.max_uses is None or e.uses < e.max_uses
+        ]
+        matched = [e for e in live if self._matches(e, request)]
+        if not matched:
+            raise RejectedError("unscripted request")
+        if len(matched) > 1:
+            lines = ", ".join(str(e.line) for e in matched)
+            raise AmbiguousScriptError(
+                f"request matched several script entries (lines {lines})"
+            )
+        matched[0].uses += 1
+        return matched[0].response
+
+
+def outcome(gateway, request):
+    try:
+        result = gateway.complete(request)
+    except (RejectedError, AmbiguousScriptError) as exc:
+        return type(exc), str(exc)
+    return getattr(result, "content", result)
+
+
+ROLE_SEQUENCES = [("user",), ("system", "user"), ("user", "assistant", "user")]
+# A two-letter alphabet makes anchors that prefix, contain, repeat and
+# overlap each other, and excludes that overlap anchors.
+needle = st.text(alphabet="ab", min_size=1, max_size=4)
+
+
+@st.composite
+def cases(draw):
+    """A script and a sequence of requests to send it."""
+    pool = draw(st.lists(needle, min_size=1, max_size=6, unique=True))
+    from_pool = st.sampled_from(pool)
+    entries = []
+    for i in range(draw(st.integers(1, 8))):
+        entries.append(ScriptEntry(
+            contains=tuple(draw(st.lists(from_pool, min_size=1, max_size=3))),
+            excludes=tuple(draw(st.lists(from_pool, max_size=2))),
+            roles=draw(st.none() | st.sampled_from(ROLE_SEQUENCES)),
+            max_uses=draw(st.none() | st.integers(1, 2)),
+            response=f"r{i}",
+            line=i + 1,
+        ))
+    # Texts are built from the needles themselves, so that a needle often
+    # occurs only where a longer needle it prefixes starts.
+    text = st.lists(from_pool | st.sampled_from(["a", "b", "\n"]), max_size=5).map("".join)
+    sequence = []
+    for _ in range(draw(st.integers(1, 8))):
+        roles = draw(st.sampled_from(ROLE_SEQUENCES))
+        sequence.append(ChatRequest(
+            messages=tuple(Message(Role(r), draw(text)) for r in roles)
+        ))
+    return entries, sequence
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_indexed_matching_agrees_with_linear_reference(case):
+    entries, sequence = case
+    reference = LinearGateway(entries)
+    indexed = ScriptedGateway(Script([dataclasses.replace(e) for e in entries]))
+    for request in sequence:
+        assert outcome(indexed, request) == outcome(reference, request)
+
+
+def test_needles_nested_past_the_flat_cutoff_still_match():
+    # 150 needles, each a prefix of the next: the trie nests deeper than
+    # the regex builder factors before it lists suffixes flat.
+    entries = [
+        ScriptEntry(contains=("a" * k,), excludes=("a" * (k + 1),), response=f"r{k}",
+                    line=k)
+        for k in range(1, 151)
+    ]
+    indexed = ScriptedGateway(Script([dataclasses.replace(e) for e in entries]))
+    reference = LinearGateway(entries)
+    for n in (1, 63, 64, 65, 149, 150, 151):
+        request = req("b" + "a" * n + "b")
+        assert outcome(indexed, request) == outcome(reference, request)
 
 
 # --- script files -----------------------------------------------------------------
@@ -238,6 +366,24 @@ def test_load_script_reports_yaml_syntax_errors(tmp_path):
     path.write_text("- match: [unclosed\n")
     with pytest.raises(ScriptParseError):
         load_script(str(path))
+
+
+def test_load_script_reports_yaml_syntax_error_line(tmp_path):
+    text = textwrap.dedent(
+        """\
+        - match:
+            contains: [ok]
+          response: fine
+        - match:
+            contains: [x
+          response: broken
+        """
+    )
+    path = tmp_path / "s.yaml"
+    path.write_text(text)
+    with pytest.raises(ScriptParseError) as err:
+        load_script(str(path))
+    assert err.value.line == 6
 
 
 # --- HTTP backend -----------------------------------------------------------------
@@ -434,3 +580,108 @@ def test_missing_base_url_is_an_error(monkeypatch):
     monkeypatch.delenv(BASE_URL_ENV, raising=False)
     with pytest.raises(ValueError):
         HttpGateway(api_key="k")
+
+
+# --- HTTP backend over a loopback server ------------------------------------------
+
+
+class _Completions(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 5  # an idle pooled connection must not hold the thread for long
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps(ok_body("pooled")).encode()
+        head = (
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        self.wfile.write(head.encode() + body)
+        # Closing without a "Connection: close" header leaves the client
+        # holding a pooled connection that the server has already dropped.
+        self.close_connection = self.server.close_after_response
+
+    def log_message(self, *args):
+        pass
+
+
+class _LoopbackServer(http.server.ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Completions)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.closed = threading.Semaphore(0)
+        self.close_after_response = False
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    for name in list(os.environ):
+        if "proxy" in name.lower():
+            monkeypatch.delenv(name)
+    server = _LoopbackServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_pooled_calls_share_one_connection(loopback):
+    slept = []
+    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=slept.append)
+    for _ in range(5):
+        assert gw.complete(req("u")).content == "pooled"
+    assert loopback.connections == 1
+    assert slept == []
+
+
+def test_connection_closed_by_server_is_dialled_again(loopback):
+    loopback.close_after_response = True
+    slept = []
+    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=slept.append)
+    for _ in range(3):
+        assert gw.complete(req("u")).content == "pooled"
+        assert loopback.closed.acquire(timeout=5)
+    assert loopback.connections == 3
+    assert slept == []  # no attempt failed and was retried
+
+
+def test_threads_share_the_connection_pool(loopback):
+    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=lambda _: None)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(gw.complete, req("u")) for _ in range(40)]
+        contents = [f.result(timeout=30).content for f in futures]
+    assert contents == ["pooled"] * 40
+    assert 1 <= loopback.connections <= 4
+    assert gw.calls == 40
+
+
+def test_max_uses_holds_under_concurrent_calls():
+    gw = make_gateway(entry(["go"], "once", max_uses=25))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(outcome, gw, req("go")) for _ in range(200)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results.count("once") == 25
+    assert results.count((RejectedError, "unscripted request")) == 175
+    assert gw.calls == 200

@@ -15,7 +15,7 @@ from reprompt.guardrails import (
 )
 from reprompt.prompt_model import parse_prompt
 
-from conftest import PROMPT_FIXTURES, entry, make_gateway
+from conftest import PROMPT_FIXTURES, entry, make_gateway, make_recording_gateway
 
 ORIGINAL_TEXT = (
     "Plan the trip.\n\n"
@@ -169,7 +169,7 @@ REPAIRED_TEXT = CANDIDATE_WITH_STUB.replace(
 
 
 def test_repair_happy_path():
-    gw = make_gateway(entry(["You are a template replacer"], REPAIRED_TEXT))
+    gw = make_recording_gateway(entry(["You are a template replacer"], REPAIRED_TEXT))
     result = repair_placeholders(
         CANDIDATE_WITH_STUB, ORIGINAL, gateway=gw, model="agent"
     )

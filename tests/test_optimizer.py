@@ -13,7 +13,7 @@ from reprompt.optimizer import (
 from reprompt.prompt_model import StepEditOp, parse_prompt, render_prompt
 from reprompt.summarizer import FocusCase, FocusPoint
 
-from conftest import entry, make_gateway
+from conftest import entry, make_gateway, make_recording_gateway
 
 MARKER = prompts.FINAL_PROMPT_MARKER  # ends with a space
 
@@ -149,7 +149,7 @@ def test_accepted_rewrite_bumps_version():
 
 
 def test_request_carries_prompt_and_focus():
-    gw = make_gateway(
+    gw = make_recording_gateway(
         entry(["You are a prompt optimizer"], f"{MARKER}\n{NEW_TEXT}")
     )
     optimize(OLD, focus("check totals before answering."), gateway=gw, model="agent")
@@ -172,7 +172,7 @@ def test_identical_output_is_unchanged_but_consumes_a_call():
 
 def test_retry_note_names_the_rejection():
     mutated = NEW_TEXT.replace("Plan: p\n", "Plan: edited\n")
-    gw = make_gateway(
+    gw = make_recording_gateway(
         entry(
             ["You are a prompt optimizer"],
             f"{MARKER}\n{mutated}",

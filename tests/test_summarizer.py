@@ -19,7 +19,7 @@ from reprompt.summarizer import (
     summarize_batch,
 )
 
-from conftest import entry, make_gateway
+from conftest import entry, make_gateway, make_recording_gateway
 
 PROMPT = parse_prompt("Do the thing.\n")
 
@@ -203,7 +203,7 @@ def test_happy_path_single_call():
 
 
 def test_request_carries_prompt_and_transcripts():
-    gw = make_gateway(entry(["You are a summarizer"], conclusion("a reason.")))
+    gw = make_recording_gateway(entry(["You are a summarizer"], conclusion("a reason.")))
     summarize_batch([transcript("s7")], PROMPT, gateway=gw, model="critic")
     request, _ = gw.history[0]
     assert request.messages[0].role is Role.SYSTEM
@@ -216,7 +216,7 @@ def test_request_carries_prompt_and_transcripts():
 
 
 def test_retry_after_missing_marker():
-    gw = make_gateway(
+    gw = make_recording_gateway(
         entry(["You are a summarizer"], "no marker in sight", excludes=["previous reply"]),
         entry(
             ["You are a summarizer", "previous reply did not contain"],
@@ -240,7 +240,7 @@ def test_two_missing_markers_raise():
 
 
 def test_retry_after_scrub_hit():
-    gw = make_gateway(
+    gw = make_recording_gateway(
         entry(
             ["You are a summarizer"],
             conclusion("the plan runs $40 over."),
