@@ -21,7 +21,7 @@ from reprompt.config import parse_config
 from reprompt.gateway import ScriptedGateway, load_script
 from reprompt.prompt_model import diff_prompts, parse_prompt
 from reprompt.toy_task import ToyAdapter, load_toy_samples, to_task_sample
-from reprompt.trainer import replay_lineage, train, verify_chain
+from reprompt.trainer import replay_versions, train, verify_chain
 
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 
@@ -61,7 +61,7 @@ def main() -> int:
     )
 
     records = verify_chain(out)
-    replay_lineage(out, config=config)
+    replay_versions(records, config=config)
     print(f"hash chain and lineage replay verified over {len(records)} versions\n")
 
     seg = config.task.segmentation()

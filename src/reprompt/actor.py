@@ -11,11 +11,10 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 from . import prompts
 from .errors import (
-    BatchFailedError,
     EpisodeError,
     GatewayError,
     NoThinkSpanError,
@@ -61,6 +60,8 @@ class Transcript:
     messages: tuple[TranscriptMessage, ...]
     rounds_used: int
     terminal: Terminal
+    # Why the episode aborted; empty unless terminal is ERROR.
+    error: str = ""
 
     def last_assistant(self) -> str | None:
         for message in reversed(self.messages):
@@ -69,10 +70,22 @@ class Transcript:
         return None
 
 
+class Sample(Protocol):
+    """What the episode loop needs from a task sample."""
+
+    id: str
+
+    def render(self, prompt: PromptDocument) -> str: ...
+
+
 @dataclass(frozen=True)
 class TaskSample:
     id: str
     slot_values: dict[str, str]
+
+    def render(self, prompt: PromptDocument) -> str:
+        """The round-1 message: the prompt with this sample's slots filled."""
+        return fill_slots(prompt, self.slot_values)
 
 
 def load_dataset(path: str) -> list[TaskSample]:
@@ -133,9 +146,25 @@ def _wire_messages(messages: tuple[TranscriptMessage, ...]) -> tuple[Message, ..
     return tuple(wire)
 
 
+def _aborted(
+    message: str,
+    sample: Sample,
+    history: list[TranscriptMessage],
+    rounds_used: int,
+) -> EpisodeError:
+    partial = Transcript(
+        sample_id=sample.id,
+        messages=tuple(history),
+        rounds_used=rounds_used,
+        terminal=Terminal.ERROR,
+        error=message,
+    )
+    return EpisodeError(message, partial)
+
+
 def run_episode(
     prompt: PromptDocument,
-    sample: TaskSample,
+    sample: Sample,
     fg: FeedbackGenerator,
     max_rounds: int,
     *,
@@ -143,22 +172,17 @@ def run_episode(
     model: str,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
-    initial_text: str | None = None,
 ) -> Transcript:
     """Run one episode and return its transcript.
 
-    ``initial_text`` overrides the default round-1 message (the rendered
-    prompt with slots filled); the evaluation harness uses it to route
-    request building through a task adapter. Gateway failures abort the
-    episode and are re-raised as EpisodeError with the partial transcript
-    attached.
+    The round-1 message is ``sample.render(prompt)``. Gateway and feedback
+    failures abort the episode and are re-raised as EpisodeError with the
+    partial transcript attached; its ``error`` carries the same message.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    if initial_text is None:
-        initial_text = fill_slots(prompt, sample.slot_values)
     history: list[TranscriptMessage] = [
-        TranscriptMessage(TranscriptRole.USER, initial_text, 1)
+        TranscriptMessage(TranscriptRole.USER, sample.render(prompt), 1)
     ]
     rounds = 0
     while True:
@@ -172,16 +196,8 @@ def run_episode(
         try:
             response = gateway.complete(request)
         except GatewayError as exc:
-            partial = Transcript(
-                sample_id=sample.id,
-                messages=tuple(history),
-                rounds_used=rounds - 1,
-                terminal=Terminal.ERROR,
-            )
-            raise EpisodeError(
-                f"episode for {sample.id} failed: {exc}",
-                transcript=partial,
-                cause=exc,
+            raise _aborted(
+                f"episode for {sample.id} failed: {exc}", sample, history, rounds - 1
             ) from exc
         history.append(
             TranscriptMessage(TranscriptRole.ASSISTANT, response.content, rounds)
@@ -198,16 +214,8 @@ def run_episode(
         try:
             verdict = fg.feedback(snapshot)
         except Exception as exc:
-            partial = Transcript(
-                sample_id=sample.id,
-                messages=tuple(history),
-                rounds_used=rounds,
-                terminal=Terminal.ERROR,
-            )
-            raise EpisodeError(
-                f"feedback failed for {sample.id}: {exc}",
-                transcript=partial,
-                cause=exc,
+            raise _aborted(
+                f"feedback failed for {sample.id}: {exc}", sample, history, rounds
             ) from exc
         if verdict.decision is Decision.STOP:
             terminal = Terminal.FINISHED_BY_AGENT
@@ -225,7 +233,7 @@ def run_episode(
 
 def collect_batch(
     prompt: PromptDocument,
-    samples: list[TaskSample],
+    samples: Sequence[Sample],
     fg: FeedbackGenerator,
     max_rounds: int,
     *,
@@ -237,12 +245,11 @@ def collect_batch(
 ) -> list[Transcript]:
     """Run one episode per sample, preserving sample order in the result.
 
-    Episodes are independent. Failed episodes contribute their partial
-    transcript (terminal = error); only a batch where every episode failed
-    raises BatchFailedError.
+    Episodes are independent: a failed episode contributes its partial
+    transcript (terminal = error) and the others still run.
     """
 
-    def one(sample: TaskSample) -> Transcript:
+    def one(sample: Sample) -> Transcript:
         try:
             return run_episode(
                 prompt,
@@ -256,23 +263,12 @@ def collect_batch(
             )
         except EpisodeError as exc:
             logger.warning("episode failed for sample %s: %s", sample.id, exc)
-            if exc.transcript is not None:
-                return exc.transcript
-            return Transcript(
-                sample_id=sample.id,
-                messages=(),
-                rounds_used=0,
-                terminal=Terminal.ERROR,
-            )
+            return exc.transcript
 
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            transcripts = list(pool.map(one, samples))
-    else:
-        transcripts = [one(s) for s in samples]
-    if transcripts and all(t.terminal is Terminal.ERROR for t in transcripts):
-        raise BatchFailedError("every episode in the batch failed")
-    return transcripts
+            return list(pool.map(one, samples))
+    return [one(s) for s in samples]
 
 
 # --- feedback generators -------------------------------------------------------

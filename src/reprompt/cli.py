@@ -16,12 +16,7 @@ from .errors import EngineError
 from .evaluator import evaluate, write_report_tsv, write_report_yaml
 from .gateway import Gateway, HttpGateway, ScriptedGateway, load_script
 from .prompt_model import diff_prompts, parse_prompt
-from .toy_task import (
-    ToyAdapter,
-    generate_samples,
-    load_toy_samples,
-    to_task_sample,
-)
+from .toy_task import ToyAdapter, generate_samples, load_toy_samples
 from . import trainer
 
 
@@ -36,20 +31,19 @@ def _build_gateway(backend: str, script: str | None, config: EngineConfig) -> Ga
 
 
 def _load_task(config: EngineConfig, dataset_path: str):
-    """Returns (actor samples, adapter or None, raw samples by id or None)."""
+    """Returns (samples, adapter); the adapter is None for a task without a checker."""
     if config.task.kind == "toy":
-        toys = load_toy_samples(dataset_path)
-        return [to_task_sample(t) for t in toys], ToyAdapter(), {t.id: t for t in toys}
-    return load_dataset(dataset_path), None, None
+        return load_toy_samples(dataset_path), ToyAdapter()
+    return load_dataset(dataset_path), None
 
 
-def _build_feedback(tag: str, config: EngineConfig, gateway: Gateway, adapter, by_id):
+def _build_feedback(tag: str, config: EngineConfig, gateway: Gateway, adapter, samples):
     return feedback_generator(
         tag,
         gateway=gateway,
         model=config.gateway.summarizer_model,
         adapter=adapter,
-        samples_by_id=by_id,
+        samples_by_id={s.id: s for s in samples},
         temperature=config.gateway.temperature,
         seed=config.train.seed,
     )
@@ -59,8 +53,8 @@ def _cmd_train(args) -> int:
     config = load_config(args.config)
     backend = args.backend or config.gateway.backend
     gateway = _build_gateway(backend, args.script, config)
-    samples, adapter, by_id = _load_task(config, args.dataset)
-    feedback = _build_feedback(config.train.feedback, config, gateway, adapter, by_id)
+    samples, adapter = _load_task(config, args.dataset)
+    feedback = _build_feedback(config.train.feedback, config, gateway, adapter, samples)
     initial = Path(args.prompt).read_text(encoding="utf-8")
     result = trainer.train(
         initial,
@@ -87,8 +81,8 @@ def _cmd_resume(args) -> int:
     )
     backend = args.backend or config.gateway.backend
     gateway = _build_gateway(backend, script, config)
-    samples, adapter, by_id = _load_task(config, dataset)
-    feedback = _build_feedback(config.train.feedback, config, gateway, adapter, by_id)
+    samples, adapter = _load_task(config, dataset)
+    feedback = _build_feedback(config.train.feedback, config, gateway, adapter, samples)
     result = trainer.resume(
         run_dir, samples, config=config, gateway=gateway, feedback=feedback
     )
@@ -113,22 +107,21 @@ def _cmd_eval(args) -> int:
     if config.task.kind != "toy":
         raise ConfigError("eval currently supports only task kind 'toy'")
     if args.test_set:
-        toys = load_toy_samples(args.test_set)
+        samples, adapter = _load_task(config, args.test_set)
     elif args.trials:
-        toys = generate_samples(args.trials, base_seed=config.train.seed)
+        samples = generate_samples(args.trials, base_seed=config.train.seed)
+        adapter = ToyAdapter()
     else:
         raise ConfigError("eval needs --test-set or --trials")
     backend = args.backend or config.gateway.backend
     gateway = _build_gateway(backend, args.script, config)
-    adapter = ToyAdapter()
-    by_id = {t.id: t for t in toys}
     tag = "none" if args.no_feedback else config.train.feedback
-    feedback = _build_feedback(tag, config, gateway, adapter, by_id)
+    feedback = _build_feedback(tag, config, gateway, adapter, samples)
     text = Path(args.prompt).read_text(encoding="utf-8")
     prompt = parse_prompt(text, config.task.segmentation())
     report = evaluate(
         prompt,
-        toys,
+        samples,
         adapter,
         gateway=gateway,
         model=config.gateway.model,
@@ -160,7 +153,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_inspect(args) -> int:
     records = trainer.verify_chain(args.out)
-    trainer.replay_lineage(args.out)
+    trainer.replay_versions(records)
     for record in records:
         placement = record.meta.get("placement") or "-"
         focus_case = record.meta.get("focus_case") or "initial"

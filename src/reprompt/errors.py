@@ -68,14 +68,9 @@ class AmbiguousScriptError(EngineError):
 class EpisodeError(EngineError):
     """An episode aborted on a gateway failure; carries the partial transcript."""
 
-    def __init__(self, message: str, transcript=None, cause: Exception | None = None):
+    def __init__(self, message: str, transcript):
         self.transcript = transcript
-        self.cause = cause
         super().__init__(message)
-
-
-class BatchFailedError(EngineError):
-    """Every episode in a batch failed."""
 
 
 class NoThinkSpanError(EngineError):
@@ -118,7 +113,7 @@ class RepairFailedError(EngineError):
     """Placeholder repair could not produce a clean candidate within its budget."""
 
 
-# --- trainer / evaluator ----------------------------------------------------
+# --- trainer ----------------------------------------------------
 
 class BudgetExhaustedError(EngineError):
     """The gateway call budget was hit mid-run; state was persisted for resume."""
@@ -126,7 +121,3 @@ class BudgetExhaustedError(EngineError):
 
 class CorruptRunError(EngineError):
     """A run directory failed hash-chain verification."""
-
-
-class SampleMismatchError(EngineError):
-    """Two evaluation reports cover different sample id sets."""

@@ -1,8 +1,8 @@
 """Measure a prompt's pass rate over a labeled sample set.
 
-Evaluation reuses the training episode loop but routes request text
-through a task adapter, then grades the final assistant message with the
-task's rule checker. No optimization happens here.
+Evaluation plays the prompt through the same batch path as training, then
+grades each transcript's final assistant message with the task's rule
+checker. No optimization happens here.
 """
 from __future__ import annotations
 
@@ -16,19 +16,18 @@ import yaml
 from .actor import (
     FeedbackGenerator,
     NoFeedback,
-    TaskSample,
+    Sample,
     Terminal,
-    run_episode,
+    Transcript,
+    collect_batch,
 )
-from .errors import EpisodeError, SampleMismatchError, UnparseableAnswerError
+from .errors import UnparseableAnswerError
 from .gateway import DEFAULT_SEED, DEFAULT_TEMPERATURE, Gateway
 from .prompt_model import PromptDocument
 
 
 class TaskAdapter(Protocol):
-    """What the harness needs from a task: build, parse, judge."""
-
-    def fill(self, prompt: PromptDocument, sample: Any) -> str: ...
+    """What grading needs from a task: parse an answer, judge it."""
 
     def parse_answer(self, text: str) -> Any: ...
 
@@ -68,7 +67,7 @@ class EvalReport:
 
 def evaluate(
     prompt: PromptDocument,
-    samples: Sequence[Any],
+    samples: Sequence[Sample],
     adapter: TaskAdapter,
     *,
     gateway: Gateway,
@@ -85,115 +84,42 @@ def evaluate(
     the checker. Passed implies delivered, so pass rate never exceeds
     delivery rate.
     """
-    fg = feedback if feedback is not None else NoFeedback()
-    records: list[EvalRecord] = []
-    for sample in samples:
-        filled = adapter.fill(prompt, sample)
-        shim = TaskSample(id=sample.id, slot_values={})
-        try:
-            transcript = run_episode(
-                prompt,
-                shim,
-                fg,
-                max_rounds,
-                gateway=gateway,
-                model=model,
-                temperature=temperature,
-                seed=seed,
-                initial_text=filled,
-            )
-        except EpisodeError as exc:
-            records.append(
-                EvalRecord(
-                    sample_id=sample.id,
-                    delivered=False,
-                    passed=False,
-                    rounds_used=exc.transcript.rounds_used,
-                    terminal=Terminal.ERROR.value,
-                    detail=str(exc),
-                )
-            )
-            continue
-        final = transcript.last_assistant()
-        if final is None:
-            records.append(
-                EvalRecord(
-                    sample_id=sample.id,
-                    delivered=False,
-                    passed=False,
-                    rounds_used=transcript.rounds_used,
-                    terminal=transcript.terminal.value,
-                    detail="no assistant message",
-                )
-            )
-            continue
+    transcripts = collect_batch(
+        prompt,
+        samples,
+        feedback if feedback is not None else NoFeedback(),
+        max_rounds,
+        gateway=gateway,
+        model=model,
+        temperature=temperature,
+        seed=seed,
+    )
+    return EvalReport(
+        records=tuple(_grade(t, s, adapter) for t, s in zip(transcripts, samples))
+    )
+
+
+def _grade(transcript: Transcript, sample: Sample, adapter: TaskAdapter) -> EvalRecord:
+    delivered = passed = False
+    final = transcript.last_assistant()
+    if transcript.terminal is Terminal.ERROR or final is None:
+        detail = transcript.error or "no assistant message"
+    else:
         try:
             answer = adapter.parse_answer(final)
         except UnparseableAnswerError as exc:
-            records.append(
-                EvalRecord(
-                    sample_id=sample.id,
-                    delivered=False,
-                    passed=False,
-                    rounds_used=transcript.rounds_used,
-                    terminal=transcript.terminal.value,
-                    detail=str(exc),
-                )
-            )
-            continue
-        result = adapter.check(answer, sample)
-        detail = ""
-        if not result.passed and result.messages:
-            detail = result.messages[0]
-        records.append(
-            EvalRecord(
-                sample_id=sample.id,
-                delivered=True,
-                passed=bool(result.passed),
-                rounds_used=transcript.rounds_used,
-                terminal=transcript.terminal.value,
-                detail=detail,
-            )
-        )
-    return EvalReport(records=tuple(records))
-
-
-@dataclass(frozen=True)
-class RunComparison:
-    baseline_pass_rate: float
-    candidate_pass_rate: float
-    improved: tuple[str, ...]
-    regressed: tuple[str, ...]
-
-    @property
-    def delta(self) -> float:
-        return self.candidate_pass_rate - self.baseline_pass_rate
-
-
-def compare_runs(baseline: EvalReport, candidate: EvalReport) -> RunComparison:
-    """Per-sample comparison of two reports over the same sample set."""
-    base = {r.sample_id: r for r in baseline.records}
-    cand = {r.sample_id: r for r in candidate.records}
-    if set(base) != set(cand):
-        only_base = sorted(set(base) - set(cand))
-        only_cand = sorted(set(cand) - set(base))
-        raise SampleMismatchError(
-            "reports cover different samples: "
-            f"baseline-only {only_base}, candidate-only {only_cand}"
-        )
-    improved = []
-    regressed = []
-    for sid in sorted(base):
-        before, after = base[sid].passed, cand[sid].passed
-        if after and not before:
-            improved.append(sid)
-        elif before and not after:
-            regressed.append(sid)
-    return RunComparison(
-        baseline_pass_rate=baseline.pass_rate,
-        candidate_pass_rate=candidate.pass_rate,
-        improved=tuple(improved),
-        regressed=tuple(regressed),
+            detail = str(exc)
+        else:
+            result = adapter.check(answer, sample)
+            delivered, passed = True, bool(result.passed)
+            detail = "" if result.passed or not result.messages else result.messages[0]
+    return EvalRecord(
+        sample_id=transcript.sample_id,
+        delivered=delivered,
+        passed=passed,
+        rounds_used=transcript.rounds_used,
+        terminal=transcript.terminal.value,
+        detail=detail,
     )
 
 

@@ -491,11 +491,6 @@ class StructuredDiff:
     def all_identical(self) -> bool:
         return all(e.status is DiffStatus.IDENTICAL for e in self.entries)
 
-    def changed_kinds(self) -> set[SegmentKind]:
-        return {
-            e.kind for e in self.entries if e.status is not DiffStatus.IDENTICAL
-        }
-
     def __str__(self) -> str:
         return "\n".join(str(e) for e in self.entries)
 

@@ -49,6 +49,10 @@ class ToySample:
         if len(self.options) != self.days:
             raise ValueError("one option list per day is required")
 
+    def render(self, prompt: PromptDocument) -> str:
+        """The round-1 message: the prompt with this sample's slots filled."""
+        return fill_slots(prompt, sample_slots(self))
+
     def option_by_id(self, option_id: str) -> ToyOption | None:
         for day_options in self.options:
             for option in day_options:
@@ -105,14 +109,6 @@ def toy_check(answer: tuple[str, ...], sample: ToySample) -> CheckResult:
 
 
 # --- brute-force oracle -------------------------------------------------------
-
-
-def enumerate_plans(sample: ToySample) -> list[tuple[str, ...]]:
-    """All plans, one option per day, in deterministic product order."""
-    return [
-        tuple(o.id for o in combo)
-        for combo in itertools.product(*sample.options)
-    ]
 
 
 def oracle_feasible_set(sample: ToySample) -> set[tuple[str, ...]]:
@@ -359,13 +355,10 @@ def parse_plan_answer(text: str) -> tuple[str, ...]:
 
 
 class ToyAdapter:
-    """Task adapter wiring the toy task into the evaluation harness."""
+    """Task adapter: parses toy answers and checks them for grading and feedback."""
 
     def __init__(self, checker=toy_check):
         self._checker = checker
-
-    def fill(self, prompt: PromptDocument, sample: ToySample) -> str:
-        return fill_slots(prompt, sample_slots(sample))
 
     def parse_answer(self, text: str) -> tuple[str, ...]:
         return parse_plan_answer(text)

@@ -30,10 +30,16 @@ from typing import Sequence
 
 import yaml
 
-from .actor import FeedbackGenerator, TaskSample, Transcript, collect_batch, format_transcript
+from .actor import (
+    FeedbackGenerator,
+    Sample,
+    Terminal,
+    Transcript,
+    collect_batch,
+    format_transcript,
+)
 from .config import EngineConfig
 from .errors import (
-    BatchFailedError,
     BudgetExhaustedError,
     CorruptRunError,
     GuardrailRejectionError,
@@ -188,7 +194,7 @@ def _read_cursor(paths: _RunPaths) -> list[dict]:
     return entries
 
 
-def _batches(samples: Sequence[TaskSample], batch_size: int) -> list[list[TaskSample]]:
+def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
     return [list(samples[i:i + batch_size]) for i in range(0, len(samples), batch_size)]
 
 
@@ -196,7 +202,6 @@ def _batches(samples: Sequence[TaskSample], batch_size: int) -> list[list[TaskSa
 class _LoopState:
     prompt: PromptDocument
     version_hashes: dict[int, str]
-    version_texts: dict[int, str]
     episodes_run: int
     calls_base: int
     epochs_done: int
@@ -208,7 +213,7 @@ class _LoopState:
 
 def _run_loop(
     state: _LoopState,
-    samples: Sequence[TaskSample],
+    samples: Sequence[Sample],
     config: EngineConfig,
     gateway: Gateway,
     feedback: FeedbackGenerator,
@@ -222,6 +227,17 @@ def _run_loop(
 
     def calls_total() -> int:
         return state.calls_base + (gateway.calls - calls_at_entry)
+
+    def record_batch(epoch: int, batch: int, note: str) -> None:
+        _append_cursor(paths, {
+            "kind": "batch",
+            "epoch": epoch,
+            "batch": batch,
+            "prompt_version": state.prompt.version,
+            "episodes_total": state.episodes_run,
+            "calls_total": calls_total(),
+            "note": note,
+        })
 
     converged = False
     epoch = state.start_epoch
@@ -239,28 +255,19 @@ def _run_loop(
                     f"{calls_total()} gateway calls; run can be resumed"
                 )
             note = ""
-            try:
-                transcripts = collect_batch(
-                    state.prompt,
-                    batches[b - 1],
-                    feedback,
-                    train_cfg.max_rounds,
-                    gateway=gateway,
-                    model=gw_cfg.model,
-                    temperature=gw_cfg.temperature,
-                    seed=train_cfg.seed,
-                    parallelism=train_cfg.parallelism,
-                )
-            except BatchFailedError as exc:
-                _append_cursor(paths, {
-                    "kind": "batch",
-                    "epoch": epoch,
-                    "batch": b,
-                    "prompt_version": state.prompt.version,
-                    "episodes_total": state.episodes_run,
-                    "calls_total": calls_total(),
-                    "note": f"batch skipped: {exc}",
-                })
+            transcripts = collect_batch(
+                state.prompt,
+                batches[b - 1],
+                feedback,
+                train_cfg.max_rounds,
+                gateway=gateway,
+                model=gw_cfg.model,
+                temperature=gw_cfg.temperature,
+                seed=train_cfg.seed,
+                parallelism=train_cfg.parallelism,
+            )
+            if all(t.terminal is Terminal.ERROR for t in transcripts):
+                record_batch(epoch, b, "batch skipped: every episode in the batch failed")
                 continue
             _write_transcripts(paths, epoch, b, transcripts)
             state.episodes_run += len(transcripts)
@@ -276,15 +283,7 @@ def _run_loop(
                     batch_index=b,
                 )
             except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
-                _append_cursor(paths, {
-                    "kind": "batch",
-                    "epoch": epoch,
-                    "batch": b,
-                    "prompt_version": state.prompt.version,
-                    "episodes_total": state.episodes_run,
-                    "calls_total": calls_total(),
-                    "note": f"summarizer failed: {exc}",
-                })
+                record_batch(epoch, b, f"summarizer failed: {exc}")
                 continue
             paths.focus_file(epoch, b).write_text(
                 f"{focus.case.value}\n{focus.text}", encoding="utf-8"
@@ -309,8 +308,6 @@ def _run_loop(
                 paths.raw_file(epoch, b).write_text(update.raw_output, encoding="utf-8")
                 if update.changed:
                     state.prompt = update.new_prompt
-                    text = render_prompt(update.new_prompt)
-                    state.version_texts[update.new_prompt.version] = text
                     _write_version(
                         paths,
                         update.new_prompt,
@@ -319,15 +316,7 @@ def _run_loop(
                         focus_case=focus.case.value,
                         focus_text=focus.text,
                     )
-            _append_cursor(paths, {
-                "kind": "batch",
-                "epoch": epoch,
-                "batch": b,
-                "prompt_version": state.prompt.version,
-                "episodes_total": state.episodes_run,
-                "calls_total": calls_total(),
-                "note": note,
-            })
+            record_batch(epoch, b, note)
         changed = render_prompt(state.prompt) != epoch_start_render
         state.epochs_done += 1
         _append_cursor(paths, {
@@ -354,7 +343,7 @@ def _run_loop(
 
 def train(
     initial_prompt: str,
-    samples: Sequence[TaskSample],
+    samples: Sequence[Sample],
     *,
     config: EngineConfig,
     gateway: Gateway,
@@ -405,12 +394,10 @@ def train(
         yaml.safe_dump(meta, sort_keys=False), encoding="utf-8"
     )
     version_hashes: dict[int, str] = {}
-    version_texts = {0: render_prompt(doc)}
     _write_version(paths, doc, version_hashes, placement=None, focus_case=None, focus_text=None)
     state = _LoopState(
         prompt=doc,
         version_hashes=version_hashes,
-        version_texts=version_texts,
         episodes_run=0,
         calls_base=0,
         epochs_done=0,
@@ -489,15 +476,21 @@ def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
 
 
 def replay_lineage(run_dir: str | Path, config: EngineConfig | None = None) -> list[PromptDocument]:
+    """Verify the hash chain, then rebuild every version (see replay_versions)."""
+    return replay_versions(verify_chain(run_dir), config)
+
+
+def replay_versions(
+    records: Sequence[VersionRecord], config: EngineConfig | None = None
+) -> list[PromptDocument]:
     """Rebuild every prompt version from v0 plus the recorded step texts.
 
-    Each accepted optimizer update changes only the step-instruction
-    segment, so swapping the recorded segment text into the previous
-    version must reproduce the stored file byte for byte. A mismatch means
-    the run directory does not describe its own history and raises
-    CorruptRunError.
+    ``records`` come from verify_chain. Each accepted optimizer update
+    changes only the step-instruction segment, so swapping the recorded
+    segment text into the previous version must reproduce the stored file
+    byte for byte. A mismatch means the run directory does not describe
+    its own history and raises CorruptRunError.
     """
-    records = verify_chain(run_dir)
     seg = (config.task.segmentation() if config is not None
            else None)
     doc = parse_prompt(records[0].text, seg)
@@ -531,7 +524,7 @@ def replay_lineage(run_dir: str | Path, config: EngineConfig | None = None) -> l
 
 def resume(
     run_dir: str | Path,
-    samples: Sequence[TaskSample],
+    samples: Sequence[Sample],
     *,
     config: EngineConfig,
     gateway: Gateway,
@@ -586,7 +579,6 @@ def resume(
     state = _LoopState(
         prompt=doc,
         version_hashes=version_hashes,
-        version_texts=version_texts,
         episodes_run=episodes_run,
         calls_base=calls_base,
         epochs_done=epochs_done,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,14 @@ def entry(
     if max_uses is not None:
         data["max_uses"] = max_uses
     return data
+
+
+def enumerate_plans(sample) -> list[tuple[str, ...]]:
+    """All plans for a toy sample, one option per day, in product order."""
+    return [
+        tuple(o.id for o in combo)
+        for combo in itertools.product(*sample.options)
+    ]
 
 
 def write_script(path: Path, entries: list[dict]) -> str:

@@ -9,7 +9,7 @@ import time
 
 import yaml
 
-from conftest import GOLDEN, TOY_SEG, entry, make_gateway
+from conftest import GOLDEN, TOY_SEG, entry, enumerate_plans, make_gateway
 from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.config import parse_config
 from reprompt.evaluator import evaluate
@@ -29,7 +29,6 @@ from reprompt.toy_task import (
     ToyAdapter,
     best_answer,
     blind_answer,
-    enumerate_plans,
     format_plan,
     generate_sample,
     generate_samples,

@@ -19,7 +19,6 @@ from reprompt.actor import (
     run_episode,
 )
 from reprompt.errors import (
-    BatchFailedError,
     EpisodeError,
     NoThinkSpanError,
     UnparseableAnswerError,
@@ -112,20 +111,6 @@ def test_round_cap_after_continue():
     assert len(fg.seen) == 1
 
 
-def test_initial_text_override():
-    gw = make_gateway(entry(["custom opener"], "ok"))
-    t = run_episode(
-        PROMPT,
-        sample(),
-        NoFeedback(),
-        1,
-        gateway=gw,
-        model="agent",
-        initial_text="custom opener",
-    )
-    assert t.messages[0].content == "custom opener"
-
-
 def test_gateway_failure_wraps_partial_transcript():
     gw = make_gateway(entry(["never matches"], "x"))
     with pytest.raises(EpisodeError) as err:
@@ -179,15 +164,6 @@ def test_batch_isolates_failures():
     assert out[0].terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert out[1].terminal is Terminal.ERROR
     assert out[1].sample_id == "b"
-
-
-def test_batch_fails_only_when_every_episode_fails():
-    gw = make_gateway(entry(["nothing"], "x"))
-    with pytest.raises(BatchFailedError):
-        collect_batch(
-            PROMPT, [sample("a"), sample("b")], NoFeedback(), 1,
-            gateway=gw, model="agent",
-        )
 
 
 def test_batch_parallel_results_match_serial():

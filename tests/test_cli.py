@@ -4,6 +4,7 @@ import yaml
 import pytest
 
 from conftest import GOLDEN, entry, write_script
+from reprompt import trainer
 from reprompt.cli import main
 from reprompt.toy_task import best_answer, format_plan, load_toy_samples
 
@@ -208,6 +209,19 @@ class TestInspect:
         assert "AppendStep" in out
         assert "failure_reason" in out and "helpful_thought" in out
         assert "3 version(s); hash chain and replay both check out" in out
+
+    def test_reads_each_version_once(self, tmp_path, capsys, monkeypatch):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        reads = []
+        load_versions = trainer.load_versions
+
+        def counting(run_dir):
+            reads.append(run_dir)
+            return load_versions(run_dir)
+
+        monkeypatch.setattr(trainer, "load_versions", counting)
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+        assert len(reads) == 1
 
     def test_tampered_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0

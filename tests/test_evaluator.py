@@ -1,14 +1,11 @@
 import csv
 
-import pytest
 import yaml
 
 from reprompt.actor import RuleCheckFeedback
-from reprompt.errors import SampleMismatchError
 from reprompt.evaluator import (
     EvalRecord,
     EvalReport,
-    compare_runs,
     evaluate,
     report_to_dict,
     write_report_tsv,
@@ -70,12 +67,21 @@ def test_mixed_outcomes():
 
     assert not by_id["t4"].delivered
     assert by_id["t4"].terminal == "error"
+    assert "unscripted request" in by_id["t4"].detail
 
     assert report.pass_rate == 0.25
     assert report.delivery_rate == 0.5
     # Passing implies delivering.
     for record in report.records:
         assert not record.passed or record.delivered
+
+
+def test_every_episode_failing_still_yields_a_full_report():
+    samples = [toy("t1"), toy("t2")]
+    report = evaluate(PROMPT, samples, ToyAdapter(), gateway=make_gateway(), model="agent")
+    assert [r.sample_id for r in report.records] == ["t1", "t2"]
+    assert report.delivery_rate == 0
+    assert all(r.terminal == "error" and r.rounds_used == 0 for r in report.records)
 
 
 def test_records_keep_sample_order():
@@ -123,7 +129,7 @@ def test_empty_report_rates():
     assert report.delivery_rate == 0.0
 
 
-# --- run comparison ---------------------------------------------------------------
+# --- report output ------------------------------------------------------------------
 
 
 def rec(sid, passed):
@@ -134,27 +140,6 @@ def rec(sid, passed):
         rounds_used=1,
         terminal="max_rounds_exhausted",
     )
-
-
-def test_compare_runs():
-    baseline = EvalReport(records=(rec("a", False), rec("b", True), rec("c", False)))
-    candidate = EvalReport(records=(rec("a", True), rec("b", False), rec("c", False)))
-    cmp = compare_runs(baseline, candidate)
-    assert cmp.improved == ("a",)
-    assert cmp.regressed == ("b",)
-    assert cmp.baseline_pass_rate == pytest.approx(1 / 3)
-    assert cmp.candidate_pass_rate == pytest.approx(1 / 3)
-    assert cmp.delta == pytest.approx(0.0)
-
-
-def test_compare_runs_rejects_mismatched_samples():
-    baseline = EvalReport(records=(rec("a", True),))
-    candidate = EvalReport(records=(rec("b", True),))
-    with pytest.raises(SampleMismatchError, match="different samples"):
-        compare_runs(baseline, candidate)
-
-
-# --- report output ------------------------------------------------------------------
 
 
 def sample_report():

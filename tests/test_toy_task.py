@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerate_plans
 from reprompt.errors import UnparseableAnswerError
 from reprompt.prompt_model import parse_prompt
 from reprompt.toy_task import (
@@ -13,7 +14,6 @@ from reprompt.toy_task import (
     ToySample,
     best_answer,
     blind_answer,
-    enumerate_plans,
     format_plan,
     generate_sample,
     generate_samples,
@@ -283,11 +283,23 @@ def test_to_task_sample_carries_slots():
     assert task.slot_values == sample_slots(TWO_DAY)
 
 
-def test_adapter_fill_uses_prompt_slots():
+def test_sample_render_uses_prompt_slots():
     prompt = parse_prompt("Here is the task:\nTask id: {task_id}\nBudget: {budget}\n")
-    text = ToyAdapter().fill(prompt, TWO_DAY)
+    text = TWO_DAY.render(prompt)
     assert "Task id: t" in text
     assert "Budget: 50" in text
+
+
+@pytest.mark.parametrize("seed", range(0, 10))
+def test_toy_and_task_samples_render_the_same_message(seed):
+    # Train may run on either form of a sample and eval on the toy form;
+    # both must send the same round-1 bytes.
+    prompt = parse_prompt(
+        "You plan trips.\n\nHere is the task:\nTask id: {task_id}\nDays: {days}\n"
+        "Budget: {budget}\nOptions:\n{options}\nRoutes: {routes}\n"
+    )
+    sample = generate_sample(seed)
+    assert sample.render(prompt) == to_task_sample(sample).render(prompt)
 
 
 def test_adapter_check_delegates_to_checker():
