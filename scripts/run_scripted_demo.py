@@ -60,11 +60,11 @@ def main() -> int:
         f"converged {'yes' if result.converged else 'no'}"
     )
 
+    seg = config.task.segmentation()
     records = verify_chain(out)
-    replay_versions(records, config=config)
+    replay_versions(records, seg)
     print(f"hash chain and lineage replay verified over {len(records)} versions\n")
 
-    seg = config.task.segmentation()
     for older, newer in zip(records, records[1:]):
         a = parse_prompt(older.text, seg)
         b = parse_prompt(newer.text, seg)

@@ -153,7 +153,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_inspect(args) -> int:
     records = trainer.verify_chain(args.out)
-    trainer.replay_versions(records)
+    trainer.replay_versions(records, trainer.run_markers(args.out)[0])
     for record in records:
         placement = record.meta.get("placement") or "-"
         focus_case = record.meta.get("focus_case") or "initial"

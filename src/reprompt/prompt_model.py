@@ -487,10 +487,6 @@ class SegmentDiff:
 class StructuredDiff:
     entries: tuple[SegmentDiff, ...]
 
-    @property
-    def all_identical(self) -> bool:
-        return all(e.status is DiffStatus.IDENTICAL for e in self.entries)
-
     def __str__(self) -> str:
         return "\n".join(str(e) for e in self.entries)
 

@@ -53,13 +53,6 @@ class ToySample:
         """The round-1 message: the prompt with this sample's slots filled."""
         return fill_slots(prompt, sample_slots(self))
 
-    def option_by_id(self, option_id: str) -> ToyOption | None:
-        for day_options in self.options:
-            for option in day_options:
-                if option.id == option_id:
-                    return option
-        return None
-
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -4,7 +4,9 @@ Every run writes a self-describing directory so it can be resumed,
 inspected, and replayed:
 
     run_dir/
-      run.meta                  static run description (no timestamps)
+      run.meta                  static run description (no timestamps),
+                                with the segmentation markers and the
+                                required tokens the run parses with
       dataset.yaml              copy of the sample file, when given
       script.yaml               copy of the gateway script, when given
       prompts/v{N}.txt          rendered prompt version N
@@ -15,13 +17,15 @@ inspected, and replayed:
       state.cursor              append-only JSONL progress log
 
 Nothing in the directory depends on wall-clock time, so two runs from the
-same inputs produce byte-identical trees.
+same inputs produce byte-identical trees. ``train`` creates the directory
+and ``resume`` runs the loop over it (see its docstring).
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
 from dataclasses import dataclass
@@ -51,8 +55,10 @@ from .errors import (
 from .gateway import Gateway
 from .optimizer import optimize
 from .prompt_model import (
+    DEFAULT_SEGMENTATION,
     PromptDocument,
     SegmentKind,
+    SegmentationConfig,
     has_step_instructions,
     inject_default_steps,
     parse_prompt,
@@ -129,17 +135,14 @@ def _step_segment_text(doc: PromptDocument) -> str | None:
 def _write_version(
     paths: _RunPaths,
     doc: PromptDocument,
-    version_hashes: dict[int, str],
+    parent_hash: str | None,
     placement: str | None,
     focus_case: str | None,
     focus_text: str | None,
-) -> None:
+) -> str:
+    """Write version ``doc`` and return its hash."""
     text = render_prompt(doc)
     digest = _sha256(text)
-    version_hashes[doc.version] = digest
-    parent_hash = None
-    if doc.parent_version is not None:
-        parent_hash = version_hashes[doc.parent_version]
     meta = {
         "version": doc.version,
         "parent": doc.parent_version,
@@ -154,6 +157,7 @@ def _write_version(
     paths.version_meta(doc.version).write_text(
         yaml.safe_dump(meta, sort_keys=False, allow_unicode=True), encoding="utf-8"
     )
+    return digest
 
 
 def _write_transcripts(
@@ -176,21 +180,45 @@ def _append_cursor(paths: _RunPaths, entry: dict) -> None:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
+_CURSOR_KEYS = {
+    "batch": {"epoch", "batch", "prompt_version", "episodes_total", "calls_total"},
+    "epoch": {"epoch", "changed", "prompt_version"},
+}
+
+
 def _read_cursor(paths: _RunPaths) -> list[dict]:
+    """Parse the cursor, dropping a torn last line.
+
+    A final line without its newline was cut by a crash mid-append, so it
+    commits nothing: the file is truncated to its last complete line and
+    the next append starts clean. A complete line that does not parse
+    raises CorruptRunError.
+    """
     if not paths.cursor.exists():
         return []
+    data = paths.cursor.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        os.truncate(paths.cursor, complete)
     entries = []
     for line_no, line in enumerate(
-        paths.cursor.read_text(encoding="utf-8").splitlines(), start=1
+        data[:complete].decode("utf-8").splitlines(), start=1
     ):
         if not line.strip():
             continue
         try:
-            entries.append(json.loads(line))
+            entry = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorruptRunError(
                 f"{paths.cursor}: bad cursor line {line_no}: {exc}"
             ) from None
+        keys = _CURSOR_KEYS.get(entry.get("kind")) if isinstance(entry, dict) else None
+        if keys is None or not keys <= entry.keys():
+            raise CorruptRunError(
+                f"{paths.cursor}: bad cursor line {line_no}: "
+                "not a complete batch or epoch record"
+            )
+        entries.append(entry)
     return entries
 
 
@@ -198,147 +226,11 @@ def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
     return [list(samples[i:i + batch_size]) for i in range(0, len(samples), batch_size)]
 
 
-@dataclass
-class _LoopState:
-    prompt: PromptDocument
-    version_hashes: dict[int, str]
-    episodes_run: int
-    calls_base: int
-    epochs_done: int
-    streak: int
-    start_epoch: int
-    start_batch: int
-    epoch_start_render: str
-
-
-def _run_loop(
-    state: _LoopState,
-    samples: Sequence[Sample],
-    config: EngineConfig,
-    gateway: Gateway,
-    feedback: FeedbackGenerator,
-    paths: _RunPaths,
-) -> TrainResult:
-    train_cfg = config.train
-    gw_cfg = config.gateway
-    seg = config.task.segmentation()
-    batches = _batches(samples, train_cfg.batch_size)
-    calls_at_entry = gateway.calls
-
-    def calls_total() -> int:
-        return state.calls_base + (gateway.calls - calls_at_entry)
-
-    def record_batch(epoch: int, batch: int, note: str) -> None:
-        _append_cursor(paths, {
-            "kind": "batch",
-            "epoch": epoch,
-            "batch": batch,
-            "prompt_version": state.prompt.version,
-            "episodes_total": state.episodes_run,
-            "calls_total": calls_total(),
-            "note": note,
-        })
-
-    converged = False
-    epoch = state.start_epoch
-    while epoch <= train_cfg.epochs:
-        if epoch == state.start_epoch:
-            first_batch = state.start_batch
-            epoch_start_render = state.epoch_start_render
-        else:
-            first_batch = 1
-            epoch_start_render = render_prompt(state.prompt)
-        for b in range(first_batch, len(batches) + 1):
-            if train_cfg.call_budget is not None and calls_total() >= train_cfg.call_budget:
-                raise BudgetExhaustedError(
-                    f"call budget {train_cfg.call_budget} reached after "
-                    f"{calls_total()} gateway calls; run can be resumed"
-                )
-            note = ""
-            transcripts = collect_batch(
-                state.prompt,
-                batches[b - 1],
-                feedback,
-                train_cfg.max_rounds,
-                gateway=gateway,
-                model=gw_cfg.model,
-                temperature=gw_cfg.temperature,
-                seed=train_cfg.seed,
-                parallelism=train_cfg.parallelism,
-            )
-            if all(t.terminal is Terminal.ERROR for t in transcripts):
-                record_batch(epoch, b, "batch skipped: every episode in the batch failed")
-                continue
-            _write_transcripts(paths, epoch, b, transcripts)
-            state.episodes_run += len(transcripts)
-            try:
-                focus = summarize_batch(
-                    transcripts,
-                    state.prompt,
-                    gateway=gateway,
-                    model=gw_cfg.summarizer_model,
-                    temperature=gw_cfg.temperature,
-                    seed=train_cfg.seed,
-                    epoch=epoch,
-                    batch_index=b,
-                )
-            except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
-                record_batch(epoch, b, f"summarizer failed: {exc}")
-                continue
-            paths.focus_file(epoch, b).write_text(
-                f"{focus.case.value}\n{focus.text}", encoding="utf-8"
-            )
-            try:
-                update = optimize(
-                    state.prompt,
-                    focus,
-                    gateway=gateway,
-                    model=gw_cfg.optimizer_model,
-                    repair_model=gw_cfg.repair_model,
-                    temperature=gw_cfg.temperature,
-                    seed=train_cfg.seed,
-                    seg_config=seg,
-                    required_tokens=config.task.required_tokens,
-                    guard_config=config.guards,
-                )
-            except (MissingFinalMarkerError, GuardrailRejectionError, RepairFailedError) as exc:
-                note = f"optimizer rejected: {exc}"
-                update = None
-            if update is not None:
-                paths.raw_file(epoch, b).write_text(update.raw_output, encoding="utf-8")
-                if update.changed:
-                    state.prompt = update.new_prompt
-                    _write_version(
-                        paths,
-                        update.new_prompt,
-                        state.version_hashes,
-                        placement=str(update.placement) if update.placement else None,
-                        focus_case=focus.case.value,
-                        focus_text=focus.text,
-                    )
-            record_batch(epoch, b, note)
-        changed = render_prompt(state.prompt) != epoch_start_render
-        state.epochs_done += 1
-        _append_cursor(paths, {
-            "kind": "epoch",
-            "epoch": epoch,
-            "changed": changed,
-            "prompt_version": state.prompt.version,
-        })
-        state.streak = 0 if changed else state.streak + 1
-        if train_cfg.convergence_patience is not None and state.streak >= train_cfg.convergence_patience:
-            converged = True
-            break
-        epoch += 1
-    return TrainResult(
-        final_prompt=state.prompt,
-        versions=tuple(sorted(state.version_hashes)),
-        episodes_run=state.episodes_run,
-        calls_used=calls_total(),
-        epochs_completed=state.epochs_done,
-        converged=converged,
-        run_dir=paths.root,
-    )
+# Every tuple field of SegmentationConfig is a marker list run.meta records.
+_MARKER_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SegmentationConfig)
+    if isinstance(getattr(DEFAULT_SEGMENTATION, f.name), tuple)
+)
 
 
 def train(
@@ -352,14 +244,12 @@ def train(
     dataset_src: str | Path | None = None,
     script_src: str | Path | None = None,
 ) -> TrainResult:
-    """Run the full act/summarize/optimize loop over a fresh run directory.
+    """Create a fresh run directory, then run the loop over it with resume().
 
     The initial prompt gets the default step block injected when it has no
     step instructions of its own; the structured text is what version 0
-    records. Batch-level failures (all episodes down, summarizer or
-    optimizer giving up) skip that batch and leave the prompt unchanged.
-    Hitting the call budget raises BudgetExhaustedError after persisting
-    all completed work, so the run can be resumed.
+    records. run.meta records the effective segmentation markers and
+    required tokens, so the directory replays with its own settings.
     """
     if not samples:
         raise ValueError("training needs at least one sample")
@@ -389,29 +279,19 @@ def train(
         "repair_model": config.gateway.repair_model,
         "dataset": DATASET_COPY if dataset_src is not None else None,
         "script": SCRIPT_COPY if script_src is not None else None,
+        "segmentation": {name: list(getattr(seg, name)) for name in _MARKER_FIELDS},
+        "required_tokens": list(config.task.required_tokens),
     }
     paths.run_meta.write_text(
         yaml.safe_dump(meta, sort_keys=False), encoding="utf-8"
     )
-    version_hashes: dict[int, str] = {}
-    _write_version(paths, doc, version_hashes, placement=None, focus_case=None, focus_text=None)
-    state = _LoopState(
-        prompt=doc,
-        version_hashes=version_hashes,
-        episodes_run=0,
-        calls_base=0,
-        epochs_done=0,
-        streak=0,
-        start_epoch=1,
-        start_batch=1,
-        epoch_start_render=render_prompt(doc),
-    )
-    return _run_loop(state, samples, config, gateway, feedback, paths)
+    _write_version(paths, doc, None, placement=None, focus_case=None, focus_text=None)
+    return resume(run_dir, samples, config=config, gateway=gateway, feedback=feedback)
 
 
 # --- run directory readers ----------------------------------------------------
 
-_VERSION_FILE_RE = re.compile(r"^v(\d+)\.txt$")
+_VERSION_FILE_RE = re.compile(r"^v(\d+)\.(txt|meta)$")
 
 
 def load_versions(run_dir: str | Path) -> list[VersionRecord]:
@@ -422,7 +302,7 @@ def load_versions(run_dir: str | Path) -> list[VersionRecord]:
     found: dict[int, VersionRecord] = {}
     for entry in paths.prompts.iterdir():
         m = _VERSION_FILE_RE.match(entry.name)
-        if not m:
+        if not m or m.group(2) != "txt":
             continue
         n = int(m.group(1))
         meta_path = paths.version_meta(n)
@@ -475,24 +355,49 @@ def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
     return records
 
 
-def replay_lineage(run_dir: str | Path, config: EngineConfig | None = None) -> list[PromptDocument]:
-    """Verify the hash chain, then rebuild every version (see replay_versions)."""
-    return replay_versions(verify_chain(run_dir), config)
+def run_markers(run_dir: str | Path) -> tuple[SegmentationConfig, tuple[str, ...]]:
+    """The segmentation markers and required tokens recorded in run.meta."""
+    paths = _RunPaths(run_dir)
+    if not paths.run_meta.exists():
+        raise CorruptRunError(f"{paths.root} has no {RUN_META_NAME}")
+    meta = load_yaml(paths.run_meta.read_text(encoding="utf-8"))
+    try:
+        markers = meta["segmentation"]
+        lists = [markers[name] for name in _MARKER_FIELDS] + [meta["required_tokens"]]
+    except (KeyError, TypeError):
+        lists = None
+    if lists is None or not all(
+        isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists
+    ):
+        raise CorruptRunError(
+            f"{paths.run_meta} does not record the segmentation markers "
+            "and required tokens"
+        )
+    seg = SegmentationConfig(**{
+        name: tuple(v) for name, v in zip(_MARKER_FIELDS, lists)
+    })
+    return seg, tuple(lists[-1])
+
+
+def replay_lineage(run_dir: str | Path) -> list[PromptDocument]:
+    """Verify the hash chain, then rebuild every version with the run's
+    own markers (see replay_versions)."""
+    records = verify_chain(run_dir)
+    return replay_versions(records, run_markers(run_dir)[0])
 
 
 def replay_versions(
-    records: Sequence[VersionRecord], config: EngineConfig | None = None
+    records: Sequence[VersionRecord], seg: SegmentationConfig
 ) -> list[PromptDocument]:
     """Rebuild every prompt version from v0 plus the recorded step texts.
 
-    ``records`` come from verify_chain. Each accepted optimizer update
-    changes only the step-instruction segment, so swapping the recorded
-    segment text into the previous version must reproduce the stored file
-    byte for byte. A mismatch means the run directory does not describe
-    its own history and raises CorruptRunError.
+    ``records`` come from verify_chain and ``seg`` from run_markers. Each
+    accepted optimizer update changes only the step-instruction segment,
+    so swapping the recorded segment text into the previous version must
+    reproduce the stored file byte for byte. A mismatch means the run
+    directory does not describe its own history and raises
+    CorruptRunError.
     """
-    seg = (config.task.segmentation() if config is not None
-           else None)
     doc = parse_prompt(records[0].text, seg)
     docs = [doc]
     for record in records[1:]:
@@ -530,76 +435,175 @@ def resume(
     gateway: Gateway,
     feedback: FeedbackGenerator,
 ) -> TrainResult:
-    """Continue an interrupted run from its persisted cursor.
+    """Run the act/summarize/optimize loop from the last cursor line on.
 
-    The prompt-version hash chain is verified first; any mismatch raises
-    CorruptRunError. Work already recorded in the cursor is not redone.
-    When the run is already complete, returns immediately with its final
-    state.
+    The cursor's last batch line is the one commit record: its
+    ``prompt_version`` is the committed prompt (v0 before any batch line).
+    Version files above it and the outputs of the first uncommitted batch
+    are discarded before the hash chain is verified, so whatever a crash
+    left behind is redone. The markers and required tokens come from
+    run.meta; a config whose values differ raises ValueError.
+
+    Batch-level failures (all episodes down, summarizer or optimizer
+    giving up) skip that batch and leave the prompt unchanged. The call
+    budget is checked before each batch, so a run can pass it by up to one
+    batch's calls; reaching it raises BudgetExhaustedError with all
+    completed work committed, so the run can be resumed again.
     """
     if not samples:
         raise ValueError("training needs at least one sample")
     paths = _RunPaths(run_dir)
-    records = verify_chain(run_dir)
-    entries = _read_cursor(paths)
-    version_hashes = {r.version: r.meta["hash"] for r in records}
-    version_texts = {r.version: r.text for r in records}
-
-    current_version = records[-1].version
-    episodes_run = 0
-    calls_base = 0
-    for entry in entries:
-        if entry.get("kind") == "batch":
-            episodes_run = int(entry.get("episodes_total", episodes_run))
-            calls_base = int(entry.get("calls_total", calls_base))
-            current_version = int(entry.get("prompt_version", current_version))
-
-    epoch_entries = [e for e in entries if e.get("kind") == "epoch"]
-    epochs_done = len(epoch_entries)
-    streak = 0
-    for entry in epoch_entries:
-        streak = 0 if entry.get("changed") else streak + 1
-
-    # Version at the boundary of the epoch in progress; batch completion
-    # within it tells us where to pick up.
-    boundary_version = int(epoch_entries[-1]["prompt_version"]) if epoch_entries else 0
-    start_epoch = epochs_done + 1
-    in_progress = [
-        e for e in entries
-        if e.get("kind") == "batch" and int(e.get("epoch", 0)) == start_epoch
-    ]
-    start_batch = max((int(e["batch"]) for e in in_progress), default=0) + 1
-
-    doc = parse_prompt(version_texts[current_version], config.task.segmentation())
-    meta_parent = records[current_version].meta.get("parent")
-    doc = dataclasses.replace(
-        doc, version=current_version, parent_version=meta_parent
-    )
-
-    state = _LoopState(
-        prompt=doc,
-        version_hashes=version_hashes,
-        episodes_run=episodes_run,
-        calls_base=calls_base,
-        epochs_done=epochs_done,
-        streak=streak,
-        start_epoch=start_epoch,
-        start_batch=start_batch,
-        epoch_start_render=version_texts[boundary_version],
-    )
-    train_cfg = config.train
-    already_converged = (
-        train_cfg.convergence_patience is not None
-        and streak >= train_cfg.convergence_patience
-    )
-    if start_epoch > train_cfg.epochs or already_converged:
-        return TrainResult(
-            final_prompt=doc,
-            versions=tuple(sorted(version_hashes)),
-            episodes_run=episodes_run,
-            calls_used=calls_base,
-            epochs_completed=epochs_done,
-            converged=already_converged,
-            run_dir=paths.root,
+    seg, required_tokens = run_markers(run_dir)
+    if (seg, required_tokens) != (config.task.segmentation(), config.task.required_tokens):
+        raise ValueError(
+            f"the config's segmentation markers or required tokens differ "
+            f"from those in {paths.run_meta}"
         )
-    return _run_loop(state, samples, config, gateway, feedback, paths)
+    entries = _read_cursor(paths)
+    batch_lines = [e for e in entries if e["kind"] == "batch"]
+    epoch_lines = [e for e in entries if e["kind"] == "epoch"]
+    last = batch_lines[-1] if batch_lines else {
+        "prompt_version": 0, "episodes_total": 0, "calls_total": 0,
+    }
+    committed = last["prompt_version"]
+    epoch = len(epoch_lines) + 1
+    first_batch = 1 + max(
+        (e["batch"] for e in batch_lines if e["epoch"] == epoch), default=0
+    )
+
+    for entry in paths.prompts.glob("v*"):
+        m = _VERSION_FILE_RE.match(entry.name)
+        if m and int(m.group(1)) > committed:
+            entry.unlink()
+    shutil.rmtree(paths.batch_dir(epoch, first_batch), ignore_errors=True)
+    paths.focus_file(epoch, first_batch).unlink(missing_ok=True)
+    paths.raw_file(epoch, first_batch).unlink(missing_ok=True)
+
+    records = verify_chain(run_dir)
+    if records[-1].version != committed:
+        raise CorruptRunError(
+            f"the cursor commits prompt v{committed}, but the run holds "
+            f"v0 to v{records[-1].version}"
+        )
+    prompt = replay_versions(records, seg)[committed]
+    head_hash = records[committed].meta["hash"]
+    boundary = epoch_lines[-1]["prompt_version"] if epoch_lines else 0
+    epoch_start_text = records[boundary].text
+    streak = 0
+    for entry in epoch_lines:
+        streak = 0 if entry["changed"] else streak + 1
+
+    train_cfg = config.train
+    gw_cfg = config.gateway
+    patience = train_cfg.convergence_patience
+    batches = _batches(samples, train_cfg.batch_size)
+    episodes_run = last["episodes_total"]
+    calls_at_entry = gateway.calls
+
+    def calls_total() -> int:
+        return last["calls_total"] + (gateway.calls - calls_at_entry)
+
+    def record_batch(batch: int, note: str) -> None:
+        _append_cursor(paths, {
+            "kind": "batch",
+            "epoch": epoch,
+            "batch": batch,
+            "prompt_version": prompt.version,
+            "episodes_total": episodes_run,
+            "calls_total": calls_total(),
+            "note": note,
+        })
+
+    converged = patience is not None and streak >= patience
+    while epoch <= train_cfg.epochs and not converged:
+        for b in range(first_batch, len(batches) + 1):
+            if train_cfg.call_budget is not None and calls_total() >= train_cfg.call_budget:
+                raise BudgetExhaustedError(
+                    f"call budget {train_cfg.call_budget} reached after "
+                    f"{calls_total()} gateway calls; run can be resumed"
+                )
+            note = ""
+            transcripts = collect_batch(
+                prompt,
+                batches[b - 1],
+                feedback,
+                train_cfg.max_rounds,
+                gateway=gateway,
+                model=gw_cfg.model,
+                temperature=gw_cfg.temperature,
+                seed=train_cfg.seed,
+                parallelism=train_cfg.parallelism,
+            )
+            if all(t.terminal is Terminal.ERROR for t in transcripts):
+                record_batch(b, "batch skipped: every episode in the batch failed")
+                continue
+            _write_transcripts(paths, epoch, b, transcripts)
+            episodes_run += len(transcripts)
+            try:
+                focus = summarize_batch(
+                    transcripts,
+                    prompt,
+                    gateway=gateway,
+                    model=gw_cfg.summarizer_model,
+                    temperature=gw_cfg.temperature,
+                    seed=train_cfg.seed,
+                    epoch=epoch,
+                    batch_index=b,
+                )
+            except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
+                record_batch(b, f"summarizer failed: {exc}")
+                continue
+            paths.focus_file(epoch, b).write_text(
+                f"{focus.case.value}\n{focus.text}", encoding="utf-8"
+            )
+            try:
+                update = optimize(
+                    prompt,
+                    focus,
+                    gateway=gateway,
+                    model=gw_cfg.optimizer_model,
+                    repair_model=gw_cfg.repair_model,
+                    temperature=gw_cfg.temperature,
+                    seed=train_cfg.seed,
+                    seg_config=seg,
+                    required_tokens=required_tokens,
+                    guard_config=config.guards,
+                )
+            except (MissingFinalMarkerError, GuardrailRejectionError, RepairFailedError) as exc:
+                note = f"optimizer rejected: {exc}"
+                update = None
+            if update is not None:
+                paths.raw_file(epoch, b).write_text(update.raw_output, encoding="utf-8")
+                if update.changed:
+                    prompt = update.new_prompt
+                    head_hash = _write_version(
+                        paths,
+                        prompt,
+                        head_hash,
+                        placement=str(update.placement),
+                        focus_case=focus.case.value,
+                        focus_text=focus.text,
+                    )
+            record_batch(b, note)
+        text = render_prompt(prompt)
+        changed = text != epoch_start_text
+        _append_cursor(paths, {
+            "kind": "epoch",
+            "epoch": epoch,
+            "changed": changed,
+            "prompt_version": prompt.version,
+        })
+        streak = 0 if changed else streak + 1
+        converged = patience is not None and streak >= patience
+        epoch += 1
+        first_batch = 1
+        epoch_start_text = text
+    return TrainResult(
+        final_prompt=prompt,
+        versions=tuple(range(prompt.version + 1)),
+        episodes_run=episodes_run,
+        calls_used=calls_total(),
+        epochs_completed=epoch - 1,
+        converged=converged,
+        run_dir=paths.root,
+    )

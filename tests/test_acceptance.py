@@ -414,7 +414,7 @@ def test_round_trip_and_replay(tmp_path, capsys):
             round_tripped += 1
 
     golden_train(tmp_path / "run")
-    docs = replay_lineage(tmp_path / "run", config=golden_config())
+    docs = replay_lineage(tmp_path / "run")
     metas = [
         yaml.safe_load(
             (tmp_path / "run" / "prompts" / f"v{n}.meta").read_text()

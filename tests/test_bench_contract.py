@@ -51,6 +51,7 @@ def test_imported_names_resolve(module, names):
 def test_call_shapes():
     from reprompt.actor import feedback_generator
     from reprompt.evaluator import evaluate
+    from reprompt.trainer import replay_lineage, train
 
     assert {"gateway", "model", "adapter", "samples_by_id", "temperature", "seed"} <= set(
         inspect.signature(feedback_generator).parameters
@@ -58,6 +59,10 @@ def test_call_shapes():
     assert {"gateway", "model", "feedback", "max_rounds", "temperature", "seed"} <= set(
         inspect.signature(evaluate).parameters
     )
+    assert {"config", "gateway", "feedback", "run_dir", "dataset_src", "script_src"} <= set(
+        inspect.signature(train).parameters
+    )
+    inspect.signature(replay_lineage).bind("run_dir")
 
 
 def test_traced_names_resolve(bench_path):

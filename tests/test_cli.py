@@ -4,11 +4,61 @@ import yaml
 import pytest
 
 from conftest import GOLDEN, entry, write_script
-from reprompt import trainer
+from reprompt import prompts, trainer
 from reprompt.cli import main
 from reprompt.toy_task import best_answer, format_plan, load_toy_samples
 
 CFG = str(GOLDEN / "run.cfg")
+CFG_TEXT = (GOLDEN / "run.cfg").read_text(encoding="utf-8")
+
+# A prompt whose examples hold a numbered list ahead of the real step
+# block. Only the marker overrides in MARKER_CFG keep that list inside the
+# examples; under the default markers it would be taken for the steps.
+MARKER_PROMPT = """\
+You are a day-planner. Pick one activity per day within the budget.
+
+EXAMPLE START
+Task id: toy-demo
+1. List each day's options.
+2. Keep the total cost within the budget.
+PLAN:
+Day 1: x11
+EXAMPLE END
+
+Let's solve it step by step:
+1. Read the task carefully.
+2. Then, produce the solution to the task.
+
+Your final answer must end with a block starting with "PLAN:".
+
+TASK:
+Task id: {task_id}
+Days: {days}
+Budget: {budget}
+Options:
+{options}
+Routes: {routes}
+"""
+
+MARKER_CFG = """\
+[train]
+epochs = 1
+batch_size = 3
+feedback = none
+seed = 7
+
+[gateway]
+backend = scripted
+model = planner
+
+[task]
+kind = toy
+required_tokens = ["PLAN:"]
+examples_open = ["EXAMPLE START"]
+examples_close = ["EXAMPLE END"]
+task_open = ["TASK:"]
+format_open = ["Your final answer"]
+"""
 
 
 def golden_train_argv(out_dir):
@@ -88,6 +138,17 @@ class TestResume:
         out = capsys.readouterr().out
         assert "final prompt: v2" in out
         assert "gateway calls: 14" in out
+
+    def test_other_markers_are_rejected(self, tmp_path, capsys):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(
+            CFG_TEXT + 'task_open = ["TASK:"]\n', encoding="utf-8"
+        )
+        code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "differ from" in capsys.readouterr().err
 
 
 class TestEval:
@@ -222,6 +283,37 @@ class TestInspect:
         monkeypatch.setattr(trainer, "load_versions", counting)
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
         assert len(reads) == 1
+
+    def test_replays_with_the_runs_own_markers(self, tmp_path, capsys):
+        v1 = MARKER_PROMPT.replace(
+            "2. Then, produce the solution to the task.\n",
+            "2. Then, produce the solution to the task.\n"
+            "3. Check the total cost against the budget.\n",
+        )
+        script = write_script(tmp_path / "script.yaml", [
+            entry(["Task id: "], "PLAN:\nDay 1: a11\n", roles=["user"]),
+            entry(
+                ["You are a summarizer"],
+                "Every plan overspends.\n"
+                "In conclusion, the main focus point should be: "
+                "the answers skip the budget check.",
+            ),
+            entry(
+                ["You are a prompt optimizer"],
+                f"A budget check goes last.\n{prompts.FINAL_PROMPT_MARKER}\n{v1}",
+            ),
+        ])
+        (tmp_path / "run.cfg").write_text(MARKER_CFG, encoding="utf-8")
+        (tmp_path / "prompt.txt").write_text(MARKER_PROMPT, encoding="utf-8")
+        assert main([
+            "train", "--config", str(tmp_path / "run.cfg"), "--script", script,
+            "--prompt", str(tmp_path / "prompt.txt"),
+            "--dataset", str(GOLDEN / "dataset.yaml"),
+            "--out", str(tmp_path / "run"),
+        ]) == 0
+        assert "versions written: v0, v1" in capsys.readouterr().out
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+        assert "2 version(s); hash chain and replay both check out" in capsys.readouterr().out
 
     def test_tampered_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0

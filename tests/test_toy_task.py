@@ -152,11 +152,6 @@ def test_options_must_match_days():
         mk(2, 10, [[ToyOption("a", 1, "A")]], [])
 
 
-def test_option_by_id():
-    assert TWO_DAY.option_by_id("a22").cost == 10
-    assert TWO_DAY.option_by_id("nope") is None
-
-
 # --- checker agrees with the enumeration oracle ---------------------------------------
 
 

@@ -2,11 +2,13 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from conftest import GOLDEN, entry, make_gateway
+from reprompt import trainer
 from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.config import parse_config
 from reprompt.errors import BudgetExhaustedError, CorruptRunError
@@ -162,6 +164,9 @@ class TestGoldenRun:
         assert meta["repair_model"] == "critic"
         assert meta["dataset"] == "dataset.yaml"
         assert meta["script"] == "script.yaml"
+        assert meta["segmentation"]["format_open"] == ["Your final answer"]
+        assert meta["segmentation"]["task_open"] == ["Here is the task", "Given information:"]
+        assert meta["required_tokens"] == ["PLAN:"]
 
     def test_refuses_existing_run_dir(self, tmp_path):
         run_golden(tmp_path / "run")
@@ -192,7 +197,7 @@ class TestGoldenRun:
         run_golden(tmp_path / "run")
         records = verify_chain(tmp_path / "run")
         assert [r.version for r in records] == [0, 1, 2]
-        docs = replay_lineage(tmp_path / "run", config=golden_config())
+        docs = replay_lineage(tmp_path / "run")
         assert [render_prompt(d) for d in docs] == [r.text for r in records]
 
     def test_resume_of_complete_run_returns_final_state(self, tmp_path):
@@ -302,6 +307,14 @@ class TestBudgetAndResume:
         kinds = [e["kind"] for e in cursor_entries(tmp_path / "run")]
         assert kinds == ["batch", "epoch"]
 
+    def test_budget_overshoot_is_at_most_one_batch(self, tmp_path):
+        # The budget is checked before each batch, so the batch that
+        # starts under it runs to the end: 8 calls against a budget of 1.
+        with pytest.raises(BudgetExhaustedError, match="after 8 gateway calls"):
+            run_golden(tmp_path / "run", config=golden_config(call_budget=1))
+        assert [e["calls_total"] for e in cursor_entries(tmp_path / "run")
+                if e["kind"] == "batch"] == [8]
+
     def test_resume_with_same_budget_raises_again(self, tmp_path):
         with pytest.raises(BudgetExhaustedError):
             run_golden(tmp_path / "run", config=golden_config(call_budget=8))
@@ -391,6 +404,115 @@ class TestBudgetAndResume:
         assert tree_hashes(cut_dir) == tree_hashes(whole_dir)
 
 
+# --- crash recovery ------------------------------------------------------------
+
+class Crash(Exception):
+    """Stands in for the process dying in the middle of a run."""
+
+
+def crash_at_write(monkeypatch, run_dir, n, torn):
+    """Kill the run at the n-th write after v0 exists (0-based).
+
+    Counts file writes under ``run_dir`` and cursor appends. With ``torn``
+    the fatal write leaves the first half of its bytes behind, with no
+    trailing newline for a cursor line. Returns the list of writes seen.
+    """
+    seen = []
+    write_text = Path.write_text
+    append_cursor = trainer._append_cursor
+
+    def fatal(what):
+        if not (run_dir / "prompts" / "v0.meta").exists():
+            return False
+        seen.append(what)
+        return len(seen) == n + 1
+
+    def fake_write_text(self, data, *args, **kwargs):
+        if self.is_relative_to(run_dir) and fatal(self.relative_to(run_dir).as_posix()):
+            if torn:
+                write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise Crash(self)
+        return write_text(self, data, *args, **kwargs)
+
+    def fake_append_cursor(paths, entry):
+        if fatal(f"cursor {entry['kind']} e{entry['epoch']}"):
+            if torn:
+                line = json.dumps(entry, sort_keys=True)
+                with open(paths.cursor, "a", encoding="utf-8") as fh:
+                    fh.write(line[: len(line) // 2])
+            raise Crash(entry)
+        append_cursor(paths, entry)
+
+    monkeypatch.setattr(Path, "write_text", fake_write_text)
+    monkeypatch.setattr(trainer, "_append_cursor", fake_append_cursor)
+    return seen
+
+
+def resume_golden(run_dir):
+    samples, feedback, gateway = golden_inputs()
+    return resume(
+        run_dir, samples, config=golden_config(), gateway=gateway, feedback=feedback
+    )
+
+
+def assert_golden(result, run_dir):
+    manifest = yaml.safe_load((GOLDEN / "manifest.yaml").read_text())
+    assert tree_hashes(run_dir) == manifest["files"]
+    assert result.versions == (0, 1, 2)
+    assert result.episodes_run == 6
+    assert result.calls_used == 14
+    assert result.epochs_completed == 2
+    assert not result.converged
+    expected = (GOLDEN / "final_prompt.txt").read_text(encoding="utf-8")
+    assert render_prompt(result.final_prompt) == expected
+
+
+class TestCrashRecovery:
+    def test_uncommitted_version_is_discarded(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+
+        def crash(paths, entry):
+            raise Crash(entry)
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_append_cursor", crash)
+            with pytest.raises(Crash):
+                run_golden(run_dir, with_copies=True)
+        # v1 was written, but no cursor line commits it.
+        assert (run_dir / "prompts" / "v1.txt").exists()
+        assert not (run_dir / "state.cursor").exists()
+        assert_golden(resume_golden(run_dir), run_dir)
+
+    def test_torn_cursor_tail_is_dropped(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_golden(run_dir, with_copies=True)
+        cursor = run_dir / "state.cursor"
+        lines = cursor.read_text(encoding="utf-8").splitlines(keepends=True)
+        cursor.write_text(
+            "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], encoding="utf-8"
+        )
+        assert_golden(resume_golden(run_dir), run_dir)
+
+    def test_crash_at_every_write_resumes_to_golden(self, tmp_path, monkeypatch):
+        with monkeypatch.context() as m:
+            writes = crash_at_write(m, tmp_path / "whole", -1, torn=False)
+            run_golden(tmp_path / "whole", with_copies=True)
+        # Per epoch: 3 transcripts, focus, raw output, version text and
+        # meta, the batch line and the epoch line.
+        assert len(writes) == 18
+        for n, what in enumerate(writes):
+            for torn in (False, True):
+                run_dir = tmp_path / f"crash{n}{'t' if torn else ''}"
+                with monkeypatch.context() as m:
+                    crash_at_write(m, run_dir, n, torn)
+                    with pytest.raises(Crash):
+                        run_golden(run_dir, with_copies=True)
+                try:
+                    assert_golden(resume_golden(run_dir), run_dir)
+                except AssertionError as exc:
+                    raise AssertionError(f"crash at {what} (torn={torn}): {exc}") from exc
+
+
 # --- failure paths -------------------------------------------------------------
 
 class TestFailurePaths:
@@ -420,6 +542,28 @@ class TestFailurePaths:
         batch = cursor_entries(tmp_path / "run")[0]
         assert batch["note"].startswith("batch skipped:")
         assert not (tmp_path / "run" / "transcripts" / "e1").exists()
+
+    def test_redone_batch_leaves_no_stale_outputs(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        # Writes after v0: the transcript, then the focus file, torn here.
+        with monkeypatch.context() as m:
+            crash_at_write(m, run_dir, 1, torn=True)
+            with pytest.raises(Crash):
+                train(
+                    self.prompt(), self.samples(), config=self.config(),
+                    gateway=make_gateway(*IDLE_ENTRIES), feedback=NoFeedback(),
+                    run_dir=run_dir,
+                )
+        assert (run_dir / "focus" / "e1_b1.txt").exists()
+        # A live backend may answer differently the second time: here
+        # every episode fails, so the redone batch writes nothing.
+        resume(
+            run_dir, self.samples(), config=self.config(),
+            gateway=make_gateway(), feedback=NoFeedback(),
+        )
+        assert cursor_entries(run_dir)[0]["note"].startswith("batch skipped:")
+        assert not (run_dir / "transcripts" / "e1" / "b1").exists()
+        assert not (run_dir / "focus" / "e1_b1.txt").exists()
 
     def test_summarizer_failure_keeps_transcripts(self, tmp_path):
         bad_summary = entry(["You are a summarizer"], "no conclusion line here")
@@ -536,7 +680,36 @@ class TestCorruptRuns:
         meta["segment_text"] = "1. Do something else entirely.\n\n"
         meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
         with pytest.raises(CorruptRunError, match="does not reproduce"):
-            replay_lineage(golden_dir, config=golden_config())
+            replay_lineage(golden_dir)
+
+    @pytest.mark.parametrize("field", ["segmentation", "required_tokens"])
+    def test_run_meta_without_markers(self, golden_dir, field):
+        meta_path = golden_dir / "run.meta"
+        meta = yaml.safe_load(meta_path.read_text())
+        del meta[field]
+        meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
+        with pytest.raises(CorruptRunError, match="does not record the segmentation markers"):
+            replay_lineage(golden_dir)
+
+    def test_cursor_commits_a_missing_version(self, golden_dir):
+        for suffix in ("txt", "meta"):
+            (golden_dir / "prompts" / f"v2.{suffix}").unlink()
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match="commits prompt v2"):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
+
+    def test_incomplete_cursor_record(self, golden_dir):
+        with open(golden_dir / "state.cursor", "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "batch", "epoch": 3}\n')
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match="not a complete batch or epoch record"):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
 
     def test_bad_cursor_line(self, golden_dir):
         with open(golden_dir / "state.cursor", "a", encoding="utf-8") as fh:
