@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol
 
-import requests
 import yaml
-from requests.adapters import HTTPAdapter
 
 from .errors import (
     AmbiguousScriptError,
@@ -392,8 +390,10 @@ class HttpGateway:
     share one connection pool, so a run reuses a connection for call after
     call, across the worker threads of every batch. A pooled connection
     the server has closed is dialled again before it is used. The pool
-    keeps up to 10 idle connections per host; the connections close when
-    the gateway is garbage-collected.
+    keeps up to ``pool_size`` idle connections per host, so up to that
+    many threads keep theirs; the connections close when the gateway is
+    garbage-collected. ``requests`` is imported when the first gateway is
+    built, so a process that never builds one does not load it.
     """
 
     def __init__(
@@ -405,7 +405,11 @@ class HttpGateway:
         timeout: float = 60.0,
         transport: Callable | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        pool_size: int = 10,
     ):
+        import requests
+        from requests.adapters import HTTPAdapter
+
         resolved = base_url or os.environ.get(BASE_URL_ENV)
         if not resolved:
             raise ValueError(
@@ -416,8 +420,9 @@ class HttpGateway:
         self._attempts = attempts
         self._backoff = backoff
         self._timeout = timeout
+        self._request_error = requests.RequestException
         if transport is None:
-            self._adapter = HTTPAdapter()
+            self._adapter = HTTPAdapter(pool_maxsize=pool_size)
             self._local = threading.local()
             transport = self._pooled_post
         self._post = transport
@@ -428,11 +433,13 @@ class HttpGateway:
     def calls(self) -> int:
         return self._counter.calls
 
-    def _pooled_post(self, url: str, **kwargs) -> requests.Response:
+    def _pooled_post(self, url: str, **kwargs):
         # requests does not promise that a Session is thread-safe, so each
         # thread gets its own; the shared adapter's urllib3 pool is.
         session = getattr(self._local, "session", None)
         if session is None:
+            import requests
+
             session = self._local.session = requests.Session()
             session.mount("http://", self._adapter)
             session.mount("https://", self._adapter)
@@ -468,7 +475,7 @@ class HttpGateway:
                 http = self._post(
                     url, json=payload, headers=headers, timeout=self._timeout
                 )
-            except requests.RequestException as exc:
+            except self._request_error as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
             status = http.status_code

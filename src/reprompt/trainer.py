@@ -5,16 +5,19 @@ inspected, and replayed:
 
     run_dir/
       run.meta                  static run description (no timestamps),
-                                with the segmentation markers and the
-                                required tokens the run parses with
+                                with v0's hash, the segmentation markers
+                                and the required tokens the run parses with
       dataset.yaml              copy of the sample file, when given
       script.yaml               copy of the gateway script, when given
       prompts/v{N}.txt          rendered prompt version N
-      prompts/v{N}.meta         hash, parent hash, placement, focus, step text
       transcripts/e{E}/b{B}/    one file per episode
-      focus/e{E}_b{B}.txt       the focus point distilled from the batch
-      optimizer_raw/e{E}_b{B}.txt raw optimizer output
       state.cursor              append-only JSONL progress log
+
+A batch's one bookkeeping write is its cursor line. Besides the counters
+it carries, when they exist, the batch's ``focus`` (case and text), the
+optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
+(hash, parent hash, placement and step segment text). Readers rebuild
+each version's meta from run.meta and these lines (see load_versions).
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -100,29 +103,18 @@ class _RunPaths:
         self.root = Path(run_dir)
         self.prompts = self.root / "prompts"
         self.transcripts = self.root / "transcripts"
-        self.focus = self.root / "focus"
-        self.optimizer_raw = self.root / "optimizer_raw"
         self.cursor = self.root / CURSOR_NAME
         self.run_meta = self.root / RUN_META_NAME
 
     def make_dirs(self) -> None:
-        for d in (self.root, self.prompts, self.transcripts, self.focus, self.optimizer_raw):
+        for d in (self.root, self.prompts, self.transcripts):
             d.mkdir(parents=True, exist_ok=True)
 
     def version_txt(self, n: int) -> Path:
         return self.prompts / f"v{n}.txt"
 
-    def version_meta(self, n: int) -> Path:
-        return self.prompts / f"v{n}.meta"
-
     def batch_dir(self, epoch: int, batch: int) -> Path:
         return self.transcripts / f"e{epoch}" / f"b{batch}"
-
-    def focus_file(self, epoch: int, batch: int) -> Path:
-        return self.focus / f"e{epoch}_b{batch}.txt"
-
-    def raw_file(self, epoch: int, batch: int) -> Path:
-        return self.optimizer_raw / f"e{epoch}_b{batch}.txt"
 
 
 def _step_segment_text(doc: PromptDocument) -> str | None:
@@ -132,32 +124,11 @@ def _step_segment_text(doc: PromptDocument) -> str | None:
     return None
 
 
-def _write_version(
-    paths: _RunPaths,
-    doc: PromptDocument,
-    parent_hash: str | None,
-    placement: str | None,
-    focus_case: str | None,
-    focus_text: str | None,
-) -> str:
+def _write_version(paths: _RunPaths, doc: PromptDocument) -> str:
     """Write version ``doc`` and return its hash."""
     text = render_prompt(doc)
-    digest = _sha256(text)
-    meta = {
-        "version": doc.version,
-        "parent": doc.parent_version,
-        "hash": digest,
-        "parent_hash": parent_hash,
-        "placement": placement,
-        "focus_case": focus_case,
-        "focus_text": focus_text,
-        "segment_text": _step_segment_text(doc),
-    }
     paths.version_txt(doc.version).write_text(text, encoding="utf-8")
-    paths.version_meta(doc.version).write_text(
-        yaml.safe_dump(meta, sort_keys=False, allow_unicode=True), encoding="utf-8"
-    )
-    return digest
+    return _sha256(text)
 
 
 def _write_transcripts(
@@ -187,23 +158,19 @@ _CURSOR_KEYS = {
 
 
 def _read_cursor(paths: _RunPaths) -> list[dict]:
-    """Parse the cursor, dropping a torn last line.
+    """Parse the cursor's complete lines.
 
     A final line without its newline was cut by a crash mid-append, so it
-    commits nothing: the file is truncated to its last complete line and
-    the next append starts clean. A complete line that does not parse
-    raises CorruptRunError.
+    commits nothing and is skipped; only resume truncates it (see
+    _drop_torn_tail). A complete line that does not parse raises
+    CorruptRunError.
     """
     if not paths.cursor.exists():
         return []
     data = paths.cursor.read_bytes()
-    complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        os.truncate(paths.cursor, complete)
+    complete = data[:data.rfind(b"\n") + 1]
     entries = []
-    for line_no, line in enumerate(
-        data[:complete].decode("utf-8").splitlines(), start=1
-    ):
+    for line_no, line in enumerate(complete.decode("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -220,6 +187,17 @@ def _read_cursor(paths: _RunPaths) -> list[dict]:
             )
         entries.append(entry)
     return entries
+
+
+def _drop_torn_tail(paths: _RunPaths) -> None:
+    """Truncate the cursor to its last complete line, so the next append
+    starts clean."""
+    if not paths.cursor.exists():
+        return
+    data = paths.cursor.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    if complete < len(data):
+        os.truncate(paths.cursor, complete)
 
 
 def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
@@ -248,8 +226,9 @@ def train(
 
     The initial prompt gets the default step block injected when it has no
     step instructions of its own; the structured text is what version 0
-    records. run.meta records the effective segmentation markers and
-    required tokens, so the directory replays with its own settings.
+    records. run.meta records v0's hash and the effective segmentation
+    markers and required tokens, so the directory replays with its own
+    settings.
     """
     if not samples:
         raise ValueError("training needs at least one sample")
@@ -267,6 +246,7 @@ def train(
         shutil.copyfile(dataset_src, paths.root / DATASET_COPY)
     if script_src is not None:
         shutil.copyfile(script_src, paths.root / SCRIPT_COPY)
+    text = render_prompt(doc)
     meta = {
         "samples": len(samples),
         "epochs": config.train.epochs,
@@ -281,47 +261,109 @@ def train(
         "script": SCRIPT_COPY if script_src is not None else None,
         "segmentation": {name: list(getattr(seg, name)) for name in _MARKER_FIELDS},
         "required_tokens": list(config.task.required_tokens),
+        "v0_hash": _sha256(text),
     }
     paths.run_meta.write_text(
         yaml.safe_dump(meta, sort_keys=False), encoding="utf-8"
     )
-    _write_version(paths, doc, None, placement=None, focus_case=None, focus_text=None)
+    paths.version_txt(0).write_text(text, encoding="utf-8")
     return resume(run_dir, samples, config=config, gateway=gateway, feedback=feedback)
 
 
 # --- run directory readers ----------------------------------------------------
 
-_VERSION_FILE_RE = re.compile(r"^v(\d+)\.(txt|meta)$")
+_VERSION_FILE_RE = re.compile(r"^v(\d+)\.txt$")
+
+
+def _read_run_meta(paths: _RunPaths) -> dict:
+    if not paths.run_meta.exists():
+        raise CorruptRunError(f"{paths.root} has no {RUN_META_NAME}")
+    meta = load_yaml(paths.run_meta.read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise CorruptRunError(f"{paths.run_meta} is not a mapping")
+    return meta
+
+
+def _version_numbers(paths: _RunPaths) -> set[int]:
+    return {
+        int(m.group(1))
+        for m in map(_VERSION_FILE_RE.match, os.listdir(paths.prompts))
+        if m
+    }
 
 
 def load_versions(run_dir: str | Path) -> list[VersionRecord]:
-    """Read every prompt version in a run directory, in version order."""
+    """Read every committed prompt version in a run directory, in order.
+
+    v0's hash comes from run.meta; every later version is committed by the
+    cursor line of the batch that wrote it. Each record's meta holds
+    ``version``, ``parent``, ``hash``, ``parent_hash``, ``placement``,
+    ``focus_case``, ``focus_text`` and ``segment_text``; a version's parent
+    is the prompt its batch ran with. A committed version without its file,
+    or a version file no line commits, raises CorruptRunError. The cursor
+    is only read: a torn last line is skipped, not truncated.
+    """
     paths = _RunPaths(run_dir)
     if not paths.prompts.is_dir():
         raise CorruptRunError(f"{paths.root} has no prompts directory")
-    found: dict[int, VersionRecord] = {}
-    for entry in paths.prompts.iterdir():
-        m = _VERSION_FILE_RE.match(entry.name)
-        if not m or m.group(2) != "txt":
+    v0_hash = _read_run_meta(paths).get("v0_hash")
+    if not isinstance(v0_hash, str):
+        raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
+    metas = [{
+        "version": 0, "parent": None, "hash": v0_hash, "parent_hash": None,
+        "placement": None, "focus_case": None, "focus_text": None,
+        "segment_text": None,
+    }]
+    parent = 0
+    for entry in _read_cursor(paths):
+        if entry["kind"] != "batch":
             continue
-        n = int(m.group(1))
-        meta_path = paths.version_meta(n)
-        if not meta_path.exists():
-            raise CorruptRunError(f"prompt version {n} has no meta file")
-        meta = load_yaml(meta_path.read_text(encoding="utf-8"))
-        if not isinstance(meta, dict):
-            raise CorruptRunError(f"prompt version {n} meta is not a mapping")
-        found[n] = VersionRecord(
-            version=n, text=entry.read_text(encoding="utf-8"), meta=meta
-        )
-    if not found:
-        raise CorruptRunError(f"{paths.root} holds no prompt versions")
-    numbers = sorted(found)
-    if numbers != list(range(numbers[-1] + 1)):
+        record = entry.get("version")
+        if record is not None:
+            n = entry["prompt_version"]
+            if n == 0:
+                raise CorruptRunError(
+                    f"prompt v0 must have no parent, but a batch of epoch "
+                    f"{entry['epoch']} records writing it"
+                )
+            focus = entry.get("focus") or {}
+            if not isinstance(record, dict) or not isinstance(focus, dict):
+                raise CorruptRunError(
+                    f"the cursor's record of prompt v{n} is not a mapping"
+                )
+            metas.append({
+                "version": n,
+                "parent": parent,
+                "hash": record.get("hash"),
+                "parent_hash": record.get("parent_hash"),
+                "placement": record.get("placement"),
+                "focus_case": focus.get("case"),
+                "focus_text": focus.get("text"),
+                "segment_text": record.get("segment_text"),
+            })
+        parent = entry["prompt_version"]
+    numbers = [meta["version"] for meta in metas]
+    if numbers != list(range(len(metas))):
         raise CorruptRunError(
             f"prompt versions are not contiguous from 0: {numbers}"
         )
-    return [found[n] for n in numbers]
+    on_disk = _version_numbers(paths)
+    for n in numbers:
+        if n not in on_disk:
+            raise CorruptRunError(
+                f"the cursor commits prompt v{n}, but {paths.version_txt(n)} is missing"
+            )
+    extra = sorted(on_disk - set(numbers))
+    if extra:
+        raise CorruptRunError(f"prompt v{extra[0]} is not committed by any cursor line")
+    return [
+        VersionRecord(
+            version=n,
+            text=paths.version_txt(n).read_text(encoding="utf-8"),
+            meta=meta,
+        )
+        for n, meta in enumerate(metas)
+    ]
 
 
 def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
@@ -338,11 +380,9 @@ def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
             raise CorruptRunError(
                 f"prompt v{record.version} text does not match its recorded hash"
             )
-        parent = record.meta.get("parent")
         if record.version == 0:
-            if parent is not None:
-                raise CorruptRunError("prompt v0 must have no parent")
             continue
+        parent = record.meta.get("parent")
         if parent != record.version - 1:
             raise CorruptRunError(
                 f"prompt v{record.version} names parent {parent}, expected {record.version - 1}"
@@ -358,9 +398,12 @@ def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
 def run_markers(run_dir: str | Path) -> tuple[SegmentationConfig, tuple[str, ...]]:
     """The segmentation markers and required tokens recorded in run.meta."""
     paths = _RunPaths(run_dir)
-    if not paths.run_meta.exists():
-        raise CorruptRunError(f"{paths.root} has no {RUN_META_NAME}")
-    meta = load_yaml(paths.run_meta.read_text(encoding="utf-8"))
+    return _markers(paths, _read_run_meta(paths))
+
+
+def _markers(
+    paths: _RunPaths, meta: dict
+) -> tuple[SegmentationConfig, tuple[str, ...]]:
     try:
         markers = meta["segmentation"]
         lists = [markers[name] for name in _MARKER_FIELDS] + [meta["required_tokens"]]
@@ -439,10 +482,12 @@ def resume(
 
     The cursor's last batch line is the one commit record: its
     ``prompt_version`` is the committed prompt (v0 before any batch line).
-    Version files above it and the outputs of the first uncommitted batch
-    are discarded before the hash chain is verified, so whatever a crash
-    left behind is redone. The markers and required tokens come from
-    run.meta; a config whose values differ raises ValueError.
+    A torn last cursor line, version files no cursor line commits and the
+    transcripts of the first uncommitted batch are discarded before the
+    hash chain is verified, so whatever a crash left behind is redone. The
+    markers and required tokens come from run.meta, and so do the sample
+    count, ``batch_size`` and ``epochs``; a config or sample list whose
+    values differ raises ValueError.
 
     Batch-level failures (all episodes down, summarizer or optimizer
     giving up) skip that batch and leave the prompt unchanged. The call
@@ -453,12 +498,24 @@ def resume(
     if not samples:
         raise ValueError("training needs at least one sample")
     paths = _RunPaths(run_dir)
-    seg, required_tokens = run_markers(run_dir)
+    meta = _read_run_meta(paths)
+    seg, required_tokens = _markers(paths, meta)
     if (seg, required_tokens) != (config.task.segmentation(), config.task.required_tokens):
         raise ValueError(
             f"the config's segmentation markers or required tokens differ "
             f"from those in {paths.run_meta}"
         )
+    shape = {
+        "samples": len(samples),
+        "batch_size": config.train.batch_size,
+        "epochs": config.train.epochs,
+    }
+    recorded = {key: meta.get(key) for key in shape}
+    if shape != recorded:
+        raise ValueError(
+            f"the run shape {shape} differs from {recorded} in {paths.run_meta}"
+        )
+    _drop_torn_tail(paths)
     entries = _read_cursor(paths)
     batch_lines = [e for e in entries if e["kind"] == "batch"]
     epoch_lines = [e for e in entries if e["kind"] == "epoch"]
@@ -471,18 +528,15 @@ def resume(
         (e["batch"] for e in batch_lines if e["epoch"] == epoch), default=0
     )
 
-    for entry in paths.prompts.glob("v*"):
-        m = _VERSION_FILE_RE.match(entry.name)
-        if m and int(m.group(1)) > committed:
-            entry.unlink()
+    for n in _version_numbers(paths):
+        if n > committed:
+            paths.version_txt(n).unlink()
     shutil.rmtree(paths.batch_dir(epoch, first_batch), ignore_errors=True)
-    paths.focus_file(epoch, first_batch).unlink(missing_ok=True)
-    paths.raw_file(epoch, first_batch).unlink(missing_ok=True)
 
     records = verify_chain(run_dir)
     if records[-1].version != committed:
         raise CorruptRunError(
-            f"the cursor commits prompt v{committed}, but the run holds "
+            f"the cursor commits prompt v{committed}, but its lines record "
             f"v0 to v{records[-1].version}"
         )
     prompt = replay_versions(records, seg)[committed]
@@ -503,7 +557,7 @@ def resume(
     def calls_total() -> int:
         return last["calls_total"] + (gateway.calls - calls_at_entry)
 
-    def record_batch(batch: int, note: str) -> None:
+    def record_batch(batch: int, note: str, **outputs) -> None:
         _append_cursor(paths, {
             "kind": "batch",
             "epoch": epoch,
@@ -512,6 +566,7 @@ def resume(
             "episodes_total": episodes_run,
             "calls_total": calls_total(),
             "note": note,
+            **outputs,
         })
 
     converged = patience is not None and streak >= patience
@@ -553,9 +608,7 @@ def resume(
             except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
                 record_batch(b, f"summarizer failed: {exc}")
                 continue
-            paths.focus_file(epoch, b).write_text(
-                f"{focus.case.value}\n{focus.text}", encoding="utf-8"
-            )
+            outputs = {"focus": {"case": focus.case.value, "text": focus.text}}
             try:
                 update = optimize(
                     prompt,
@@ -573,18 +626,18 @@ def resume(
                 note = f"optimizer rejected: {exc}"
                 update = None
             if update is not None:
-                paths.raw_file(epoch, b).write_text(update.raw_output, encoding="utf-8")
+                outputs["optimizer_raw"] = update.raw_output
                 if update.changed:
                     prompt = update.new_prompt
-                    head_hash = _write_version(
-                        paths,
-                        prompt,
-                        head_hash,
-                        placement=str(update.placement),
-                        focus_case=focus.case.value,
-                        focus_text=focus.text,
-                    )
-            record_batch(b, note)
+                    digest = _write_version(paths, prompt)
+                    outputs["version"] = {
+                        "hash": digest,
+                        "parent_hash": head_hash,
+                        "placement": str(update.placement),
+                        "segment_text": _step_segment_text(prompt),
+                    }
+                    head_hash = digest
+            record_batch(b, note, **outputs)
         text = render_prompt(prompt)
         changed = text != epoch_start_text
         _append_cursor(paths, {

@@ -4,8 +4,9 @@ import yaml
 import pytest
 
 from conftest import GOLDEN, entry, write_script
-from reprompt import prompts, trainer
+from reprompt import cli, prompts, trainer
 from reprompt.cli import main
+from reprompt.config import parse_config
 from reprompt.toy_task import best_answer, format_plan, load_toy_samples
 
 CFG = str(GOLDEN / "run.cfg")
@@ -113,6 +114,18 @@ class TestTrain:
         assert "engine error:" in capsys.readouterr().err
 
 
+    def test_http_pool_is_sized_to_parallelism(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "HttpGateway", lambda **kwargs: built.append(kwargs))
+        config = parse_config(
+            CFG_TEXT.replace("seed = 42", "seed = 42\nparallelism = 16").replace(
+                "backend = scripted", "backend = scripted\nbase_url = http://127.0.0.1:1/v1"
+            )
+        )
+        cli._build_gateway("http", None, config)
+        assert built == [{"base_url": "http://127.0.0.1:1/v1", "pool_size": 16}]
+
+
 class TestResume:
     def test_resume_completed_run_uses_copies(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
@@ -138,6 +151,15 @@ class TestResume:
         out = capsys.readouterr().out
         assert "final prompt: v2" in out
         assert "gateway calls: 14" in out
+
+    def test_other_run_shape_is_rejected(self, tmp_path, capsys):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(CFG_TEXT.replace("epochs = 2", "epochs = 3"), encoding="utf-8")
+        code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "run shape" in capsys.readouterr().err
 
     def test_other_markers_are_rejected(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
@@ -314,6 +336,19 @@ class TestInspect:
         assert "versions written: v0, v1" in capsys.readouterr().out
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
         assert "2 version(s); hash chain and replay both check out" in capsys.readouterr().out
+
+    def test_torn_cursor_tail_is_left_alone(self, tmp_path, capsys):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        cursor = tmp_path / "run" / "state.cursor"
+        data = cursor.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        torn = data[: last + (len(data) - last) // 2]
+        cursor.write_bytes(torn)
+        # Only resume may truncate the cursor; inspect only reads it.
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+        assert "3 version(s)" in capsys.readouterr().out
+        assert cursor.read_bytes() == torn
 
     def test_tampered_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0

@@ -2,6 +2,7 @@ import dataclasses
 import http.server
 import json
 import os
+import subprocess
 import sys
 import textwrap
 import threading
@@ -670,6 +671,30 @@ def test_threads_share_the_connection_pool(loopback):
     assert contents == ["pooled"] * 40
     assert 1 <= loopback.connections <= 4
     assert gw.calls == 40
+
+
+def test_pool_holds_a_connection_per_thread(loopback, caplog):
+    gw = HttpGateway(
+        base_url=loopback.url, api_key="k", sleep=lambda _: None, pool_size=16
+    )
+    with caplog.at_level("WARNING", logger="urllib3.connectionpool"):
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(gw.complete, req("u")) for _ in range(96)]
+            contents = [f.result(timeout=30).content for f in futures]
+    assert contents == ["pooled"] * 96
+    assert 1 <= loopback.connections <= 16
+    assert "Connection pool is full" not in caplog.text
+
+
+def test_importing_the_cli_leaves_requests_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = "import sys, reprompt.cli; print('requests' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_max_uses_holds_under_concurrent_calls():

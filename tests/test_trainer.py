@@ -10,6 +10,7 @@ import yaml
 from conftest import GOLDEN, entry, make_gateway
 from reprompt import trainer
 from reprompt.actor import NoFeedback, RuleCheckFeedback
+from reprompt.cli import main
 from reprompt.config import parse_config
 from reprompt.errors import BudgetExhaustedError, CorruptRunError
 from reprompt.gateway import ScriptedGateway, load_script
@@ -73,6 +74,16 @@ def cursor_entries(run_dir):
     return [json.loads(line) for line in lines if line.strip()]
 
 
+def edit_cursor(run_dir, index, edit):
+    """Apply ``edit`` to the ``index``-th cursor line and write it back."""
+    entries = cursor_entries(run_dir)
+    edit(entries[index])
+    (run_dir / "state.cursor").write_text(
+        "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries),
+        encoding="utf-8",
+    )
+
+
 class TestGoldenRun:
     def test_result_summary(self, tmp_path):
         result = run_golden(tmp_path / "run")
@@ -91,10 +102,7 @@ class TestGoldenRun:
 
     def test_version_meta_chain(self, tmp_path):
         run_golden(tmp_path / "run")
-        metas = [
-            yaml.safe_load((tmp_path / "run" / "prompts" / f"v{n}.meta").read_text())
-            for n in range(3)
-        ]
+        metas = [record.meta for record in load_versions(tmp_path / "run")]
         texts = [
             (tmp_path / "run" / "prompts" / f"v{n}.txt").read_text(encoding="utf-8")
             for n in range(3)
@@ -105,6 +113,8 @@ class TestGoldenRun:
             assert meta["hash"] == digest
         assert metas[0]["parent"] is None and metas[0]["parent_hash"] is None
         assert metas[0]["placement"] is None and metas[0]["focus_case"] is None
+        run_meta = yaml.safe_load((tmp_path / "run" / "run.meta").read_text())
+        assert run_meta["v0_hash"] == metas[0]["hash"]
         assert metas[1]["parent"] == 0 and metas[1]["parent_hash"] == metas[0]["hash"]
         assert metas[1]["placement"] == "InsertBefore(2)"
         assert metas[1]["focus_case"] == "failure_reason"
@@ -119,9 +129,14 @@ class TestGoldenRun:
         entries = cursor_entries(tmp_path / "run")
         assert [e["kind"] for e in entries] == ["batch", "epoch", "batch", "epoch"]
         first_batch, first_epoch, second_batch, second_epoch = entries
-        assert first_batch == {
+        outputs = {"focus", "optimizer_raw", "version"}
+        assert {k: v for k, v in first_batch.items() if k not in outputs} == {
             "kind": "batch", "epoch": 1, "batch": 1, "prompt_version": 1,
             "episodes_total": 3, "calls_total": 8, "note": "",
+        }
+        assert outputs <= first_batch.keys() and outputs <= second_batch.keys()
+        assert set(first_batch["version"]) == {
+            "hash", "parent_hash", "placement", "segment_text",
         }
         assert first_epoch == {
             "kind": "epoch", "epoch": 1, "changed": True, "prompt_version": 1,
@@ -145,13 +160,14 @@ class TestGoldenRun:
 
     def test_focus_and_raw_files(self, tmp_path):
         run_golden(tmp_path / "run")
-        focus1 = (tmp_path / "run" / "focus" / "e1_b1.txt").read_text(encoding="utf-8")
-        assert focus1.startswith("failure_reason\n")
-        focus2 = (tmp_path / "run" / "focus" / "e2_b1.txt").read_text(encoding="utf-8")
-        assert focus2.startswith("helpful_thought\n")
-        raw2 = (tmp_path / "run" / "optimizer_raw" / "e2_b1.txt").read_text(encoding="utf-8")
+        first, second = [e for e in cursor_entries(tmp_path / "run") if e["kind"] == "batch"]
+        assert first["focus"]["case"] == "failure_reason"
+        assert first["focus"]["text"].startswith("the plans repeatedly exceed")
+        assert second["focus"]["case"] == "helpful_thought"
         # The raw optimizer output keeps the placeholder the repair removed.
-        assert "<Examples from the original prompt>" in raw2
+        assert "<Examples from the original prompt>" in second["optimizer_raw"]
+        assert not (tmp_path / "run" / "focus").exists()
+        assert not (tmp_path / "run" / "optimizer_raw").exists()
 
     def test_run_meta(self, tmp_path):
         run_golden(tmp_path / "run", with_copies=True)
@@ -328,6 +344,27 @@ class TestBudgetAndResume:
                 feedback=feedback,
             )
 
+    @pytest.mark.parametrize("samples, overrides", [
+        (2, {"batch_size": 1}),
+        (2, {}),
+        (3, {"batch_size": 1}),
+        (3, {"epochs": 3}),
+    ])
+    def test_resume_rejects_another_run_shape(self, tmp_path, samples, overrides):
+        with pytest.raises(BudgetExhaustedError):
+            run_golden(tmp_path / "run", config=golden_config(call_budget=8))
+        before = tree_hashes(tmp_path / "run")
+        all_samples, feedback, gateway = golden_inputs()
+        with pytest.raises(ValueError, match="run shape"):
+            resume(
+                tmp_path / "run",
+                all_samples[:samples],
+                config=golden_config(**overrides),
+                gateway=gateway,
+                feedback=feedback,
+            )
+        assert tree_hashes(tmp_path / "run") == before
+
     def test_resumed_run_matches_uninterrupted_tree(self, tmp_path):
         with pytest.raises(BudgetExhaustedError):
             samples, feedback, gateway = golden_inputs()
@@ -422,7 +459,7 @@ def crash_at_write(monkeypatch, run_dir, n, torn):
     append_cursor = trainer._append_cursor
 
     def fatal(what):
-        if not (run_dir / "prompts" / "v0.meta").exists():
+        if not (run_dir / "prompts" / "v0.txt").exists():
             return False
         seen.append(what)
         return len(seen) == n + 1
@@ -497,9 +534,9 @@ class TestCrashRecovery:
         with monkeypatch.context() as m:
             writes = crash_at_write(m, tmp_path / "whole", -1, torn=False)
             run_golden(tmp_path / "whole", with_copies=True)
-        # Per epoch: 3 transcripts, focus, raw output, version text and
-        # meta, the batch line and the epoch line.
-        assert len(writes) == 18
+        # Per epoch: 3 transcripts, the version text, the batch line and
+        # the epoch line.
+        assert len(writes) == 12
         for n, what in enumerate(writes):
             for torn in (False, True):
                 run_dir = tmp_path / f"crash{n}{'t' if torn else ''}"
@@ -545,7 +582,7 @@ class TestFailurePaths:
 
     def test_redone_batch_leaves_no_stale_outputs(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
-        # Writes after v0: the transcript, then the focus file, torn here.
+        # Writes after v0: the transcript, then the batch line, torn here.
         with monkeypatch.context() as m:
             crash_at_write(m, run_dir, 1, torn=True)
             with pytest.raises(Crash):
@@ -554,7 +591,8 @@ class TestFailurePaths:
                     gateway=make_gateway(*IDLE_ENTRIES), feedback=NoFeedback(),
                     run_dir=run_dir,
                 )
-        assert (run_dir / "focus" / "e1_b1.txt").exists()
+        assert (run_dir / "transcripts" / "e1" / "b1").is_dir()
+        assert not (run_dir / "state.cursor").read_bytes().endswith(b"\n")
         # A live backend may answer differently the second time: here
         # every episode fails, so the redone batch writes nothing.
         resume(
@@ -563,7 +601,7 @@ class TestFailurePaths:
         )
         assert cursor_entries(run_dir)[0]["note"].startswith("batch skipped:")
         assert not (run_dir / "transcripts" / "e1" / "b1").exists()
-        assert not (run_dir / "focus" / "e1_b1.txt").exists()
+        assert len(cursor_entries(run_dir)) == 2
 
     def test_summarizer_failure_keeps_transcripts(self, tmp_path):
         bad_summary = entry(["You are a summarizer"], "no conclusion line here")
@@ -579,7 +617,7 @@ class TestFailurePaths:
         # 1 episode + 2 summarizer attempts.
         assert batch["calls_total"] == 3
         assert (tmp_path / "run" / "transcripts" / "e1" / "b1").is_dir()
-        assert not (tmp_path / "run" / "focus" / "e1_b1.txt").exists()
+        assert "focus" not in batch
 
     def test_optimizer_rejection_keeps_prompt(self, tmp_path):
         focus_summary = entry(
@@ -601,8 +639,8 @@ class TestFailurePaths:
         assert batch["prompt_version"] == 0
         # 1 episode + 1 summary + 3 optimizer attempts.
         assert batch["calls_total"] == 5
-        assert (tmp_path / "run" / "focus" / "e1_b1.txt").exists()
-        assert not (tmp_path / "run" / "optimizer_raw" / "e1_b1.txt").exists()
+        assert "focus" in batch
+        assert "optimizer_raw" not in batch and "version" not in batch
 
     def test_guardrail_rejection_noted(self, tmp_path):
         focus_summary = entry(
@@ -643,14 +681,24 @@ class TestCorruptRuns:
         with pytest.raises(CorruptRunError, match="does not match its recorded hash"):
             verify_chain(golden_dir)
 
-    def test_missing_meta(self, golden_dir):
-        (golden_dir / "prompts" / "v1.meta").unlink()
-        with pytest.raises(CorruptRunError, match="no meta file"):
-            load_versions(golden_dir)
+    def test_uncommitted_version_file(self, golden_dir, capsys):
+        (golden_dir / "prompts" / "v3.txt").write_text("stray\n", encoding="utf-8")
+        with pytest.raises(CorruptRunError, match="v3 is not committed"):
+            verify_chain(golden_dir)
+        assert main(["inspect", "--out", str(golden_dir)]) == 2
+        assert "v3 is not committed" in capsys.readouterr().err
+        samples, feedback, _ = golden_inputs()
+        result = resume(
+            golden_dir, samples, config=golden_config(),
+            gateway=make_gateway(), feedback=feedback,
+        )
+        assert result.versions == (0, 1, 2)
+        assert not (golden_dir / "prompts" / "v3.txt").exists()
+        assert [r.version for r in verify_chain(golden_dir)] == [0, 1, 2]
 
     def test_gap_in_versions(self, golden_dir):
         (golden_dir / "prompts" / "v1.txt").unlink()
-        (golden_dir / "prompts" / "v1.meta").unlink()
+        edit_cursor(golden_dir, 0, lambda e: e.pop("version"))
         with pytest.raises(CorruptRunError, match="not contiguous"):
             load_versions(golden_dir)
 
@@ -659,26 +707,20 @@ class TestCorruptRuns:
             load_versions(tmp_path / "nowhere")
 
     def test_v0_with_parent(self, golden_dir):
-        meta_path = golden_dir / "prompts" / "v0.meta"
-        meta = yaml.safe_load(meta_path.read_text())
-        meta["parent"] = 0
-        meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
+        # A batch line that records writing v0 gives v0 a parent.
+        edit_cursor(golden_dir, 0, lambda e: e.update(prompt_version=0))
         with pytest.raises(CorruptRunError, match="v0 must have no parent"):
             verify_chain(golden_dir)
 
     def test_broken_parent_hash(self, golden_dir):
-        meta_path = golden_dir / "prompts" / "v2.meta"
-        meta = yaml.safe_load(meta_path.read_text())
-        meta["parent_hash"] = "0" * 64
-        meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
+        edit_cursor(golden_dir, 2, lambda e: e["version"].update(parent_hash="0" * 64))
         with pytest.raises(CorruptRunError, match="parent hash does not match"):
             verify_chain(golden_dir)
 
     def test_replay_rejects_foreign_segment_text(self, golden_dir):
-        meta_path = golden_dir / "prompts" / "v1.meta"
-        meta = yaml.safe_load(meta_path.read_text())
-        meta["segment_text"] = "1. Do something else entirely.\n\n"
-        meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
+        edit_cursor(golden_dir, 0, lambda e: e["version"].update(
+            segment_text="1. Do something else entirely.\n\n"
+        ))
         with pytest.raises(CorruptRunError, match="does not reproduce"):
             replay_lineage(golden_dir)
 
@@ -692,8 +734,7 @@ class TestCorruptRuns:
             replay_lineage(golden_dir)
 
     def test_cursor_commits_a_missing_version(self, golden_dir):
-        for suffix in ("txt", "meta"):
-            (golden_dir / "prompts" / f"v2.{suffix}").unlink()
+        (golden_dir / "prompts" / "v2.txt").unlink()
         samples, feedback, _ = golden_inputs()
         with pytest.raises(CorruptRunError, match="commits prompt v2"):
             resume(
