@@ -20,8 +20,8 @@ from reprompt.actor import RuleCheckFeedback
 from reprompt.config import parse_config
 from reprompt.gateway import ScriptedGateway, load_script
 from reprompt.prompt_model import diff_prompts, parse_prompt
-from reprompt.toy_task import ToyAdapter, load_toy_samples, to_task_sample
-from reprompt.trainer import replay_versions, train, verify_chain
+from reprompt.toy_task import ToyAdapter, load_toy_samples
+from reprompt.trainer import train, verify_chain
 
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 
@@ -44,7 +44,7 @@ def main() -> int:
     toys = load_toy_samples(GOLDEN / "dataset.yaml")
     result = train(
         (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"),
-        [to_task_sample(s) for s in toys],
+        toys,
         config=config,
         gateway=ScriptedGateway(load_script(str(GOLDEN / "script.yaml"))),
         feedback=RuleCheckFeedback(ToyAdapter(), {s.id: s for s in toys}),
@@ -60,9 +60,10 @@ def main() -> int:
         f"converged {'yes' if result.converged else 'no'}"
     )
 
-    seg = config.task.segmentation()
+    # verify_chain checks the hash chain and replays every version with
+    # the markers run.meta records.
     records = verify_chain(out)
-    replay_versions(records, seg)
+    seg = config.task.segmentation()
     print(f"hash chain and lineage replay verified over {len(records)} versions\n")
 
     for older, newer in zip(records, records[1:]):

@@ -33,7 +33,6 @@ from reprompt.toy_task import (
     generate_samples,
     load_toy_samples,
     oracle_check,
-    to_task_sample,
 )
 from reprompt.trainer import train
 
@@ -80,7 +79,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         result = train(
             (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"),
-            [to_task_sample(s) for s in toys],
+            toys,
             config=config,
             gateway=ScriptedGateway(load_script(str(GOLDEN / "script.yaml"))),
             feedback=RuleCheckFeedback(ToyAdapter(), {s.id: s for s in toys}),

@@ -11,7 +11,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from . import prompts
 from .errors import (
@@ -284,21 +284,20 @@ class NoFeedback:
 class ReflexionFeedback:
     """Asks a model to reflect on the latest answer.
 
-    The episode stops once the reflection contains the finish marker;
-    otherwise the reflection text is fed back verbatim.
+    The episode stops once the reflection contains
+    ``prompts.DEFAULT_FINISH_MARKER``; otherwise the reflection text is fed
+    back verbatim.
     """
 
     def __init__(
         self,
         gateway: Gateway,
         model: str,
-        finish_marker: str = prompts.DEFAULT_FINISH_MARKER,
         temperature: float = DEFAULT_TEMPERATURE,
         seed: int = DEFAULT_SEED,
     ):
         self._gateway = gateway
         self._model = model
-        self._marker = finish_marker
         self._temperature = temperature
         self._seed = seed
 
@@ -318,33 +317,32 @@ class ReflexionFeedback:
             seed=self._seed,
         )
         reflection = self._gateway.complete(request).content
-        if self._marker in reflection:
+        if prompts.DEFAULT_FINISH_MARKER in reflection:
             return Feedback(text=reflection, decision=Decision.STOP)
         return Feedback(text=reflection, decision=Decision.CONTINUE)
 
 
+_THINK_OPEN, _THINK_CLOSE = "<think>", "</think>"
+
+
 class ThinkTraceFeedback:
-    """Treats the model's own delimited reasoning span as the feedback signal.
+    """Treats the model's own ``<think>…</think>`` span as the feedback signal.
 
     The span already sits inside the assistant message, so no extra model
     call is made and the episode always stops after extraction.
     """
 
-    def __init__(self, open_tag: str = "<think>", close_tag: str = "</think>"):
-        self._open = open_tag
-        self._close = close_tag
-
     def feedback(self, transcript: Transcript) -> Feedback:
         answer = transcript.last_assistant()
         if answer is None:
             raise NoThinkSpanError("transcript has no assistant message")
-        start = answer.find(self._open)
+        start = answer.find(_THINK_OPEN)
         if start < 0:
-            raise NoThinkSpanError(f"no {self._open} span in the last answer")
-        start += len(self._open)
-        end = answer.find(self._close, start)
+            raise NoThinkSpanError(f"no {_THINK_OPEN} span in the last answer")
+        start += len(_THINK_OPEN)
+        end = answer.find(_THINK_CLOSE, start)
         if end < 0:
-            raise NoThinkSpanError(f"unterminated {self._open} span")
+            raise NoThinkSpanError(f"unterminated {_THINK_OPEN} span")
         return Feedback(text=answer[start:end], decision=Decision.STOP)
 
 
@@ -376,17 +374,11 @@ class RuleCheckFeedback:
         return Feedback(text=result.messages[0], decision=Decision.CONTINUE)
 
 
-_GENERATORS: dict[str, Callable] = {}
-
-
 def feedback_generator(
     name: str,
     *,
     gateway: Gateway | None = None,
     model: str | None = None,
-    finish_marker: str = prompts.DEFAULT_FINISH_MARKER,
-    think_open: str = "<think>",
-    think_close: str = "</think>",
     adapter=None,
     samples_by_id: dict[str, object] | None = None,
     temperature: float = DEFAULT_TEMPERATURE,
@@ -398,11 +390,9 @@ def feedback_generator(
     if name == "reflexion":
         if gateway is None or model is None:
             raise ValueError("reflexion feedback needs a gateway and a model")
-        return ReflexionFeedback(
-            gateway, model, finish_marker, temperature=temperature, seed=seed
-        )
+        return ReflexionFeedback(gateway, model, temperature=temperature, seed=seed)
     if name == "thinktrace":
-        return ThinkTraceFeedback(think_open, think_close)
+        return ThinkTraceFeedback()
     if name == "rulecheck":
         if adapter is None or samples_by_id is None:
             raise ValueError("rulecheck feedback needs an adapter and samples")

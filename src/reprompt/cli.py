@@ -131,6 +131,7 @@ def _cmd_eval(args) -> int:
         max_rounds=config.train.max_rounds,
         temperature=config.gateway.temperature,
         seed=config.train.seed,
+        parallelism=config.train.parallelism,
     )
     for record in report.records:
         mark = "pass" if record.passed else "FAIL"
@@ -155,7 +156,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_inspect(args) -> int:
     records = trainer.verify_chain(args.out)
-    trainer.replay_versions(records, trainer.run_markers(args.out)[0])
     for record in records:
         placement = record.meta.get("placement") or "-"
         focus_case = record.meta.get("focus_case") or "initial"

@@ -76,13 +76,14 @@ def evaluate(
     max_rounds: int = 1,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
+    parallelism: int = 1,
 ) -> EvalReport:
     """Run every sample to a terminal state and grade the last answer.
 
     A sample counts as delivered when its final assistant message parses
     under the adapter, and as passed when the parsed answer also clears
     the checker. Passed implies delivered, so pass rate never exceeds
-    delivery rate.
+    delivery rate. Up to ``parallelism`` samples run at once.
     """
     transcripts = collect_batch(
         prompt,
@@ -93,6 +94,7 @@ def evaluate(
         model=model,
         temperature=temperature,
         seed=seed,
+        parallelism=parallelism,
     )
     return EvalReport(
         records=tuple(_grade(t, s, adapter) for t, s in zip(transcripts, samples))

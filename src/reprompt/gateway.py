@@ -55,7 +55,6 @@ class ChatRequest:
     model: str = "agent"
     temperature: float = DEFAULT_TEMPERATURE
     seed: int = DEFAULT_SEED
-    max_output: int | None = None
 
     def __post_init__(self):
         if not self.messages:
@@ -446,7 +445,7 @@ class HttpGateway:
         return session.post(url, **kwargs)
 
     def _payload(self, request: ChatRequest) -> dict:
-        payload = {
+        return {
             "model": request.model,
             "messages": [
                 {"role": m.role.value, "content": m.content}
@@ -455,9 +454,6 @@ class HttpGateway:
             "temperature": request.temperature,
             "seed": request.seed,
         }
-        if request.max_output is not None:
-            payload["max_tokens"] = request.max_output
-        return payload
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()

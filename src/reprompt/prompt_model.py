@@ -105,7 +105,6 @@ class SegmentationConfig:
     format_open: tuple[str, ...] = ()
     format_close: tuple[str, ...] = ()
     step_introducers: tuple[str, ...] = ("step by step", "one by one")
-    detect_numbered_steps: bool = True
 
 
 DEFAULT_SEGMENTATION = SegmentationConfig()
@@ -281,7 +280,7 @@ def parse_prompt(
             regions.append((SegmentKind.FORMAT_REQUIREMENTS, i, j))
             i = pre_start = j
             continue
-        if not step_seen and cfg.detect_numbered_steps and _item_number(lines[i]) == 1:
+        if not step_seen and _item_number(lines[i]) == 1:
             end = _scan_numbered(lines, i, is_boundary)
             if end is not None:
                 flush_preamble(i)

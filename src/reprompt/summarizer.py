@@ -139,12 +139,11 @@ def _build_request(
     model: str,
     temperature: float,
     seed: int,
-    budget: int,
     extra_note: str | None,
 ) -> ChatRequest:
     chat_history = (
         f"{prompts.CURRENT_PROMPT_HEADER}\n\n{render_prompt(prompt)}\n\n"
-        + serialize_transcripts(transcripts, budget)
+        + serialize_transcripts(transcripts, DEFAULT_TRANSCRIPT_BUDGET)
     )
     messages = [
         Message(Role.SYSTEM, prompts.SUMMARIZER_SYSTEM_PROMPT),
@@ -168,7 +167,6 @@ def summarize_batch(
     model: str,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
-    budget: int = DEFAULT_TRANSCRIPT_BUDGET,
     epoch: int = 0,
     batch_index: int = 0,
 ) -> FocusPoint:
@@ -184,9 +182,7 @@ def summarize_batch(
     note = None
     raw = ""
     for attempt in range(2):
-        request = _build_request(
-            transcripts, prompt, model, temperature, seed, budget, note
-        )
+        request = _build_request(transcripts, prompt, model, temperature, seed, note)
         raw = gateway.complete(request).content
         try:
             case, text = parse_conclusion(raw)

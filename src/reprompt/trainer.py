@@ -16,8 +16,10 @@ inspected, and replayed:
 A batch's one bookkeeping write is its cursor line. Besides the counters
 it carries, when they exist, the batch's ``focus`` (case and text), the
 optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
-(hash, parent hash, placement and step segment text). Readers rebuild
-each version's meta from run.meta and these lines (see load_versions).
+(hash, parent hash, placement and step segment text). One pass over
+run.meta and these lines rebuilds each version's meta, checks the hash
+chain and replays every version (see _check_run); verify_chain,
+replay_lineage and resume all read the directory through it.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -58,7 +60,6 @@ from .errors import (
 from .gateway import Gateway
 from .optimizer import optimize
 from .prompt_model import (
-    DEFAULT_SEGMENTATION,
     PromptDocument,
     SegmentKind,
     SegmentationConfig,
@@ -157,16 +158,16 @@ _CURSOR_KEYS = {
 }
 
 
-def _read_cursor(paths: _RunPaths) -> list[dict]:
-    """Parse the cursor's complete lines.
+def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
+    """Parse the cursor's complete lines; also return their byte length.
 
     A final line without its newline was cut by a crash mid-append, so it
-    commits nothing and is skipped; only resume truncates it (see
-    _drop_torn_tail). A complete line that does not parse raises
+    commits nothing and is skipped; only resume truncates it, to the
+    returned length. A complete line that does not parse raises
     CorruptRunError.
     """
     if not paths.cursor.exists():
-        return []
+        return [], 0
     data = paths.cursor.read_bytes()
     complete = data[:data.rfind(b"\n") + 1]
     entries = []
@@ -186,29 +187,15 @@ def _read_cursor(paths: _RunPaths) -> list[dict]:
                 "not a complete batch or epoch record"
             )
         entries.append(entry)
-    return entries
-
-
-def _drop_torn_tail(paths: _RunPaths) -> None:
-    """Truncate the cursor to its last complete line, so the next append
-    starts clean."""
-    if not paths.cursor.exists():
-        return
-    data = paths.cursor.read_bytes()
-    complete = data.rfind(b"\n") + 1
-    if complete < len(data):
-        os.truncate(paths.cursor, complete)
+    return entries, len(complete)
 
 
 def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
     return [list(samples[i:i + batch_size]) for i in range(0, len(samples), batch_size)]
 
 
-# Every tuple field of SegmentationConfig is a marker list run.meta records.
-_MARKER_FIELDS = tuple(
-    f.name for f in dataclasses.fields(SegmentationConfig)
-    if isinstance(getattr(DEFAULT_SEGMENTATION, f.name), tuple)
-)
+# Every field of SegmentationConfig is a marker list run.meta records.
+_MARKER_FIELDS = tuple(f.name for f in dataclasses.fields(SegmentationConfig))
 
 
 def train(
@@ -292,21 +279,50 @@ def _version_numbers(paths: _RunPaths) -> set[int]:
     }
 
 
-def load_versions(run_dir: str | Path) -> list[VersionRecord]:
-    """Read every committed prompt version in a run directory, in order.
+def _markers(
+    paths: _RunPaths, meta: dict
+) -> tuple[SegmentationConfig, tuple[str, ...]]:
+    """The segmentation markers and required tokens recorded in run.meta."""
+    try:
+        markers = meta["segmentation"]
+        lists = [markers[name] for name in _MARKER_FIELDS] + [meta["required_tokens"]]
+    except (KeyError, TypeError):
+        lists = None
+    if lists is None or not all(
+        isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists
+    ):
+        raise CorruptRunError(
+            f"{paths.run_meta} does not record the segmentation markers "
+            "and required tokens"
+        )
+    seg = SegmentationConfig(**{
+        name: tuple(v) for name, v in zip(_MARKER_FIELDS, lists)
+    })
+    return seg, tuple(lists[-1])
 
-    v0's hash comes from run.meta; every later version is committed by the
-    cursor line of the batch that wrote it. Each record's meta holds
+
+def _check_run(
+    paths: _RunPaths, meta: dict, entries: Sequence[dict]
+) -> tuple[list[VersionRecord], list[PromptDocument]]:
+    """Rebuild, check and replay every committed prompt version, in order.
+
+    ``meta`` is the parsed run.meta and ``entries`` the parsed cursor
+    lines. v0's hash comes from run.meta; every later version is committed
+    by the cursor line of the batch that wrote it. Each record's meta holds
     ``version``, ``parent``, ``hash``, ``parent_hash``, ``placement``,
     ``focus_case``, ``focus_text`` and ``segment_text``; a version's parent
-    is the prompt its batch ran with. A committed version without its file,
-    or a version file no line commits, raises CorruptRunError. The cursor
-    is only read: a torn last line is skipped, not truncated.
+    is the prompt its batch ran with.
+
+    The versions must be contiguous from 0, every committed file must exist
+    and no file may be uncommitted. Each text must match its hash and each
+    parent hash its parent's hash. Each accepted optimizer update changes
+    only the step-instruction segment, so swapping the recorded segment
+    text into the previous version, parsed with the run's own markers,
+    must reproduce the stored file byte for byte. The first failure raises
+    CorruptRunError.
     """
-    paths = _RunPaths(run_dir)
-    if not paths.prompts.is_dir():
-        raise CorruptRunError(f"{paths.root} has no prompts directory")
-    v0_hash = _read_run_meta(paths).get("v0_hash")
+    seg = _markers(paths, meta)[0]
+    v0_hash = meta.get("v0_hash")
     if not isinstance(v0_hash, str):
         raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
     metas = [{
@@ -315,7 +331,7 @@ def load_versions(run_dir: str | Path) -> list[VersionRecord]:
         "segment_text": None,
     }]
     parent = 0
-    for entry in _read_cursor(paths):
+    for entry in entries:
         if entry["kind"] != "batch":
             continue
         record = entry.get("version")
@@ -342,7 +358,7 @@ def load_versions(run_dir: str | Path) -> list[VersionRecord]:
                 "segment_text": record.get("segment_text"),
             })
         parent = entry["prompt_version"]
-    numbers = [meta["version"] for meta in metas]
+    numbers = [m["version"] for m in metas]
     if numbers != list(range(len(metas))):
         raise CorruptRunError(
             f"prompt versions are not contiguous from 0: {numbers}"
@@ -356,118 +372,67 @@ def load_versions(run_dir: str | Path) -> list[VersionRecord]:
     extra = sorted(on_disk - set(numbers))
     if extra:
         raise CorruptRunError(f"prompt v{extra[0]} is not committed by any cursor line")
-    return [
-        VersionRecord(
-            version=n,
-            text=paths.version_txt(n).read_text(encoding="utf-8"),
-            meta=meta,
-        )
-        for n, meta in enumerate(metas)
-    ]
+
+    records: list[VersionRecord] = []
+    docs: list[PromptDocument] = []
+    for n, vmeta in enumerate(metas):
+        text = paths.version_txt(n).read_text(encoding="utf-8")
+        if _sha256(text) != vmeta["hash"]:
+            raise CorruptRunError(
+                f"prompt v{n} text does not match its recorded hash"
+            )
+        if n == 0:
+            doc = parse_prompt(text, seg)
+        else:
+            if vmeta["parent"] != n - 1:
+                raise CorruptRunError(
+                    f"prompt v{n} names parent {vmeta['parent']}, expected {n - 1}"
+                )
+            if vmeta["parent_hash"] != metas[n - 1]["hash"]:
+                raise CorruptRunError(
+                    f"prompt v{n} parent hash does not match v{n - 1}"
+                )
+            new_step_text = vmeta["segment_text"]
+            if not isinstance(new_step_text, str):
+                raise CorruptRunError(
+                    f"prompt v{n} meta has no step segment text"
+                )
+            doc = PromptDocument(
+                segments=tuple(
+                    dataclasses.replace(s, text=new_step_text)
+                    if s.kind is SegmentKind.STEP_INSTRUCTIONS
+                    else s
+                    for s in docs[-1].segments
+                ),
+                version=n,
+                parent_version=n - 1,
+            )
+            if render_prompt(doc) != text:
+                raise CorruptRunError(
+                    f"replaying v{n} from v{n - 1} does not reproduce the stored prompt"
+                )
+        records.append(VersionRecord(version=n, text=text, meta=vmeta))
+        docs.append(doc)
+    return records, docs
+
+
+def _read_run(run_dir: str | Path) -> tuple[list[VersionRecord], list[PromptDocument]]:
+    paths = _RunPaths(run_dir)
+    if not paths.prompts.is_dir():
+        raise CorruptRunError(f"{paths.root} has no prompts directory")
+    return _check_run(paths, _read_run_meta(paths), _read_cursor(paths)[0])
 
 
 def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
-    """Check the hash chain over all persisted prompt versions.
-
-    Every version text must match its recorded hash, and every parent hash
-    must match the parent's recorded hash. Raises CorruptRunError on the
-    first mismatch.
-    """
-    records = load_versions(run_dir)
-    for record in records:
-        digest = _sha256(record.text)
-        if digest != record.meta.get("hash"):
-            raise CorruptRunError(
-                f"prompt v{record.version} text does not match its recorded hash"
-            )
-        if record.version == 0:
-            continue
-        parent = record.meta.get("parent")
-        if parent != record.version - 1:
-            raise CorruptRunError(
-                f"prompt v{record.version} names parent {parent}, expected {record.version - 1}"
-            )
-        expected = records[record.version - 1].meta.get("hash")
-        if record.meta.get("parent_hash") != expected:
-            raise CorruptRunError(
-                f"prompt v{record.version} parent hash does not match v{record.version - 1}"
-            )
-    return records
-
-
-def run_markers(run_dir: str | Path) -> tuple[SegmentationConfig, tuple[str, ...]]:
-    """The segmentation markers and required tokens recorded in run.meta."""
-    paths = _RunPaths(run_dir)
-    return _markers(paths, _read_run_meta(paths))
-
-
-def _markers(
-    paths: _RunPaths, meta: dict
-) -> tuple[SegmentationConfig, tuple[str, ...]]:
-    try:
-        markers = meta["segmentation"]
-        lists = [markers[name] for name in _MARKER_FIELDS] + [meta["required_tokens"]]
-    except (KeyError, TypeError):
-        lists = None
-    if lists is None or not all(
-        isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists
-    ):
-        raise CorruptRunError(
-            f"{paths.run_meta} does not record the segmentation markers "
-            "and required tokens"
-        )
-    seg = SegmentationConfig(**{
-        name: tuple(v) for name, v in zip(_MARKER_FIELDS, lists)
-    })
-    return seg, tuple(lists[-1])
+    """Read a run directory once and check every committed version (see
+    _check_run); returns the version records. The cursor is only read: a
+    torn last line is skipped, not truncated."""
+    return _read_run(run_dir)[0]
 
 
 def replay_lineage(run_dir: str | Path) -> list[PromptDocument]:
-    """Verify the hash chain, then rebuild every version with the run's
-    own markers (see replay_versions)."""
-    records = verify_chain(run_dir)
-    return replay_versions(records, run_markers(run_dir)[0])
-
-
-def replay_versions(
-    records: Sequence[VersionRecord], seg: SegmentationConfig
-) -> list[PromptDocument]:
-    """Rebuild every prompt version from v0 plus the recorded step texts.
-
-    ``records`` come from verify_chain and ``seg`` from run_markers. Each
-    accepted optimizer update changes only the step-instruction segment,
-    so swapping the recorded segment text into the previous version must
-    reproduce the stored file byte for byte. A mismatch means the run
-    directory does not describe its own history and raises
-    CorruptRunError.
-    """
-    doc = parse_prompt(records[0].text, seg)
-    docs = [doc]
-    for record in records[1:]:
-        new_step_text = record.meta.get("segment_text")
-        if not isinstance(new_step_text, str):
-            raise CorruptRunError(
-                f"prompt v{record.version} meta has no step segment text"
-            )
-        segments = tuple(
-            dataclasses.replace(s, text=new_step_text)
-            if s.kind is SegmentKind.STEP_INSTRUCTIONS
-            else s
-            for s in docs[-1].segments
-        )
-        doc = PromptDocument(
-            segments=segments,
-            version=record.version,
-            parent_version=record.version - 1,
-        )
-        rebuilt = render_prompt(doc)
-        if rebuilt != record.text or _sha256(rebuilt) != record.meta.get("hash"):
-            raise CorruptRunError(
-                f"replaying v{record.version} from v{record.version - 1} "
-                "does not reproduce the stored prompt"
-            )
-        docs.append(doc)
-    return docs
+    """Like verify_chain, but returns the replayed prompt documents."""
+    return _read_run(run_dir)[1]
 
 
 def resume(
@@ -484,7 +449,8 @@ def resume(
     ``prompt_version`` is the committed prompt (v0 before any batch line).
     A torn last cursor line, version files no cursor line commits and the
     transcripts of the first uncommitted batch are discarded before the
-    hash chain is verified, so whatever a crash left behind is redone. The
+    versions are checked and replayed (see _check_run), so whatever a crash
+    left behind is redone. run.meta and the cursor are each read once. The
     markers and required tokens come from run.meta, and so do the sample
     count, ``batch_size`` and ``epochs``; a config or sample list whose
     values differ raises ValueError.
@@ -515,8 +481,9 @@ def resume(
         raise ValueError(
             f"the run shape {shape} differs from {recorded} in {paths.run_meta}"
         )
-    _drop_torn_tail(paths)
-    entries = _read_cursor(paths)
+    entries, complete = _read_cursor(paths)
+    if paths.cursor.exists() and paths.cursor.stat().st_size > complete:
+        os.truncate(paths.cursor, complete)
     batch_lines = [e for e in entries if e["kind"] == "batch"]
     epoch_lines = [e for e in entries if e["kind"] == "epoch"]
     last = batch_lines[-1] if batch_lines else {
@@ -533,13 +500,13 @@ def resume(
             paths.version_txt(n).unlink()
     shutil.rmtree(paths.batch_dir(epoch, first_batch), ignore_errors=True)
 
-    records = verify_chain(run_dir)
+    records, docs = _check_run(paths, meta, entries)
     if records[-1].version != committed:
         raise CorruptRunError(
             f"the cursor commits prompt v{committed}, but its lines record "
             f"v0 to v{records[-1].version}"
         )
-    prompt = replay_versions(records, seg)[committed]
+    prompt = docs[committed]
     head_hash = records[committed].meta["hash"]
     boundary = epoch_lines[-1]["prompt_version"] if epoch_lines else 0
     epoch_start_text = records[boundary].text

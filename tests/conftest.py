@@ -1,6 +1,7 @@
 """Shared fixtures and script-building helpers."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 from pathlib import Path
@@ -98,3 +99,15 @@ def make_recording_gateway(*entries_data: dict) -> Recording:
 @pytest.fixture
 def toy_seg():
     return TOY_SEG
+
+
+@pytest.fixture
+def file_reads(monkeypatch):
+    """Counts ``Path.read_text``/``read_bytes`` calls per file name."""
+    counts: collections.Counter = collections.Counter()
+    for name in ("read_text", "read_bytes"):
+        def counting(self, *args, _read=getattr(Path, name), **kwargs):
+            counts[self.name] += 1
+            return _read(self, *args, **kwargs)
+        monkeypatch.setattr(Path, name, counting)
+    return counts

@@ -38,7 +38,7 @@ from reprompt.toy_task import (
     to_task_sample,
     toy_check,
 )
-from reprompt.trainer import load_versions, replay_lineage, train
+from reprompt.trainer import replay_lineage, train, verify_chain
 
 ANCHOR = "costs of the chosen activities"
 
@@ -415,7 +415,7 @@ def test_round_trip_and_replay(tmp_path, capsys):
 
     golden_train(tmp_path / "run")
     docs = replay_lineage(tmp_path / "run")
-    metas = [record.meta for record in load_versions(tmp_path / "run")]
+    metas = [record.meta for record in verify_chain(tmp_path / "run")]
     replay_ok = all(
         hashlib.sha256(render_prompt(doc).encode()).hexdigest() == meta["hash"]
         for doc, meta in zip(docs, metas)

@@ -4,9 +4,10 @@ import yaml
 import pytest
 
 from conftest import GOLDEN, entry, write_script
-from reprompt import cli, prompts, trainer
+from reprompt import cli, prompts
 from reprompt.cli import main
 from reprompt.config import parse_config
+from reprompt.evaluator import EvalReport
 from reprompt.toy_task import best_answer, format_plan, load_toy_samples
 
 CFG = str(GOLDEN / "run.cfg")
@@ -272,6 +273,26 @@ class TestEval:
         out = capsys.readouterr().out
         assert "toy-42" in out and "toy-43" in out
 
+    def test_forwards_configured_parallelism(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def fake_evaluate(prompt, samples, adapter, **kwargs):
+            seen.append(kwargs["parallelism"])
+            return EvalReport(records=())
+
+        monkeypatch.setattr(cli, "evaluate", fake_evaluate)
+        cfg = tmp_path / "parallel.cfg"
+        cfg.write_text(
+            CFG_TEXT.replace("seed = 42", "seed = 42\nparallelism = 4"), encoding="utf-8"
+        )
+        script = write_script(tmp_path / "s.yaml", [entry(["x"], "y")])
+        assert main([
+            "eval", "--config", str(cfg), "--script", script,
+            "--prompt", str(GOLDEN / "initial_prompt.txt"),
+            "--test-set", str(GOLDEN / "dataset.yaml"),
+        ]) == 0
+        assert seen == [4]
+
     def test_needs_test_set_or_trials(self, tmp_path, capsys):
         script = write_script(tmp_path / "s.yaml", [entry(["x"], "y")])
         code = main([
@@ -293,18 +314,13 @@ class TestInspect:
         assert "failure_reason" in out and "helpful_thought" in out
         assert "3 version(s); hash chain and replay both check out" in out
 
-    def test_reads_each_version_once(self, tmp_path, capsys, monkeypatch):
+    def test_reads_each_version_once(self, tmp_path, capsys, file_reads):
         assert main(golden_train_argv(tmp_path / "run")) == 0
-        reads = []
-        load_versions = trainer.load_versions
-
-        def counting(run_dir):
-            reads.append(run_dir)
-            return load_versions(run_dir)
-
-        monkeypatch.setattr(trainer, "load_versions", counting)
+        file_reads.clear()
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
-        assert len(reads) == 1
+        assert file_reads == {
+            "run.meta": 1, "state.cursor": 1, "v0.txt": 1, "v1.txt": 1, "v2.txt": 1,
+        }
 
     def test_replays_with_the_runs_own_markers(self, tmp_path, capsys):
         v1 = MARKER_PROMPT.replace(

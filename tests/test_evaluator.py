@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import yaml
 
@@ -120,6 +121,28 @@ def test_rulecheck_feedback_recovers_within_round_cap():
     record = report.records[0]
     assert record.passed
     assert record.rounds_used == 2
+
+
+def test_parallelism_runs_samples_side_by_side():
+    # Every call waits at a two-party barrier, so the eval only gets through
+    # when two samples are in flight at once.
+    inner = make_gateway(entry(["Task id: t1"], GOOD), entry(["Task id: t2"], GOOD))
+    barrier = threading.Barrier(2, timeout=5)
+
+    class Meeting:
+        @property
+        def calls(self):
+            return inner.calls
+
+        def complete(self, request):
+            barrier.wait()
+            return inner.complete(request)
+
+    report = evaluate(
+        PROMPT, [toy("t1"), toy("t2")], ToyAdapter(), gateway=Meeting(),
+        model="agent", parallelism=2,
+    )
+    assert report.pass_rate == 1.0
 
 
 def test_empty_report_rates():

@@ -469,15 +469,6 @@ def test_success_sends_expected_payload():
     assert gw.calls == 1
 
 
-def test_max_output_becomes_max_tokens():
-    post = FakePost(FakeHttp(body=ok_body()))
-    gw, _ = make_http(post)
-    gw.complete(
-        ChatRequest(messages=(Message(Role.USER, "u"),), max_output=128)
-    )
-    assert post.calls[0]["json"]["max_tokens"] == 128
-
-
 def test_no_auth_header_without_key(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     post = FakePost(FakeHttp(body=ok_body()))

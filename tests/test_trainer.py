@@ -17,7 +17,6 @@ from reprompt.gateway import ScriptedGateway, load_script
 from reprompt.prompt_model import render_prompt
 from reprompt.toy_task import ToyAdapter, load_toy_samples, to_task_sample
 from reprompt.trainer import (
-    load_versions,
     replay_lineage,
     resume,
     train,
@@ -102,7 +101,7 @@ class TestGoldenRun:
 
     def test_version_meta_chain(self, tmp_path):
         run_golden(tmp_path / "run")
-        metas = [record.meta for record in load_versions(tmp_path / "run")]
+        metas = [record.meta for record in verify_chain(tmp_path / "run")]
         texts = [
             (tmp_path / "run" / "prompts" / f"v{n}.txt").read_text(encoding="utf-8")
             for n in range(3)
@@ -364,6 +363,18 @@ class TestBudgetAndResume:
                 feedback=feedback,
             )
         assert tree_hashes(tmp_path / "run") == before
+
+    def test_resume_reads_run_meta_and_cursor_once(self, golden_dir, file_reads):
+        samples, feedback, gateway = golden_inputs()
+        file_reads.clear()
+        result = resume(
+            golden_dir, samples, config=golden_config(),
+            gateway=gateway, feedback=feedback,
+        )
+        assert result.versions == (0, 1, 2)
+        assert file_reads["run.meta"] == 1
+        assert file_reads["state.cursor"] == 1
+        assert [file_reads[f"v{n}.txt"] for n in range(3)] == [1, 1, 1]
 
     def test_resumed_run_matches_uninterrupted_tree(self, tmp_path):
         with pytest.raises(BudgetExhaustedError):
@@ -700,11 +711,11 @@ class TestCorruptRuns:
         (golden_dir / "prompts" / "v1.txt").unlink()
         edit_cursor(golden_dir, 0, lambda e: e.pop("version"))
         with pytest.raises(CorruptRunError, match="not contiguous"):
-            load_versions(golden_dir)
+            verify_chain(golden_dir)
 
     def test_no_versions_at_all(self, tmp_path):
         with pytest.raises(CorruptRunError, match="no prompts directory"):
-            load_versions(tmp_path / "nowhere")
+            verify_chain(tmp_path / "nowhere")
 
     def test_v0_with_parent(self, golden_dir):
         # A batch line that records writing v0 gives v0 a parent.
