@@ -26,9 +26,7 @@ def _build_gateway(backend: str, script: str | None, config: EngineConfig) -> Ga
             raise ConfigError("the scripted backend needs --script")
         return ScriptedGateway(load_script(script))
     if backend == "http":
-        return HttpGateway(
-            base_url=config.gateway.base_url, pool_size=config.train.parallelism
-        )
+        return HttpGateway(base_url=config.gateway.base_url)
     raise ConfigError(f"unknown backend {backend!r}")
 
 

@@ -8,12 +8,17 @@ end-to-end fixtures.
 """
 from __future__ import annotations
 
+import base64
 import collections
+import functools
 import itertools
+import json
 import os
 import re
 import threading
 import time
+import urllib.parse
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Protocol
@@ -376,6 +381,139 @@ class ScriptedGateway:
 _FINISH_MAP = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
 
 
+class _HttpAnswer:
+    """A whole answer, shaped like what the ``transport`` hook returns."""
+
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code = status_code
+        self._body = body
+
+    @property
+    def text(self) -> str:
+        return self._body.decode("utf-8", "replace")
+
+    def json(self):
+        return json.loads(self._body)
+
+
+# What json.dumps(obj) runs with default arguments; ``post`` takes a
+# keyword named ``json``, which hides the module there.
+_encode_json = json.JSONEncoder().encode
+
+
+def _is_dropped(sock) -> bool:
+    """Whether an idle connection's socket is readable: the peer closed it
+    (or sent on it unasked), so it must not carry another request."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _close_all(connections: list) -> None:
+    for conn in connections:
+        conn.close()
+
+
+class _Connections:
+    """Keep-alive connections to one origin, shared by every calling thread.
+
+    A call takes the idle connection returned last, or dials a new one,
+    and puts it back once the whole answer is read, so the idle list never
+    holds more connections than there have been concurrent calls. An idle
+    connection the peer has closed is closed and replaced before it is
+    used. Any failure once the request may have gone out closes the
+    connection and propagates: a POST is never sent twice here.
+
+    The proxy for the origin's scheme is resolved once, here, from the
+    environment (``http_proxy``, ``https_proxy``, ``no_proxy``). The proxy
+    is reached over plain TCP, as ``urllib.request`` does: an ``http``
+    origin through it with absolute-form request targets, an ``https``
+    origin through a CONNECT tunnel. Credentials in the proxy URL become a
+    ``Proxy-Authorization`` header. The idle connections close when the
+    pool is garbage-collected.
+    """
+
+    def __init__(self, base_url: str):
+        import http.client
+        import urllib.request
+
+        url = urllib.parse.urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base URL {base_url!r} is not an http or https URL")
+        origin = f"{url.scheme}://{url.netloc}"
+        host, port = url.hostname, url.port
+        if url.scheme == "https":
+            import ssl
+
+            self._connection = functools.partial(
+                http.client.HTTPSConnection, context=ssl.create_default_context()
+            )
+        else:
+            self._connection = http.client.HTTPConnection
+        self._address = (host, port)
+        self._tunnel = None
+        self._proxy_headers: dict[str, str] = {}
+        # A posted URL without its origin is the request target, unless a
+        # proxy takes the whole URL.
+        self._target_start = len(origin)
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            auth = {}
+            if proxy_url.username is not None:
+                userinfo = ":".join(
+                    urllib.parse.unquote(part or "")
+                    for part in (proxy_url.username, proxy_url.password)
+                )
+                token = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
+                auth["Proxy-Authorization"] = f"Basic {token}"
+            if url.scheme == "https":
+                self._tunnel = (host, port or 443, auth)
+            else:
+                self._proxy_headers = auth
+                self._target_start = 0
+        self._idle: list = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def _take(self, timeout: float):
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                conn = self._connection(*self._address, timeout=timeout)
+                if self._tunnel is not None:
+                    conn.set_tunnel(*self._tunnel)
+                return conn
+            if not _is_dropped(conn.sock):
+                return conn
+            conn.close()
+
+    def post(self, url: str, *, json: dict, headers: dict, timeout: float) -> _HttpAnswer:
+        """POST ``json`` to ``url``, which starts with the base URL's origin,
+        and read the whole answer. New connections use ``timeout``."""
+        body = _encode_json(json).encode("utf-8")
+        if self._proxy_headers:
+            headers = {**headers, **self._proxy_headers}
+        conn = self._take(timeout)
+        try:
+            conn.request("POST", url[self._target_start:], body=body, headers=headers)
+            response = conn.getresponse()
+            answer = _HttpAnswer(response.status, response.read())
+        except BaseException:
+            conn.close()
+            raise
+        if conn.sock is not None:  # not closed by a "Connection: close" answer
+            with self._lock:
+                self._idle.append(conn)
+        return answer
+
+
 class HttpGateway:
     """OpenAI-compatible chat-completions client.
 
@@ -384,15 +522,18 @@ class HttpGateway:
     outright. The bearer token is read from the environment so secrets
     never travel through config files.
 
-    Without a ``transport``, calls go over keep-alive connections: each
-    thread posts through its own ``requests.Session``, and all sessions
-    share one connection pool, so a run reuses a connection for call after
-    call, across the worker threads of every batch. A pooled connection
-    the server has closed is dialled again before it is used. The pool
-    keeps up to ``pool_size`` idle connections per host, so up to that
-    many threads keep theirs; the connections close when the gateway is
-    garbage-collected. ``requests`` is imported when the first gateway is
-    built, so a process that never builds one does not load it.
+    Without a ``transport``, calls go over the standard library's
+    ``http.client`` keep-alive connections, which every thread of every
+    batch shares: a run holds one connection per concurrent caller and
+    reuses it call after call (see ``_Connections``). Proxies are read
+    from the environment once, when the gateway is built, and ``https``
+    uses the system trust store. ``http.client`` and ``urllib.request``
+    are imported when the first gateway is built, so a process that never
+    builds one does not load them.
+
+    A ``transport`` replaces the connections: it is called as
+    ``transport(url, json=payload, headers=headers, timeout=timeout)``
+    and returns an object with ``status_code``, ``text`` and ``json()``.
     """
 
     def __init__(
@@ -404,10 +545,8 @@ class HttpGateway:
         timeout: float = 60.0,
         transport: Callable | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        pool_size: int = 10,
     ):
-        import requests
-        from requests.adapters import HTTPAdapter
+        import http.client
 
         resolved = base_url or os.environ.get(BASE_URL_ENV)
         if not resolved:
@@ -419,30 +558,14 @@ class HttpGateway:
         self._attempts = attempts
         self._backoff = backoff
         self._timeout = timeout
-        self._request_error = requests.RequestException
-        if transport is None:
-            self._adapter = HTTPAdapter(pool_maxsize=pool_size)
-            self._local = threading.local()
-            transport = self._pooled_post
-        self._post = transport
+        self._transport_errors = (OSError, http.client.HTTPException)
+        self._post = transport or _Connections(self._base_url).post
         self._sleep = sleep
         self._counter = _CallCounter()
 
     @property
     def calls(self) -> int:
         return self._counter.calls
-
-    def _pooled_post(self, url: str, **kwargs):
-        # requests does not promise that a Session is thread-safe, so each
-        # thread gets its own; the shared adapter's urllib3 pool is.
-        session = getattr(self._local, "session", None)
-        if session is None:
-            import requests
-
-            session = self._local.session = requests.Session()
-            session.mount("http://", self._adapter)
-            session.mount("https://", self._adapter)
-        return session.post(url, **kwargs)
 
     def _payload(self, request: ChatRequest) -> dict:
         return {
@@ -471,7 +594,7 @@ class HttpGateway:
                 http = self._post(
                     url, json=payload, headers=headers, timeout=self._timeout
                 )
-            except self._request_error as exc:
+            except self._transport_errors as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
             status = http.status_code

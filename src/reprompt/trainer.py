@@ -163,7 +163,7 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
 
     A final line without its newline was cut by a crash mid-append, so it
     commits nothing and is skipped; only resume truncates it, to the
-    returned length. A complete line that does not parse raises
+    returned length. A complete line that is not UTF-8 JSON raises
     CorruptRunError.
     """
     if not paths.cursor.exists():
@@ -171,12 +171,12 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
     data = paths.cursor.read_bytes()
     complete = data[:data.rfind(b"\n") + 1]
     entries = []
-    for line_no, line in enumerate(complete.decode("utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(complete.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
+            entry = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
             raise CorruptRunError(
                 f"{paths.cursor}: bad cursor line {line_no}: {exc}"
             ) from None
@@ -416,10 +416,16 @@ def _check_run(
     return records, docs
 
 
-def _read_run(run_dir: str | Path) -> tuple[list[VersionRecord], list[PromptDocument]]:
+def _run_paths(run_dir: str | Path) -> _RunPaths:
+    """The paths of an existing run directory; it must hold prompts/."""
     paths = _RunPaths(run_dir)
     if not paths.prompts.is_dir():
         raise CorruptRunError(f"{paths.root} has no prompts directory")
+    return paths
+
+
+def _read_run(run_dir: str | Path) -> tuple[list[VersionRecord], list[PromptDocument]]:
+    paths = _run_paths(run_dir)
     return _check_run(paths, _read_run_meta(paths), _read_cursor(paths)[0])
 
 
@@ -463,7 +469,7 @@ def resume(
     """
     if not samples:
         raise ValueError("training needs at least one sample")
-    paths = _RunPaths(run_dir)
+    paths = _run_paths(run_dir)
     meta = _read_run_meta(paths)
     seg, required_tokens = _markers(paths, meta)
     if (seg, required_tokens) != (config.task.segmentation(), config.task.required_tokens):

@@ -1,4 +1,6 @@
 """Command line entry points, driven through main(argv)."""
+import shutil
+
 import yaml
 
 import pytest
@@ -115,7 +117,7 @@ class TestTrain:
         assert "engine error:" in capsys.readouterr().err
 
 
-    def test_http_pool_is_sized_to_parallelism(self, tmp_path, monkeypatch):
+    def test_http_gateway_is_built_from_base_url_alone(self, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "HttpGateway", lambda **kwargs: built.append(kwargs))
         config = parse_config(
@@ -124,7 +126,7 @@ class TestTrain:
             )
         )
         cli._build_gateway("http", None, config)
-        assert built == [{"base_url": "http://127.0.0.1:1/v1", "pool_size": 16}]
+        assert built == [{"base_url": "http://127.0.0.1:1/v1"}]
 
 
 class TestResume:
@@ -172,6 +174,21 @@ class TestResume:
         code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
         assert code == 1
         assert "differ from" in capsys.readouterr().err
+
+    def test_run_without_prompts_is_corrupt(self, tmp_path, capsys):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        shutil.rmtree(tmp_path / "run" / "prompts")
+        assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 2
+        assert "has no prompts directory" in capsys.readouterr().err
+
+    def test_invalid_utf8_cursor_line_is_corrupt(self, tmp_path, capsys):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        with open(tmp_path / "run" / "state.cursor", "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 2
+        assert "bad cursor line 5:" in capsys.readouterr().err
 
 
 class TestEval:
@@ -365,6 +382,14 @@ class TestInspect:
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
         assert "3 version(s)" in capsys.readouterr().out
         assert cursor.read_bytes() == torn
+
+    def test_invalid_utf8_cursor_line_is_corrupt(self, tmp_path, capsys):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        with open(tmp_path / "run" / "state.cursor", "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
+        assert "bad cursor line 5:" in capsys.readouterr().err
 
     def test_tampered_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0

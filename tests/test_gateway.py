@@ -1,7 +1,9 @@
+import base64
 import dataclasses
 import http.server
 import json
 import os
+import socketserver
 import subprocess
 import sys
 import textwrap
@@ -9,7 +11,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -496,7 +497,7 @@ def test_server_error_then_success():
 
 def test_connection_error_is_retried():
     post = FakePost(
-        requests.ConnectionError("boom"), FakeHttp(body=ok_body())
+        ConnectionError("boom"), FakeHttp(body=ok_body())
     )
     gw, _ = make_http(post)
     assert gw.complete(req("u")).content == "hello"
@@ -574,6 +575,12 @@ def test_missing_base_url_is_an_error(monkeypatch):
         HttpGateway(api_key="k")
 
 
+@pytest.mark.parametrize("url", ["ftp://host/v1", "localhost:8000/v1", "http:///v1"])
+def test_base_url_must_be_http_or_https(url):
+    with pytest.raises(ValueError, match="not an http or https URL"):
+        HttpGateway(base_url=url, api_key="k")
+
+
 # --- HTTP backend over a loopback server ------------------------------------------
 
 
@@ -619,11 +626,15 @@ class _LoopbackServer(http.server.ThreadingHTTPServer):
         self.closed.release()
 
 
-@pytest.fixture
-def loopback(monkeypatch):
+def _clear_proxies(monkeypatch):
     for name in list(os.environ):
         if "proxy" in name.lower():
             monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    _clear_proxies(monkeypatch)
     server = _LoopbackServer()
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
@@ -664,28 +675,220 @@ def test_threads_share_the_connection_pool(loopback):
     assert gw.calls == 40
 
 
-def test_pool_holds_a_connection_per_thread(loopback, caplog):
-    gw = HttpGateway(
-        base_url=loopback.url, api_key="k", sleep=lambda _: None, pool_size=16
-    )
-    with caplog.at_level("WARNING", logger="urllib3.connectionpool"):
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            futures = [pool.submit(gw.complete, req("u")) for _ in range(96)]
-            contents = [f.result(timeout=30).content for f in futures]
+def test_pool_holds_a_connection_per_thread(loopback):
+    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=lambda _: None)
+    with ThreadPoolExecutor(max_workers=16) as pool:
+        futures = [pool.submit(gw.complete, req("u")) for _ in range(96)]
+        contents = [f.result(timeout=30).content for f in futures]
     assert contents == ["pooled"] * 96
     assert 1 <= loopback.connections <= 16
-    assert "Connection pool is full" not in caplog.text
+
+
+class _RecordingHandler(socketserver.StreamRequestHandler):
+    def handle(self):
+        server = self.server
+        while True:
+            line = self.rfile.readline()
+            if not line:
+                return
+            headers = {}
+            for raw in iter(self.rfile.readline, b"\r\n"):
+                if not raw:
+                    return
+                name, _, value = raw.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            self.rfile.read(int(headers.get("content-length", 0)))
+            with server.lock:
+                server.heads.append((line.decode("latin-1").rstrip("\r\n"), headers))
+            if server.mode == "stall":
+                server.stop.wait(10)
+            if server.mode != "answer" or line.startswith(b"CONNECT"):
+                return  # the connection closes unanswered
+            body = json.dumps(ok_body("recorded")).encode()
+            self.wfile.write(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            )
+
+
+class _Recorder(socketserver.ThreadingTCPServer):
+    """Loopback server that records each request's line and headers.
+
+    ``mode`` "answer" sends a completion and keeps the connection open;
+    "drop" closes it unanswered; "stall" holds it unanswered until the
+    server stops. A CONNECT is always closed unanswered.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, mode):
+        super().__init__(("127.0.0.1", 0), _RecordingHandler)
+        self.mode = mode
+        self.heads = []
+        self.lock = threading.Lock()
+        self.stop = threading.Event()
+        self.address = f"127.0.0.1:{self.server_address[1]}"
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    """Starts _Recorder servers with the proxy variables cleared."""
+    _clear_proxies(monkeypatch)
+    started = []
+
+    def start(mode="answer"):
+        server = _Recorder(mode)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}
+        )
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.stop.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_unanswered_request_is_never_resent_silently(recorder):
+    server = recorder("drop")
+    slept = []
+    gw = HttpGateway(
+        base_url=f"http://{server.address}/v1", api_key="k", sleep=slept.append
+    )
+    with pytest.raises(TransportError, match="request failed"):
+        gw.complete(req("u"))
+    assert slept == [1.0, 2.0]
+    assert len(server.heads) == 3
+    assert gw.calls == 1
+
+
+def test_read_timeout_is_a_retried_transport_error(recorder):
+    server = recorder("stall")
+    slept = []
+    gw = HttpGateway(
+        base_url=f"http://{server.address}/v1", api_key="k", attempts=2,
+        timeout=0.2, sleep=slept.append,
+    )
+    with pytest.raises(TransportError, match="timed out"):
+        gw.complete(req("u"))
+    assert slept == [1.0]
+    assert len(server.heads) == 2
+
+
+def _basic(userinfo):
+    return "Basic " + base64.b64encode(userinfo.encode()).decode()
+
+
+def test_http_proxy_gets_absolute_form_targets(recorder, monkeypatch):
+    proxy = recorder()
+    monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
+    gw = HttpGateway(base_url="http://api.invalid/v1", api_key="k", sleep=lambda _: None)
+    assert gw.complete(req("u")).content == "recorded"
+    line, headers = proxy.heads[0]
+    assert line == "POST http://api.invalid/v1/chat/completions HTTP/1.1"
+    assert headers["host"] == "api.invalid"
+    assert headers["authorization"] == "Bearer k"
+    assert "proxy-authorization" not in headers
+
+
+def test_proxy_credentials_become_proxy_authorization(recorder, monkeypatch):
+    proxy = recorder()
+    monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{proxy.address}")
+    gw = HttpGateway(base_url="http://api.invalid/v1", api_key="k", sleep=lambda _: None)
+    gw.complete(req("u"))
+    assert proxy.heads[0][1]["proxy-authorization"] == _basic("user:p@ss")
+
+
+def test_no_proxy_bypasses_the_proxy(recorder, monkeypatch):
+    proxy, direct = recorder(), recorder()
+    monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    gw = HttpGateway(base_url=f"http://{direct.address}/v1", api_key="k")
+    assert gw.complete(req("u")).content == "recorded"
+    assert proxy.heads == []
+    assert direct.heads[0][0] == "POST /v1/chat/completions HTTP/1.1"
+
+
+def test_https_proxy_gets_a_connect_tunnel(recorder, monkeypatch):
+    proxy = recorder()
+    monkeypatch.setenv("https_proxy", f"http://user:pw@{proxy.address}")
+    gw = HttpGateway(
+        base_url="https://api.invalid/v1", api_key="k", attempts=1,
+        sleep=lambda _: None,
+    )
+    with pytest.raises(TransportError):
+        gw.complete(req("u"))  # the recorder closes the tunnel unanswered
+    [(line, headers)] = proxy.heads
+    assert line.startswith("CONNECT api.invalid:443 HTTP/")
+    assert headers["proxy-authorization"] == _basic("user:pw")
+
+
+def test_proxy_route_is_fixed_when_the_gateway_is_built(recorder, monkeypatch):
+    proxy, direct = recorder(), recorder()
+    plain = HttpGateway(base_url=f"http://{direct.address}/v1", api_key="k")
+    monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
+    routed = HttpGateway(base_url="http://api.invalid/v1", api_key="k")
+    monkeypatch.delenv("http_proxy")
+    monkeypatch.setenv("no_proxy", "*")
+    plain.complete(req("u"))
+    routed.complete(req("u"))
+    assert [line for line, _ in direct.heads] == ["POST /v1/chat/completions HTTP/1.1"]
+    assert [line for line, _ in proxy.heads] == [
+        "POST http://api.invalid/v1/chat/completions HTTP/1.1"
+    ]
+
+
+_CLI_SUBPROCESS = textwrap.dedent(
+    """
+    import sys
+
+    import reprompt.cli
+
+    LAZY = ("http.client", "urllib.request", "ssl", "requests", "urllib3")
+    print([m for m in LAZY if m in sys.modules])
+
+    import http.server, json, threading
+    from reprompt.gateway import ChatRequest, HttpGateway, Message, Role
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = json.dumps({"choices": [{"message": {"content": "hi"},
+                                            "finish_reason": "stop"}]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    gw = HttpGateway(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1")
+    print(gw.complete(ChatRequest(messages=(Message(Role.USER, "u"),))).content)
+    print([m for m in ("requests", "urllib3") if m in sys.modules])
+    """
+)
 
 
 def test_importing_the_cli_leaves_requests_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    code = "import sys, reprompt.cli; print('requests' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = {k: v for k, v in os.environ.items() if "proxy" not in k.lower()}
+    env["PYTHONPATH"] = src
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=60, check=True,
+        [sys.executable, "-c", _CLI_SUBPROCESS], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "hi", "[]"]
 
 
 def test_max_uses_holds_under_concurrent_calls():

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -716,6 +717,42 @@ class TestCorruptRuns:
     def test_no_versions_at_all(self, tmp_path):
         with pytest.raises(CorruptRunError, match="no prompts directory"):
             verify_chain(tmp_path / "nowhere")
+
+    def test_resume_without_prompts_directory(self, golden_dir):
+        shutil.rmtree(golden_dir / "prompts")
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match="has no prompts directory"):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
+
+    def test_invalid_utf8_cursor_line(self, golden_dir):
+        cursor = golden_dir / "state.cursor"
+        line_no = len(cursor.read_bytes().splitlines()) + 1
+        with open(cursor, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with pytest.raises(CorruptRunError, match=f"bad cursor line {line_no}:"):
+            verify_chain(golden_dir)
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match=f"bad cursor line {line_no}:"):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
+
+    def test_torn_invalid_utf8_tail_is_skipped(self, golden_dir):
+        cursor = golden_dir / "state.cursor"
+        complete = cursor.read_bytes()
+        cursor.write_bytes(complete + b"\xff\xfe")
+        assert [r.version for r in verify_chain(golden_dir)] == [0, 1, 2]
+        assert cursor.read_bytes() == complete + b"\xff\xfe"
+        samples, feedback, _ = golden_inputs()
+        resume(
+            golden_dir, samples, config=golden_config(),
+            gateway=make_gateway(), feedback=feedback,
+        )
+        assert cursor.read_bytes() == complete
 
     def test_v0_with_parent(self, golden_dir):
         # A batch line that records writing v0 gives v0 a parent.
