@@ -105,6 +105,7 @@ def main() -> int:
         report = evaluate(
             doc, holdout, adapter,
             gateway=gateway, model=config.gateway.model,
+            temperature=config.gateway.temperature, seed=config.train.seed,
             feedback=NoFeedback(), max_rounds=1,
         )
         print(f"{label}: pass rate {report.pass_rate:.2f} "

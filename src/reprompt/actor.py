@@ -20,14 +20,7 @@ from .errors import (
     NoThinkSpanError,
     UnparseableAnswerError,
 )
-from .gateway import (
-    ChatRequest,
-    DEFAULT_SEED,
-    DEFAULT_TEMPERATURE,
-    Gateway,
-    Message,
-    Role,
-)
+from .gateway import Caller, Gateway, Message, Role
 from .prompt_model import PromptDocument, fill_slots
 from .yamlio import load_yaml
 
@@ -168,10 +161,7 @@ def run_episode(
     fg: FeedbackGenerator,
     max_rounds: int,
     *,
-    gateway: Gateway,
-    model: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
+    caller: Caller,
 ) -> Transcript:
     """Run one episode and return its transcript.
 
@@ -187,14 +177,8 @@ def run_episode(
     rounds = 0
     while True:
         rounds += 1
-        request = ChatRequest(
-            messages=_wire_messages(tuple(history)),
-            model=model,
-            temperature=temperature,
-            seed=seed,
-        )
         try:
-            response = gateway.complete(request)
+            response = caller.complete(_wire_messages(tuple(history)))
         except GatewayError as exc:
             raise _aborted(
                 f"episode for {sample.id} failed: {exc}", sample, history, rounds - 1
@@ -237,10 +221,7 @@ def collect_batch(
     fg: FeedbackGenerator,
     max_rounds: int,
     *,
-    gateway: Gateway,
-    model: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
+    caller: Caller,
     parallelism: int = 1,
 ) -> list[Transcript]:
     """Run one episode per sample, preserving sample order in the result.
@@ -251,16 +232,7 @@ def collect_batch(
 
     def one(sample: Sample) -> Transcript:
         try:
-            return run_episode(
-                prompt,
-                sample,
-                fg,
-                max_rounds,
-                gateway=gateway,
-                model=model,
-                temperature=temperature,
-                seed=seed,
-            )
+            return run_episode(prompt, sample, fg, max_rounds, caller=caller)
         except EpisodeError as exc:
             logger.warning("episode failed for sample %s: %s", sample.id, exc)
             return exc.transcript
@@ -289,34 +261,16 @@ class ReflexionFeedback:
     back verbatim.
     """
 
-    def __init__(
-        self,
-        gateway: Gateway,
-        model: str,
-        temperature: float = DEFAULT_TEMPERATURE,
-        seed: int = DEFAULT_SEED,
-    ):
-        self._gateway = gateway
-        self._model = model
-        self._temperature = temperature
-        self._seed = seed
+    def __init__(self, caller: Caller):
+        self._caller = caller
 
     def feedback(self, transcript: Transcript) -> Feedback:
-        request = ChatRequest(
-            messages=(
-                Message(Role.SYSTEM, prompts.REFLECTION_SYSTEM_PROMPT),
-                Message(
-                    Role.USER,
-                    prompts.REFLECTION_USER_TEMPLATE.format(
-                        transcript=format_transcript(transcript)
-                    ),
-                ),
+        reflection = self._caller.ask(
+            prompts.REFLECTION_SYSTEM_PROMPT,
+            prompts.REFLECTION_USER_TEMPLATE.format(
+                transcript=format_transcript(transcript)
             ),
-            model=self._model,
-            temperature=self._temperature,
-            seed=self._seed,
         )
-        reflection = self._gateway.complete(request).content
         if prompts.DEFAULT_FINISH_MARKER in reflection:
             return Feedback(text=reflection, decision=Decision.STOP)
         return Feedback(text=reflection, decision=Decision.CONTINUE)
@@ -381,8 +335,8 @@ def feedback_generator(
     model: str | None = None,
     adapter=None,
     samples_by_id: dict[str, object] | None = None,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
+    temperature: float,
+    seed: int,
 ) -> FeedbackGenerator:
     """Build a feedback generator from its config tag."""
     if name == "none":
@@ -390,7 +344,7 @@ def feedback_generator(
     if name == "reflexion":
         if gateway is None or model is None:
             raise ValueError("reflexion feedback needs a gateway and a model")
-        return ReflexionFeedback(gateway, model, temperature=temperature, seed=seed)
+        return ReflexionFeedback(Caller(gateway, model, temperature, seed))
     if name == "thinktrace":
         return ThinkTraceFeedback()
     if name == "rulecheck":

@@ -106,11 +106,15 @@ def _cmd_eval(args) -> int:
     config = load_config(args.config)
     if config.task.kind != "toy":
         raise ConfigError("eval currently supports only task kind 'toy'")
-    if args.test_set:
-        samples, adapter = _load_task(config, args.test_set)
-    elif args.trials:
+    if args.trials is not None:
+        if args.test_set:
+            raise ConfigError("eval takes either --test-set or --trials, not both")
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         samples = generate_samples(args.trials, base_seed=config.train.seed)
         adapter = ToyAdapter()
+    elif args.test_set:
+        samples, adapter = _load_task(config, args.test_set)
     else:
         raise ConfigError("eval needs --test-set or --trials")
     backend = args.backend or config.gateway.backend

@@ -22,7 +22,7 @@ from .actor import (
     collect_batch,
 )
 from .errors import UnparseableAnswerError
-from .gateway import DEFAULT_SEED, DEFAULT_TEMPERATURE, Gateway
+from .gateway import Caller, Gateway
 from .prompt_model import PromptDocument
 
 
@@ -74,8 +74,8 @@ def evaluate(
     model: str,
     feedback: FeedbackGenerator | None = None,
     max_rounds: int = 1,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
+    temperature: float,
+    seed: int,
     parallelism: int = 1,
 ) -> EvalReport:
     """Run every sample to a terminal state and grade the last answer.
@@ -90,10 +90,7 @@ def evaluate(
         samples,
         feedback if feedback is not None else NoFeedback(),
         max_rounds,
-        gateway=gateway,
-        model=model,
-        temperature=temperature,
-        seed=seed,
+        caller=Caller(gateway, model, temperature, seed),
         parallelism=parallelism,
     )
     return EvalReport(

@@ -4,7 +4,8 @@ Both backends expose the same ``complete(request)`` surface and count every
 logical call, so the trainer can do budget accounting no matter which one is
 plugged in. The scripted backend matches requests against substring
 fingerprints loaded from a script file and is the backbone of the golden
-end-to-end fixtures.
+end-to-end fixtures. ``Caller`` binds a backend to one stage's model,
+temperature and seed; it is where every request the engine sends is built.
 """
 from __future__ import annotations
 
@@ -35,9 +36,6 @@ from .errors import (
 )
 from .yamlio import SafeLoader
 
-DEFAULT_TEMPERATURE = 0.0
-DEFAULT_SEED = 42
-
 API_KEY_ENV = "REPROMPT_API_KEY"
 BASE_URL_ENV = "REPROMPT_BASE_URL"
 
@@ -57,9 +55,9 @@ class Message:
 @dataclass(frozen=True)
 class ChatRequest:
     messages: tuple[Message, ...]
-    model: str = "agent"
-    temperature: float = DEFAULT_TEMPERATURE
-    seed: int = DEFAULT_SEED
+    model: str
+    temperature: float
+    seed: int
 
     def __post_init__(self):
         if not self.messages:
@@ -94,6 +92,36 @@ class Gateway(Protocol):
 
     @property
     def calls(self) -> int: ...
+
+
+@dataclass(frozen=True)
+class Caller:
+    """A gateway bound to one stage's model, temperature and seed.
+
+    Every request the engine sends is built here, so two calls through the
+    same caller differ only in their messages.
+    """
+
+    gateway: Gateway
+    model: str
+    temperature: float
+    seed: int
+
+    def complete(self, messages: tuple[Message, ...]) -> ChatResponse:
+        return self.gateway.complete(ChatRequest(
+            messages=messages,
+            model=self.model,
+            temperature=self.temperature,
+            seed=self.seed,
+        ))
+
+    def ask(self, system: str, user: str, note: str | None = None) -> str:
+        """One system and one user message; ``note``, when given, follows
+        as a second user message (a retry's corrective note)."""
+        messages = (Message(Role.SYSTEM, system), Message(Role.USER, user))
+        if note is not None:
+            messages += (Message(Role.USER, note),)
+        return self.complete(messages).content
 
 
 class _CallCounter:

@@ -13,14 +13,7 @@ from enum import Enum
 
 from . import prompts
 from .errors import EmptyPromptError, RepairFailedError
-from .gateway import (
-    ChatRequest,
-    DEFAULT_SEED,
-    DEFAULT_TEMPERATURE,
-    Gateway,
-    Message,
-    Role,
-)
+from .gateway import Caller
 from .prompt_model import (
     PromptDocument,
     SegmentKind,
@@ -179,10 +172,7 @@ def repair_placeholders(
     candidate: str,
     original: PromptDocument,
     *,
-    gateway: Gateway,
-    model: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
+    caller: Caller,
     patterns: tuple[re.Pattern, ...] | None = None,
     attempts: int = 3,
 ) -> str:
@@ -192,30 +182,15 @@ def repair_placeholders(
     segment verbatim; otherwise the call is retried with a corrective note,
     and RepairFailedError is raised once the budget is spent.
     """
-    original_text = render_prompt(original)
     example_texts = [
         s.text for s in original.segments if s.kind is SegmentKind.EXAMPLES
     ]
+    user = prompts.TEMPLATE_REPLACER_USER_TEMPLATE.format(
+        original=render_prompt(original), candidate=candidate
+    )
     note = None
     for _ in range(attempts):
-        messages = [
-            Message(Role.SYSTEM, prompts.TEMPLATE_REPLACER_SYSTEM_PROMPT),
-            Message(
-                Role.USER,
-                prompts.TEMPLATE_REPLACER_USER_TEMPLATE.format(
-                    original=original_text, candidate=candidate
-                ),
-            ),
-        ]
-        if note is not None:
-            messages.append(Message(Role.USER, note))
-        request = ChatRequest(
-            messages=tuple(messages),
-            model=model,
-            temperature=temperature,
-            seed=seed,
-        )
-        repaired = gateway.complete(request).content
+        repaired = caller.ask(prompts.TEMPLATE_REPLACER_SYSTEM_PROMPT, user, note)
         if not detect_placeholders(repaired, patterns) and all(
             text in repaired for text in example_texts
         ):
@@ -243,17 +218,15 @@ def review_candidate(
     seg_config: SegmentationConfig | None = None,
     required_tokens: tuple[str, ...] = (),
     guard_config: GuardConfig | None = None,
-    gateway: Gateway | None = None,
-    repair_model: str = "agent",
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
+    repair: Caller | None,
 ) -> tuple[GuardReport, PromptDocument | None]:
     """Run the full guard pipeline over one candidate prompt text.
 
     Returns the report plus the parsed document when the candidate survives.
-    Placeholders trigger repair when a gateway is available (a clean text is
-    never re-sent anywhere, which makes re-reviewing a repaired prompt free
-    and idempotent). Any repair failure or residual violation rejects.
+    Placeholders trigger repair through the ``repair`` caller; with None
+    they reject (a clean text is never re-sent anywhere, which makes
+    re-reviewing a repaired prompt free and idempotent). Any repair failure
+    or residual violation rejects.
     """
     cfg = guard_config or GuardConfig()
     patterns = cfg.compiled_patterns()
@@ -268,16 +241,13 @@ def review_candidate(
             )
             for span in spans
         )
-        if gateway is None:
+        if repair is None:
             return GuardReport(Verdict.REJECTED, placeholder_violations), None
         try:
             candidate = repair_placeholders(
                 candidate,
                 old,
-                gateway=gateway,
-                model=repair_model,
-                temperature=temperature,
-                seed=seed,
+                caller=repair,
                 patterns=patterns,
                 attempts=cfg.repair_attempts,
             )

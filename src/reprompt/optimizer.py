@@ -16,14 +16,7 @@ from .errors import (
     MarkerAbsentError,
     MissingFinalMarkerError,
 )
-from .gateway import (
-    ChatRequest,
-    DEFAULT_SEED,
-    DEFAULT_TEMPERATURE,
-    Gateway,
-    Message,
-    Role,
-)
+from .gateway import Caller
 from .guardrails import GuardConfig, GuardReport, Verdict, review_candidate
 from .prompt_model import (
     DiffStatus,
@@ -57,7 +50,6 @@ class Placement:
 
 @dataclass(frozen=True)
 class PromptUpdate:
-    focus: FocusPoint
     raw_output: str
     new_prompt: PromptDocument
     changed: bool
@@ -126,11 +118,8 @@ def optimize(
     prompt: PromptDocument,
     focus: FocusPoint,
     *,
-    gateway: Gateway,
-    model: str,
-    repair_model: str | None = None,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
+    caller: Caller,
+    repair: Caller,
     seg_config: SegmentationConfig | None = None,
     required_tokens: tuple[str, ...] = (),
     guard_config: GuardConfig | None = None,
@@ -145,9 +134,7 @@ def optimize(
     if not has_step_instructions(prompt):
         raise ValueError("optimize needs a structured prompt (with step instructions)")
     if focus.case is FocusCase.NO_GENERAL_REASON:
-        return PromptUpdate(
-            focus=focus, raw_output="", new_prompt=prompt, changed=False
-        )
+        return PromptUpdate(raw_output="", new_prompt=prompt, changed=False)
     cfg = guard_config or GuardConfig()
     attempts = cfg.optimizer_attempts
     old_text = render_prompt(prompt)
@@ -158,24 +145,10 @@ def optimize(
     last_reason: str | None = None
     last_report: GuardReport | None = None
     for _ in range(attempts):
-        messages = [
-            Message(Role.SYSTEM, prompts.OPTIMIZER_SYSTEM_PROMPT),
-            Message(Role.USER, base_user),
-        ]
+        note = None
         if last_reason is not None:
-            messages.append(
-                Message(
-                    Role.USER,
-                    prompts.OPTIMIZER_RETRY_NOTE_TEMPLATE.format(reason=last_reason),
-                )
-            )
-        request = ChatRequest(
-            messages=tuple(messages),
-            model=model,
-            temperature=temperature,
-            seed=seed,
-        )
-        raw = gateway.complete(request).content
+            note = prompts.OPTIMIZER_RETRY_NOTE_TEMPLATE.format(reason=last_reason)
+        raw = caller.ask(prompts.OPTIMIZER_SYSTEM_PROMPT, base_user, note)
         try:
             candidate = parse_final_prompt(raw)
         except MarkerAbsentError:
@@ -188,10 +161,7 @@ def optimize(
             seg_config=seg_config,
             required_tokens=required_tokens,
             guard_config=cfg,
-            gateway=gateway,
-            repair_model=repair_model or model,
-            temperature=temperature,
-            seed=seed,
+            repair=repair,
         )
         last_report = report
         if report.verdict is Verdict.REJECTED or parsed is None:
@@ -206,7 +176,6 @@ def optimize(
         changed = render_prompt(parsed) != old_text
         if not changed:
             return PromptUpdate(
-                focus=focus,
                 raw_output=raw,
                 new_prompt=prompt,
                 changed=False,
@@ -218,7 +187,6 @@ def optimize(
             parent_version=prompt.version,
         )
         return PromptUpdate(
-            focus=focus,
             raw_output=raw,
             new_prompt=new_prompt,
             changed=True,

@@ -38,27 +38,19 @@ _ALWAYS_PROTECTED = {SegmentKind.EXAMPLES, SegmentKind.FORMAT_REQUIREMENTS}
 class PromptSegment:
     """One contiguous span of prompt text.
 
-    Examples and format requirements are always protected; step
-    instructions never are. The flag is derived when not given explicitly.
+    Examples and format requirements are protected; every other kind is not.
     """
 
     kind: SegmentKind
     text: str
-    protected: bool | None = None
 
     def __post_init__(self):
         if not self.text:
             raise ValueError("segment text must be non-empty")
-        if self.kind in _ALWAYS_PROTECTED:
-            if self.protected is False:
-                raise ValueError(f"{self.kind.value} segments are always protected")
-            object.__setattr__(self, "protected", True)
-        elif self.kind is SegmentKind.STEP_INSTRUCTIONS:
-            if self.protected is True:
-                raise ValueError("step instruction segments are never protected")
-            object.__setattr__(self, "protected", False)
-        elif self.protected is None:
-            object.__setattr__(self, "protected", False)
+
+    @property
+    def protected(self) -> bool:
+        return self.kind in _ALWAYS_PROTECTED
 
 
 @dataclass(frozen=True)
@@ -115,11 +107,7 @@ _ITEM_RE = re.compile(r"^\s{0,3}(\d+)[.)]\s")
 _CONT_RE = re.compile(r"^(?:\s+\S|[-*•]\s|[a-z][.)]\s)")
 
 _BOUNDARY_FIELDS = (
-    ("examples_open", "examples_open"),
-    ("examples_close", "examples_close"),
-    ("task_open", "task_open"),
-    ("format_open", "format_open"),
-    ("format_close", "format_close"),
+    "examples_open", "examples_close", "task_open", "format_open", "format_close",
 )
 
 
@@ -133,9 +121,9 @@ def _line_categories(line: str, config: SegmentationConfig) -> set[str]:
     if not stripped:
         return set()
     cats = set()
-    for cat, attr in _BOUNDARY_FIELDS:
-        if any(stripped.startswith(marker) for marker in getattr(config, attr)):
-            cats.add(cat)
+    for name in _BOUNDARY_FIELDS:
+        if any(stripped.startswith(marker) for marker in getattr(config, name)):
+            cats.add(name)
     return cats
 
 

@@ -14,14 +14,7 @@ from enum import Enum
 from . import prompts
 from .actor import Transcript, format_transcript
 from .errors import MarkerAbsentError, MissingConclusionMarkerError, ScrubRejectedError
-from .gateway import (
-    ChatRequest,
-    DEFAULT_SEED,
-    DEFAULT_TEMPERATURE,
-    Gateway,
-    Message,
-    Role,
-)
+from .gateway import Caller
 from .prompt_model import PromptDocument, render_prompt
 
 DEFAULT_TRANSCRIPT_BUDGET = 60_000
@@ -39,9 +32,6 @@ class FocusCase(Enum):
 class FocusPoint:
     case: FocusCase
     text: str
-    raw_output: str
-    epoch: int
-    batch_index: int
 
     def __post_init__(self):
         if self.case is FocusCase.NO_GENERAL_REASON and self.text != "":
@@ -133,42 +123,11 @@ def serialize_transcripts(transcripts: list[Transcript], budget: int) -> str:
     return result[:budget] if len(result) > budget else result
 
 
-def _build_request(
-    transcripts: list[Transcript],
-    prompt: PromptDocument,
-    model: str,
-    temperature: float,
-    seed: int,
-    extra_note: str | None,
-) -> ChatRequest:
-    chat_history = (
-        f"{prompts.CURRENT_PROMPT_HEADER}\n\n{render_prompt(prompt)}\n\n"
-        + serialize_transcripts(transcripts, DEFAULT_TRANSCRIPT_BUDGET)
-    )
-    messages = [
-        Message(Role.SYSTEM, prompts.SUMMARIZER_SYSTEM_PROMPT),
-        Message(
-            Role.USER,
-            prompts.SUMMARIZER_USER_TEMPLATE.format(chat_history=chat_history),
-        ),
-    ]
-    if extra_note is not None:
-        messages.append(Message(Role.USER, extra_note))
-    return ChatRequest(
-        messages=tuple(messages), model=model, temperature=temperature, seed=seed
-    )
-
-
 def summarize_batch(
     transcripts: list[Transcript],
     prompt: PromptDocument,
     *,
-    gateway: Gateway,
-    model: str,
-    temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = DEFAULT_SEED,
-    epoch: int = 0,
-    batch_index: int = 0,
+    caller: Caller,
 ) -> FocusPoint:
     """Summarize a batch into a FocusPoint, with one retry on bad output.
 
@@ -179,11 +138,14 @@ def summarize_batch(
     """
     if not transcripts:
         raise ValueError("cannot summarize an empty batch")
+    chat_history = (
+        f"{prompts.CURRENT_PROMPT_HEADER}\n\n{render_prompt(prompt)}\n\n"
+        + serialize_transcripts(transcripts, DEFAULT_TRANSCRIPT_BUDGET)
+    )
+    user = prompts.SUMMARIZER_USER_TEMPLATE.format(chat_history=chat_history)
     note = None
-    raw = ""
     for attempt in range(2):
-        request = _build_request(transcripts, prompt, model, temperature, seed, note)
-        raw = gateway.complete(request).content
+        raw = caller.ask(prompts.SUMMARIZER_SYSTEM_PROMPT, user, note)
         try:
             case, text = parse_conclusion(raw)
         except MarkerAbsentError:
@@ -201,11 +163,5 @@ def summarize_batch(
                 )
             note = prompts.SUMMARIZER_DETAIL_REMINDER
             continue
-        return FocusPoint(
-            case=case,
-            text=text,
-            raw_output=raw,
-            epoch=epoch,
-            batch_index=batch_index,
-        )
+        return FocusPoint(case=case, text=text)
     raise AssertionError("unreachable")

@@ -57,7 +57,7 @@ from .errors import (
     RepairFailedError,
     ScrubRejectedError,
 )
-from .gateway import Gateway
+from .gateway import Caller, Gateway
 from .optimizer import optimize
 from .prompt_model import (
     PromptDocument,
@@ -152,10 +152,27 @@ def _append_cursor(paths: _RunPaths, entry: dict) -> None:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-_CURSOR_KEYS = {
-    "batch": {"epoch", "batch", "prompt_version", "episodes_total", "calls_total"},
-    "epoch": {"epoch", "changed", "prompt_version"},
+# The fields each kind of cursor line must carry, with their exact types
+# (a bool is not taken for an int, nor an int for a bool).
+_CURSOR_FIELDS = {
+    "batch": {
+        "epoch": int, "batch": int, "prompt_version": int,
+        "episodes_total": int, "calls_total": int,
+    },
+    "epoch": {"epoch": int, "changed": bool, "prompt_version": int},
 }
+
+
+def _cursor_problem(entry) -> str | None:
+    """Why a parsed cursor line is no batch or epoch record, or None."""
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    fields = _CURSOR_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None or not fields.keys() <= entry.keys():
+        return "not a complete batch or epoch record"
+    for key, expected in fields.items():
+        if type(entry[key]) is not expected:
+            return f"{key} is not {'a boolean' if expected is bool else 'an integer'}"
+    return None
 
 
 def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
@@ -163,8 +180,9 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
 
     A final line without its newline was cut by a crash mid-append, so it
     commits nothing and is skipped; only resume truncates it, to the
-    returned length. A complete line that is not UTF-8 JSON raises
-    CorruptRunError.
+    returned length. A complete line that is not UTF-8 JSON, or not a
+    batch or epoch record whose fields have the types resume relies on,
+    raises CorruptRunError.
     """
     if not paths.cursor.exists():
         return [], 0
@@ -177,14 +195,12 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
         try:
             entry = json.loads(line.decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            problem = str(exc)
+        else:
+            problem = _cursor_problem(entry)
+        if problem is not None:
             raise CorruptRunError(
-                f"{paths.cursor}: bad cursor line {line_no}: {exc}"
-            ) from None
-        keys = _CURSOR_KEYS.get(entry.get("kind")) if isinstance(entry, dict) else None
-        if keys is None or not keys <= entry.keys():
-            raise CorruptRunError(
-                f"{paths.cursor}: bad cursor line {line_no}: "
-                "not a complete batch or epoch record"
+                f"{paths.cursor}: bad cursor line {line_no}: {problem}"
             )
         entries.append(entry)
     return entries, len(complete)
@@ -522,6 +538,14 @@ def resume(
 
     train_cfg = config.train
     gw_cfg = config.gateway
+
+    def caller(model: str) -> Caller:
+        return Caller(gateway, model, gw_cfg.temperature, train_cfg.seed)
+
+    actor = caller(gw_cfg.model)
+    summarizer = caller(gw_cfg.summarizer_model)
+    optimizer = caller(gw_cfg.optimizer_model)
+    repair = caller(gw_cfg.repair_model)
     patience = train_cfg.convergence_patience
     batches = _batches(samples, train_cfg.batch_size)
     episodes_run = last["episodes_total"]
@@ -556,10 +580,7 @@ def resume(
                 batches[b - 1],
                 feedback,
                 train_cfg.max_rounds,
-                gateway=gateway,
-                model=gw_cfg.model,
-                temperature=gw_cfg.temperature,
-                seed=train_cfg.seed,
+                caller=actor,
                 parallelism=train_cfg.parallelism,
             )
             if all(t.terminal is Terminal.ERROR for t in transcripts):
@@ -568,16 +589,7 @@ def resume(
             _write_transcripts(paths, epoch, b, transcripts)
             episodes_run += len(transcripts)
             try:
-                focus = summarize_batch(
-                    transcripts,
-                    prompt,
-                    gateway=gateway,
-                    model=gw_cfg.summarizer_model,
-                    temperature=gw_cfg.temperature,
-                    seed=train_cfg.seed,
-                    epoch=epoch,
-                    batch_index=b,
-                )
+                focus = summarize_batch(transcripts, prompt, caller=summarizer)
             except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
                 record_batch(b, f"summarizer failed: {exc}")
                 continue
@@ -586,11 +598,8 @@ def resume(
                 update = optimize(
                     prompt,
                     focus,
-                    gateway=gateway,
-                    model=gw_cfg.optimizer_model,
-                    repair_model=gw_cfg.repair_model,
-                    temperature=gw_cfg.temperature,
-                    seed=train_cfg.seed,
+                    caller=optimizer,
+                    repair=repair,
                     seg_config=seg,
                     required_tokens=required_tokens,
                     guard_config=config.guards,

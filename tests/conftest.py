@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from reprompt.gateway import Script, ScriptEntry, ScriptedGateway
+from reprompt.gateway import Caller, Script, ScriptEntry, ScriptedGateway
 from reprompt.prompt_model import DEFAULT_SEGMENTATION
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -72,6 +72,11 @@ def make_gateway(*entries_data: dict) -> ScriptedGateway:
             )
         )
     return ScriptedGateway(Script(built))
+
+
+def make_caller(gateway, model="agent") -> Caller:
+    """A caller at the golden run's temperature (0.0) and seed (42)."""
+    return Caller(gateway, model, 0.0, 42)
 
 
 class Recording:

@@ -9,7 +9,7 @@ import time
 
 import yaml
 
-from conftest import GOLDEN, TOY_SEG, entry, enumerate_plans, make_gateway
+from conftest import GOLDEN, TOY_SEG, entry, enumerate_plans, make_caller, make_gateway
 from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.config import parse_config
 from reprompt.evaluator import evaluate
@@ -142,14 +142,16 @@ EX_BIG = (
 def _tampered_candidates():
     """Twenty candidates that tamper with protected or required content.
 
-    Yields (name, candidate_text, repair_gateway_or_None).
+    Yields (name, candidate_text, repair_caller_or_None).
     """
     base = GUARD_BASE
     both = EX_SMALL + EX_BIG
-    repair_ok = make_gateway(entry(["You are a template replacer"], base))
-    repair_bad = make_gateway(
-        entry(["You are a template replacer"], base.replace(both, "⟨examples⟩\n\n"))
+    repair_ok = make_caller(
+        make_gateway(entry(["You are a template replacer"], base)), "fixer"
     )
+    repair_bad = make_caller(make_gateway(
+        entry(["You are a template replacer"], base.replace(both, "⟨examples⟩\n\n"))
+    ), "fixer")
     cases = [
         ("examples deleted", base.replace(both, ""), None),
         ("examples stubbed, no repair channel",
@@ -192,14 +194,13 @@ def test_protected_section_enforcement(capsys):
     """No tampered candidate gets through as accepted."""
     old = parse_prompt(GUARD_BASE, TOY_SEG)
     verdicts = {}
-    for name, candidate, gateway in _tampered_candidates():
+    for name, candidate, repair in _tampered_candidates():
         reviewed, _ = review_candidate(
             old,
             candidate,
             seg_config=TOY_SEG,
             required_tokens=("PLAN:",),
-            gateway=gateway,
-            repair_model="fixer",
+            repair=repair,
         )
         verdicts[name] = reviewed.verdict
     caught = sum(
@@ -222,17 +223,15 @@ def test_identity_on_no_signal(capsys):
     texts.append((GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"))
     texts.append((GOLDEN / "final_prompt.txt").read_text(encoding="utf-8"))
     gateway = make_gateway()
-    focus = FocusPoint(
-        case=FocusCase.NO_GENERAL_REASON, text="", raw_output="",
-        epoch=1, batch_index=1,
-    )
+    focus = FocusPoint(case=FocusCase.NO_GENERAL_REASON, text="")
+    caller = make_caller(gateway, "opt")
     exact = 0
     for i in range(50):
         base = texts[i % len(texts)]
         doc = parse_prompt(f"Variant {i}: keep the notes tidy.\n\n{base}")
         if not has_step_instructions(doc):
             doc = inject_default_steps(doc)
-        update = optimize(doc, focus, gateway=gateway, model="opt")
+        update = optimize(doc, focus, caller=caller, repair=caller)
         if (
             not update.changed
             and render_prompt(update.new_prompt) == render_prompt(doc)
@@ -365,7 +364,7 @@ def test_toy_task_improvement(tmp_path, capsys):
     def score(prompt_doc):
         report_ = evaluate(
             prompt_doc, holdout, adapter,
-            gateway=gateway, model="planner",
+            gateway=gateway, model="planner", temperature=0.0, seed=42,
             feedback=NoFeedback(), max_rounds=1,
         )
         return report_.pass_rate

@@ -25,7 +25,7 @@ from reprompt.errors import (
 )
 from reprompt.prompt_model import parse_prompt
 
-from conftest import entry, make_gateway
+from conftest import entry, make_caller, make_gateway, make_recording_gateway
 
 PROMPT = parse_prompt("Solve it.\n\nHere is the task:\nTask id: {task_id}\n")
 
@@ -52,7 +52,7 @@ class CannedFeedback:
 def test_single_round_episode():
     gw = make_gateway(entry(["Task id: s1"], "answer"))
     fg = CannedFeedback()
-    t = run_episode(PROMPT, sample(), fg, 1, gateway=gw, model="agent")
+    t = run_episode(PROMPT, sample(), fg, 1, caller=make_caller(gw))
     assert t.terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert t.rounds_used == 1
     assert [m.role for m in t.messages] == [
@@ -68,7 +68,7 @@ def test_single_round_episode():
 def test_stop_feedback_ends_the_episode():
     gw = make_gateway(entry(["Task id: s1"], "answer"))
     fg = CannedFeedback(Feedback("", Decision.STOP))
-    t = run_episode(PROMPT, sample(), fg, 3, gateway=gw, model="agent")
+    t = run_episode(PROMPT, sample(), fg, 3, caller=make_caller(gw))
     assert t.terminal is Terminal.FINISHED_BY_AGENT
     assert t.rounds_used == 1
     assert gw.calls == 1
@@ -86,7 +86,7 @@ def test_continue_feedback_travels_as_user_message():
         Feedback("fix the route", Decision.CONTINUE),
         Feedback("", Decision.STOP),
     )
-    t = run_episode(PROMPT, sample(), fg, 3, gateway=gw, model="agent")
+    t = run_episode(PROMPT, sample(), fg, 3, caller=make_caller(gw))
     assert t.terminal is Terminal.FINISHED_BY_AGENT
     assert t.rounds_used == 2
     roles = [m.role for m in t.messages]
@@ -105,7 +105,7 @@ def test_round_cap_after_continue():
     second = entry(["Task id: s1"], "again", roles=["user", "assistant", "user"])
     gw = make_gateway(first, second)
     fg = CannedFeedback(Feedback("keep going", Decision.CONTINUE))
-    t = run_episode(PROMPT, sample(), fg, 2, gateway=gw, model="agent")
+    t = run_episode(PROMPT, sample(), fg, 2, caller=make_caller(gw))
     assert t.terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert t.rounds_used == 2
     assert len(fg.seen) == 1
@@ -114,7 +114,7 @@ def test_round_cap_after_continue():
 def test_gateway_failure_wraps_partial_transcript():
     gw = make_gateway(entry(["never matches"], "x"))
     with pytest.raises(EpisodeError) as err:
-        run_episode(PROMPT, sample(), NoFeedback(), 1, gateway=gw, model="agent")
+        run_episode(PROMPT, sample(), NoFeedback(), 1, caller=make_caller(gw))
     partial = err.value.transcript
     assert partial is not None
     assert partial.terminal is Terminal.ERROR
@@ -130,7 +130,7 @@ def test_feedback_failure_wraps_partial_transcript():
             raise RuntimeError("bad feedback")
 
     with pytest.raises(EpisodeError) as err:
-        run_episode(PROMPT, sample(), Boom(), 2, gateway=gw, model="agent")
+        run_episode(PROMPT, sample(), Boom(), 2, caller=make_caller(gw))
     assert err.value.transcript.terminal is Terminal.ERROR
     assert err.value.transcript.rounds_used == 1
 
@@ -138,7 +138,7 @@ def test_feedback_failure_wraps_partial_transcript():
 def test_round_cap_must_be_positive():
     gw = make_gateway(entry(["x"], "y"))
     with pytest.raises(ValueError):
-        run_episode(PROMPT, sample(), NoFeedback(), 0, gateway=gw, model="agent")
+        run_episode(PROMPT, sample(), NoFeedback(), 0, caller=make_caller(gw))
 
 
 # --- collect_batch -----------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_batch_preserves_sample_order():
         entry(["Task id: c"], "rc"),
     )
     samples = [sample("a"), sample("b"), sample("c")]
-    out = collect_batch(PROMPT, samples, NoFeedback(), 1, gateway=gw, model="agent")
+    out = collect_batch(PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw))
     assert [t.sample_id for t in out] == ["a", "b", "c"]
     assert [t.last_assistant() for t in out] == ["ra", "rb", "rc"]
 
@@ -159,7 +159,7 @@ def test_batch_preserves_sample_order():
 def test_batch_isolates_failures():
     gw = make_gateway(entry(["Task id: a"], "ra"))
     out = collect_batch(
-        PROMPT, [sample("a"), sample("b")], NoFeedback(), 1, gateway=gw, model="agent"
+        PROMPT, [sample("a"), sample("b")], NoFeedback(), 1, caller=make_caller(gw)
     )
     assert out[0].terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert out[1].terminal is Terminal.ERROR
@@ -175,10 +175,10 @@ def test_batch_parallel_results_match_serial():
     )
     samples = [sample("a"), sample("b")]
     serial = collect_batch(
-        PROMPT, samples, NoFeedback(), 1, gateway=gw1, model="agent"
+        PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw1)
     )
     parallel = collect_batch(
-        PROMPT, samples, NoFeedback(), 1, gateway=gw2, model="agent",
+        PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw2),
         parallelism=2,
     )
     assert serial == parallel
@@ -270,7 +270,7 @@ def test_reflexion_stops_on_finish_marker():
     gw = make_gateway(
         entry(["You are a reflection assistant", "[assistant / round 1]"], "LGTM")
     )
-    fg = ReflexionFeedback(gw, model="critic")
+    fg = ReflexionFeedback(make_caller(gw, "critic"))
     verdict = fg.feedback(_snapshot("the answer"))
     assert verdict.decision is Decision.STOP
 
@@ -279,7 +279,7 @@ def test_reflexion_continues_with_review_text():
     gw = make_gateway(
         entry(["You are a reflection assistant"], "the total is over budget")
     )
-    fg = ReflexionFeedback(gw, model="critic")
+    fg = ReflexionFeedback(make_caller(gw, "critic"))
     verdict = fg.feedback(_snapshot("the answer"))
     assert verdict.decision is Decision.CONTINUE
     assert verdict.text == "the total is over budget"
@@ -344,25 +344,37 @@ def test_rulecheck_unparseable_answer_continues():
     assert "cannot read" in verdict.text
 
 
+def build_feedback(name, **kwargs):
+    return feedback_generator(name, temperature=0.0, seed=42, **kwargs)
+
+
 def test_factory_builds_each_kind():
     gw = make_gateway(entry(["x"], "y"))
-    assert isinstance(feedback_generator("none"), NoFeedback)
+    assert isinstance(build_feedback("none"), NoFeedback)
     assert isinstance(
-        feedback_generator("reflexion", gateway=gw, model="m"), ReflexionFeedback
+        build_feedback("reflexion", gateway=gw, model="m"), ReflexionFeedback
     )
-    assert isinstance(feedback_generator("thinktrace"), ThinkTraceFeedback)
+    assert isinstance(build_feedback("thinktrace"), ThinkTraceFeedback)
     assert isinstance(
-        feedback_generator(
-            "rulecheck", adapter=FakeAdapter(), samples_by_id={}
-        ),
+        build_feedback("rulecheck", adapter=FakeAdapter(), samples_by_id={}),
         RuleCheckFeedback,
     )
 
 
+def test_reflexion_from_the_factory_sends_the_given_settings():
+    gw = make_recording_gateway(entry(["You are a reflection assistant"], "LGTM"))
+    fg = feedback_generator(
+        "reflexion", gateway=gw, model="critic", temperature=0.5, seed=7
+    )
+    fg.feedback(_snapshot("the answer"))
+    (request, _), = gw.history
+    assert (request.model, request.temperature, request.seed) == ("critic", 0.5, 7)
+
+
 def test_factory_validates_arguments():
     with pytest.raises(ValueError):
-        feedback_generator("reflexion")
+        build_feedback("reflexion")
     with pytest.raises(ValueError):
-        feedback_generator("rulecheck")
+        build_feedback("rulecheck")
     with pytest.raises(ValueError):
-        feedback_generator("telepathy")
+        build_feedback("telepathy")

@@ -190,6 +190,21 @@ class TestResume:
         assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 2
         assert "bad cursor line 5:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        '{"kind": []}',
+        '{"kind": "batch", "epoch": 3, "batch": "x", "prompt_version": 2, '
+        '"episodes_total": 6, "calls_total": 14}',
+        '{"kind": "batch", "epoch": 3, "batch": 1, "prompt_version": "two", '
+        '"episodes_total": 6, "calls_total": 14}',
+    ], ids=["list-kind", "str-batch", "str-version"])
+    def test_malformed_cursor_field_is_corrupt(self, tmp_path, capsys, line):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        with open(tmp_path / "run" / "state.cursor", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 2
+        assert "bad cursor line 5:" in capsys.readouterr().err
+
 
 class TestEval:
     def eval_script(self, tmp_path, samples, answer_fn):
@@ -320,6 +335,28 @@ class TestEval:
         assert "--test-set or --trials" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_must_be_positive(self, tmp_path, capsys, trials):
+        script = write_script(tmp_path / "s.yaml", [entry(["x"], "y")])
+        code = main([
+            "eval", "--config", CFG, "--script", script,
+            "--prompt", str(GOLDEN / "initial_prompt.txt"),
+            "--trials", trials,
+        ])
+        assert code == 1
+        assert "--trials must be at least 1" in capsys.readouterr().err
+
+    def test_trials_and_test_set_exclude_each_other(self, tmp_path, capsys):
+        script = write_script(tmp_path / "s.yaml", [entry(["x"], "y")])
+        code = main([
+            "eval", "--config", CFG, "--script", script,
+            "--prompt", str(GOLDEN / "initial_prompt.txt"),
+            "--trials", "2", "--test-set", str(GOLDEN / "dataset.yaml"),
+        ])
+        assert code == 1
+        assert "either --test-set or --trials, not both" in capsys.readouterr().err
+
+
 class TestInspect:
     def test_clean_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
@@ -388,6 +425,20 @@ class TestInspect:
         capsys.readouterr()
         with open(tmp_path / "run" / "state.cursor", "ab") as fh:
             fh.write(b"\xff\xfe\n")
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
+        assert "bad cursor line 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        '{"kind": []}',
+        '{"kind": "batch", "epoch": 3, "batch": "x", "prompt_version": 2, '
+        '"episodes_total": 6, "calls_total": 14}',
+        '{"kind": "epoch", "epoch": 3, "changed": "yes", "prompt_version": 2}',
+    ], ids=["list-kind", "str-batch", "str-changed"])
+    def test_malformed_cursor_field_is_corrupt(self, tmp_path, capsys, line):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        with open(tmp_path / "run" / "state.cursor", "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
         assert "bad cursor line 5:" in capsys.readouterr().err
 

@@ -53,7 +53,9 @@ def test_mixed_outcomes():
         entry(["Task id: t3"], "I cannot produce a plan."),
         # t4 has no entry: the episode errors out.
     )
-    report = evaluate(PROMPT, samples, ToyAdapter(), gateway=gw, model="agent")
+    report = evaluate(
+        PROMPT, samples, ToyAdapter(), gateway=gw, model="agent", temperature=0.0, seed=42
+    )
     by_id = {r.sample_id: r for r in report.records}
     assert report.total == 4
 
@@ -79,7 +81,10 @@ def test_mixed_outcomes():
 
 def test_every_episode_failing_still_yields_a_full_report():
     samples = [toy("t1"), toy("t2")]
-    report = evaluate(PROMPT, samples, ToyAdapter(), gateway=make_gateway(), model="agent")
+    report = evaluate(
+        PROMPT, samples, ToyAdapter(), gateway=make_gateway(), model="agent",
+        temperature=0.0, seed=42,
+    )
     assert [r.sample_id for r in report.records] == ["t1", "t2"]
     assert report.delivery_rate == 0
     assert all(r.terminal == "error" and r.rounds_used == 0 for r in report.records)
@@ -90,13 +95,17 @@ def test_records_keep_sample_order():
     gw = make_gateway(
         entry(["Task id: t1"], GOOD), entry(["Task id: t2"], GOOD)
     )
-    report = evaluate(PROMPT, samples, ToyAdapter(), gateway=gw, model="agent")
+    report = evaluate(
+        PROMPT, samples, ToyAdapter(), gateway=gw, model="agent", temperature=0.0, seed=42
+    )
     assert [r.sample_id for r in report.records] == ["t2", "t1"]
 
 
 def test_filled_prompt_reaches_the_gateway():
     gw = make_recording_gateway(entry(["Task id: t1"], GOOD))
-    evaluate(PROMPT, [toy("t1")], ToyAdapter(), gateway=gw, model="agent")
+    evaluate(
+        PROMPT, [toy("t1")], ToyAdapter(), gateway=gw, model="agent", temperature=0.0, seed=42
+    )
     request, _ = gw.history[0]
     opening = request.messages[0].content
     assert "Task id: t1" in opening
@@ -116,7 +125,7 @@ def test_rulecheck_feedback_recovers_within_round_cap():
     fg = RuleCheckFeedback(ToyAdapter(), {"tm": sample})
     report = evaluate(
         PROMPT, [sample], ToyAdapter(), gateway=gw, model="agent",
-        feedback=fg, max_rounds=2,
+        temperature=0.0, seed=42, feedback=fg, max_rounds=2,
     )
     record = report.records[0]
     assert record.passed
@@ -140,7 +149,7 @@ def test_parallelism_runs_samples_side_by_side():
 
     report = evaluate(
         PROMPT, [toy("t1"), toy("t2")], ToyAdapter(), gateway=Meeting(),
-        model="agent", parallelism=2,
+        model="agent", temperature=0.0, seed=42, parallelism=2,
     )
     assert report.pass_rate == 1.0
 

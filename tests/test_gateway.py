@@ -49,7 +49,9 @@ def req(*parts, model="agent"):
         else:
             role, content = part
             messages.append(Message(Role(role), content))
-    return ChatRequest(messages=tuple(messages), model=model)
+    return ChatRequest(
+        messages=tuple(messages), model=model, temperature=0.0, seed=42
+    )
 
 
 # --- request validation -------------------------------------------------------
@@ -57,17 +59,19 @@ def req(*parts, model="agent"):
 
 def test_request_needs_messages():
     with pytest.raises(ValueError):
-        ChatRequest(messages=())
+        ChatRequest(messages=(), model="agent", temperature=0.0, seed=42)
 
 
 def test_request_rejects_assistant_opening():
     with pytest.raises(ValueError):
-        ChatRequest(messages=(Message(Role.ASSISTANT, "hi"),))
+        req(("assistant", "hi"))
 
 
 def test_request_rejects_negative_temperature():
     with pytest.raises(ValueError):
-        ChatRequest(messages=(Message(Role.USER, "x"),), temperature=-0.1)
+        ChatRequest(
+            messages=(Message(Role.USER, "x"),), model="agent", temperature=-0.1, seed=42
+        )
 
 
 # --- entry matching -------------------------------------------------------------
@@ -250,9 +254,7 @@ def cases(draw):
     sequence = []
     for _ in range(draw(st.integers(1, 8))):
         roles = draw(st.sampled_from(ROLE_SEQUENCES))
-        sequence.append(ChatRequest(
-            messages=tuple(Message(Role(r), draw(text)) for r in roles)
-        ))
+        sequence.append(req(*((r, draw(text)) for r in roles)))
     return entries, sequence
 
 
@@ -874,7 +876,10 @@ _CLI_SUBPROCESS = textwrap.dedent(
     server.daemon_threads = True
     threading.Thread(target=server.serve_forever, daemon=True).start()
     gw = HttpGateway(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1")
-    print(gw.complete(ChatRequest(messages=(Message(Role.USER, "u"),))).content)
+    request = ChatRequest(
+        messages=(Message(Role.USER, "u"),), model="agent", temperature=0.0, seed=42
+    )
+    print(gw.complete(request).content)
     print([m for m in ("requests", "urllib3") if m in sys.modules])
     """
 )

@@ -15,7 +15,13 @@ from reprompt.guardrails import (
 )
 from reprompt.prompt_model import parse_prompt
 
-from conftest import PROMPT_FIXTURES, entry, make_gateway, make_recording_gateway
+from conftest import (
+    PROMPT_FIXTURES,
+    entry,
+    make_caller,
+    make_gateway,
+    make_recording_gateway,
+)
 
 ORIGINAL_TEXT = (
     "Plan the trip.\n\n"
@@ -171,7 +177,7 @@ REPAIRED_TEXT = CANDIDATE_WITH_STUB.replace(
 def test_repair_happy_path():
     gw = make_recording_gateway(entry(["You are a template replacer"], REPAIRED_TEXT))
     result = repair_placeholders(
-        CANDIDATE_WITH_STUB, ORIGINAL, gateway=gw, model="agent"
+        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw)
     )
     assert result == REPAIRED_TEXT
     assert gw.calls == 1
@@ -195,7 +201,7 @@ def test_repair_retries_until_clean():
         ),
     )
     result = repair_placeholders(
-        CANDIDATE_WITH_STUB, ORIGINAL, gateway=gw, model="agent"
+        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw)
     )
     assert result == REPAIRED_TEXT
     assert gw.calls == 2
@@ -210,7 +216,7 @@ def test_repair_rejects_dropped_examples():
         entry(["You are a template replacer"], clean_but_lossy, max_uses=3)
     )
     with pytest.raises(RepairFailedError):
-        repair_placeholders(CANDIDATE_WITH_STUB, ORIGINAL, gateway=gw, model="agent")
+        repair_placeholders(CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw))
     assert gw.calls == 3
 
 
@@ -220,7 +226,7 @@ def test_repair_attempt_budget_is_configurable():
     )
     with pytest.raises(RepairFailedError):
         repair_placeholders(
-            CANDIDATE_WITH_STUB, ORIGINAL, gateway=gw, model="agent", attempts=2
+            CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw), attempts=2
         )
     assert gw.calls == 2
 
@@ -230,7 +236,7 @@ def test_repair_attempt_budget_is_configurable():
 
 def test_review_accepts_clean_candidate():
     candidate = with_steps("1. Read the query.\n2. Check the budget first.\n")
-    report, parsed = review_candidate(ORIGINAL, candidate)
+    report, parsed = review_candidate(ORIGINAL, candidate, repair=None)
     assert report.verdict is Verdict.ACCEPTED
     assert parsed is not None
     assert report.repaired_prompt is None
@@ -239,7 +245,7 @@ def test_review_accepts_clean_candidate():
 def test_review_repairs_placeholder_candidate():
     gw = make_gateway(entry(["You are a template replacer"], REPAIRED_TEXT))
     report, parsed = review_candidate(
-        ORIGINAL, CANDIDATE_WITH_STUB, gateway=gw, repair_model="agent"
+        ORIGINAL, CANDIDATE_WITH_STUB, repair=make_caller(gw)
     )
     assert report.verdict is Verdict.REPAIRED
     assert report.repaired_prompt == REPAIRED_TEXT
@@ -247,7 +253,7 @@ def test_review_repairs_placeholder_candidate():
 
 
 def test_review_rejects_placeholders_without_gateway():
-    report, parsed = review_candidate(ORIGINAL, CANDIDATE_WITH_STUB)
+    report, parsed = review_candidate(ORIGINAL, CANDIDATE_WITH_STUB, repair=None)
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
     assert report.violations[0].kind is ViolationKind.PLACEHOLDER_FOUND
@@ -258,7 +264,7 @@ def test_review_rejects_failed_repair():
         entry(["You are a template replacer"], CANDIDATE_WITH_STUB, max_uses=9)
     )
     report, parsed = review_candidate(
-        ORIGINAL, CANDIDATE_WITH_STUB, gateway=gw, repair_model="agent"
+        ORIGINAL, CANDIDATE_WITH_STUB, repair=make_caller(gw)
     )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
@@ -266,7 +272,7 @@ def test_review_rejects_failed_repair():
 
 def test_review_rejects_mutated_examples():
     candidate = ORIGINAL_TEXT.replace("Plan: p\n", "Plan: shortened\n")
-    report, parsed = review_candidate(ORIGINAL, candidate)
+    report, parsed = review_candidate(ORIGINAL, candidate, repair=None)
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
     assert report.violations[0].kind is ViolationKind.EXAMPLES_MUTATED
@@ -275,7 +281,7 @@ def test_review_rejects_mutated_examples():
 def test_review_enforces_required_tokens():
     candidate = ORIGINAL_TEXT.replace("Here is the task:", "Here is the task, team:")
     report, parsed = review_candidate(
-        ORIGINAL, candidate, required_tokens=("never present",)
+        ORIGINAL, candidate, required_tokens=("never present",), repair=None
     )
     assert report.verdict is Verdict.REJECTED
     assert report.violations[0].kind is ViolationKind.REQUIRED_TOKEN_MISSING
@@ -284,7 +290,7 @@ def test_review_enforces_required_tokens():
 def test_review_honors_extra_patterns():
     candidate = with_steps("1. Read.\n2. [[steps continue as before]]\n")
     cfg = GuardConfig(extra_placeholder_patterns=(r"\[\[.*?\]\]",))
-    report, parsed = review_candidate(ORIGINAL, candidate, guard_config=cfg)
+    report, parsed = review_candidate(ORIGINAL, candidate, guard_config=cfg, repair=None)
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
 

@@ -13,7 +13,7 @@ from reprompt.optimizer import (
 from reprompt.prompt_model import StepEditOp, parse_prompt, render_prompt
 from reprompt.summarizer import FocusCase, FocusPoint
 
-from conftest import entry, make_gateway, make_recording_gateway
+from conftest import entry, make_caller, make_gateway, make_recording_gateway
 
 MARKER = prompts.FINAL_PROMPT_MARKER  # ends with a space
 
@@ -35,13 +35,17 @@ NEW_TEXT = OLD_TEXT.replace(
 
 
 def focus(text="the budget is never checked.", case=FocusCase.FAILURE_REASON):
-    return FocusPoint(case=case, text=text, raw_output="raw", epoch=0, batch_index=0)
+    return FocusPoint(case=case, text=text)
+
+
+def callers(gateway):
+    """The optimizer and repair callers, both on ``gateway``."""
+    caller = make_caller(gateway)
+    return {"caller": caller, "repair": caller}
 
 
 def no_reason_focus():
-    return FocusPoint(
-        case=FocusCase.NO_GENERAL_REASON, text="", raw_output="raw", epoch=0, batch_index=0
-    )
+    return FocusPoint(case=FocusCase.NO_GENERAL_REASON, text="")
 
 
 # --- final prompt extraction ----------------------------------------------------
@@ -109,12 +113,9 @@ def test_classify_placement_coarse():
 
 def test_changed_update_needs_placement():
     with pytest.raises(ValueError):
-        PromptUpdate(
-            focus=focus(), raw_output="r", new_prompt=OLD, changed=True
-        )
+        PromptUpdate(raw_output="r", new_prompt=OLD, changed=True)
     with pytest.raises(ValueError):
         PromptUpdate(
-            focus=focus(),
             raw_output="r",
             new_prompt=OLD,
             changed=False,
@@ -127,7 +128,7 @@ def test_changed_update_needs_placement():
 
 def test_no_general_reason_is_identity_with_zero_calls():
     gw = make_gateway(entry(["You are a prompt optimizer"], "should never fire"))
-    update = optimize(OLD, no_reason_focus(), gateway=gw, model="agent")
+    update = optimize(OLD, no_reason_focus(), **callers(gw))
     assert update.changed is False
     assert update.new_prompt is OLD
     assert update.placement is None
@@ -138,7 +139,7 @@ def test_accepted_rewrite_bumps_version():
     gw = make_gateway(
         entry(["You are a prompt optimizer"], f"analysis\n{MARKER}\n{NEW_TEXT}")
     )
-    update = optimize(OLD, focus(), gateway=gw, model="agent")
+    update = optimize(OLD, focus(), **callers(gw))
     assert update.changed
     assert render_prompt(update.new_prompt) == NEW_TEXT
     assert update.new_prompt.version == OLD.version + 1
@@ -152,7 +153,7 @@ def test_request_carries_prompt_and_focus():
     gw = make_recording_gateway(
         entry(["You are a prompt optimizer"], f"{MARKER}\n{NEW_TEXT}")
     )
-    optimize(OLD, focus("check totals before answering."), gateway=gw, model="agent")
+    optimize(OLD, focus("check totals before answering."), **callers(gw))
     request, _ = gw.history[0]
     user = request.messages[1].content
     assert OLD_TEXT in user
@@ -163,7 +164,7 @@ def test_identical_output_is_unchanged_but_consumes_a_call():
     gw = make_gateway(
         entry(["You are a prompt optimizer"], f"{MARKER}\n{OLD_TEXT}")
     )
-    update = optimize(OLD, focus(), gateway=gw, model="agent")
+    update = optimize(OLD, focus(), **callers(gw))
     assert update.changed is False
     assert update.placement is None
     assert update.new_prompt is OLD
@@ -183,7 +184,7 @@ def test_retry_note_names_the_rejection():
             f"{MARKER}\n{NEW_TEXT}",
         ),
     )
-    update = optimize(OLD, focus(), gateway=gw, model="agent")
+    update = optimize(OLD, focus(), **callers(gw))
     assert update.changed
     assert gw.calls == 2
     retry_request, _ = gw.history[1]
@@ -197,7 +198,7 @@ def test_marker_missing_on_every_attempt():
         entry(["You are a prompt optimizer"], "no final line here", max_uses=3)
     )
     with pytest.raises(MissingFinalMarkerError):
-        optimize(OLD, focus(), gateway=gw, model="agent")
+        optimize(OLD, focus(), **callers(gw))
     assert gw.calls == 3
 
 
@@ -207,7 +208,7 @@ def test_all_attempts_rejected_carries_last_report():
         entry(["You are a prompt optimizer"], f"{MARKER}\n{mutated}", max_uses=3)
     )
     with pytest.raises(GuardrailRejectionError) as err:
-        optimize(OLD, focus(), gateway=gw, model="agent")
+        optimize(OLD, focus(), **callers(gw))
     assert err.value.report is not None
     assert err.value.report.verdict is Verdict.REJECTED
 
@@ -220,8 +221,7 @@ def test_attempt_budget_is_configurable():
         optimize(
             OLD,
             focus(),
-            gateway=gw,
-            model="agent",
+            **callers(gw),
             guard_config=GuardConfig(optimizer_attempts=2),
         )
     assert gw.calls == 2
@@ -233,7 +233,7 @@ def test_conservation_rejects_preamble_edits():
         entry(["You are a prompt optimizer"], f"{MARKER}\n{sneaky}", max_uses=3)
     )
     with pytest.raises(GuardrailRejectionError) as err:
-        optimize(OLD, focus(), gateway=gw, model="agent")
+        optimize(OLD, focus(), **callers(gw))
     assert "outside the step instructions" in str(err.value)
 
 
@@ -246,7 +246,7 @@ def test_placeholder_candidate_is_repaired_in_flight():
         entry(["You are a prompt optimizer"], f"{MARKER}\n{stubbed}"),
         entry(["You are a template replacer"], NEW_TEXT),
     )
-    update = optimize(OLD, focus(), gateway=gw, model="agent")
+    update = optimize(OLD, focus(), **callers(gw))
     assert update.changed
     assert update.guard_report.verdict is Verdict.REPAIRED
     assert render_prompt(update.new_prompt) == NEW_TEXT
@@ -259,7 +259,7 @@ def test_required_tokens_flow_through():
     )
     with pytest.raises(GuardrailRejectionError):
         optimize(
-            OLD, focus(), gateway=gw, model="agent",
+            OLD, focus(), **callers(gw),
             required_tokens=("THIS TOKEN IS NOWHERE",),
         )
 
@@ -268,4 +268,4 @@ def test_unstructured_prompt_is_refused():
     gw = make_gateway(entry(["x"], "y"))
     bare = parse_prompt("no steps at all\n")
     with pytest.raises(ValueError):
-        optimize(bare, focus(), gateway=gw, model="agent")
+        optimize(bare, focus(), **callers(gw))

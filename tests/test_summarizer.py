@@ -19,7 +19,7 @@ from reprompt.summarizer import (
     summarize_batch,
 )
 
-from conftest import entry, make_gateway, make_recording_gateway
+from conftest import entry, make_caller, make_gateway, make_recording_gateway
 
 PROMPT = parse_prompt("Do the thing.\n")
 
@@ -95,24 +95,12 @@ def test_routing_is_case_insensitive():
 
 def test_no_reason_focus_must_have_empty_text():
     with pytest.raises(ValueError):
-        FocusPoint(
-            case=FocusCase.NO_GENERAL_REASON,
-            text="something",
-            raw_output="r",
-            epoch=0,
-            batch_index=0,
-        )
+        FocusPoint(case=FocusCase.NO_GENERAL_REASON, text="something")
 
 
 def test_reason_focus_must_have_text():
     with pytest.raises(ValueError):
-        FocusPoint(
-            case=FocusCase.FAILURE_REASON,
-            text="",
-            raw_output="r",
-            epoch=0,
-            batch_index=0,
-        )
+        FocusPoint(case=FocusCase.FAILURE_REASON, text="")
 
 
 # --- scrubbing --------------------------------------------------------------------
@@ -192,19 +180,15 @@ def test_happy_path_single_call():
             conclusion("the answers skip the constraint check."),
         )
     )
-    focus = summarize_batch(
-        [transcript()], PROMPT, gateway=gw, model="critic", epoch=2, batch_index=1
-    )
+    focus = summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
     assert focus.case is FocusCase.FAILURE_REASON
     assert focus.text == "the answers skip the constraint check."
-    assert focus.epoch == 2
-    assert focus.batch_index == 1
     assert gw.calls == 1
 
 
 def test_request_carries_prompt_and_transcripts():
     gw = make_recording_gateway(entry(["You are a summarizer"], conclusion("a reason.")))
-    summarize_batch([transcript("s7")], PROMPT, gateway=gw, model="critic")
+    summarize_batch([transcript("s7")], PROMPT, caller=make_caller(gw, "critic"))
     request, _ = gw.history[0]
     assert request.messages[0].role is Role.SYSTEM
     assert request.messages[0].content == prompts.SUMMARIZER_SYSTEM_PROMPT
@@ -223,7 +207,7 @@ def test_retry_after_missing_marker():
             conclusion("the constraint is never checked."),
         ),
     )
-    focus = summarize_batch([transcript()], PROMPT, gateway=gw, model="critic")
+    focus = summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
     assert focus.case is FocusCase.FAILURE_REASON
     assert gw.calls == 2
     retry_request, _ = gw.history[1]
@@ -235,7 +219,7 @@ def test_two_missing_markers_raise():
         entry(["You are a summarizer"], "still no marker", max_uses=2)
     )
     with pytest.raises(MissingConclusionMarkerError):
-        summarize_batch([transcript()], PROMPT, gateway=gw, model="critic")
+        summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
     assert gw.calls == 2
 
 
@@ -251,7 +235,7 @@ def test_retry_after_scrub_hit():
             conclusion("the plans exceed the stated budget."),
         ),
     )
-    focus = summarize_batch([transcript()], PROMPT, gateway=gw, model="critic")
+    focus = summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
     assert focus.text == "the plans exceed the stated budget."
     retry_request, _ = gw.history[1]
     assert retry_request.messages[2].content == prompts.SUMMARIZER_DETAIL_REMINDER
@@ -262,7 +246,7 @@ def test_two_scrub_hits_raise():
         entry(["You are a summarizer"], conclusion("spends $9 extra"), max_uses=2)
     )
     with pytest.raises(ScrubRejectedError):
-        summarize_batch([transcript()], PROMPT, gateway=gw, model="critic")
+        summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
 
 
 def test_no_reason_case_is_scrub_exempt_downstream():
@@ -274,7 +258,7 @@ def test_no_reason_case_is_scrub_exempt_downstream():
             conclusion("there is no general reason, each case differs."),
         )
     )
-    focus = summarize_batch([transcript()], PROMPT, gateway=gw, model="critic")
+    focus = summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
     assert focus.case is FocusCase.NO_GENERAL_REASON
     assert focus.text == ""
 
@@ -282,4 +266,4 @@ def test_no_reason_case_is_scrub_exempt_downstream():
 def test_empty_batch_rejected():
     gw = make_gateway(entry(["x"], "y"))
     with pytest.raises(ValueError):
-        summarize_batch([], PROMPT, gateway=gw, model="critic")
+        summarize_batch([], PROMPT, caller=make_caller(gw, "critic"))

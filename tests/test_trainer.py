@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import GOLDEN, entry, make_gateway
-from reprompt import trainer
+from conftest import GOLDEN, Recording, entry, make_gateway
+from reprompt import prompts, trainer
 from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.cli import main
 from reprompt.config import parse_config
@@ -84,6 +84,26 @@ def edit_cursor(run_dir, index, edit):
     )
 
 
+# sha256 of each golden-run request's (model, temperature, seed, roles,
+# contents), in call order.
+REQUEST_DIGESTS = [
+    "a6014a84439338df98eac0c2abacda4d78ee6c8ae780a9ac09021848b016b4a7",  # actor
+    "a7a1bca622c47e1ab3fd0bbe6314ff92c04a99190982ed96ac3116a3a59685b8",  # actor
+    "aa8e96ea7302ba0fe9d14a8db0a782770e3ccfb8f48499e848978112dee119e1",  # actor
+    "7a4967a226eac482ef6d406f7df1e0c7dc775b8ff321d2fc20217ebcabedf83d",  # actor
+    "ab1bba4600e0ad77fe991f59fc32cb3566292f8ea1da456411b5ba6072087db7",  # actor
+    "71d5c51f34f1d15b81bf9bf8d0d9a69730a16419f3810f63dc75b8e5eee7a85f",  # actor
+    "f35ae46539a49a72265bac4e6a24bdda1dc9dc300bc10131e7f86888e75c266e",  # summarizer
+    "ff067d56120eab31872f8575cf7669a427eddbf26dba6393046fc8a57819c1dc",  # optimizer
+    "9bb9343b12d80fea6d10fff1c105ccc88461510c39d4434dcbceb43fc4972677",  # actor
+    "70c55df344282356951ac42b3feaf5acb3276a7a27276548bc80fefe4628bdcb",  # actor
+    "e05030ffb55910594da5c3ec50e6a6d07c3361be408cc813eed77e7d988bdcc6",  # actor
+    "536429c00c9ddc3a10ed5f0f1b2711475ba4289921226b59396a6bd5502f211e",  # summarizer
+    "652f914af5bb1e0353e95531cd7b8891688c62fd66673784085e0236627dd23f",  # optimizer
+    "bae806e94aa100b9c137186aa29be164fd780ab51e88fb034ab76d45b42832b1",  # repair
+]
+
+
 class TestGoldenRun:
     def test_result_summary(self, tmp_path):
         result = run_golden(tmp_path / "run")
@@ -94,6 +114,46 @@ class TestGoldenRun:
         assert not result.converged
         expected = (GOLDEN / "final_prompt.txt").read_text(encoding="utf-8")
         assert render_prompt(result.final_prompt) == expected
+
+    def test_request_stream(self, tmp_path):
+        # Scripted matching reads only message text, so the manifest alone
+        # cannot catch a request sent with the wrong model, temperature or
+        # seed. Each digest covers one call, in the order the calls were made.
+        samples, feedback, gateway = golden_inputs()
+        recording = Recording(gateway)
+        train(
+            (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"),
+            samples,
+            config=golden_config(),
+            gateway=recording,
+            feedback=feedback,
+            run_dir=tmp_path / "run",
+        )
+        requests = [request for request, _ in recording.history]
+        digests = [
+            hashlib.sha256(json.dumps([
+                r.model, r.temperature, r.seed,
+                [m.role.value for m in r.messages],
+                [m.content for m in r.messages],
+            ]).encode("utf-8")).hexdigest()
+            for r in requests
+        ]
+        assert digests == REQUEST_DIGESTS
+        stages = {
+            prompts.SUMMARIZER_SYSTEM_PROMPT: "summarizer",
+            prompts.OPTIMIZER_SYSTEM_PROMPT: "optimizer",
+            prompts.TEMPLATE_REPLACER_SYSTEM_PROMPT: "repair",
+        }
+        models: dict[str, set[str]] = {}
+        for r in requests:
+            stage = stages.get(r.messages[0].content, "actor")
+            models.setdefault(stage, set()).add(r.model)
+        assert models == {
+            "actor": {"planner"},
+            "summarizer": {"critic"},
+            "optimizer": {"critic"},
+            "repair": {"critic"},
+        }
 
     def test_tree_matches_manifest(self, tmp_path):
         manifest = yaml.safe_load((GOLDEN / "manifest.yaml").read_text())
@@ -686,6 +746,13 @@ def golden_dir(tmp_path):
     return tmp_path / "run"
 
 
+# A batch line with every field resume needs, each of the right type.
+COMPLETE_BATCH = {
+    "kind": "batch", "epoch": 3, "batch": 1, "prompt_version": 2,
+    "episodes_total": 6, "calls_total": 14,
+}
+
+
 class TestCorruptRuns:
     def test_tampered_text_fails_hash(self, golden_dir):
         v1 = golden_dir / "prompts" / "v1.txt"
@@ -795,6 +862,33 @@ class TestCorruptRuns:
             fh.write('{"kind": "batch", "epoch": 3}\n')
         samples, feedback, _ = golden_inputs()
         with pytest.raises(CorruptRunError, match="not a complete batch or epoch record"):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
+
+    @pytest.mark.parametrize("line", [
+        {"kind": []},
+        {**COMPLETE_BATCH, "batch": "x"},
+        {**COMPLETE_BATCH, "prompt_version": "two"},
+        {**COMPLETE_BATCH, "epoch": 3.0},
+        {**COMPLETE_BATCH, "calls_total": None},
+        {**COMPLETE_BATCH, "episodes_total": True},
+        {"kind": "epoch", "epoch": 3, "changed": "yes", "prompt_version": 2},
+        {"kind": "epoch", "epoch": 3, "changed": 1, "prompt_version": 2},
+    ], ids=[
+        "list-kind", "str-batch", "str-version", "float-epoch", "null-calls",
+        "bool-episodes", "str-changed", "int-changed",
+    ])
+    def test_malformed_cursor_field(self, golden_dir, line):
+        cursor = golden_dir / "state.cursor"
+        line_no = len(cursor.read_bytes().splitlines()) + 1
+        with open(cursor, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        with pytest.raises(CorruptRunError, match=f"bad cursor line {line_no}:"):
+            verify_chain(golden_dir)
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match=f"bad cursor line {line_no}:"):
             resume(
                 golden_dir, samples, config=golden_config(),
                 gateway=make_gateway(), feedback=feedback,
