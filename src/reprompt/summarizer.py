@@ -7,12 +7,13 @@ case is the identity signal, it makes the optimizer skip the round.
 """
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
 
 from . import prompts
-from .actor import Transcript, format_transcript
+from .actor import Transcript, TranscriptMessage, TranscriptRole, format_transcript
 from .errors import MarkerAbsentError, MissingConclusionMarkerError, ScrubRejectedError
 from .gateway import Caller
 from .prompt_model import PromptDocument, render_prompt
@@ -20,6 +21,10 @@ from .prompt_model import PromptDocument, render_prompt
 DEFAULT_TRANSCRIPT_BUDGET = 60_000
 
 TRUNCATION_SENTINEL = "\n[... transcript truncated ...]\n"
+
+# Stands in for the prompt text a round-1 message shares with the current
+# prompt, which the summarizer is shown once ahead of the transcripts.
+ELIDED_PROMPT_LINE = "[the current prompt above, with this sample's task filled in:]"
 
 
 class FocusCase(Enum):
@@ -88,18 +93,51 @@ def scrub_violations(text: str) -> list[str]:
     return hits
 
 
-def serialize_transcripts(transcripts: list[Transcript], budget: int) -> str:
+def _elide_prompt(message: str, prompt_text: str) -> str:
+    """Replace the lines ``message`` shares with the prompt by one line.
+
+    The shared part ends at a line boundary, so the first line that
+    differs (the sample's ``Task id:`` line on toy prompts) is kept whole.
+    A message that shares no whole line with the prompt is returned as is.
+    """
+    # Binary search for the length of the common prefix.
+    lo, hi = 0, min(len(message), len(prompt_text))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if message.startswith(prompt_text[:mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    cut = message.rfind("\n", 0, lo) + 1
+    return f"{ELIDED_PROMPT_LINE}\n{message[cut:]}" if cut else message
+
+
+def _serialize_transcript(t: Transcript, prompt_text: str) -> str:
+    messages = t.messages
+    if messages and messages[0].role is TranscriptRole.USER:
+        first = messages[0]
+        first = TranscriptMessage(
+            first.role, _elide_prompt(first.content, prompt_text), first.round
+        )
+        t = dataclasses.replace(t, messages=(first, *messages[1:]))
+    return f"=== Transcript for sample {t.sample_id} ===\n{format_transcript(t)}"
+
+
+def serialize_transcripts(
+    transcripts: list[Transcript], budget: int, prompt_text: str
+) -> str:
     """Render transcripts for the summarizer, keeping the total under budget.
 
-    Oversized transcripts are cut symmetrically: head and tail halves are
-    kept and one sentinel marks the gap, so both the opening prompt and the
-    final exchange stay visible.
+    ``prompt_text`` is the rendered prompt the summarizer is shown once
+    ahead of the transcripts. Each transcript's round-1 user message
+    repeats it with the sample's task filled in, so the shared leading
+    lines are replaced by ELIDED_PROMPT_LINE and only the filled task
+    tail is kept; later messages are verbatim. Oversized transcripts are
+    then cut symmetrically: head and tail halves are kept and one sentinel
+    marks the gap, so both the sample's task and the final exchange stay
+    visible.
     """
-    parts = []
-    for t in transcripts:
-        parts.append(
-            f"=== Transcript for sample {t.sample_id} ===\n" + format_transcript(t)
-        )
+    parts = [_serialize_transcript(t, prompt_text) for t in transcripts]
     if not parts:
         return ""
     separator = "\n\n"
@@ -138,9 +176,10 @@ def summarize_batch(
     """
     if not transcripts:
         raise ValueError("cannot summarize an empty batch")
+    prompt_text = render_prompt(prompt)
     chat_history = (
-        f"{prompts.CURRENT_PROMPT_HEADER}\n\n{render_prompt(prompt)}\n\n"
-        + serialize_transcripts(transcripts, DEFAULT_TRANSCRIPT_BUDGET)
+        f"{prompts.CURRENT_PROMPT_HEADER}\n\n{prompt_text}\n\n"
+        + serialize_transcripts(transcripts, DEFAULT_TRANSCRIPT_BUDGET, prompt_text)
     )
     user = prompts.SUMMARIZER_USER_TEMPLATE.format(chat_history=chat_history)
     note = None

@@ -68,7 +68,7 @@ from .prompt_model import (
     parse_prompt,
     render_prompt,
 )
-from .summarizer import summarize_batch
+from .summarizer import FocusCase, summarize_batch
 from .yamlio import load_yaml
 
 CURSOR_NAME = "state.cursor"
@@ -161,6 +161,13 @@ _CURSOR_FIELDS = {
     },
     "epoch": {"epoch": int, "changed": bool, "prompt_version": int},
 }
+
+# A committed version's fields that readers format or replay as text; the
+# focus case must also name a FocusCase.
+_VERSION_STRINGS = (
+    "hash", "parent_hash", "placement", "focus_case", "focus_text", "segment_text",
+)
+_FOCUS_CASES = frozenset(case.value for case in FocusCase)
 
 
 def _cursor_problem(entry) -> str | None:
@@ -327,7 +334,9 @@ def _check_run(
     by the cursor line of the batch that wrote it. Each record's meta holds
     ``version``, ``parent``, ``hash``, ``parent_hash``, ``placement``,
     ``focus_case``, ``focus_text`` and ``segment_text``; a version's parent
-    is the prompt its batch ran with.
+    is the prompt its batch ran with. A committed version's hashes,
+    placement, focus text and segment text must be strings, and its focus
+    case a FocusCase value.
 
     The versions must be contiguous from 0, every committed file must exist
     and no file may be uncommitted. Each text must match its hash and each
@@ -363,7 +372,7 @@ def _check_run(
                 raise CorruptRunError(
                     f"the cursor's record of prompt v{n} is not a mapping"
                 )
-            metas.append({
+            vmeta = {
                 "version": n,
                 "parent": parent,
                 "hash": record.get("hash"),
@@ -372,7 +381,15 @@ def _check_run(
                 "focus_case": focus.get("case"),
                 "focus_text": focus.get("text"),
                 "segment_text": record.get("segment_text"),
-            })
+            }
+            bad = [k for k in _VERSION_STRINGS if not isinstance(vmeta[k], str)]
+            if not bad and vmeta["focus_case"] not in _FOCUS_CASES:
+                bad = ["focus_case"]
+            if bad:
+                raise CorruptRunError(
+                    f"the cursor's record of prompt v{n} has a malformed {bad[0]}"
+                )
+            metas.append(vmeta)
         parent = entry["prompt_version"]
     numbers = [m["version"] for m in metas]
     if numbers != list(range(len(metas))):
@@ -408,14 +425,9 @@ def _check_run(
                 raise CorruptRunError(
                     f"prompt v{n} parent hash does not match v{n - 1}"
                 )
-            new_step_text = vmeta["segment_text"]
-            if not isinstance(new_step_text, str):
-                raise CorruptRunError(
-                    f"prompt v{n} meta has no step segment text"
-                )
             doc = PromptDocument(
                 segments=tuple(
-                    dataclasses.replace(s, text=new_step_text)
+                    dataclasses.replace(s, text=vmeta["segment_text"])
                     if s.kind is SegmentKind.STEP_INSTRUCTIONS
                     else s
                     for s in docs[-1].segments

@@ -1,4 +1,5 @@
 """Command line entry points, driven through main(argv)."""
+import json
 import shutil
 
 import yaml
@@ -441,6 +442,24 @@ class TestInspect:
             fh.write(line + "\n")
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
         assert "bad cursor line 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda e: e["version"].update(placement=5),
+        lambda e: e.update(focus={"case": ["x"], "text": 3}),
+    ], ids=["int-placement", "list-focus-case"])
+    def test_malformed_version_record_is_corrupt(self, tmp_path, capsys, edit):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        cursor = tmp_path / "run" / "state.cursor"
+        entries = [json.loads(line) for line in cursor.read_text(encoding="utf-8").splitlines()]
+        edit(entries[0])
+        cursor.write_text(
+            "".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8"
+        )
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert "record of prompt v1 has a malformed" in captured.err
+        assert "check out" not in captured.out
 
     def test_tampered_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0

@@ -8,8 +8,10 @@ from reprompt.errors import (
     ScrubRejectedError,
 )
 from reprompt.gateway import Role
-from reprompt.prompt_model import parse_prompt
+from reprompt import summarizer
+from reprompt.prompt_model import parse_prompt, render_prompt
 from reprompt.summarizer import (
+    ELIDED_PROMPT_LINE,
     FocusCase,
     FocusPoint,
     TRUNCATION_SENTINEL,
@@ -22,6 +24,7 @@ from reprompt.summarizer import (
 from conftest import entry, make_caller, make_gateway, make_recording_gateway
 
 PROMPT = parse_prompt("Do the thing.\n")
+PROMPT_TEXT = render_prompt(PROMPT)
 
 MARKER = prompts.CONCLUSION_MARKER
 
@@ -139,7 +142,7 @@ def test_scrubber_accepts_general_statements(text):
 
 
 def test_serialization_headers_and_order():
-    text = serialize_transcripts([transcript("s1"), transcript("s2")], 60_000)
+    text = serialize_transcripts([transcript("s1"), transcript("s2")], 60_000, PROMPT_TEXT)
     first = text.find("=== Transcript for sample s1 ===")
     second = text.find("=== Transcript for sample s2 ===")
     assert 0 <= first < second
@@ -149,7 +152,7 @@ def test_serialization_headers_and_order():
 def test_serialization_respects_budget():
     long_answer = "x" * 50_000
     items = [transcript("s1", long_answer), transcript("s2", long_answer)]
-    text = serialize_transcripts(items, 10_000)
+    text = serialize_transcripts(items, 10_000, PROMPT_TEXT)
     assert len(text) <= 10_000
     assert text.count(TRUNCATION_SENTINEL) == 2
     # Symmetric trim keeps each transcript's header and its tail.
@@ -159,11 +162,108 @@ def test_serialization_respects_budget():
 
 def test_serialization_untouched_under_budget():
     items = [transcript("s1"), transcript("s2")]
-    assert len(serialize_transcripts(items, 60_000)) < 1_000
+    assert len(serialize_transcripts(items, 60_000, PROMPT_TEXT)) < 1_000
 
 
 def test_serialization_of_empty_list():
-    assert serialize_transcripts([], 100) == ""
+    assert serialize_transcripts([], 100, PROMPT_TEXT) == ""
+
+
+# --- prompt eliding ---------------------------------------------------------------
+
+TASK_PROMPT = (
+    "You plan trips.\nKeep within the budget.\n\n"
+    "Here is the task:\nTask id: {task_id}\nDays: {days}\n"
+)
+
+
+def episode(sid, first, *later):
+    """A transcript whose round-1 message is ``first``; ``later`` are
+    (role, content) pairs, an assistant reply then feedback, round by round."""
+    messages = [TranscriptMessage(TranscriptRole.USER, first, 1)]
+    messages += [
+        TranscriptMessage(role, content, 1 + (i + 1) // 2)
+        for i, (role, content) in enumerate(later)
+    ]
+    return Transcript(
+        sample_id=sid,
+        messages=tuple(messages),
+        rounds_used=max(m.round for m in messages),
+        terminal=Terminal.FINISHED_BY_AGENT,
+    )
+
+
+def filled(sid):
+    return TASK_PROMPT.format(task_id=sid, days=2)
+
+
+def test_shared_prompt_lines_become_one_line():
+    text = serialize_transcripts(
+        [episode("t9", filled("t9"), (TranscriptRole.ASSISTANT, "PLAN:"))],
+        60_000, TASK_PROMPT,
+    )
+    assert text == (
+        "=== Transcript for sample t9 ===\n"
+        f"[user / round 1]\n{ELIDED_PROMPT_LINE}\nTask id: t9\nDays: 2\n\n\n"
+        "[assistant / round 1]\nPLAN:"
+    )
+
+
+def test_cut_falls_on_a_line_boundary():
+    # "Task id: " is shared with the prompt, but the line differs after it,
+    # so the whole line is kept.
+    text = serialize_transcripts([episode("t9", filled("t9"))], 60_000, TASK_PROMPT)
+    assert f"{ELIDED_PROMPT_LINE}\nTask id: t9\n" in text
+    assert "Here is the task:" not in text
+    # A divergence inside an earlier line keeps that line whole too.
+    message = "You plan trips.\nKeep within the budget, strictly.\nTask id: t9\n"
+    text = serialize_transcripts([episode("t9", message)], 60_000, TASK_PROMPT)
+    assert f"{ELIDED_PROMPT_LINE}\nKeep within the budget, strictly.\nTask id: t9\n" in text
+    assert "You plan trips." not in text
+
+
+@pytest.mark.parametrize("message", [
+    "Solve this instead.\nTask id: t9\n",
+    "You plan trips!\nKeep within the budget.\n",
+    "You plan trips.",
+])
+def test_message_without_a_shared_line_is_kept_whole(message):
+    text = serialize_transcripts([episode("t9", message)], 60_000, TASK_PROMPT)
+    assert text == f"=== Transcript for sample t9 ===\n[user / round 1]\n{message}"
+
+
+def test_only_the_round_one_message_is_elided():
+    # Assistant and feedback messages stay verbatim even when they repeat
+    # the prompt.
+    item = episode(
+        "t9", filled("t9"),
+        (TranscriptRole.ASSISTANT, filled("t9")),
+        (TranscriptRole.FEEDBACK, filled("t9")),
+        (TranscriptRole.ASSISTANT, "PLAN:"),
+    )
+    text = serialize_transcripts([item], 60_000, TASK_PROMPT)
+    assert text.count(ELIDED_PROMPT_LINE) == 1
+    assert text.count(filled("t9")) == 2
+    assert f"[feedback / round 2]\n{filled('t9')}" in text
+
+
+def test_eliding_lets_a_batch_fit_the_budget_whole():
+    rules = "".join(f"Rule {i}: keep the plan consistent.\n" for i in range(150))
+    prompt = rules + "Task id: {task_id}\nDays: {days}\n"
+    items = [
+        episode(f"t{i}", prompt.format(task_id=f"t{i}", days=2),
+                (TranscriptRole.ASSISTANT, f"PLAN: answer {i}"))
+        for i in range(4)
+    ]
+    budget = 10_000
+    # Sent whole, each round-1 message alone is over its share of the budget.
+    assert TRUNCATION_SENTINEL in serialize_transcripts(items, budget, "")
+    text = serialize_transcripts(items, budget, prompt)
+    assert TRUNCATION_SENTINEL not in text
+    assert "Rule 0:" not in text
+    for i in range(4):
+        assert f"Task id: t{i}\nDays: 2\n" in text
+        assert f"PLAN: answer {i}" in text
 
 
 # --- summarize_batch ------------------------------------------------------------------
@@ -267,3 +367,26 @@ def test_empty_batch_rejected():
     gw = make_gateway(entry(["x"], "y"))
     with pytest.raises(ValueError):
         summarize_batch([], PROMPT, caller=make_caller(gw, "critic"))
+
+
+def test_serializes_through_the_module_function_once(monkeypatch):
+    # The benchmark times summarizer.serialize_transcripts by wrapping the
+    # module attribute, so summarize_batch must reach it through the module.
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return serialize_transcripts(*args)
+
+    monkeypatch.setattr(summarizer, "serialize_transcripts", counting)
+    gw = make_recording_gateway(
+        entry(["You are a summarizer"], "no marker in sight", excludes=["previous reply"]),
+        entry(
+            ["You are a summarizer", "previous reply did not contain"],
+            conclusion("the constraint is never checked."),
+        ),
+    )
+    summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
+    assert gw.calls == 2
+    assert len(seen) == 1
+    assert seen[0][2] == PROMPT_TEXT

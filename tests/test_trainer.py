@@ -16,6 +16,7 @@ from reprompt.config import parse_config
 from reprompt.errors import BudgetExhaustedError, CorruptRunError
 from reprompt.gateway import ScriptedGateway, load_script
 from reprompt.prompt_model import render_prompt
+from reprompt.summarizer import ELIDED_PROMPT_LINE
 from reprompt.toy_task import ToyAdapter, load_toy_samples, to_task_sample
 from reprompt.trainer import (
     replay_lineage,
@@ -93,12 +94,12 @@ REQUEST_DIGESTS = [
     "7a4967a226eac482ef6d406f7df1e0c7dc775b8ff321d2fc20217ebcabedf83d",  # actor
     "ab1bba4600e0ad77fe991f59fc32cb3566292f8ea1da456411b5ba6072087db7",  # actor
     "71d5c51f34f1d15b81bf9bf8d0d9a69730a16419f3810f63dc75b8e5eee7a85f",  # actor
-    "f35ae46539a49a72265bac4e6a24bdda1dc9dc300bc10131e7f86888e75c266e",  # summarizer
+    "7f252e32222668f2d00d529b0e4bfd633886feebf8a11b023cedf610feed365d",  # summarizer
     "ff067d56120eab31872f8575cf7669a427eddbf26dba6393046fc8a57819c1dc",  # optimizer
     "9bb9343b12d80fea6d10fff1c105ccc88461510c39d4434dcbceb43fc4972677",  # actor
     "70c55df344282356951ac42b3feaf5acb3276a7a27276548bc80fefe4628bdcb",  # actor
     "e05030ffb55910594da5c3ec50e6a6d07c3361be408cc813eed77e7d988bdcc6",  # actor
-    "536429c00c9ddc3a10ed5f0f1b2711475ba4289921226b59396a6bd5502f211e",  # summarizer
+    "b5d808c64810c315ee898d9abec8df30e87d79110562ab48a737f4be51dfd4eb",  # summarizer
     "652f914af5bb1e0353e95531cd7b8891688c62fd66673784085e0236627dd23f",  # optimizer
     "bae806e94aa100b9c137186aa29be164fd780ab51e88fb034ab76d45b42832b1",  # repair
 ]
@@ -154,6 +155,31 @@ class TestGoldenRun:
             "optimizer": {"critic"},
             "repair": {"critic"},
         }
+
+    def test_summarizer_sees_the_prompt_once(self, tmp_path):
+        # Each transcript's round-1 message repeats the prompt; the
+        # summarizer request carries it only under CURRENT_PROMPT_HEADER.
+        preamble = "You are a day-planner."
+        samples, feedback, gateway = golden_inputs()
+        recording = Recording(gateway)
+        train(
+            (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"),
+            samples,
+            config=golden_config(),
+            gateway=recording,
+            feedback=feedback,
+            run_dir=tmp_path / "run",
+        )
+        summarizer_requests = [
+            r for r, _ in recording.history
+            if r.messages[0].content == prompts.SUMMARIZER_SYSTEM_PROMPT
+        ]
+        assert len(summarizer_requests) == 2
+        for r in summarizer_requests:
+            user = r.messages[1].content
+            assert user.count(preamble) == 1
+            assert user.count(ELIDED_PROMPT_LINE) == 3
+            assert all(f"Task id: {sid}\n" in user for sid in ("toy-1", "toy-3", "toy-4"))
 
     def test_tree_matches_manifest(self, tmp_path):
         manifest = yaml.safe_load((GOLDEN / "manifest.yaml").read_text())
@@ -831,6 +857,32 @@ class TestCorruptRuns:
         edit_cursor(golden_dir, 2, lambda e: e["version"].update(parent_hash="0" * 64))
         with pytest.raises(CorruptRunError, match="parent hash does not match"):
             verify_chain(golden_dir)
+
+    @pytest.mark.parametrize("edit", [
+        lambda e: e["version"].update(hash=5),
+        lambda e: e["version"].update(parent_hash=None),
+        lambda e: e["version"].update(placement=5),
+        lambda e: e["version"].update(placement=["x"]),
+        lambda e: e["version"].update(segment_text=3),
+        lambda e: e.update(focus={"case": ["x"], "text": 3}),
+        lambda e: e.update(focus={"case": "bogus", "text": "a reason"}),
+        lambda e: e["focus"].update(text=3),
+        lambda e: e.pop("focus"),
+    ], ids=[
+        "int-hash", "null-parent-hash", "int-placement", "list-placement",
+        "int-segment-text", "list-focus-case", "unknown-focus-case", "int-focus-text",
+        "no-focus",
+    ])
+    def test_malformed_version_record(self, golden_dir, edit):
+        edit_cursor(golden_dir, 0, edit)
+        with pytest.raises(CorruptRunError, match="record of prompt v1 has a malformed"):
+            verify_chain(golden_dir)
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match="record of prompt v1 has a malformed"):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
 
     def test_replay_rejects_foreign_segment_text(self, golden_dir):
         edit_cursor(golden_dir, 0, lambda e: e["version"].update(
