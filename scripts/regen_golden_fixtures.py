@@ -26,6 +26,7 @@ from reprompt.config import parse_config
 from reprompt.gateway import ScriptedGateway, load_script
 from reprompt.prompt_model import (
     SegmentKind,
+    StepEdit,
     StepEditOp,
     classify_step_edits,
     extract_steps,
@@ -180,10 +181,10 @@ def build_versions(seg):
         assert render_prompt(parse_prompt(text, seg)) == text
 
     d0, d1, d2 = (parse_prompt(t, seg) for t in (v0, v1, v2))
-    edits, multi = classify_step_edits(extract_steps(d0), extract_steps(d1))
-    assert not multi and edits[0].op is StepEditOp.INSERT_BEFORE and edits[0].index == 2
-    edits, multi = classify_step_edits(extract_steps(d1), extract_steps(d2))
-    assert not multi and edits[0].op is StepEditOp.APPEND_STEP
+    edit = classify_step_edits(extract_steps(d0), extract_steps(d1))
+    assert edit == StepEdit(StepEditOp.INSERT_BEFORE, 2), edit
+    edit = classify_step_edits(extract_steps(d1), extract_steps(d2))
+    assert edit == StepEdit(StepEditOp.APPEND_STEP), edit
     return v0, v1, v2, d1
 
 

@@ -2,14 +2,15 @@
 
 An episode starts by sending the rendered prompt with task slots filled,
 then alternates assistant answers with feedback until the feedback
-generator says stop or the round cap is reached. Feedback is a first-class
-transcript role; on the wire it travels as a user message.
+generator says stop or the round cap is reached. A feedback generator
+returns the text to feed back, or None to stop the episode. Feedback is a
+first-class transcript role; on the wire it travels as a user message.
 """
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol, Sequence
 
@@ -104,19 +105,9 @@ def load_dataset(path: str) -> list[TaskSample]:
     return samples
 
 
-class Decision(Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-
-
-@dataclass(frozen=True)
-class Feedback:
-    text: str
-    decision: Decision
-
-
 class FeedbackGenerator(Protocol):
-    def feedback(self, transcript: Transcript) -> Feedback: ...
+    def feedback(self, transcript: Transcript) -> str | None:
+        """The text to feed back after the last answer, or None to stop."""
 
 
 def format_transcript(transcript: Transcript) -> str:
@@ -196,17 +187,15 @@ def run_episode(
             terminal=Terminal.FINISHED_BY_AGENT,
         )
         try:
-            verdict = fg.feedback(snapshot)
+            text = fg.feedback(snapshot)
         except Exception as exc:
             raise _aborted(
                 f"feedback failed for {sample.id}: {exc}", sample, history, rounds
             ) from exc
-        if verdict.decision is Decision.STOP:
+        if text is None:
             terminal = Terminal.FINISHED_BY_AGENT
             break
-        history.append(
-            TranscriptMessage(TranscriptRole.FEEDBACK, verdict.text, rounds + 1)
-        )
+        history.append(TranscriptMessage(TranscriptRole.FEEDBACK, text, rounds + 1))
     return Transcript(
         sample_id=sample.id,
         messages=tuple(history),
@@ -249,8 +238,8 @@ def collect_batch(
 class NoFeedback:
     """Stops every episode after the first answer."""
 
-    def feedback(self, transcript: Transcript) -> Feedback:
-        return Feedback(text="", decision=Decision.STOP)
+    def feedback(self, transcript: Transcript) -> None:
+        return None
 
 
 class ReflexionFeedback:
@@ -264,7 +253,7 @@ class ReflexionFeedback:
     def __init__(self, caller: Caller):
         self._caller = caller
 
-    def feedback(self, transcript: Transcript) -> Feedback:
+    def feedback(self, transcript: Transcript) -> str | None:
         reflection = self._caller.ask(
             prompts.REFLECTION_SYSTEM_PROMPT,
             prompts.REFLECTION_USER_TEMPLATE.format(
@@ -272,8 +261,8 @@ class ReflexionFeedback:
             ),
         )
         if prompts.DEFAULT_FINISH_MARKER in reflection:
-            return Feedback(text=reflection, decision=Decision.STOP)
-        return Feedback(text=reflection, decision=Decision.CONTINUE)
+            return None
+        return reflection
 
 
 _THINK_OPEN, _THINK_CLOSE = "<think>", "</think>"
@@ -282,22 +271,21 @@ _THINK_OPEN, _THINK_CLOSE = "<think>", "</think>"
 class ThinkTraceFeedback:
     """Treats the model's own ``<think>…</think>`` span as the feedback signal.
 
-    The span already sits inside the assistant message, so no extra model
-    call is made and the episode always stops after extraction.
+    The span already sits inside the assistant message, where the
+    summarizer reads it, so no extra model call is made and the episode
+    always stops. An answer without a closed span fails the episode.
     """
 
-    def feedback(self, transcript: Transcript) -> Feedback:
+    def feedback(self, transcript: Transcript) -> None:
         answer = transcript.last_assistant()
         if answer is None:
             raise NoThinkSpanError("transcript has no assistant message")
         start = answer.find(_THINK_OPEN)
         if start < 0:
             raise NoThinkSpanError(f"no {_THINK_OPEN} span in the last answer")
-        start += len(_THINK_OPEN)
-        end = answer.find(_THINK_CLOSE, start)
-        if end < 0:
+        if answer.find(_THINK_CLOSE, start + len(_THINK_OPEN)) < 0:
             raise NoThinkSpanError(f"unterminated {_THINK_OPEN} span")
-        return Feedback(text=answer[start:end], decision=Decision.STOP)
+        return None
 
 
 class RuleCheckFeedback:
@@ -311,21 +299,19 @@ class RuleCheckFeedback:
         self._adapter = adapter
         self._samples = samples_by_id
 
-    def feedback(self, transcript: Transcript) -> Feedback:
+    def feedback(self, transcript: Transcript) -> str | None:
         sample = self._samples[transcript.sample_id]
         answer_text = transcript.last_assistant()
         if answer_text is None:
-            return Feedback(
-                text="no answer was produced", decision=Decision.CONTINUE
-            )
+            return "no answer was produced"
         try:
             answer = self._adapter.parse_answer(answer_text)
         except UnparseableAnswerError as exc:
-            return Feedback(text=str(exc), decision=Decision.CONTINUE)
+            return str(exc)
         result = self._adapter.check(answer, sample)
         if result.passed:
-            return Feedback(text="", decision=Decision.STOP)
-        return Feedback(text=result.messages[0], decision=Decision.CONTINUE)
+            return None
+        return result.messages[0]
 
 
 def feedback_generator(

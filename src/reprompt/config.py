@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,6 +153,8 @@ def _get_float(items: dict[str, str], section: str, key: str, default: float) ->
         value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
     if value < 0:
         raise ConfigError(f"[{section}] {key} must be >= 0, got {value}")
     return value

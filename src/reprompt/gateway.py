@@ -644,6 +644,9 @@ class HttpGateway:
 
     @staticmethod
     def _parse_body(body: dict) -> ChatResponse:
+        """The response in a completion body. A body without a message, a
+        content that is neither a string nor null, or a usage that is not
+        a mapping of non-negative integer counts raises TransportError."""
         try:
             choice = body["choices"][0]
             content = choice["message"]["content"]
@@ -652,15 +655,24 @@ class HttpGateway:
             raise TransportError(f"malformed completion body: {exc}") from exc
         if content is None:
             content = ""
+        if not isinstance(content, str):
+            raise TransportError(
+                f"malformed completion body: content is {type(content).__name__}"
+            )
+        usage = body.get("usage") or {}
+        units = (
+            (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
+            if isinstance(usage, dict) else (None,)
+        )
+        if not all(type(n) is int and n >= 0 for n in units):
+            raise TransportError(f"malformed completion body: usage {usage!r}")
+        if not isinstance(finish, str):
+            finish = "other"
         reason = _FINISH_MAP.get(finish, FinishReason.OTHER)
         if reason is FinishReason.STOP and content == "":
             raise EmptyResponseError("model finished with empty content")
-        usage = body.get("usage") or {}
         return ChatResponse(
             content=content,
             finish_reason=reason,
-            usage=Usage(
-                prompt_units=int(usage.get("prompt_tokens", 0)),
-                output_units=int(usage.get("completion_tokens", 0)),
-            ),
+            usage=Usage(prompt_units=units[0], output_units=units[1]),
         )

@@ -2,9 +2,9 @@
 
 The optimizer asks a model for a full improved prompt, parses it from
 behind a fixed final-line marker, routes it through the guardrails, and
-verifies that nothing outside the step instructions moved. A focus point
-with no general reason short-circuits to an identity update without any
-model call.
+verifies that nothing outside the step instructions moved; an accepted
+change carries its placement, a StepEdit. A focus point with no general
+reason short-circuits to an identity update without any model call.
 """
 from __future__ import annotations
 
@@ -19,15 +19,15 @@ from .errors import (
 from .gateway import Caller
 from .guardrails import GuardConfig, GuardReport, Verdict, review_candidate
 from .prompt_model import (
+    WHOLE_BLOCK,
     DiffStatus,
     PromptDocument,
     SegmentKind,
     SegmentationConfig,
     StepEdit,
-    StepEditOp,
+    classify_step_edits,
     diff_prompts,
     extract_steps,
-    classify_step_edits,
     has_step_instructions,
     render_prompt,
 )
@@ -35,32 +35,17 @@ from .summarizer import FocusCase, FocusPoint
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Where the accepted edit landed within the step block."""
-
-    op: StepEditOp
-    index: int | None = None
-    multi_edit: bool = False
-
-    def __str__(self) -> str:
-        return str(StepEdit(self.op, self.index)) + (
-            " [multi-edit]" if self.multi_edit else ""
-        )
-
-
-@dataclass(frozen=True)
 class PromptUpdate:
+    """``placement`` is set exactly when the prompt changed."""
+
     raw_output: str
     new_prompt: PromptDocument
-    changed: bool
-    placement: Placement | None = None
+    placement: StepEdit | None = None
     guard_report: GuardReport | None = None
 
-    def __post_init__(self):
-        if self.changed and self.placement is None:
-            raise ValueError("a changed update must carry a placement")
-        if not self.changed and self.placement is not None:
-            raise ValueError("an unchanged update carries no placement")
+    @property
+    def changed(self) -> bool:
+        return self.placement is not None
 
 
 def parse_final_prompt(raw: str) -> str:
@@ -83,16 +68,10 @@ def parse_final_prompt(raw: str) -> str:
     return rest
 
 
-def classify_placement(
-    old: PromptDocument, new: PromptDocument
-) -> Placement:
-    """Describe the accepted step edit; collapses to a coarse whole-block
-    replacement (multi-edit flagged) when several steps moved at once."""
-    edits, multi = classify_step_edits(extract_steps(old), extract_steps(new))
-    if not edits:
-        edits = (StepEdit(StepEditOp.REPLACE_STEP, None),)
-        multi = True
-    return Placement(op=edits[0].op, index=edits[0].index, multi_edit=multi)
+def classify_placement(old: PromptDocument, new: PromptDocument) -> StepEdit:
+    """Describe the accepted step edit; a change that moved several steps,
+    or none of them, is the whole-block replacement."""
+    return classify_step_edits(extract_steps(old), extract_steps(new)) or WHOLE_BLOCK
 
 
 def _conservation_failure(
@@ -134,7 +113,7 @@ def optimize(
     if not has_step_instructions(prompt):
         raise ValueError("optimize needs a structured prompt (with step instructions)")
     if focus.case is FocusCase.NO_GENERAL_REASON:
-        return PromptUpdate(raw_output="", new_prompt=prompt, changed=False)
+        return PromptUpdate(raw_output="", new_prompt=prompt)
     cfg = guard_config or GuardConfig()
     attempts = cfg.optimizer_attempts
     old_text = render_prompt(prompt)
@@ -173,13 +152,9 @@ def optimize(
         if problem is not None:
             last_reason = problem
             continue
-        changed = render_prompt(parsed) != old_text
-        if not changed:
+        if render_prompt(parsed) == old_text:
             return PromptUpdate(
-                raw_output=raw,
-                new_prompt=prompt,
-                changed=False,
-                guard_report=report,
+                raw_output=raw, new_prompt=prompt, guard_report=report
             )
         new_prompt = PromptDocument(
             segments=parsed.segments,
@@ -189,7 +164,6 @@ def optimize(
         return PromptUpdate(
             raw_output=raw,
             new_prompt=new_prompt,
-            changed=True,
             placement=classify_placement(prompt, new_prompt),
             guard_report=report,
         )

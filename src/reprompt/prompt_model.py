@@ -5,12 +5,13 @@ instructions, examples, format requirements, task slot). Parsing assigns
 every byte of the source text to exactly one segment, so rendering the
 document always reproduces the original text unchanged. The optimizer and
 the guardrails rely on that property to compare segments byte for byte.
+The steps are the step segment's numbered items, a tuple of strings.
 """
 from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -343,63 +344,30 @@ def inject_default_steps(doc: PromptDocument) -> PromptDocument:
 # --- step lists -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
-class StepList:
-    steps: tuple[Step, ...] = ()
-
-    def __post_init__(self):
-        for pos, step in enumerate(self.steps, start=1):
-            if step.index != pos:
-                raise ValueError("step indices must run 1, 2, ... without gaps")
-            if not step.text:
-                raise ValueError("step text must be non-empty")
-
-    def texts(self) -> list[str]:
-        return [s.text for s in self.steps]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def steps_from_text(text: str) -> StepList:
-    """Parse the numbered items out of a step segment's text.
+def steps_from_text(text: str) -> tuple[str, ...]:
+    """The numbered items of a step segment's text, in order.
 
     Introducer lines before the first item are not steps. Continuation
     lines attach to the preceding item. Item numbering prefixes are
-    stripped and surrounding whitespace trimmed.
+    stripped and surrounding whitespace trimmed, so a bare ``2.`` line is
+    the empty step ``""``.
     """
     collected: list[list[str]] = []
     expected = 1
-    current: list[str] | None = None
     for line in text.splitlines(keepends=True):
-        num = _item_number(line)
-        if num == expected:
-            if current is not None:
-                collected.append(current)
-            current = [line[_ITEM_RE.match(line).end():]]
+        if _item_number(line) == expected:
+            collected.append([line[_ITEM_RE.match(line).end():]])
             expected += 1
-        elif current is not None:
-            current.append(line)
-    if current is not None:
-        collected.append(current)
-    steps = tuple(
-        Step(index=i, text="".join(parts).strip())
-        for i, parts in enumerate(collected, start=1)
-    )
-    return StepList(steps=steps)
+        elif collected:
+            collected[-1].append(line)
+    return tuple("".join(parts).strip() for parts in collected)
 
 
-def extract_steps(doc: PromptDocument) -> StepList:
+def extract_steps(doc: PromptDocument) -> tuple[str, ...]:
     for segment in doc.segments:
         if segment.kind is SegmentKind.STEP_INSTRUCTIONS:
             return steps_from_text(segment.text)
-    return StepList()
+    return ()
 
 
 # --- structural diff ---------------------------------------------------------
@@ -420,53 +388,61 @@ class StepEditOp(Enum):
 
 @dataclass(frozen=True)
 class StepEdit:
+    """Where an edit landed among the steps (``index`` is 1-based); its
+    label is what ``reprompt diff`` prints and a run's cursor records. A
+    ReplaceStep without an index replaces the whole block."""
+
     op: StepEditOp
     index: int | None = None
+
+    @property
+    def multi_edit(self) -> bool:
+        return self.op is StepEditOp.REPLACE_STEP and self.index is None
 
     def __str__(self) -> str:
         if self.op is StepEditOp.APPEND_STEP:
             return "AppendStep"
-        slot = "*" if self.index is None else str(self.index)
-        return f"{self.op.value}({slot})"
+        if self.multi_edit:
+            return "ReplaceStep(*) [multi-edit]"
+        return f"{self.op.value}({self.index})"
+
+
+WHOLE_BLOCK = StepEdit(StepEditOp.REPLACE_STEP)
 
 
 def classify_step_edits(
-    old: StepList, new: StepList
-) -> tuple[tuple[StepEdit, ...], bool]:
+    old: tuple[str, ...], new: tuple[str, ...]
+) -> StepEdit | None:
     """Describe how ``new`` differs from ``old`` at step granularity.
 
-    Single insertions, replacements and appends are reported precisely.
-    Anything else collapses to a whole-block replacement with the
-    multi-edit flag set.
+    None when the steps are equal. Single insertions, replacements and
+    appends are reported precisely; anything else is WHOLE_BLOCK.
     """
-    o = old.texts()
-    nw = new.texts()
-    if o == nw:
-        return (), False
-    if len(nw) == len(o) + 1:
-        if nw[:-1] == o:
-            return (StepEdit(StepEditOp.APPEND_STEP),), False
-        for k in range(len(o)):
-            if nw[:k] == o[:k] and nw[k + 1:] == o[k:]:
-                return (StepEdit(StepEditOp.INSERT_BEFORE, k + 1),), False
-    if len(nw) == len(o):
-        changed = [i for i, (x, y) in enumerate(zip(o, nw)) if x != y]
+    if old == new:
+        return None
+    if len(new) == len(old) + 1:
+        if new[:-1] == old:
+            return StepEdit(StepEditOp.APPEND_STEP)
+        for k in range(len(old)):
+            if new[:k] == old[:k] and new[k + 1:] == old[k:]:
+                return StepEdit(StepEditOp.INSERT_BEFORE, k + 1)
+    if len(new) == len(old):
+        changed = [i for i, (x, y) in enumerate(zip(old, new)) if x != y]
         if len(changed) == 1:
-            return (StepEdit(StepEditOp.REPLACE_STEP, changed[0] + 1),), False
-    return (StepEdit(StepEditOp.REPLACE_STEP, None),), True
+            return StepEdit(StepEditOp.REPLACE_STEP, changed[0] + 1)
+    return WHOLE_BLOCK
 
 
 @dataclass(frozen=True)
 class SegmentDiff:
     kind: SegmentKind
     status: DiffStatus
-    step_edits: tuple[StepEdit, ...] = ()
-    multi_edit: bool = False
+    step_edit: StepEdit | None = None
 
     def __str__(self) -> str:
         label = f"{self.kind.value:20s} {self.status.value}"
-        if self.step_edits:
-            label += ": " + ", ".join(str(e) for e in self.step_edits)
+        if self.step_edit is not None:
+            label += f": {self.step_edit}"
         return label
 
 
@@ -476,17 +452,6 @@ class StructuredDiff:
 
     def __str__(self) -> str:
         return "\n".join(str(e) for e in self.entries)
-
-
-def _step_pair_edits(
-    old_text: str, new_text: str
-) -> tuple[tuple[StepEdit, ...], bool]:
-    try:
-        return classify_step_edits(
-            steps_from_text(old_text), steps_from_text(new_text)
-        )
-    except ValueError:
-        return (StepEdit(StepEditOp.REPLACE_STEP, None),), True
 
 
 def diff_prompts(a: PromptDocument, b: PromptDocument) -> StructuredDiff:
@@ -522,13 +487,12 @@ def diff_prompts(a: PromptDocument, b: PromptDocument) -> StructuredDiff:
                 kind_a, text_a = sa[i1 + t]
                 kind_b, text_b = sb[j1 + t]
                 if kind_a is kind_b:
-                    edits: tuple[StepEdit, ...] = ()
-                    multi = False
+                    edit = None
                     if kind_a is SegmentKind.STEP_INSTRUCTIONS:
-                        edits, multi = _step_pair_edits(text_a, text_b)
-                    entries.append(
-                        SegmentDiff(kind_a, DiffStatus.MODIFIED, edits, multi)
-                    )
+                        edit = classify_step_edits(
+                            steps_from_text(text_a), steps_from_text(text_b)
+                        )
+                    entries.append(SegmentDiff(kind_a, DiffStatus.MODIFIED, edit))
                 else:
                     entries.append(SegmentDiff(kind_a, DiffStatus.REMOVED))
                     entries.append(SegmentDiff(kind_b, DiffStatus.ADDED))

@@ -1,8 +1,6 @@
 import pytest
 
 from reprompt.actor import (
-    Decision,
-    Feedback,
     NoFeedback,
     ReflexionFeedback,
     RuleCheckFeedback,
@@ -35,7 +33,8 @@ def sample(sid="s1"):
 
 
 class CannedFeedback:
-    """Fixed decisions, one per call, recording what it saw."""
+    """Fixed verdicts (text, or None to stop), one per call, recording what
+    it saw."""
 
     def __init__(self, *verdicts):
         self.verdicts = list(verdicts)
@@ -67,7 +66,7 @@ def test_single_round_episode():
 
 def test_stop_feedback_ends_the_episode():
     gw = make_gateway(entry(["Task id: s1"], "answer"))
-    fg = CannedFeedback(Feedback("", Decision.STOP))
+    fg = CannedFeedback(None)
     t = run_episode(PROMPT, sample(), fg, 3, caller=make_caller(gw))
     assert t.terminal is Terminal.FINISHED_BY_AGENT
     assert t.rounds_used == 1
@@ -82,10 +81,7 @@ def test_continue_feedback_travels_as_user_message():
         roles=["user", "assistant", "user"],
     )
     gw = make_gateway(first, second)
-    fg = CannedFeedback(
-        Feedback("fix the route", Decision.CONTINUE),
-        Feedback("", Decision.STOP),
-    )
+    fg = CannedFeedback("fix the route", None)
     t = run_episode(PROMPT, sample(), fg, 3, caller=make_caller(gw))
     assert t.terminal is Terminal.FINISHED_BY_AGENT
     assert t.rounds_used == 2
@@ -104,11 +100,21 @@ def test_round_cap_after_continue():
     first = entry(["Task id: s1"], "draft", roles=["user"])
     second = entry(["Task id: s1"], "again", roles=["user", "assistant", "user"])
     gw = make_gateway(first, second)
-    fg = CannedFeedback(Feedback("keep going", Decision.CONTINUE))
+    fg = CannedFeedback("keep going")
     t = run_episode(PROMPT, sample(), fg, 2, caller=make_caller(gw))
     assert t.terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert t.rounds_used == 2
     assert len(fg.seen) == 1
+
+
+def test_empty_feedback_text_continues():
+    first = entry(["Task id: s1"], "draft", roles=["user"])
+    second = entry(["Task id: s1"], "again", roles=["user", "assistant", "user"])
+    gw = make_gateway(first, second)
+    t = run_episode(PROMPT, sample(), CannedFeedback("", None), 3, caller=make_caller(gw))
+    assert t.rounds_used == 2
+    assert t.messages[2].role is TranscriptRole.FEEDBACK
+    assert t.messages[2].content == ""
 
 
 def test_gateway_failure_wraps_partial_transcript():
@@ -261,9 +267,7 @@ def _snapshot(answer):
 
 
 def test_no_feedback_always_stops():
-    verdict = NoFeedback().feedback(_snapshot("whatever"))
-    assert verdict.decision is Decision.STOP
-    assert verdict.text == ""
+    assert NoFeedback().feedback(_snapshot("whatever")) is None
 
 
 def test_reflexion_stops_on_finish_marker():
@@ -271,8 +275,7 @@ def test_reflexion_stops_on_finish_marker():
         entry(["You are a reflection assistant", "[assistant / round 1]"], "LGTM")
     )
     fg = ReflexionFeedback(make_caller(gw, "critic"))
-    verdict = fg.feedback(_snapshot("the answer"))
-    assert verdict.decision is Decision.STOP
+    assert fg.feedback(_snapshot("the answer")) is None
 
 
 def test_reflexion_continues_with_review_text():
@@ -280,16 +283,12 @@ def test_reflexion_continues_with_review_text():
         entry(["You are a reflection assistant"], "the total is over budget")
     )
     fg = ReflexionFeedback(make_caller(gw, "critic"))
-    verdict = fg.feedback(_snapshot("the answer"))
-    assert verdict.decision is Decision.CONTINUE
-    assert verdict.text == "the total is over budget"
+    assert fg.feedback(_snapshot("the answer")) == "the total is over budget"
 
 
 def test_thinktrace_extracts_span():
     fg = ThinkTraceFeedback()
-    verdict = fg.feedback(_snapshot("<think>check costs</think>PLAN: x"))
-    assert verdict.decision is Decision.STOP
-    assert verdict.text == "check costs"
+    assert fg.feedback(_snapshot("<think>check costs</think>PLAN: x")) is None
 
 
 def test_thinktrace_errors():
@@ -325,23 +324,17 @@ class FakeAdapter:
 
 def test_rulecheck_pass_stops():
     fg = RuleCheckFeedback(FakeAdapter(), {"s1": object()})
-    verdict = fg.feedback(_snapshot("good plan"))
-    assert verdict.decision is Decision.STOP
-    assert verdict.text == ""
+    assert fg.feedback(_snapshot("good plan")) is None
 
 
 def test_rulecheck_failure_feeds_first_message():
     fg = RuleCheckFeedback(FakeAdapter(), {"s1": object()})
-    verdict = fg.feedback(_snapshot("bad plan"))
-    assert verdict.decision is Decision.CONTINUE
-    assert verdict.text == "total exceeds the budget"
+    assert fg.feedback(_snapshot("bad plan")) == "total exceeds the budget"
 
 
 def test_rulecheck_unparseable_answer_continues():
     fg = RuleCheckFeedback(FakeAdapter(), {"s1": object()})
-    verdict = fg.feedback(_snapshot("garbled output"))
-    assert verdict.decision is Decision.CONTINUE
-    assert "cannot read" in verdict.text
+    assert "cannot read" in fg.feedback(_snapshot("garbled output"))
 
 
 def build_feedback(name, **kwargs):

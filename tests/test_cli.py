@@ -1,16 +1,23 @@
 """Command line entry points, driven through main(argv)."""
+import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import yaml
 
 import pytest
 
-from conftest import GOLDEN, entry, write_script
+from conftest import GOLDEN, TOY_SEG, entry, write_script
 from reprompt import cli, prompts
 from reprompt.cli import main
 from reprompt.config import parse_config
 from reprompt.evaluator import EvalReport
+from reprompt.prompt_model import inject_default_steps, parse_prompt, render_prompt
 from reprompt.toy_task import best_answer, format_plan, load_toy_samples
 
 CFG = str(GOLDEN / "run.cfg")
@@ -117,6 +124,39 @@ class TestTrain:
         assert main(argv) == 2
         assert "engine error:" in capsys.readouterr().err
 
+    def test_bare_step_item_is_recorded_as_insert(self, tmp_path, capsys):
+        initial = (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8")
+        v0 = render_prompt(inject_default_steps(parse_prompt(initial, TOY_SEG)))
+        candidate = v0.replace("2. Then,", "2.\n3. Then,")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[train]\nepochs = 1\nbatch_size = 3\nfeedback = none\n\n"
+            "[gateway]\nbackend = scripted\nmodel = planner\n\n"
+            '[task]\nkind = toy\nformat_open = ["Your final answer"]\n',
+            encoding="utf-8",
+        )
+        script = write_script(tmp_path / "script.yaml", [
+            entry(["Task id: "], "PLAN:\nDay 1: a11\n", roles=["user"]),
+            entry(
+                ["You are a summarizer"],
+                f"Budgets are ignored.\n{prompts.CONCLUSION_MARKER}check the budget.",
+            ),
+            entry(
+                ["You are a prompt optimizer"],
+                f"{prompts.FINAL_PROMPT_MARKER}\n{candidate}",
+            ),
+        ])
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--config") + 1] = str(cfg)
+        argv[argv.index("--script") + 1] = script
+        assert main(argv) == 0
+        assert "final prompt: v1" in capsys.readouterr().out
+        batch = json.loads(
+            (tmp_path / "run" / "state.cursor").read_text(encoding="utf-8").splitlines()[0]
+        )
+        assert batch["version"]["placement"] == "InsertBefore(2)"
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+        assert "InsertBefore(2)" in capsys.readouterr().out
 
     def test_http_gateway_is_built_from_base_url_alone(self, tmp_path, monkeypatch):
         built = []
@@ -502,3 +542,48 @@ class TestDiff:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+# A child train is killed once its run tree holds at least this many
+# files: 0 kills it before it writes anything, and 13, the whole golden
+# tree, before or after its last cursor lines.
+KILL_AT_FILES = (0, 2, 4, 6, 9, 12, 13)
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def count_files(root):
+    return sum(len(files) for _, _, files in os.walk(root))
+
+
+class TestProcessKill:
+    @pytest.mark.parametrize("files", KILL_AT_FILES)
+    def test_killed_train_resumes_to_golden(self, tmp_path, capsys, files):
+        run_dir = tmp_path / "run"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "reprompt.cli", *golden_train_argv(run_dir)],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while count_files(run_dir) < files and child.poll() is None:
+                assert time.monotonic() < deadline, "the child train stalled"
+                time.sleep(0.001)
+        finally:
+            child.kill()
+            child.wait()
+        left = sorted(p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*"))
+        if (run_dir / "prompts" / "v0.txt").exists():
+            argv = ["resume", "--config", CFG, "--out", str(run_dir)]
+        else:
+            argv = golden_train_argv(run_dir)
+        assert main(argv) == 0, (child.returncode, left, capsys.readouterr().err)
+        manifest = yaml.safe_load((GOLDEN / "manifest.yaml").read_text())
+        tree = {
+            p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(run_dir.rglob("*"))
+            if p.is_file()
+        }
+        assert tree == manifest["files"], (child.returncode, left)
+        assert main(["inspect", "--out", str(run_dir)]) == 0

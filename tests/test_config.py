@@ -137,6 +137,12 @@ def test_negative_temperature_rejected():
         parse_config("[gateway]\ntemperature = -1\n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_non_finite_temperature_rejected(raw):
+    with pytest.raises(ConfigError, match="temperature must be finite"):
+        parse_config(f"[gateway]\ntemperature = {raw}\n")
+
+
 def test_list_values_must_be_json_arrays():
     with pytest.raises(ConfigError, match="JSON array"):
         parse_config("[task]\nrequired_tokens = PLAN:\n")

@@ -529,6 +529,39 @@ def test_malformed_body_is_a_transport_error():
         gw.complete(req("u"))
 
 
+@pytest.mark.parametrize("body", [
+    ok_body(usage={"prompt_tokens": None}),
+    ok_body(usage="many"),
+    ok_body(usage={"prompt_tokens": "12k"}),
+    ok_body(usage={"completion_tokens": 2.5}),
+    ok_body(usage={"completion_tokens": True}),
+    ok_body(usage={"prompt_tokens": -1}),
+    ok_body(content=["hello"]),
+    ok_body(content=3),
+], ids=[
+    "null-count", "str-usage", "str-count", "float-count", "bool-count",
+    "negative-count", "list-content", "int-content",
+])
+def test_malformed_usage_or_content_is_a_transport_error(body):
+    post = FakePost(FakeHttp(body=body))
+    gw, _ = make_http(post)
+    with pytest.raises(TransportError, match="malformed completion body"):
+        gw.complete(req("u"))
+    assert len(post.calls) == 1
+
+
+def test_null_content_and_usage_are_empty():
+    body = {"choices": [{"message": {"content": None}}], "usage": None}
+    gw, _ = make_http(FakePost(FakeHttp(body=body)))
+    res = gw.complete(req("u"))
+    assert (res.content, res.usage) == ("", Usage())
+
+
+def test_non_string_finish_reason_is_other():
+    gw, _ = make_http(FakePost(FakeHttp(body=ok_body(finish=["stop"]))))
+    assert gw.complete(req("u")).finish_reason is FinishReason.OTHER
+
+
 def test_finish_reason_mapping():
     for finish, expected in [
         ("stop", FinishReason.STOP),

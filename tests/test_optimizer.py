@@ -3,14 +3,8 @@ import pytest
 from reprompt import prompts
 from reprompt.errors import GuardrailRejectionError, MarkerAbsentError, MissingFinalMarkerError
 from reprompt.guardrails import GuardConfig, Verdict
-from reprompt.optimizer import (
-    Placement,
-    PromptUpdate,
-    classify_placement,
-    optimize,
-    parse_final_prompt,
-)
-from reprompt.prompt_model import StepEditOp, parse_prompt, render_prompt
+from reprompt.optimizer import classify_placement, optimize, parse_final_prompt
+from reprompt.prompt_model import StepEdit, StepEditOp, parse_prompt, render_prompt
 from reprompt.summarizer import FocusCase, FocusPoint
 
 from conftest import entry, make_caller, make_gateway, make_recording_gateway
@@ -105,22 +99,23 @@ def test_classify_placement_coarse():
     assert placement.op is StepEditOp.REPLACE_STEP
     assert placement.index is None
     assert placement.multi_edit
-    assert "[multi-edit]" in str(placement)
+    assert str(placement) == "ReplaceStep(*) [multi-edit]"
 
 
-# --- update invariants -----------------------------------------------------------------
+def test_classify_placement_with_equal_steps_is_whole_block():
+    spaced = OLD_TEXT.replace("2. Draft the plan.\n\n", "2. Draft the plan.\n\n\n")
+    assert classify_placement(OLD, parse_prompt(spaced)) == StepEdit(
+        StepEditOp.REPLACE_STEP
+    )
 
 
-def test_changed_update_needs_placement():
-    with pytest.raises(ValueError):
-        PromptUpdate(raw_output="r", new_prompt=OLD, changed=True)
-    with pytest.raises(ValueError):
-        PromptUpdate(
-            raw_output="r",
-            new_prompt=OLD,
-            changed=False,
-            placement=Placement(StepEditOp.APPEND_STEP),
-        )
+def test_bare_item_candidate_is_an_insert():
+    bare = OLD_TEXT.replace("2. Draft the plan.\n", "2.\n3. Draft the plan.\n")
+    gw = make_gateway(entry(["You are a prompt optimizer"], f"{MARKER}\n{bare}"))
+    update = optimize(OLD, focus(), **callers(gw))
+    assert update.changed
+    assert update.placement == StepEdit(StepEditOp.INSERT_BEFORE, 2)
+    assert render_prompt(update.new_prompt) == bare
 
 
 # --- optimize -----------------------------------------------------------------------

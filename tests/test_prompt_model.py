@@ -18,10 +18,8 @@ from reprompt.prompt_model import (
     PromptSegment,
     SegmentKind,
     SegmentationConfig,
-    Step,
     StepEdit,
     StepEditOp,
-    StepList,
     classify_step_edits,
     diff_prompts,
     extract_steps,
@@ -188,15 +186,15 @@ def test_continuation_after_blank_gap():
     assert kinds(doc) == [SegmentKind.STEP_INSTRUCTIONS]
     steps = steps_from_text(doc.segments[0].text)
     assert len(steps) == 2
-    assert "change lodging" in steps.steps[0].text
+    assert "change lodging" in steps[0]
 
 
 def test_lettered_subitems_attach_to_their_step():
     doc = parse_prompt((PROMPT_FIXTURES / "travel_v5.txt").read_text())
     steps = extract_steps(doc)
     assert len(steps) == 5
-    assert "a. total budget," in steps.steps[0].text
-    assert "Keep breakfast" in steps.steps[2].text
+    assert "a. total budget," in steps[0]
+    assert "Keep breakfast" in steps[2]
 
 
 def test_step_block_stops_at_examples_marker():
@@ -320,60 +318,53 @@ def test_inject_rejects_structured_prompt():
 
 def test_steps_from_text_strips_numbering():
     steps = steps_from_text("Header one by one:\n1. alpha\n2. beta gamma\n")
-    assert steps.texts() == ["alpha", "beta gamma"]
+    assert steps == ("alpha", "beta gamma")
 
 
-def test_step_list_validates_indices():
-    with pytest.raises(ValueError):
-        StepList(steps=(Step(2, "x"),))
-    with pytest.raises(ValueError):
-        StepList(steps=(Step(1, ""),))
+def test_bare_item_is_an_empty_step():
+    assert steps_from_text("1. alpha\n2.\n3. beta\n") == ("alpha", "", "beta")
 
 
 def test_extract_steps_without_block():
-    assert len(extract_steps(parse_prompt("no steps here\n"))) == 0
+    assert extract_steps(parse_prompt("no steps here\n")) == ()
 
 
 # --- step edit classification -----------------------------------------------------
 
 
-def _sl(*texts):
-    return StepList(tuple(Step(i, t) for i, t in enumerate(texts, start=1)))
-
-
 def test_classify_identical():
-    assert classify_step_edits(_sl("a", "b"), _sl("a", "b")) == ((), False)
+    assert classify_step_edits(("a", "b"), ("a", "b")) is None
 
 
 def test_classify_append():
-    edits, multi = classify_step_edits(_sl("a", "b"), _sl("a", "b", "c"))
-    assert not multi
-    assert str(edits[0]) == "AppendStep"
+    edit = classify_step_edits(("a", "b"), ("a", "b", "c"))
+    assert not edit.multi_edit
+    assert str(edit) == "AppendStep"
 
 
 def test_classify_insert_middle():
-    edits, multi = classify_step_edits(_sl("a", "b"), _sl("a", "x", "b"))
-    assert not multi
-    assert edits == (StepEdit(StepEditOp.INSERT_BEFORE, 2),)
-    assert str(edits[0]) == "InsertBefore(2)"
+    edit = classify_step_edits(("a", "b"), ("a", "x", "b"))
+    assert not edit.multi_edit
+    assert edit == StepEdit(StepEditOp.INSERT_BEFORE, 2)
+    assert str(edit) == "InsertBefore(2)"
 
 
 def test_classify_insert_front():
-    edits, _ = classify_step_edits(_sl("a", "b"), _sl("x", "a", "b"))
-    assert edits == (StepEdit(StepEditOp.INSERT_BEFORE, 1),)
+    edit = classify_step_edits(("a", "b"), ("x", "a", "b"))
+    assert edit == StepEdit(StepEditOp.INSERT_BEFORE, 1)
 
 
 def test_classify_single_replace():
-    edits, multi = classify_step_edits(_sl("a", "b", "c"), _sl("a", "x", "c"))
-    assert not multi
-    assert edits == (StepEdit(StepEditOp.REPLACE_STEP, 2),)
+    edit = classify_step_edits(("a", "b", "c"), ("a", "x", "c"))
+    assert not edit.multi_edit
+    assert edit == StepEdit(StepEditOp.REPLACE_STEP, 2)
 
 
 def test_classify_multi_edit_collapses():
-    edits, multi = classify_step_edits(_sl("a", "b"), _sl("x", "y", "z"))
-    assert multi
-    assert edits == (StepEdit(StepEditOp.REPLACE_STEP, None),)
-    assert str(edits[0]) == "ReplaceStep(*)"
+    edit = classify_step_edits(("a", "b"), ("x", "y", "z"))
+    assert edit.multi_edit
+    assert edit == StepEdit(StepEditOp.REPLACE_STEP, None)
+    assert str(edit) == "ReplaceStep(*) [multi-edit]"
 
 
 # --- diff ------------------------------------------------------------------------
@@ -396,7 +387,7 @@ def test_diff_flags_only_modified_step_segment():
     entry = changed[0]
     assert entry.status is DiffStatus.MODIFIED
     assert entry.kind is SegmentKind.STEP_INSTRUCTIONS
-    assert entry.step_edits == (StepEdit(StepEditOp.REPLACE_STEP, 2),)
+    assert entry.step_edit == StepEdit(StepEditOp.REPLACE_STEP, 2)
 
 
 def test_diff_reports_added_and_removed():
@@ -419,6 +410,16 @@ def test_diff_str_is_printable():
     text = str(diff_prompts(old, new))
     assert "step_instructions" in text
     assert "AppendStep" in text
+
+
+@pytest.mark.parametrize("new_steps, label", [
+    ("1. x\n2. y\n3. z\n", "ReplaceStep(*) [multi-edit]"),
+    ("1. a\n2.\n3. b\n", "InsertBefore(2)"),
+], ids=["whole-block", "bare-item"])
+def test_diff_prints_the_cursor_label(new_steps, label):
+    old = parse_prompt("Intro.\n\n1. a\n2. b\n")
+    text = str(diff_prompts(old, parse_prompt("Intro.\n\n" + new_steps)))
+    assert text.endswith(f"step_instructions    modified: {label}")
 
 
 # --- slots -----------------------------------------------------------------------

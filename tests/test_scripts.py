@@ -1,5 +1,6 @@
 """The demo scripts run end to end in their own interpreter."""
 import hashlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,18 @@ def test_toy_improvement_demo():
     proc = run_script("toy_improvement_demo.py")
     assert proc.returncode == 0, proc.stderr
     assert "improvement: +1.00 on 20 held-out samples" in proc.stdout
+
+
+def test_regen_golden_fixtures_reproduces_them(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = SCRIPTS / "regen_golden_fixtures.py"
+    spec = importlib.util.spec_from_file_location("regen_golden_fixtures", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    monkeypatch.setattr(regen, "GOLDEN", tmp_path)
+    assert regen.main() == 0
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert len(names) == 6
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
