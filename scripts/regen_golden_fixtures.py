@@ -43,9 +43,9 @@ from reprompt.toy_task import (
     blind_answer,
     format_plan,
     generate_sample,
-    save_toy_samples,
     to_task_sample,
     toy_check,
+    toy_sample_to_dict,
 )
 from reprompt.trainer import train
 
@@ -340,7 +340,12 @@ def main() -> int:
     samples = pick_train_samples()
     (GOLDEN / "initial_prompt.txt").write_text(INITIAL_PROMPT, encoding="utf-8")
     (GOLDEN / "run.cfg").write_text(RUN_CFG, encoding="utf-8")
-    save_toy_samples(samples, GOLDEN / "dataset.yaml")
+    # Block YAML, not save_toy_samples' JSON lines: the golden tests then
+    # read a hand-written-style dataset through libyaml.
+    (GOLDEN / "dataset.yaml").write_text(
+        yaml.safe_dump([toy_sample_to_dict(s) for s in samples], sort_keys=False),
+        encoding="utf-8",
+    )
 
     entries = build_script(samples, v1, v2, examples_text)
     (GOLDEN / "script.yaml").write_text(

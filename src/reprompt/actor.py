@@ -12,6 +12,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Protocol, Sequence
 
 from . import prompts
@@ -83,9 +84,8 @@ class TaskSample:
 
 
 def load_dataset(path: str) -> list[TaskSample]:
-    """Read task samples from a YAML list of {id, slot_values} rows."""
-    with open(path, encoding="utf-8") as fh:
-        data = load_yaml(fh)
+    """Read task samples from a YAML (or JSON) list of {id, slot_values} rows."""
+    data = load_yaml(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: a dataset is a non-empty list of samples")
     samples = []

@@ -50,6 +50,24 @@ class EmptyResponseError(GatewayError):
     """The model finished normally but returned no content."""
 
 
+class StageCallError(GatewayError):
+    """A call of a named stage (summarizer, optimizer, repair) failed.
+
+    ``where`` (epoch and batch) is filled in by the trainer once it knows
+    the batch; the message reads "<stage> call failed (<where>): <cause>".
+    """
+
+    def __init__(self, stage: str, cause: GatewayError):
+        self.stage = stage
+        self.cause = cause
+        self.where: str | None = None
+        super().__init__(stage, cause)
+
+    def __str__(self) -> str:
+        where = f" ({self.where})" if self.where else ""
+        return f"{self.stage} call failed{where}: {self.cause}"
+
+
 class ScriptParseError(EngineError):
     """A script file could not be loaded."""
 

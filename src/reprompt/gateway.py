@@ -29,9 +29,11 @@ import yaml
 from .errors import (
     AmbiguousScriptError,
     EmptyResponseError,
+    GatewayError,
     RateLimitedError,
     RejectedError,
     ScriptParseError,
+    StageCallError,
     TransportError,
 )
 from .yamlio import SafeLoader
@@ -99,21 +101,29 @@ class Caller:
     """A gateway bound to one stage's model, temperature and seed.
 
     Every request the engine sends is built here, so two calls through the
-    same caller differ only in their messages.
+    same caller differ only in their messages. A caller with a ``stage``
+    raises its gateway's errors as a StageCallError naming that stage.
     """
 
     gateway: Gateway
     model: str
     temperature: float
     seed: int
+    stage: str | None = None
 
     def complete(self, messages: tuple[Message, ...]) -> ChatResponse:
-        return self.gateway.complete(ChatRequest(
+        request = ChatRequest(
             messages=messages,
             model=self.model,
             temperature=self.temperature,
             seed=self.seed,
-        ))
+        )
+        try:
+            return self.gateway.complete(request)
+        except GatewayError as exc:
+            if self.stage is None:
+                raise
+            raise StageCallError(self.stage, exc) from exc
 
     def ask(self, system: str, user: str, note: str | None = None) -> str:
         """One system and one user message; ``note``, when given, follows

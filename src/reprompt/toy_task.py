@@ -8,11 +8,11 @@ which gives the test suite an independent oracle for the rule checker.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 from dataclasses import dataclass
-
-import yaml
+from pathlib import Path
 
 from .actor import TaskSample
 from .errors import UnparseableAnswerError
@@ -263,8 +263,8 @@ def toy_sample_from_dict(data: dict) -> ToySample:
 
 
 def load_toy_samples(path) -> list[ToySample]:
-    with open(path, encoding="utf-8") as fh:
-        data = load_yaml(fh)
+    """Read toy samples from a YAML list of records (JSON being YAML too)."""
+    data = load_yaml(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: expected a non-empty list of toy samples")
     samples = [toy_sample_from_dict(row) for row in data]
@@ -275,10 +275,17 @@ def load_toy_samples(path) -> list[ToySample]:
 
 
 def save_toy_samples(samples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(
-            [toy_sample_to_dict(s) for s in samples], fh, sort_keys=False
-        )
+    """Write samples as a JSON list, one record per line.
+
+    JSON is a subset of YAML, so the file is still a YAML dataset, and
+    load_yaml reads it with the stdlib's C parser. ``ensure_ascii=False``
+    keeps characters outside the BMP whole: the surrogate-pair escapes
+    json.dumps would otherwise write are rejected by libyaml.
+    """
+    rows = ",\n".join(
+        json.dumps(toy_sample_to_dict(s), ensure_ascii=False) for s in samples
+    )
+    Path(path).write_text(f"[\n{rows}\n]\n", encoding="utf-8")
 
 
 # --- prompt-facing surface -------------------------------------------------------

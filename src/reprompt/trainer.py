@@ -56,6 +56,7 @@ from .errors import (
     MissingFinalMarkerError,
     RepairFailedError,
     ScrubRejectedError,
+    StageCallError,
 )
 from .gateway import Caller, Gateway
 from .optimizer import optimize
@@ -75,6 +76,8 @@ CURSOR_NAME = "state.cursor"
 RUN_META_NAME = "run.meta"
 DATASET_COPY = "dataset.yaml"
 SCRIPT_COPY = "script.yaml"
+# train writes v0 under this name first; _VERSION_FILE_RE does not match it.
+_V0_STAGING = "v0.txt.tmp"
 
 
 def _sha256(text: str) -> str:
@@ -276,7 +279,10 @@ def train(
     paths.run_meta.write_text(
         yaml.safe_dump(meta, sort_keys=False), encoding="utf-8"
     )
-    paths.version_txt(0).write_text(text, encoding="utf-8")
+    # v0 appears whole or not at all: a run without it is trained again.
+    staged = paths.prompts / _V0_STAGING
+    staged.write_text(text, encoding="utf-8")
+    os.replace(staged, paths.version_txt(0))
     return resume(run_dir, samples, config=config, gateway=gateway, feedback=feedback)
 
 
@@ -490,7 +496,9 @@ def resume(
     values differ raises ValueError.
 
     Batch-level failures (all episodes down, summarizer or optimizer
-    giving up) skip that batch and leave the prompt unchanged. The call
+    giving up) skip that batch and leave the prompt unchanged. A gateway
+    error in a summarizer, optimizer or repair call raises StageCallError
+    naming the stage, epoch and batch, with the batch uncommitted. The call
     budget is checked before each batch, so a run can pass it by up to one
     batch's calls; reaching it raises BudgetExhaustedError with all
     completed work committed, so the run can be resumed again.
@@ -551,13 +559,15 @@ def resume(
     train_cfg = config.train
     gw_cfg = config.gateway
 
-    def caller(model: str) -> Caller:
-        return Caller(gateway, model, gw_cfg.temperature, train_cfg.seed)
+    def caller(model: str, stage: str | None = None) -> Caller:
+        return Caller(gateway, model, gw_cfg.temperature, train_cfg.seed, stage)
 
+    # A failed episode is dropped from its batch; a failed call of a later
+    # stage ends the run, naming the stage and the batch (it stays resumable).
     actor = caller(gw_cfg.model)
-    summarizer = caller(gw_cfg.summarizer_model)
-    optimizer = caller(gw_cfg.optimizer_model)
-    repair = caller(gw_cfg.repair_model)
+    summarizer = caller(gw_cfg.summarizer_model, "summarizer")
+    optimizer = caller(gw_cfg.optimizer_model, "optimizer")
+    repair = caller(gw_cfg.repair_model, "repair")
     patience = train_cfg.convergence_patience
     batches = _batches(samples, train_cfg.batch_size)
     episodes_run = last["episodes_total"]
@@ -605,6 +615,9 @@ def resume(
             except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
                 record_batch(b, f"summarizer failed: {exc}")
                 continue
+            except StageCallError as exc:
+                exc.where = f"epoch {epoch}, batch {b}"
+                raise
             outputs = {"focus": {"case": focus.case.value, "text": focus.text}}
             try:
                 update = optimize(
@@ -619,6 +632,9 @@ def resume(
             except (MissingFinalMarkerError, GuardrailRejectionError, RepairFailedError) as exc:
                 note = f"optimizer rejected: {exc}"
                 update = None
+            except StageCallError as exc:
+                exc.where = f"epoch {epoch}, batch {b}"
+                raise
             if update is not None:
                 outputs["optimizer_raw"] = update.raw_output
                 if update.changed:

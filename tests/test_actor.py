@@ -205,6 +205,20 @@ def test_load_dataset(tmp_path):
     assert samples[0].slot_values["budget"] == "90"
 
 
+def test_load_dataset_reads_json(tmp_path):
+    block = tmp_path / "block.yaml"
+    block.write_text(
+        "- id: s1\n  slot_values: {task_id: s1, budget: 90}\n"
+        "- id: s2\n  slot_values: {task_id: s2}\n"
+    )
+    flow = tmp_path / "flow.yaml"
+    flow.write_text(
+        '[{"id": "s1", "slot_values": {"task_id": "s1", "budget": 90}},\n'
+        ' {"id": "s2", "slot_values": {"task_id": "s2"}}]\n'
+    )
+    assert load_dataset(str(flow)) == load_dataset(str(block))
+
+
 def test_load_dataset_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "d.yaml"
     path.write_text("- id: s1\n- id: s1\n")

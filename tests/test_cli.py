@@ -73,6 +73,18 @@ format_open = ["Your final answer"]
 """
 
 
+def golden_manifest():
+    return yaml.safe_load((GOLDEN / "manifest.yaml").read_text())
+
+
+def tree_hashes(run_dir):
+    return {
+        p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(run_dir.rglob("*"))
+        if p.is_file()
+    }
+
+
 def golden_train_argv(out_dir):
     return [
         "train",
@@ -157,6 +169,63 @@ class TestTrain:
         assert batch["version"]["placement"] == "InsertBefore(2)"
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
         assert "InsertBefore(2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stage", ["summarizer", "optimizer", "repair"])
+    def test_failed_stage_call_is_named(self, tmp_path, capsys, stage):
+        initial = (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8")
+        v0 = render_prompt(inject_default_steps(parse_prompt(initial, TOY_SEG)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[train]\nepochs = 1\nbatch_size = 1\nfeedback = none\n\n"
+            "[gateway]\nbackend = scripted\nmodel = planner\n\n"
+            '[task]\nkind = toy\nformat_open = ["Your final answer"]\n',
+            encoding="utf-8",
+        )
+        # The summarizer answers two batches; the optimizer returns v0, or
+        # a candidate with a placeholder that sends it to repair.
+        candidate = v0 if stage != "repair" else v0.replace(
+            "2. Then,", "2. Reuse <the original prompt>.\n3. Then,"
+        )
+        entries = [
+            entry(["Task id: "], "PLAN:\nDay 1: a11\n", roles=["user"]),
+            entry(
+                ["You are a summarizer"],
+                f"Budgets are ignored.\n{prompts.CONCLUSION_MARKER}check the budget.",
+                max_uses=2 if stage == "summarizer" else None,
+            ),
+        ]
+        if stage != "optimizer":
+            entries.append(entry(
+                ["You are a prompt optimizer"],
+                f"{prompts.FINAL_PROMPT_MARKER}\n{candidate}",
+            ))
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--config") + 1] = str(cfg)
+        argv[argv.index("--script") + 1] = write_script(tmp_path / "script.yaml", entries)
+        assert main(argv) == 2
+        batch = 3 if stage == "summarizer" else 1
+        assert capsys.readouterr().err == (
+            f"engine error: {stage} call failed (epoch 1, batch {batch}): "
+            "unscripted request\n"
+        )
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+
+    def test_failed_v0_write_is_trained_again(self, tmp_path, capsys, monkeypatch):
+        run_dir = tmp_path / "run"
+        write_text = Path.write_text
+
+        def torn_v0(path, text, *args, **kwargs):
+            if path.parent.name == "prompts" and path.name.startswith("v0"):
+                write_text(path, text[:len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return write_text(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn_v0)
+        assert main(golden_train_argv(run_dir)) == 1
+        monkeypatch.undo()
+        assert main(golden_train_argv(run_dir)) == 0, capsys.readouterr().err
+        assert tree_hashes(run_dir) == golden_manifest()["files"]
+        assert main(["inspect", "--out", str(run_dir)]) == 0
 
     def test_http_gateway_is_built_from_base_url_alone(self, tmp_path, monkeypatch):
         built = []
@@ -579,11 +648,5 @@ class TestProcessKill:
         else:
             argv = golden_train_argv(run_dir)
         assert main(argv) == 0, (child.returncode, left, capsys.readouterr().err)
-        manifest = yaml.safe_load((GOLDEN / "manifest.yaml").read_text())
-        tree = {
-            p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(run_dir.rglob("*"))
-            if p.is_file()
-        }
-        assert tree == manifest["files"], (child.returncode, left)
+        assert tree_hashes(run_dir) == golden_manifest()["files"], (child.returncode, left)
         assert main(["inspect", "--out", str(run_dir)]) == 0

@@ -1,4 +1,7 @@
+import json
+
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +245,85 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "toys.yaml"
     save_toy_samples(samples, path)
     assert load_toy_samples(path) == samples
+    # One JSON record per line between the brackets.
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "[" and lines[-1] == "]"
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == [
+        toy_sample_to_dict(s) for s in samples
+    ]
+
+
+# Printable text, characters outside the BMP included: ensure_ascii would
+# write those as surrogate-pair escapes, which libyaml rejects.
+_PRINTABLE = st.text(
+    st.characters(blacklist_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp")),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(_PRINTABLE, min_size=1, max_size=4, unique=True), city=_PRINTABLE)
+def test_saved_file_stays_yaml(tmp_path_factory, ids, city):
+    samples = [
+        ToySample(
+            id=sample_id,
+            days=1,
+            budget=50,
+            options=((ToyOption(sample_id, 10, city), ToyOption("a12", 20, "B")),),
+            route_rule=frozenset({(city, "B")}),
+        )
+        for sample_id in ids
+    ]
+    path = tmp_path_factory.mktemp("toys") / "toys.yaml"
+    save_toy_samples(samples, path)
+    text = path.read_text(encoding="utf-8")
+    assert yaml.safe_load(text) == json.loads(text)
+    assert load_toy_samples(path) == samples
+
+
+def test_saved_dataset_loads_without_libyaml(tmp_path, monkeypatch):
+    samples = generate_samples(30, base_seed=5)
+    path = tmp_path / "toys.yaml"
+    save_toy_samples(samples, path)
+
+    def no_yaml(*args, **kwargs):
+        raise AssertionError("a saved dataset must not reach the YAML parser")
+
+    monkeypatch.setattr(yaml, "load", no_yaml)
+    assert load_toy_samples(path) == samples
+
+
+def _record(cost: str) -> str:
+    return (
+        '[{"id": "x", "days": 1, "budget": 50, "options": '
+        f'[[{{"id": "a11", "cost": {cost}, "city": "A"}}]], "routes": []}}]'
+    )
+
+
+@pytest.mark.parametrize("text", [
+    yaml.safe_dump([toy_sample_to_dict(generate_sample(2))], sort_keys=False),
+    _record("12"),
+    _record("12.5"),
+    _record("1e3"),
+    _record("NaN"),
+    _record("Infinity"),
+    _record("-Infinity"),
+], ids=["block-yaml", "int", "float", "exponent", "nan", "infinity", "minus-infinity"])
+def test_load_matches_libyaml(tmp_path, text):
+    """Whatever the format, loading gives libyaml's samples or its error."""
+    path = tmp_path / "toys.yaml"
+    path.write_text(text, encoding="utf-8")
+
+    def outcome(read):
+        try:
+            return read()
+        except ValueError as exc:
+            return ("ValueError", str(exc))
+
+    expected = outcome(lambda: [
+        toy_sample_from_dict(row) for row in yaml.load(text, Loader=yaml.SafeLoader)
+    ])
+    assert outcome(lambda: load_toy_samples(path)) == expected
 
 
 def test_malformed_record_rejected():
