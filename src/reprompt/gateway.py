@@ -20,7 +20,7 @@ import threading
 import time
 import urllib.parse
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol
 
@@ -70,12 +70,6 @@ class ChatRequest:
             raise ValueError("temperature must be non-negative")
 
 
-class FinishReason(Enum):
-    STOP = "stop"
-    LENGTH = "length"
-    OTHER = "other"
-
-
 @dataclass(frozen=True)
 class Usage:
     prompt_units: int = 0
@@ -85,8 +79,7 @@ class Usage:
 @dataclass(frozen=True)
 class ChatResponse:
     content: str
-    finish_reason: FinishReason
-    usage: Usage = field(default_factory=Usage)
+    usage: Usage
 
 
 class Gateway(Protocol):
@@ -154,7 +147,7 @@ class _CallCounter:
 # --- scripted backend ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptEntry:
     """One canned response, matched by substring fingerprint.
 
@@ -171,7 +164,6 @@ class ScriptEntry:
     excludes: tuple[str, ...] = ()
     max_uses: int | None = None
     line: int | None = None
-    uses: int = 0
 
     def fingerprint(self) -> tuple:
         return (self.contains, self.roles, self.excludes)
@@ -361,13 +353,15 @@ class ScriptedGateway:
     no ``max_uses`` in play the backend is a pure function of the script
     and the request.
 
-    The script is indexed once, here, and must not change afterwards.
+    The script is indexed once, here, and must not change afterwards. The
+    gateway counts each entry's uses itself, by script position, so the
+    script it is handed is never changed and can build another gateway.
     Entries are grouped by their pinned role sequence; a request consults
     its own group and the group of entries that pin none. Per call the cost
     is one regex pass over the request text, whose work grows with the
     text and not with the number of entries, plus a check of the few
     entries whose rarest anchor occurs. Only the ``max_uses`` check and
-    bump run under the lock, so concurrent episodes match in parallel.
+    count run under the lock, so concurrent episodes match in parallel.
     """
 
     def __init__(self, script: Script):
@@ -375,6 +369,7 @@ class ScriptedGateway:
         for index, entry in enumerate(script.entries):
             grouped.setdefault(entry.roles, []).append((index, entry))
         self._indexes = {roles: _AnchorIndex(group) for roles, group in grouped.items()}
+        self._uses = [0] * len(script.entries)  # by script index
         self._lock = threading.Lock()
         self._counter = _CallCounter()
 
@@ -394,49 +389,33 @@ class ScriptedGateway:
         )
         with self._lock:
             live = [
-                e for _, e in matched if e.max_uses is None or e.uses < e.max_uses
+                (i, e) for i, e in matched
+                if e.max_uses is None or self._uses[i] < e.max_uses
             ]
             if not live:
                 raise RejectedError("unscripted request")
             if len(live) > 1:
-                lines = ", ".join(str(e.line) for e in live)
+                lines = ", ".join(str(e.line) for _, e in live)
                 raise AmbiguousScriptError(
                     f"request matched several script entries (lines {lines})"
                 )
-            entry = live[0]
-            entry.uses += 1
+            [(index, entry)] = live
+            self._uses[index] += 1
         if entry.response == "":
             raise EmptyResponseError("scripted response is empty")
         return ChatResponse(
             content=entry.response,
-            finish_reason=FinishReason.STOP,
             usage=Usage(prompt_units=len(joined), output_units=len(entry.response)),
         )
 
 
 # --- HTTP backend -------------------------------------------------------------
 
-_FINISH_MAP = {"stop": FinishReason.STOP, "length": FinishReason.LENGTH}
-
-
-class _HttpAnswer:
-    """A whole answer, shaped like what the ``transport`` hook returns."""
-
-    def __init__(self, status_code: int, body: bytes):
-        self.status_code = status_code
-        self._body = body
-
-    @property
-    def text(self) -> str:
-        return self._body.decode("utf-8", "replace")
-
-    def json(self):
-        return json.loads(self._body)
-
-
-# What json.dumps(obj) runs with default arguments; ``post`` takes a
-# keyword named ``json``, which hides the module there.
-_encode_json = json.JSONEncoder().encode
+# A 429, a 5xx answer or a transport error is tried again after these
+# delays, so a call makes at most three attempts.
+_BACKOFF = (1.0, 2.0)
+# Seconds a new connection waits to connect, and then for each read.
+_TIMEOUT = 60.0
 
 
 def _is_dropped(sock) -> bool:
@@ -519,12 +498,12 @@ class _Connections:
         self._lock = threading.Lock()
         weakref.finalize(self, _close_all, self._idle)
 
-    def _take(self, timeout: float):
+    def _take(self):
         while True:
             with self._lock:
                 conn = self._idle.pop() if self._idle else None
             if conn is None:
-                conn = self._connection(*self._address, timeout=timeout)
+                conn = self._connection(*self._address, timeout=_TIMEOUT)
                 if self._tunnel is not None:
                     conn.set_tunnel(*self._tunnel)
                 return conn
@@ -532,17 +511,16 @@ class _Connections:
                 return conn
             conn.close()
 
-    def post(self, url: str, *, json: dict, headers: dict, timeout: float) -> _HttpAnswer:
-        """POST ``json`` to ``url``, which starts with the base URL's origin,
-        and read the whole answer. New connections use ``timeout``."""
-        body = _encode_json(json).encode("utf-8")
+    def post(self, url: str, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """POST ``body`` to ``url``, which starts with the base URL's origin,
+        and read the whole answer: (status, body)."""
         if self._proxy_headers:
             headers = {**headers, **self._proxy_headers}
-        conn = self._take(timeout)
+        conn = self._take()
         try:
             conn.request("POST", url[self._target_start:], body=body, headers=headers)
             response = conn.getresponse()
-            answer = _HttpAnswer(response.status, response.read())
+            answer = response.status, response.read()
         except BaseException:
             conn.close()
             raise
@@ -555,33 +533,24 @@ class _Connections:
 class HttpGateway:
     """OpenAI-compatible chat-completions client.
 
-    Transport failures and 429 responses are retried up to ``attempts``
-    times with a fixed backoff schedule; other 4xx answers are rejected
-    outright. The bearer token is read from the environment so secrets
-    never travel through config files.
+    A call makes up to three attempts. A 429 or 5xx answer, or a transport
+    failure, is tried again after 1 s and then 2 s (``_BACKOFF``); any other
+    non-200 answer is rejected outright. Connections time out after 60 s
+    (``_TIMEOUT``). The bearer token is read from ``REPROMPT_API_KEY`` when
+    the gateway is built, so secrets never travel through config files.
 
-    Without a ``transport``, calls go over the standard library's
-    ``http.client`` keep-alive connections, which every thread of every
-    batch shares: a run holds one connection per concurrent caller and
-    reuses it call after call (see ``_Connections``). Proxies are read
-    from the environment once, when the gateway is built, and ``https``
-    uses the system trust store. ``http.client`` and ``urllib.request``
-    are imported when the first gateway is built, so a process that never
-    builds one does not load them.
-
-    A ``transport`` replaces the connections: it is called as
-    ``transport(url, json=payload, headers=headers, timeout=timeout)``
-    and returns an object with ``status_code``, ``text`` and ``json()``.
+    Calls go over the standard library's ``http.client`` keep-alive
+    connections, which every thread of every batch shares: a run holds one
+    connection per concurrent caller and reuses it call after call (see
+    ``_Connections``). Proxies are read from the environment once, when the
+    gateway is built, and ``https`` uses the system trust store.
+    ``http.client`` and ``urllib.request`` are imported when the first
+    gateway is built, so a process that never builds one does not load them.
     """
 
     def __init__(
         self,
         base_url: str | None = None,
-        api_key: str | None = None,
-        attempts: int = 3,
-        backoff: tuple[float, ...] = (1.0, 2.0, 4.0),
-        timeout: float = 60.0,
-        transport: Callable | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         import http.client
@@ -591,13 +560,14 @@ class HttpGateway:
             raise ValueError(
                 f"no base URL given and {BASE_URL_ENV} is not set"
             )
-        self._base_url = resolved.rstrip("/")
-        self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._attempts = attempts
-        self._backoff = backoff
-        self._timeout = timeout
+        base = resolved.rstrip("/")
+        self._url = f"{base}/chat/completions"
+        self._headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(API_KEY_ENV)
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self._transport_errors = (OSError, http.client.HTTPException)
-        self._post = transport or _Connections(self._base_url).post
+        self._connections = _Connections(base)
         self._sleep = sleep
         self._counter = _CallCounter()
 
@@ -605,8 +575,8 @@ class HttpGateway:
     def calls(self) -> int:
         return self._counter.calls
 
-    def _payload(self, request: ChatRequest) -> dict:
-        return {
+    def _payload(self, request: ChatRequest) -> bytes:
+        return json.dumps({
             "model": request.model,
             "messages": [
                 {"role": m.role.value, "content": m.content}
@@ -614,28 +584,20 @@ class HttpGateway:
             ],
             "temperature": request.temperature,
             "seed": request.seed,
-        }
+        }).encode("utf-8")
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self._counter.bump()
-        headers = {"Content-Type": "application/json"}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
-        url = f"{self._base_url}/chat/completions"
         payload = self._payload(request)
         last_error: Exception | None = None
-        for attempt in range(self._attempts):
+        for attempt in range(len(_BACKOFF) + 1):
             if attempt > 0:
-                delay = self._backoff[min(attempt - 1, len(self._backoff) - 1)]
-                self._sleep(delay)
+                self._sleep(_BACKOFF[attempt - 1])
             try:
-                http = self._post(
-                    url, json=payload, headers=headers, timeout=self._timeout
-                )
+                status, body = self._connections.post(self._url, payload, self._headers)
             except self._transport_errors as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
-            status = http.status_code
             if status == 429:
                 last_error = RateLimitedError("endpoint returned 429")
                 continue
@@ -643,24 +605,26 @@ class HttpGateway:
                 last_error = TransportError(f"endpoint returned {status}")
                 continue
             if status != 200:
-                raise RejectedError(f"endpoint returned {status}: {http.text[:200]}")
+                text = body.decode("utf-8", "replace")
+                raise RejectedError(f"endpoint returned {status}: {text[:200]}")
             try:
-                body = http.json()
+                parsed = json.loads(body)
             except ValueError as exc:
                 raise TransportError(f"non-JSON completion body: {exc}") from exc
-            return self._parse_body(body)
-        assert last_error is not None
+            return self._parse_body(parsed)
         raise last_error
 
     @staticmethod
     def _parse_body(body: dict) -> ChatResponse:
         """The response in a completion body. A body without a message, a
         content that is neither a string nor null, or a usage that is not
-        a mapping of non-negative integer counts raises TransportError."""
+        a mapping of non-negative integer counts raises TransportError; an
+        empty content with finish reason ``"stop"`` raises
+        EmptyResponseError."""
         try:
             choice = body["choices"][0]
             content = choice["message"]["content"]
-            finish = choice.get("finish_reason", "other")
+            finish = choice.get("finish_reason")
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion body: {exc}") from exc
         if content is None:
@@ -676,13 +640,9 @@ class HttpGateway:
         )
         if not all(type(n) is int and n >= 0 for n in units):
             raise TransportError(f"malformed completion body: usage {usage!r}")
-        if not isinstance(finish, str):
-            finish = "other"
-        reason = _FINISH_MAP.get(finish, FinishReason.OTHER)
-        if reason is FinishReason.STOP and content == "":
+        if finish == "stop" and content == "":
             raise EmptyResponseError("model finished with empty content")
         return ChatResponse(
             content=content,
-            finish_reason=reason,
             usage=Usage(prompt_units=units[0], output_units=units[1]),
         )

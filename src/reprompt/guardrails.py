@@ -75,11 +75,6 @@ class Verdict(Enum):
 class GuardReport:
     verdict: Verdict
     violations: tuple[Violation, ...] = ()
-    repaired_prompt: str | None = None
-
-    def __post_init__(self):
-        if self.verdict is Verdict.REPAIRED and self.repaired_prompt is None:
-            raise ValueError("a repaired verdict must carry the repaired prompt")
 
 
 def detect_placeholders(
@@ -231,7 +226,6 @@ def review_candidate(
     cfg = guard_config or GuardConfig()
     patterns = cfg.compiled_patterns()
     verdict = Verdict.ACCEPTED
-    repaired_text: str | None = None
     spans = detect_placeholders(candidate, patterns)
     if spans:
         placeholder_violations = tuple(
@@ -254,7 +248,6 @@ def review_candidate(
         except RepairFailedError:
             return GuardReport(Verdict.REJECTED, placeholder_violations), None
         verdict = Verdict.REPAIRED
-        repaired_text = candidate
     try:
         parsed = parse_prompt(candidate, seg_config)
     except EmptyPromptError:
@@ -275,4 +268,4 @@ def review_candidate(
     violations.extend(verify_required_tokens(parsed, required_tokens).violations)
     if violations:
         return GuardReport(Verdict.REJECTED, tuple(violations)), None
-    return GuardReport(verdict, repaired_prompt=repaired_text), parsed
+    return GuardReport(verdict), parsed

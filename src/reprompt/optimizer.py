@@ -157,9 +157,7 @@ def optimize(
                 raw_output=raw, new_prompt=prompt, guard_report=report
             )
         new_prompt = PromptDocument(
-            segments=parsed.segments,
-            version=prompt.version + 1,
-            parent_version=prompt.version,
+            segments=parsed.segments, version=prompt.version + 1
         )
         return PromptUpdate(
             raw_output=raw,

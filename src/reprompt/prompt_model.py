@@ -56,11 +56,11 @@ class PromptSegment:
 
 @dataclass(frozen=True)
 class PromptDocument:
-    """An ordered segment sequence plus its version lineage."""
+    """An ordered segment sequence plus its version number; version n is
+    the child of version n - 1."""
 
     segments: tuple[PromptSegment, ...]
     version: int = 0
-    parent_version: int | None = None
 
     def __post_init__(self):
         if not self.segments:
@@ -72,10 +72,6 @@ class PromptDocument:
             raise ValueError("at most one step instruction segment is allowed")
         if self.version < 0:
             raise ValueError("version must be non-negative")
-        if self.version == 0 and self.parent_version is not None:
-            raise ValueError("version 0 has no parent")
-        if self.version > 0 and self.parent_version != self.version - 1:
-            raise ValueError("version n must have parent_version n - 1")
 
 
 @dataclass(frozen=True)
@@ -336,9 +332,7 @@ def inject_default_steps(doc: PromptDocument) -> PromptDocument:
         text=prefix + DEFAULT_STEP_INSTRUCTIONS + suffix,
     )
     segments = doc.segments[:insert_at] + (block,) + doc.segments[insert_at:]
-    return PromptDocument(
-        segments=segments, version=doc.version, parent_version=doc.parent_version
-    )
+    return PromptDocument(segments=segments, version=doc.version)
 
 
 # --- step lists -------------------------------------------------------------

@@ -258,7 +258,7 @@ def toy_sample_from_dict(data: dict) -> ToySample:
             options=options,
             route_rule=frozenset((str(a), str(b)) for a, b in data["routes"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed toy sample record: {exc}") from None
 
 

@@ -294,7 +294,10 @@ _VERSION_FILE_RE = re.compile(r"^v(\d+)\.txt$")
 def _read_run_meta(paths: _RunPaths) -> dict:
     if not paths.run_meta.exists():
         raise CorruptRunError(f"{paths.root} has no {RUN_META_NAME}")
-    meta = load_yaml(paths.run_meta.read_text(encoding="utf-8"))
+    try:
+        meta = load_yaml(paths.run_meta.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, or text that is not YAML
+        raise CorruptRunError(f"{paths.run_meta} is unreadable: {exc}") from None
     if not isinstance(meta, dict):
         raise CorruptRunError(f"{paths.run_meta} is not a mapping")
     return meta
@@ -439,7 +442,6 @@ def _check_run(
                     for s in docs[-1].segments
                 ),
                 version=n,
-                parent_version=n - 1,
             )
             if render_prompt(doc) != text:
                 raise CorruptRunError(

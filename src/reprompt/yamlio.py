@@ -25,11 +25,15 @@ def _not_plain_json(token: str):
 
 def load_yaml(text: str):
     """``yaml.safe_load`` of ``text``, through ``json.loads`` when that
-    reads it to the same data."""
+    reads it to the same data. Text that is not YAML raises ValueError,
+    with libyaml's message on one line."""
     try:
         return json.loads(
             text, parse_float=_not_plain_json, parse_constant=_not_plain_json
         )
     except ValueError:
         pass  # libyaml runs outside the handler, so its errors carry no JSON context
-    return yaml.load(text, Loader=SafeLoader)
+    try:
+        return yaml.load(text, Loader=SafeLoader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"invalid YAML: {' '.join(str(exc).split())}") from None

@@ -117,6 +117,22 @@ class TestTrain:
         assert main(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        (
+            "- id: x\n  days: 1\n  budget: 50\n  routes: []\n"
+            "  options: [[{id: a11, cost: .inf, city: A}]]\n",
+            "error: malformed toy sample record: cannot convert float infinity",
+        ),
+        ("[unclosed\n", "error: invalid YAML: "),
+    ], ids=["infinite-cost", "not-yaml"])
+    def test_unreadable_dataset_is_an_error(self, tmp_path, capsys, text, message):
+        dataset = tmp_path / "dataset.yaml"
+        dataset.write_text(text, encoding="utf-8")
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--dataset") + 1] = str(dataset)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(message)
+
     def test_scripted_backend_needs_script(self, tmp_path, capsys):
         argv = golden_train_argv(tmp_path / "run")
         i = argv.index("--script")
@@ -569,6 +585,19 @@ class TestInspect:
         captured = capsys.readouterr()
         assert "record of prompt v1 has a malformed" in captured.err
         assert "check out" not in captured.out
+
+    @pytest.mark.parametrize("data", [b"a: [\n", b"\xff\xfe\n"], ids=["not-yaml", "not-utf8"])
+    def test_unreadable_run_meta_is_corrupt(self, tmp_path, capsys, data):
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        capsys.readouterr()
+        (run / "run.meta").write_bytes(data)
+        assert main(["inspect", "--out", str(run)]) == 2
+        assert main(["resume", "--config", CFG, "--out", str(run)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("engine error: ") for line in err)
+        assert all("run.meta is unreadable: " in line for line in err)
 
     def test_tampered_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0

@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import http.server
 import json
 import os
@@ -26,7 +25,6 @@ from reprompt.gateway import (
     API_KEY_ENV,
     BASE_URL_ENV,
     ChatRequest,
-    FinishReason,
     HttpGateway,
     Message,
     Role,
@@ -132,7 +130,6 @@ def test_single_match_returns_response():
     gw = make_gateway(entry(["hello"], "world"))
     res = gw.complete(req("say hello"))
     assert res.content == "world"
-    assert res.finish_reason is FinishReason.STOP
     assert gw.calls == 1
     assert res.usage == Usage(prompt_units=len("say hello"), output_units=len("world"))
 
@@ -155,6 +152,16 @@ def test_max_uses_retires_an_entry():
     assert gw.complete(req("go")).content == "once"
     with pytest.raises(RejectedError):
         gw.complete(req("go"))
+
+
+def test_gateways_share_a_script_without_sharing_its_uses():
+    script = Script([ScriptEntry(contains=("go",), response="once", max_uses=1)])
+    first, second = ScriptedGateway(script), ScriptedGateway(script)
+    assert first.complete(req("go")).content == "once"
+    assert second.complete(req("go")).content == "once"
+    with pytest.raises(RejectedError):
+        first.complete(req("go"))
+    assert script == Script([ScriptEntry(contains=("go",), response="once", max_uses=1)])
 
 
 def test_round_dependent_entries_via_roles():
@@ -187,7 +194,8 @@ class LinearGateway:
     ScriptedGateway must agree with."""
 
     def __init__(self, entries):
-        self._entries = [dataclasses.replace(e) for e in entries]
+        self._entries = list(entries)
+        self._uses = [0] * len(self._entries)
 
     @staticmethod
     def _matches(e, request):
@@ -204,19 +212,20 @@ class LinearGateway:
         return all(marker not in joined for marker in e.excludes)
 
     def complete(self, request):
-        live = [
-            e for e in self._entries if e.max_uses is None or e.uses < e.max_uses
+        matched = [
+            i for i, e in enumerate(self._entries)
+            if (e.max_uses is None or self._uses[i] < e.max_uses)
+            and self._matches(e, request)
         ]
-        matched = [e for e in live if self._matches(e, request)]
         if not matched:
             raise RejectedError("unscripted request")
         if len(matched) > 1:
-            lines = ", ".join(str(e.line) for e in matched)
+            lines = ", ".join(str(self._entries[i].line) for i in matched)
             raise AmbiguousScriptError(
                 f"request matched several script entries (lines {lines})"
             )
-        matched[0].uses += 1
-        return matched[0].response
+        self._uses[matched[0]] += 1
+        return self._entries[matched[0]].response
 
 
 def outcome(gateway, request):
@@ -263,7 +272,7 @@ def cases(draw):
 def test_indexed_matching_agrees_with_linear_reference(case):
     entries, sequence = case
     reference = LinearGateway(entries)
-    indexed = ScriptedGateway(Script([dataclasses.replace(e) for e in entries]))
+    indexed = ScriptedGateway(Script(entries))
     for request in sequence:
         assert outcome(indexed, request) == outcome(reference, request)
 
@@ -276,7 +285,7 @@ def test_needles_nested_past_the_flat_cutoff_still_match():
                     line=k)
         for k in range(1, 151)
     ]
-    indexed = ScriptedGateway(Script([dataclasses.replace(e) for e in entries]))
+    indexed = ScriptedGateway(Script(entries))
     reference = LinearGateway(entries)
     for n in (1, 63, 64, 65, 149, 150, 151):
         request = req("b" + "a" * n + "b")
@@ -390,20 +399,7 @@ def test_load_script_reports_yaml_syntax_error_line(tmp_path):
     assert err.value.line == 6
 
 
-# --- HTTP backend -----------------------------------------------------------------
-
-
-class FakeHttp:
-    def __init__(self, status_code=200, body=None, text="", bad_json=False):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-        self._bad_json = bad_json
-
-    def json(self):
-        if self._bad_json:
-            raise ValueError("body is not JSON")
-        return self._body
+# --- HTTP backend over a loopback server ------------------------------------------
 
 
 def ok_body(content="hello", finish="stop", usage=None):
@@ -415,211 +411,13 @@ def ok_body(content="hello", finish="stop", usage=None):
     }
 
 
-class FakePost:
-    """Canned transport: yields one outcome per attempt, records each call."""
-
-    def __init__(self, *outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def __call__(self, url, json=None, headers=None, timeout=None):
-        self.calls.append(
-            {"url": url, "json": json, "headers": headers, "timeout": timeout}
-        )
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def make_http(post, **kwargs):
-    slept = []
-    gw = HttpGateway(
-        base_url="http://unit.test",
-        api_key=kwargs.pop("api_key", "k"),
-        transport=post,
-        sleep=slept.append,
-        **kwargs,
-    )
-    return gw, slept
-
-
-def test_success_sends_expected_payload():
-    post = FakePost(FakeHttp(body=ok_body(usage={"prompt_tokens": 3, "completion_tokens": 7})))
-    gw, slept = make_http(post)
-    res = gw.complete(
-        ChatRequest(
-            messages=(Message(Role.SYSTEM, "s"), Message(Role.USER, "u")),
-            model="planner",
-            temperature=0.5,
-            seed=7,
-        )
-    )
-    assert res.content == "hello"
-    assert res.usage == Usage(prompt_units=3, output_units=7)
-    assert slept == []
-    call = post.calls[0]
-    assert call["url"] == "http://unit.test/chat/completions"
-    assert call["headers"]["Authorization"] == "Bearer k"
-    assert call["json"]["model"] == "planner"
-    assert call["json"]["temperature"] == 0.5
-    assert call["json"]["seed"] == 7
-    assert call["json"]["messages"] == [
-        {"role": "system", "content": "s"},
-        {"role": "user", "content": "u"},
-    ]
-    assert "max_tokens" not in call["json"]
-    assert gw.calls == 1
-
-
-def test_no_auth_header_without_key(monkeypatch):
-    monkeypatch.delenv(API_KEY_ENV, raising=False)
-    post = FakePost(FakeHttp(body=ok_body()))
-    gw, _ = make_http(post, api_key=None)
-    gw.complete(req("u"))
-    assert "Authorization" not in post.calls[0]["headers"]
-
-
-def test_rate_limit_retries_with_backoff():
-    post = FakePost(*(FakeHttp(status_code=429) for _ in range(3)))
-    gw, slept = make_http(post)
-    with pytest.raises(RateLimitedError):
-        gw.complete(req("u"))
-    assert len(post.calls) == 3
-    assert slept == [1.0, 2.0]
-    assert gw.calls == 1
-
-
-def test_server_error_then_success():
-    post = FakePost(FakeHttp(status_code=503), FakeHttp(body=ok_body()))
-    gw, slept = make_http(post)
-    assert gw.complete(req("u")).content == "hello"
-    assert slept == [1.0]
-
-
-def test_connection_error_is_retried():
-    post = FakePost(
-        ConnectionError("boom"), FakeHttp(body=ok_body())
-    )
-    gw, _ = make_http(post)
-    assert gw.complete(req("u")).content == "hello"
-
-
-def test_client_error_fails_immediately():
-    post = FakePost(FakeHttp(status_code=403, text="nope"))
-    gw, slept = make_http(post)
-    with pytest.raises(RejectedError, match="403"):
-        gw.complete(req("u"))
-    assert len(post.calls) == 1
-    assert slept == []
-
-
-def test_non_json_success_body_fails_immediately():
-    post = FakePost(FakeHttp(bad_json=True))
-    gw, _ = make_http(post)
-    with pytest.raises(TransportError, match="non-JSON"):
-        gw.complete(req("u"))
-    assert len(post.calls) == 1
-
-
-def test_malformed_body_is_a_transport_error():
-    post = FakePost(FakeHttp(body={"choices": []}))
-    gw, _ = make_http(post)
-    with pytest.raises(TransportError, match="malformed"):
-        gw.complete(req("u"))
-
-
-@pytest.mark.parametrize("body", [
-    ok_body(usage={"prompt_tokens": None}),
-    ok_body(usage="many"),
-    ok_body(usage={"prompt_tokens": "12k"}),
-    ok_body(usage={"completion_tokens": 2.5}),
-    ok_body(usage={"completion_tokens": True}),
-    ok_body(usage={"prompt_tokens": -1}),
-    ok_body(content=["hello"]),
-    ok_body(content=3),
-], ids=[
-    "null-count", "str-usage", "str-count", "float-count", "bool-count",
-    "negative-count", "list-content", "int-content",
-])
-def test_malformed_usage_or_content_is_a_transport_error(body):
-    post = FakePost(FakeHttp(body=body))
-    gw, _ = make_http(post)
-    with pytest.raises(TransportError, match="malformed completion body"):
-        gw.complete(req("u"))
-    assert len(post.calls) == 1
-
-
-def test_null_content_and_usage_are_empty():
-    body = {"choices": [{"message": {"content": None}}], "usage": None}
-    gw, _ = make_http(FakePost(FakeHttp(body=body)))
-    res = gw.complete(req("u"))
-    assert (res.content, res.usage) == ("", Usage())
-
-
-def test_non_string_finish_reason_is_other():
-    gw, _ = make_http(FakePost(FakeHttp(body=ok_body(finish=["stop"]))))
-    assert gw.complete(req("u")).finish_reason is FinishReason.OTHER
-
-
-def test_finish_reason_mapping():
-    for finish, expected in [
-        ("stop", FinishReason.STOP),
-        ("length", FinishReason.LENGTH),
-        ("tool_calls", FinishReason.OTHER),
-    ]:
-        post = FakePost(FakeHttp(body=ok_body(finish=finish)))
-        gw, _ = make_http(post)
-        assert gw.complete(req("u")).finish_reason is expected
-
-
-def test_null_content_with_length_maps_to_empty():
-    post = FakePost(FakeHttp(body=ok_body(content=None, finish="length")))
-    gw, _ = make_http(post)
-    res = gw.complete(req("u"))
-    assert res.content == ""
-    assert res.finish_reason is FinishReason.LENGTH
-
-
-def test_stop_with_empty_content_is_an_error():
-    post = FakePost(FakeHttp(body=ok_body(content="")))
-    gw, _ = make_http(post)
-    with pytest.raises(EmptyResponseError):
-        gw.complete(req("u"))
-
-
-def test_backoff_schedule_clamps_to_last_value():
-    post = FakePost(*(FakeHttp(status_code=429) for _ in range(5)))
-    gw, slept = make_http(post, attempts=5, backoff=(1.0,))
-    with pytest.raises(RateLimitedError):
-        gw.complete(req("u"))
-    assert slept == [1.0, 1.0, 1.0, 1.0]
-
-
-def test_base_url_from_environment(monkeypatch):
-    monkeypatch.setenv(BASE_URL_ENV, "http://env.test/")
-    post = FakePost(FakeHttp(body=ok_body()))
-    gw = HttpGateway(api_key="k", transport=post, sleep=lambda _: None)
-    gw.complete(req("u"))
-    assert post.calls[0]["url"] == "http://env.test/chat/completions"
-
-
-def test_missing_base_url_is_an_error(monkeypatch):
-    monkeypatch.delenv(BASE_URL_ENV, raising=False)
-    with pytest.raises(ValueError):
-        HttpGateway(api_key="k")
-
-
-@pytest.mark.parametrize("url", ["ftp://host/v1", "localhost:8000/v1", "http:///v1"])
-def test_base_url_must_be_http_or_https(url):
-    with pytest.raises(ValueError, match="not an http or https URL"):
-        HttpGateway(base_url=url, api_key="k")
-
-
-# --- HTTP backend over a loopback server ------------------------------------------
+DROP = None  # a queued answer that closes the connection unanswered
 
 
 class _Completions(http.server.BaseHTTPRequestHandler):
+    """Records each request, then sends the next queued (status, body)
+    answer, a dict body as JSON; with none queued, a 200 "pooled"."""
+
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     timeout = 5  # an idle pooled connection must not hold the thread for long
@@ -630,13 +428,26 @@ class _Completions(http.server.BaseHTTPRequestHandler):
             self.server.connections += 1
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        body = json.dumps(ok_body("pooled")).encode()
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        with server.lock:
+            server.requests.append({
+                "path": self.path,
+                "headers": {k.lower(): v for k, v in self.headers.items()},
+                "json": json.loads(body),
+            })
+            answer = server.answers.pop(0) if server.answers else (200, ok_body("pooled"))
+        if answer is DROP:
+            self.close_connection = True
+            return
+        status, payload = answer
+        if isinstance(payload, dict):
+            payload = json.dumps(payload).encode()
         head = (
-            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
+            f"HTTP/1.1 {status} Canned\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
         )
-        self.wfile.write(head.encode() + body)
+        self.wfile.write(head.encode() + payload)
         # Closing without a "Connection: close" header leaves the client
         # holding a pooled connection that the server has already dropped.
         self.close_connection = self.server.close_after_response
@@ -652,6 +463,8 @@ class _LoopbackServer(http.server.ThreadingHTTPServer):
         super().__init__(("127.0.0.1", 0), _Completions)
         self.lock = threading.Lock()
         self.connections = 0
+        self.requests = []
+        self.answers = []
         self.closed = threading.Semaphore(0)
         self.close_after_response = False
         self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
@@ -669,7 +482,9 @@ def _clear_proxies(monkeypatch):
 
 @pytest.fixture
 def loopback(monkeypatch):
+    """A _LoopbackServer, with the proxy variables cleared and key "k"."""
     _clear_proxies(monkeypatch)
+    monkeypatch.setenv(API_KEY_ENV, "k")
     server = _LoopbackServer()
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
@@ -680,9 +495,158 @@ def loopback(monkeypatch):
     assert not thread.is_alive()
 
 
+def make_http(loopback, *answers):
+    """A gateway to ``loopback`` with ``answers`` queued, and its sleeps."""
+    loopback.answers.extend(answers)
+    slept = []
+    return HttpGateway(base_url=loopback.url, sleep=slept.append), slept
+
+
+def test_success_sends_expected_payload(loopback):
+    gw, slept = make_http(
+        loopback, (200, ok_body(usage={"prompt_tokens": 3, "completion_tokens": 7}))
+    )
+    res = gw.complete(
+        ChatRequest(
+            messages=(Message(Role.SYSTEM, "s"), Message(Role.USER, "u")),
+            model="planner",
+            temperature=0.5,
+            seed=7,
+        )
+    )
+    assert res.content == "hello"
+    assert res.usage == Usage(prompt_units=3, output_units=7)
+    assert slept == []
+    [call] = loopback.requests
+    assert call["path"] == "/v1/chat/completions"
+    assert call["headers"]["authorization"] == "Bearer k"
+    assert call["headers"]["content-type"] == "application/json"
+    assert call["json"]["model"] == "planner"
+    assert call["json"]["temperature"] == 0.5
+    assert call["json"]["seed"] == 7
+    assert call["json"]["messages"] == [
+        {"role": "system", "content": "s"},
+        {"role": "user", "content": "u"},
+    ]
+    assert "max_tokens" not in call["json"]
+    assert gw.calls == 1
+
+
+def test_no_auth_header_without_key(loopback, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV)
+    gw, _ = make_http(loopback, (200, ok_body()))
+    gw.complete(req("u"))
+    assert "authorization" not in loopback.requests[0]["headers"]
+
+
+def test_rate_limit_retries_with_backoff(loopback):
+    gw, slept = make_http(loopback, *((429, b"") for _ in range(3)))
+    with pytest.raises(RateLimitedError):
+        gw.complete(req("u"))
+    assert len(loopback.requests) == 3
+    assert slept == [1.0, 2.0]
+    assert gw.calls == 1
+
+
+def test_server_error_then_success(loopback):
+    gw, slept = make_http(loopback, (503, b""), (200, ok_body()))
+    assert gw.complete(req("u")).content == "hello"
+    assert slept == [1.0]
+
+
+def test_connection_error_is_retried(loopback):
+    gw, slept = make_http(loopback, DROP, (200, ok_body()))
+    assert gw.complete(req("u")).content == "hello"
+    assert slept == [1.0]
+    assert len(loopback.requests) == 2
+
+
+def test_client_error_fails_immediately(loopback):
+    gw, slept = make_http(loopback, (403, b"nope"))
+    with pytest.raises(RejectedError, match="403: nope"):
+        gw.complete(req("u"))
+    assert len(loopback.requests) == 1
+    assert slept == []
+
+
+def test_non_json_success_body_fails_immediately(loopback):
+    gw, _ = make_http(loopback, (200, b"body is not JSON"))
+    with pytest.raises(TransportError, match="non-JSON"):
+        gw.complete(req("u"))
+    assert len(loopback.requests) == 1
+
+
+def test_malformed_body_is_a_transport_error(loopback):
+    gw, _ = make_http(loopback, (200, {"choices": []}))
+    with pytest.raises(TransportError, match="malformed"):
+        gw.complete(req("u"))
+
+
+@pytest.mark.parametrize("body", [
+    ok_body(usage={"prompt_tokens": None}),
+    ok_body(usage="many"),
+    ok_body(usage={"prompt_tokens": "12k"}),
+    ok_body(usage={"completion_tokens": 2.5}),
+    ok_body(usage={"completion_tokens": True}),
+    ok_body(usage={"prompt_tokens": -1}),
+    ok_body(content=["hello"]),
+    ok_body(content=3),
+], ids=[
+    "null-count", "str-usage", "str-count", "float-count", "bool-count",
+    "negative-count", "list-content", "int-content",
+])
+def test_malformed_usage_or_content_is_a_transport_error(loopback, body):
+    gw, _ = make_http(loopback, (200, body))
+    with pytest.raises(TransportError, match="malformed completion body"):
+        gw.complete(req("u"))
+    assert len(loopback.requests) == 1
+
+
+def test_null_content_and_usage_are_empty(loopback):
+    body = {"choices": [{"message": {"content": None}}], "usage": None}
+    gw, _ = make_http(loopback, (200, body))
+    res = gw.complete(req("u"))
+    assert (res.content, res.usage) == ("", Usage())
+
+
+def test_non_string_finish_reason_is_other(loopback):
+    gw, _ = make_http(loopback, (200, ok_body(content="", finish=["stop"])))
+    assert gw.complete(req("u")).content == ""
+
+
+def test_null_content_with_length_maps_to_empty(loopback):
+    gw, _ = make_http(loopback, (200, ok_body(content=None, finish="length")))
+    assert gw.complete(req("u")).content == ""
+
+
+def test_stop_with_empty_content_is_an_error(loopback):
+    gw, _ = make_http(loopback, (200, ok_body(content="")))
+    with pytest.raises(EmptyResponseError):
+        gw.complete(req("u"))
+
+
+def test_base_url_from_environment(loopback, monkeypatch):
+    monkeypatch.setenv(BASE_URL_ENV, f"{loopback.url}/")
+    gw = HttpGateway(sleep=lambda _: None)
+    gw.complete(req("u"))
+    assert loopback.requests[0]["path"] == "/v1/chat/completions"
+
+
+def test_missing_base_url_is_an_error(monkeypatch):
+    monkeypatch.delenv(BASE_URL_ENV, raising=False)
+    with pytest.raises(ValueError):
+        HttpGateway()
+
+
+@pytest.mark.parametrize("url", ["ftp://host/v1", "localhost:8000/v1", "http:///v1"])
+def test_base_url_must_be_http_or_https(url):
+    with pytest.raises(ValueError, match="not an http or https URL"):
+        HttpGateway(base_url=url)
+
+
 def test_pooled_calls_share_one_connection(loopback):
     slept = []
-    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=slept.append)
+    gw = HttpGateway(base_url=loopback.url, sleep=slept.append)
     for _ in range(5):
         assert gw.complete(req("u")).content == "pooled"
     assert loopback.connections == 1
@@ -692,7 +656,7 @@ def test_pooled_calls_share_one_connection(loopback):
 def test_connection_closed_by_server_is_dialled_again(loopback):
     loopback.close_after_response = True
     slept = []
-    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=slept.append)
+    gw = HttpGateway(base_url=loopback.url, sleep=slept.append)
     for _ in range(3):
         assert gw.complete(req("u")).content == "pooled"
         assert loopback.closed.acquire(timeout=5)
@@ -701,7 +665,7 @@ def test_connection_closed_by_server_is_dialled_again(loopback):
 
 
 def test_threads_share_the_connection_pool(loopback):
-    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=lambda _: None)
+    gw = HttpGateway(base_url=loopback.url, sleep=lambda _: None)
     with ThreadPoolExecutor(max_workers=4) as pool:
         futures = [pool.submit(gw.complete, req("u")) for _ in range(40)]
         contents = [f.result(timeout=30).content for f in futures]
@@ -711,7 +675,7 @@ def test_threads_share_the_connection_pool(loopback):
 
 
 def test_pool_holds_a_connection_per_thread(loopback):
-    gw = HttpGateway(base_url=loopback.url, api_key="k", sleep=lambda _: None)
+    gw = HttpGateway(base_url=loopback.url, sleep=lambda _: None)
     with ThreadPoolExecutor(max_workers=16) as pool:
         futures = [pool.submit(gw.complete, req("u")) for _ in range(96)]
         contents = [f.result(timeout=30).content for f in futures]
@@ -767,8 +731,9 @@ class _Recorder(socketserver.ThreadingTCPServer):
 
 @pytest.fixture
 def recorder(monkeypatch):
-    """Starts _Recorder servers with the proxy variables cleared."""
+    """Starts _Recorder servers with the proxy variables cleared and key "k"."""
     _clear_proxies(monkeypatch)
+    monkeypatch.setenv(API_KEY_ENV, "k")
     started = []
 
     def start(mode="answer"):
@@ -793,7 +758,7 @@ def test_unanswered_request_is_never_resent_silently(recorder):
     server = recorder("drop")
     slept = []
     gw = HttpGateway(
-        base_url=f"http://{server.address}/v1", api_key="k", sleep=slept.append
+        base_url=f"http://{server.address}/v1", sleep=slept.append
     )
     with pytest.raises(TransportError, match="request failed"):
         gw.complete(req("u"))
@@ -802,17 +767,15 @@ def test_unanswered_request_is_never_resent_silently(recorder):
     assert gw.calls == 1
 
 
-def test_read_timeout_is_a_retried_transport_error(recorder):
+def test_read_timeout_is_a_retried_transport_error(recorder, monkeypatch):
     server = recorder("stall")
+    monkeypatch.setattr("reprompt.gateway._TIMEOUT", 0.2)
     slept = []
-    gw = HttpGateway(
-        base_url=f"http://{server.address}/v1", api_key="k", attempts=2,
-        timeout=0.2, sleep=slept.append,
-    )
+    gw = HttpGateway(base_url=f"http://{server.address}/v1", sleep=slept.append)
     with pytest.raises(TransportError, match="timed out"):
         gw.complete(req("u"))
-    assert slept == [1.0]
-    assert len(server.heads) == 2
+    assert slept == [1.0, 2.0]
+    assert len(server.heads) == 3
 
 
 def _basic(userinfo):
@@ -822,7 +785,7 @@ def _basic(userinfo):
 def test_http_proxy_gets_absolute_form_targets(recorder, monkeypatch):
     proxy = recorder()
     monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
-    gw = HttpGateway(base_url="http://api.invalid/v1", api_key="k", sleep=lambda _: None)
+    gw = HttpGateway(base_url="http://api.invalid/v1", sleep=lambda _: None)
     assert gw.complete(req("u")).content == "recorded"
     line, headers = proxy.heads[0]
     assert line == "POST http://api.invalid/v1/chat/completions HTTP/1.1"
@@ -834,7 +797,7 @@ def test_http_proxy_gets_absolute_form_targets(recorder, monkeypatch):
 def test_proxy_credentials_become_proxy_authorization(recorder, monkeypatch):
     proxy = recorder()
     monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{proxy.address}")
-    gw = HttpGateway(base_url="http://api.invalid/v1", api_key="k", sleep=lambda _: None)
+    gw = HttpGateway(base_url="http://api.invalid/v1", sleep=lambda _: None)
     gw.complete(req("u"))
     assert proxy.heads[0][1]["proxy-authorization"] == _basic("user:p@ss")
 
@@ -843,7 +806,7 @@ def test_no_proxy_bypasses_the_proxy(recorder, monkeypatch):
     proxy, direct = recorder(), recorder()
     monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
     monkeypatch.setenv("no_proxy", "127.0.0.1")
-    gw = HttpGateway(base_url=f"http://{direct.address}/v1", api_key="k")
+    gw = HttpGateway(base_url=f"http://{direct.address}/v1")
     assert gw.complete(req("u")).content == "recorded"
     assert proxy.heads == []
     assert direct.heads[0][0] == "POST /v1/chat/completions HTTP/1.1"
@@ -852,22 +815,20 @@ def test_no_proxy_bypasses_the_proxy(recorder, monkeypatch):
 def test_https_proxy_gets_a_connect_tunnel(recorder, monkeypatch):
     proxy = recorder()
     monkeypatch.setenv("https_proxy", f"http://user:pw@{proxy.address}")
-    gw = HttpGateway(
-        base_url="https://api.invalid/v1", api_key="k", attempts=1,
-        sleep=lambda _: None,
-    )
+    gw = HttpGateway(base_url="https://api.invalid/v1", sleep=lambda _: None)
     with pytest.raises(TransportError):
-        gw.complete(req("u"))  # the recorder closes the tunnel unanswered
-    [(line, headers)] = proxy.heads
-    assert line.startswith("CONNECT api.invalid:443 HTTP/")
-    assert headers["proxy-authorization"] == _basic("user:pw")
+        gw.complete(req("u"))  # the recorder closes each tunnel unanswered
+    assert len(proxy.heads) == 3  # one per attempt
+    for line, headers in proxy.heads:
+        assert line.startswith("CONNECT api.invalid:443 HTTP/")
+        assert headers["proxy-authorization"] == _basic("user:pw")
 
 
 def test_proxy_route_is_fixed_when_the_gateway_is_built(recorder, monkeypatch):
     proxy, direct = recorder(), recorder()
-    plain = HttpGateway(base_url=f"http://{direct.address}/v1", api_key="k")
+    plain = HttpGateway(base_url=f"http://{direct.address}/v1")
     monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
-    routed = HttpGateway(base_url="http://api.invalid/v1", api_key="k")
+    routed = HttpGateway(base_url="http://api.invalid/v1")
     monkeypatch.delenv("http_proxy")
     monkeypatch.setenv("no_proxy", "*")
     plain.complete(req("u"))

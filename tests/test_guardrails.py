@@ -3,7 +3,6 @@ import pytest
 from reprompt.errors import RepairFailedError
 from reprompt.guardrails import (
     GuardConfig,
-    GuardReport,
     Verdict,
     ViolationKind,
     compile_placeholder_patterns,
@@ -13,7 +12,7 @@ from reprompt.guardrails import (
     verify_protected,
     verify_required_tokens,
 )
-from reprompt.prompt_model import parse_prompt
+from reprompt.prompt_model import parse_prompt, render_prompt
 
 from conftest import (
     PROMPT_FIXTURES,
@@ -239,7 +238,6 @@ def test_review_accepts_clean_candidate():
     report, parsed = review_candidate(ORIGINAL, candidate, repair=None)
     assert report.verdict is Verdict.ACCEPTED
     assert parsed is not None
-    assert report.repaired_prompt is None
 
 
 def test_review_repairs_placeholder_candidate():
@@ -248,8 +246,7 @@ def test_review_repairs_placeholder_candidate():
         ORIGINAL, CANDIDATE_WITH_STUB, repair=make_caller(gw)
     )
     assert report.verdict is Verdict.REPAIRED
-    assert report.repaired_prompt == REPAIRED_TEXT
-    assert parsed is not None
+    assert render_prompt(parsed) == REPAIRED_TEXT
 
 
 def test_review_rejects_placeholders_without_gateway():
@@ -293,8 +290,3 @@ def test_review_honors_extra_patterns():
     report, parsed = review_candidate(ORIGINAL, candidate, guard_config=cfg, repair=None)
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
-
-
-def test_repaired_verdict_requires_text():
-    with pytest.raises(ValueError):
-        GuardReport(Verdict.REPAIRED)

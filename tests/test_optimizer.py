@@ -138,7 +138,6 @@ def test_accepted_rewrite_bumps_version():
     assert update.changed
     assert render_prompt(update.new_prompt) == NEW_TEXT
     assert update.new_prompt.version == OLD.version + 1
-    assert update.new_prompt.parent_version == OLD.version
     assert update.placement.op is StepEditOp.INSERT_BEFORE
     assert update.guard_report.verdict is Verdict.ACCEPTED
     assert gw.calls == 1

@@ -262,15 +262,6 @@ def test_at_most_one_step_segment():
         PromptDocument(segments=(seg, seg))
 
 
-def test_lineage_validation():
-    seg = (PromptSegment(SegmentKind.PREAMBLE, "x\n"),)
-    with pytest.raises(ValueError):
-        PromptDocument(segments=seg, version=0, parent_version=3)
-    with pytest.raises(ValueError):
-        PromptDocument(segments=seg, version=2, parent_version=0)
-    PromptDocument(segments=seg, version=2, parent_version=1)
-
-
 # --- default step injection ------------------------------------------------------
 
 

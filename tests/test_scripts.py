@@ -53,3 +53,32 @@ def test_regen_golden_fixtures_reproduces_them(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_src_size_counts_lines_and_settable_values(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "def f(a, b=1, *args, c=2, d, **kw):\n"
+        "    return lambda x=3: x\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: list = field(default_factory=list)\n"
+        "    k: ClassVar[int] = 1\n"
+        "class Plain:\n"
+        "    w: int = 0\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("async def g(e=None):\n    pass\n", encoding="utf-8")
+    proc = run_script("src_size.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    # b=1, c=2, e=None, y and z; not the lambda's default, the ClassVar or Plain.w.
+    assert proc.stdout.splitlines() == ["lines: 14", "settable values: 5"]
+
+    proc = run_script("src_size.py")
+    assert proc.returncode == 0, proc.stderr
+    src = SCRIPTS.parent / "src" / "reprompt"
+    lines = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
+    assert proc.stdout.splitlines()[0] == f"lines: {lines}"

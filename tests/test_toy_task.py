@@ -331,6 +331,17 @@ def test_malformed_record_rejected():
         toy_sample_from_dict({"id": "x", "days": 1})
 
 
+@pytest.mark.parametrize("field", ["cost", "budget", "days"])
+def test_infinite_number_is_malformed(field):
+    record = toy_sample_to_dict(generate_sample(0))
+    if field == "cost":
+        record["options"][0][0]["cost"] = float("inf")
+    else:
+        record[field] = float("inf")
+    with pytest.raises(ValueError, match="malformed toy sample record"):
+        toy_sample_from_dict(record)
+
+
 def test_duplicate_ids_rejected(tmp_path):
     sample = generate_sample(0)
     path = tmp_path / "toys.yaml"
