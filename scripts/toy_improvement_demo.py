@@ -52,13 +52,25 @@ def eval_gateway(holdout) -> ScriptedGateway:
             response=format_plan(blind_answer(sample)) + "\n",
             roles=("user",),
             excludes=(ANCHOR,),
+            max_uses=None,
+            line=None,
         ))
         entries.append(ScriptEntry(
             contains=(ANCHOR, sid_line),
             response=format_plan(best_answer(sample)) + "\n",
             roles=("user",),
+            excludes=(),
+            max_uses=None,
+            line=None,
         ))
     return ScriptedGateway(Script(entries))
+
+
+class OracleAdapter(ToyAdapter):
+    """Scores toy answers by the enumeration oracle, not the training-time checker."""
+
+    def check(self, answer, sample):
+        return CheckResult(oracle_check(answer, sample))
 
 
 def main() -> int:
@@ -84,6 +96,8 @@ def main() -> int:
             gateway=ScriptedGateway(load_script(str(GOLDEN / "script.yaml"))),
             feedback=RuleCheckFeedback(ToyAdapter(), {s.id: s for s in toys}),
             run_dir=Path(tmp) / "run",
+            dataset_src=None,
+            script_src=None,
         )
     assert ANCHOR in render_prompt(result.final_prompt)
     print(f"one epoch on {len(toys)} samples landed on prompt "
@@ -93,9 +107,7 @@ def main() -> int:
         args.samples, base_seed=args.seed, require_blind_fail=True
     )
     gateway = eval_gateway(holdout)
-    adapter = ToyAdapter(
-        checker=lambda answer, sample: CheckResult(oracle_check(answer, sample))
-    )
+    adapter = OracleAdapter()
     seg = config.task.segmentation()
     initial = parse_prompt(
         (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"), seg

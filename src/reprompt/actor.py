@@ -93,6 +93,10 @@ def load_dataset(path: str) -> list[TaskSample]:
         if not isinstance(row, dict) or "id" not in row:
             raise ValueError(f"{path}: every sample needs an id")
         slots = row.get("slot_values") or {}
+        if not isinstance(slots, dict):
+            raise ValueError(
+                f"{path}: sample {row['id']}: slot_values must be a mapping"
+            )
         samples.append(
             TaskSample(
                 id=str(row["id"]),
@@ -211,7 +215,7 @@ def collect_batch(
     max_rounds: int,
     *,
     caller: Caller,
-    parallelism: int = 1,
+    parallelism: int,
 ) -> list[Transcript]:
     """Run one episode per sample, preserving sample order in the result.
 
@@ -317,24 +321,28 @@ class RuleCheckFeedback:
 def feedback_generator(
     name: str,
     *,
-    gateway: Gateway | None = None,
-    model: str | None = None,
-    adapter=None,
-    samples_by_id: dict[str, object] | None = None,
+    gateway: Gateway,
+    model: str,
+    adapter,
+    samples_by_id: dict[str, object],
     temperature: float,
     seed: int,
 ) -> FeedbackGenerator:
-    """Build a feedback generator from its config tag."""
+    """Build a feedback generator from its config tag.
+
+    ``adapter`` is the task's checker, or None for a task without one.
+    """
     if name == "none":
         return NoFeedback()
     if name == "reflexion":
-        if gateway is None or model is None:
-            raise ValueError("reflexion feedback needs a gateway and a model")
         return ReflexionFeedback(Caller(gateway, model, temperature, seed))
     if name == "thinktrace":
         return ThinkTraceFeedback()
     if name == "rulecheck":
-        if adapter is None or samples_by_id is None:
-            raise ValueError("rulecheck feedback needs an adapter and samples")
+        if adapter is None:
+            raise ValueError(
+                "[train] feedback = rulecheck needs [task] kind = toy, "
+                "the task with a rule checker"
+            )
         return RuleCheckFeedback(adapter, samples_by_id)
     raise ValueError(f"unknown feedback generator: {name!r}")

@@ -71,7 +71,7 @@ class StageCallError(GatewayError):
 class ScriptParseError(EngineError):
     """A script file could not be loaded."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None):
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")
@@ -122,7 +122,7 @@ class MissingFinalMarkerError(EngineError):
 class GuardrailRejectionError(EngineError):
     """Every optimizer attempt was rejected by the guardrails."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         self.report = report
         super().__init__(message)
 

@@ -15,7 +15,6 @@ import yaml
 
 from .actor import (
     FeedbackGenerator,
-    NoFeedback,
     Sample,
     Terminal,
     Transcript,
@@ -41,7 +40,7 @@ class EvalRecord:
     passed: bool
     rounds_used: int
     terminal: str
-    detail: str = ""
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ def evaluate(
     *,
     gateway: Gateway,
     model: str,
-    feedback: FeedbackGenerator | None = None,
-    max_rounds: int = 1,
+    feedback: FeedbackGenerator,
+    max_rounds: int,
     temperature: float,
     seed: int,
     parallelism: int = 1,
@@ -88,7 +87,7 @@ def evaluate(
     transcripts = collect_batch(
         prompt,
         samples,
-        feedback if feedback is not None else NoFeedback(),
+        feedback,
         max_rounds,
         caller=Caller(gateway, model, temperature, seed),
         parallelism=parallelism,

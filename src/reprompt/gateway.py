@@ -72,8 +72,8 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class Usage:
-    prompt_units: int = 0
-    output_units: int = 0
+    prompt_units: int
+    output_units: int
 
 
 @dataclass(frozen=True)
@@ -160,10 +160,10 @@ class ScriptEntry:
 
     contains: tuple[str, ...]
     response: str
-    roles: tuple[str, ...] | None = None
-    excludes: tuple[str, ...] = ()
-    max_uses: int | None = None
-    line: int | None = None
+    roles: tuple[str, ...] | None
+    excludes: tuple[str, ...]
+    max_uses: int | None
+    line: int | None
 
     def fingerprint(self) -> tuple:
         return (self.contains, self.roles, self.excludes)
@@ -209,7 +209,9 @@ def _entry_from_mapping(data, line: int | None) -> ScriptEntry:
     if "response" not in data or not isinstance(data["response"], str):
         raise ScriptParseError("entry is missing a string response", line)
     max_uses = data.get("max_uses")
-    if max_uses is not None and (not isinstance(max_uses, int) or max_uses < 1):
+    if max_uses is not None and (
+        isinstance(max_uses, bool) or not isinstance(max_uses, int) or max_uses < 1
+    ):
         raise ScriptParseError("max_uses must be a positive integer", line)
     return ScriptEntry(
         contains=tuple(contains),

@@ -33,16 +33,12 @@ DEFAULT_PLACEHOLDER_PATTERNS = (
 )
 
 
-def compile_placeholder_patterns(
-    extra: tuple[str, ...] = ()
-) -> tuple[re.Pattern, ...]:
+def compile_placeholder_patterns(extra: tuple[str, ...]) -> tuple[re.Pattern, ...]:
     return tuple(
         re.compile(p, re.IGNORECASE)
         for p in DEFAULT_PLACEHOLDER_PATTERNS + tuple(extra)
     )
 
-
-_DEFAULT_COMPILED = compile_placeholder_patterns()
 
 
 @dataclass(frozen=True)
@@ -78,13 +74,12 @@ class GuardReport:
 
 
 def detect_placeholders(
-    text: str, patterns: tuple[re.Pattern, ...] | None = None
+    text: str, patterns: tuple[re.Pattern, ...]
 ) -> list[PlaceholderSpan]:
     """Find placeholder spans in candidate text, ordered by position."""
-    compiled = patterns if patterns is not None else _DEFAULT_COMPILED
     spans = [
         PlaceholderSpan(m.start(), m.end(), m.group(0))
-        for pattern in compiled
+        for pattern in patterns
         for m in pattern.finditer(text)
     ]
     return sorted(spans, key=lambda s: (s.start, s.end))
@@ -168,8 +163,8 @@ def repair_placeholders(
     original: PromptDocument,
     *,
     caller: Caller,
-    patterns: tuple[re.Pattern, ...] | None = None,
-    attempts: int = 3,
+    patterns: tuple[re.Pattern, ...],
+    attempts: int,
 ) -> str:
     """Ask a model to splice original text back over placeholder stubs.
 
@@ -210,9 +205,9 @@ def review_candidate(
     old: PromptDocument,
     candidate: str,
     *,
-    seg_config: SegmentationConfig | None = None,
-    required_tokens: tuple[str, ...] = (),
-    guard_config: GuardConfig | None = None,
+    seg_config: SegmentationConfig,
+    required_tokens: tuple[str, ...],
+    guard_config: GuardConfig,
     repair: Caller | None,
 ) -> tuple[GuardReport, PromptDocument | None]:
     """Run the full guard pipeline over one candidate prompt text.
@@ -223,8 +218,7 @@ def review_candidate(
     re-reviewing a repaired prompt free and idempotent). Any repair failure
     or residual violation rejects.
     """
-    cfg = guard_config or GuardConfig()
-    patterns = cfg.compiled_patterns()
+    patterns = guard_config.compiled_patterns()
     verdict = Verdict.ACCEPTED
     spans = detect_placeholders(candidate, patterns)
     if spans:
@@ -243,7 +237,7 @@ def review_candidate(
                 old,
                 caller=repair,
                 patterns=patterns,
-                attempts=cfg.repair_attempts,
+                attempts=guard_config.repair_attempts,
             )
         except RepairFailedError:
             return GuardReport(Verdict.REJECTED, placeholder_violations), None

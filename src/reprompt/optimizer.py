@@ -99,9 +99,9 @@ def optimize(
     *,
     caller: Caller,
     repair: Caller,
-    seg_config: SegmentationConfig | None = None,
-    required_tokens: tuple[str, ...] = (),
-    guard_config: GuardConfig | None = None,
+    seg_config: SegmentationConfig,
+    required_tokens: tuple[str, ...],
+    guard_config: GuardConfig,
 ) -> PromptUpdate:
     """Produce the next prompt version for one focus point.
 
@@ -114,8 +114,7 @@ def optimize(
         raise ValueError("optimize needs a structured prompt (with step instructions)")
     if focus.case is FocusCase.NO_GENERAL_REASON:
         return PromptUpdate(raw_output="", new_prompt=prompt)
-    cfg = guard_config or GuardConfig()
-    attempts = cfg.optimizer_attempts
+    attempts = guard_config.optimizer_attempts
     old_text = render_prompt(prompt)
     base_user = prompts.OPTIMIZER_USER_TEMPLATE.format(
         prompt=old_text, focus=focus.text
@@ -139,7 +138,7 @@ def optimize(
             candidate,
             seg_config=seg_config,
             required_tokens=required_tokens,
-            guard_config=cfg,
+            guard_config=guard_config,
             repair=repair,
         )
         last_report = report

@@ -357,11 +357,8 @@ def parse_plan_answer(text: str) -> tuple[str, ...]:
 class ToyAdapter:
     """Task adapter: parses toy answers and checks them for grading and feedback."""
 
-    def __init__(self, checker=toy_check):
-        self._checker = checker
-
     def parse_answer(self, text: str) -> tuple[str, ...]:
         return parse_plan_answer(text)
 
     def check(self, answer: tuple[str, ...], sample: ToySample) -> CheckResult:
-        return self._checker(answer, sample)
+        return toy_check(answer, sample)

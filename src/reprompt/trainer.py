@@ -232,8 +232,8 @@ def train(
     gateway: Gateway,
     feedback: FeedbackGenerator,
     run_dir: str | Path,
-    dataset_src: str | Path | None = None,
-    script_src: str | Path | None = None,
+    dataset_src: str | Path | None,
+    script_src: str | Path | None,
 ) -> TrainResult:
     """Create a fresh run directory, then run the loop over it with resume().
 
@@ -241,7 +241,8 @@ def train(
     step instructions of its own; the structured text is what version 0
     records. run.meta records v0's hash and the effective segmentation
     markers and required tokens, so the directory replays with its own
-    settings.
+    settings. ``dataset_src`` and ``script_src``, when not None, are copied
+    into the directory.
     """
     if not samples:
         raise ValueError("training needs at least one sample")

@@ -69,6 +69,7 @@ def make_gateway(*entries_data: dict) -> ScriptedGateway:
                 roles=tuple(match["roles"]) if match.get("roles") else None,
                 excludes=tuple(match.get("excludes", ())),
                 max_uses=data.get("max_uses"),
+                line=None,
             )
         )
     return ScriptedGateway(Script(built))

@@ -14,7 +14,7 @@ from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.config import parse_config
 from reprompt.evaluator import evaluate
 from reprompt.gateway import ScriptedGateway, load_script
-from reprompt.guardrails import Verdict, review_candidate
+from reprompt.guardrails import GuardConfig, Verdict, review_candidate
 from reprompt.optimizer import optimize
 from reprompt.prompt_model import (
     DEFAULT_SEGMENTATION,
@@ -200,6 +200,7 @@ def test_protected_section_enforcement(capsys):
             candidate,
             seg_config=TOY_SEG,
             required_tokens=("PLAN:",),
+            guard_config=GuardConfig(),
             repair=repair,
         )
         verdicts[name] = reviewed.verdict
@@ -231,7 +232,10 @@ def test_identity_on_no_signal(capsys):
         doc = parse_prompt(f"Variant {i}: keep the notes tidy.\n\n{base}")
         if not has_step_instructions(doc):
             doc = inject_default_steps(doc)
-        update = optimize(doc, focus, caller=caller, repair=caller)
+        update = optimize(
+            doc, focus, caller=caller, repair=caller, seg_config=DEFAULT_SEGMENTATION,
+            required_tokens=(), guard_config=GuardConfig(),
+        )
         if (
             not update.changed
             and render_prompt(update.new_prompt) == render_prompt(doc)
@@ -293,6 +297,7 @@ def idle_train(run_dir, sample_count, epochs, **train_overrides):
         gateway=make_gateway(*IDLE_ENTRIES),
         feedback=NoFeedback(),
         run_dir=run_dir,
+        dataset_src=None, script_src=None,
     )
 
 
@@ -334,6 +339,13 @@ def test_convergence_halt(tmp_path, capsys):
     )
 
 
+class OracleAdapter(ToyAdapter):
+    """Scores toy answers by the enumeration oracle, not the training-time checker."""
+
+    def check(self, answer, sample):
+        return CheckResult(oracle_check(answer, sample))
+
+
 def test_toy_task_improvement(tmp_path, capsys):
     """One optimization epoch lifts the toy pass rate from 0 to 1."""
     result = golden_train(tmp_path / "run", config=golden_config(epochs=1))
@@ -352,10 +364,7 @@ def test_toy_task_improvement(tmp_path, capsys):
             roles=["user"],
         ))
     gateway = make_gateway(*entries)
-    # Scored by the enumeration oracle, not the training-time checker.
-    adapter = ToyAdapter(
-        checker=lambda answer, sample: CheckResult(oracle_check(answer, sample))
-    )
+    adapter = OracleAdapter()
     seg = golden_config().task.segmentation()
     initial = parse_prompt(
         (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"), seg

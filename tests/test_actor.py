@@ -157,7 +157,9 @@ def test_batch_preserves_sample_order():
         entry(["Task id: c"], "rc"),
     )
     samples = [sample("a"), sample("b"), sample("c")]
-    out = collect_batch(PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw))
+    out = collect_batch(
+        PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw), parallelism=1
+    )
     assert [t.sample_id for t in out] == ["a", "b", "c"]
     assert [t.last_assistant() for t in out] == ["ra", "rb", "rc"]
 
@@ -165,7 +167,8 @@ def test_batch_preserves_sample_order():
 def test_batch_isolates_failures():
     gw = make_gateway(entry(["Task id: a"], "ra"))
     out = collect_batch(
-        PROMPT, [sample("a"), sample("b")], NoFeedback(), 1, caller=make_caller(gw)
+        PROMPT, [sample("a"), sample("b")], NoFeedback(), 1, caller=make_caller(gw),
+        parallelism=1,
     )
     assert out[0].terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert out[1].terminal is Terminal.ERROR
@@ -181,7 +184,7 @@ def test_batch_parallel_results_match_serial():
     )
     samples = [sample("a"), sample("b")]
     serial = collect_batch(
-        PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw1)
+        PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw1), parallelism=1
     )
     parallel = collect_batch(
         PROMPT, samples, NoFeedback(), 1, caller=make_caller(gw2),
@@ -352,7 +355,10 @@ def test_rulecheck_unparseable_answer_continues():
 
 
 def build_feedback(name, **kwargs):
-    return feedback_generator(name, temperature=0.0, seed=42, **kwargs)
+    settings = {
+        "gateway": make_gateway(), "model": "m", "adapter": None, "samples_by_id": {},
+    }
+    return feedback_generator(name, temperature=0.0, seed=42, **{**settings, **kwargs})
 
 
 def test_factory_builds_each_kind():
@@ -371,7 +377,8 @@ def test_factory_builds_each_kind():
 def test_reflexion_from_the_factory_sends_the_given_settings():
     gw = make_recording_gateway(entry(["You are a reflection assistant"], "LGTM"))
     fg = feedback_generator(
-        "reflexion", gateway=gw, model="critic", temperature=0.5, seed=7
+        "reflexion", gateway=gw, model="critic", adapter=None, samples_by_id={},
+        temperature=0.5, seed=7,
     )
     fg.feedback(_snapshot("the answer"))
     (request, _), = gw.history
@@ -379,9 +386,9 @@ def test_reflexion_from_the_factory_sends_the_given_settings():
 
 
 def test_factory_validates_arguments():
-    with pytest.raises(ValueError):
-        build_feedback("reflexion")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        feedback_generator("reflexion", temperature=0.0, seed=42)
+    with pytest.raises(ValueError, match=r"\[train\] feedback = rulecheck needs"):
         build_feedback("rulecheck")
     with pytest.raises(ValueError):
         build_feedback("telepathy")

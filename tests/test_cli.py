@@ -133,6 +133,38 @@ class TestTrain:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(message)
 
+    def generic_argv(self, tmp_path, feedback, dataset):
+        cfg = tmp_path / "generic.cfg"
+        cfg.write_text(
+            f"[train]\nfeedback = {feedback}\n\n[task]\nkind = generic\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "dataset.yaml").write_text(dataset, encoding="utf-8")
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--config") + 1] = str(cfg)
+        argv[argv.index("--dataset") + 1] = str(tmp_path / "dataset.yaml")
+        return argv
+
+    @pytest.mark.parametrize("slots", ["[x]", "x"], ids=["list", "string"])
+    def test_generic_slot_values_must_be_a_mapping(self, tmp_path, capsys, slots):
+        argv = self.generic_argv(tmp_path, "none", f"- id: a\n  slot_values: {slots}\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'dataset.yaml'}: sample a: "
+            "slot_values must be a mapping\n"
+        )
+
+    def test_rulecheck_needs_the_toy_task(self, tmp_path, capsys):
+        argv = self.generic_argv(
+            tmp_path, "rulecheck", "- id: a\n  slot_values: {task_id: a}\n"
+        )
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: [train] feedback = rulecheck needs [task] kind = toy, "
+            "the task with a rule checker\n"
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_scripted_backend_needs_script(self, tmp_path, capsys):
         argv = golden_train_argv(tmp_path / "run")
         i = argv.index("--script")

@@ -1,3 +1,8 @@
+import configparser
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from reprompt.config import (
@@ -7,6 +12,8 @@ from reprompt.config import (
     parse_config,
 )
 from reprompt.prompt_model import DEFAULT_SEGMENTATION
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_empty_text_gives_defaults():
@@ -164,3 +171,32 @@ def test_load_config(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
+
+
+def readme_config() -> str:
+    """The INI block of README's configuration section."""
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_example_parses():
+    cfg = parse_config(readme_config())
+    assert cfg.train.epochs == 2
+    assert cfg.train.convergence_patience == 2
+    assert cfg.train.call_budget == 100
+    assert cfg.train.feedback == "rulecheck"
+    # The empty model keys cascade from the summarizer's.
+    assert cfg.gateway.optimizer_model == cfg.gateway.repair_model == "critic"
+    assert cfg.gateway.base_url is None
+    assert cfg.task.required_tokens == ("PLAN:",)
+    assert cfg.task.segmentation() == dataclasses.replace(
+        DEFAULT_SEGMENTATION, format_open=("Your final answer",)
+    )
+    assert cfg.guards == EngineConfig().guards
+
+
+def test_readme_example_lists_every_key():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(readme_config())
+    for name, settings in dataclasses.asdict(EngineConfig()).items():
+        assert set(parser[name]) == set(settings), name

@@ -3,7 +3,7 @@ import threading
 
 import yaml
 
-from reprompt.actor import RuleCheckFeedback
+from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.evaluator import (
     EvalRecord,
     EvalReport,
@@ -54,7 +54,8 @@ def test_mixed_outcomes():
         # t4 has no entry: the episode errors out.
     )
     report = evaluate(
-        PROMPT, samples, ToyAdapter(), gateway=gw, model="agent", temperature=0.0, seed=42
+        PROMPT, samples, ToyAdapter(), gateway=gw, model="agent", feedback=NoFeedback(),
+        max_rounds=1, temperature=0.0, seed=42,
     )
     by_id = {r.sample_id: r for r in report.records}
     assert report.total == 4
@@ -83,6 +84,7 @@ def test_every_episode_failing_still_yields_a_full_report():
     samples = [toy("t1"), toy("t2")]
     report = evaluate(
         PROMPT, samples, ToyAdapter(), gateway=make_gateway(), model="agent",
+        feedback=NoFeedback(), max_rounds=1,
         temperature=0.0, seed=42,
     )
     assert [r.sample_id for r in report.records] == ["t1", "t2"]
@@ -96,7 +98,8 @@ def test_records_keep_sample_order():
         entry(["Task id: t1"], GOOD), entry(["Task id: t2"], GOOD)
     )
     report = evaluate(
-        PROMPT, samples, ToyAdapter(), gateway=gw, model="agent", temperature=0.0, seed=42
+        PROMPT, samples, ToyAdapter(), gateway=gw, model="agent", feedback=NoFeedback(),
+        max_rounds=1, temperature=0.0, seed=42,
     )
     assert [r.sample_id for r in report.records] == ["t2", "t1"]
 
@@ -104,7 +107,8 @@ def test_records_keep_sample_order():
 def test_filled_prompt_reaches_the_gateway():
     gw = make_recording_gateway(entry(["Task id: t1"], GOOD))
     evaluate(
-        PROMPT, [toy("t1")], ToyAdapter(), gateway=gw, model="agent", temperature=0.0, seed=42
+        PROMPT, [toy("t1")], ToyAdapter(), gateway=gw, model="agent", feedback=NoFeedback(),
+        max_rounds=1, temperature=0.0, seed=42,
     )
     request, _ = gw.history[0]
     opening = request.messages[0].content
@@ -149,7 +153,8 @@ def test_parallelism_runs_samples_side_by_side():
 
     report = evaluate(
         PROMPT, [toy("t1"), toy("t2")], ToyAdapter(), gateway=Meeting(),
-        model="agent", temperature=0.0, seed=42, parallelism=2,
+        model="agent", feedback=NoFeedback(), max_rounds=1,
+        temperature=0.0, seed=42, parallelism=2,
     )
     assert report.pass_rate == 1.0
 
@@ -171,6 +176,7 @@ def rec(sid, passed):
         passed=passed,
         rounds_used=1,
         terminal="max_rounds_exhausted",
+        detail="",
     )
 
 

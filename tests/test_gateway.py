@@ -85,31 +85,43 @@ def matches(e: ScriptEntry, request: ChatRequest) -> bool:
 
 
 def test_contains_anchors_must_appear_in_order():
-    e = ScriptEntry(contains=("alpha", "beta"), response="r")
+    e = ScriptEntry(
+        contains=("alpha", "beta"), response="r", roles=None, excludes=(), max_uses=None, line=None
+    )
     assert matches(e, req("alpha then beta"))
     assert not matches(e, req("beta then alpha"))
 
 
 def test_contains_anchors_may_not_overlap():
-    e = ScriptEntry(contains=("aa", "aa"), response="r")
+    e = ScriptEntry(
+        contains=("aa", "aa"), response="r", roles=None, excludes=(), max_uses=None, line=None
+    )
     assert not matches(e, req("aaa"))
     assert matches(e, req("aaaa"))
 
 
 def test_anchors_span_message_boundaries():
-    e = ScriptEntry(contains=("first", "second"), response="r")
+    e = ScriptEntry(
+        contains=("first", "second"), response="r", roles=None, excludes=(), max_uses=None, line=None
+    )
     assert matches(e, req(("system", "the first part"), ("user", "the second part")))
 
 
 def test_roles_pin_the_exact_sequence():
-    e = ScriptEntry(contains=("x",), roles=("system", "user"), response="r")
+    e = ScriptEntry(
+        contains=("x",), roles=("system", "user"), response="r",
+        excludes=(), max_uses=None, line=None,
+    )
     assert matches(e, req(("system", "x"), ("user", "y")))
     assert not matches(e, req("x"))
     assert not matches(e, req(("system", "x"), ("user", "y"), ("user", "z")))
 
 
 def test_excludes_veto_a_match():
-    e = ScriptEntry(contains=("x",), excludes=("stop word",), response="r")
+    e = ScriptEntry(
+        contains=("x",), excludes=("stop word",), response="r",
+        roles=None, max_uses=None, line=None,
+    )
     assert matches(e, req("x marks the spot"))
     assert not matches(e, req("x plus the stop word"))
 
@@ -155,13 +167,17 @@ def test_max_uses_retires_an_entry():
 
 
 def test_gateways_share_a_script_without_sharing_its_uses():
-    script = Script([ScriptEntry(contains=("go",), response="once", max_uses=1)])
+    script = Script([ScriptEntry(
+        contains=("go",), response="once", max_uses=1, roles=None, excludes=(), line=None
+    )])
     first, second = ScriptedGateway(script), ScriptedGateway(script)
     assert first.complete(req("go")).content == "once"
     assert second.complete(req("go")).content == "once"
     with pytest.raises(RejectedError):
         first.complete(req("go"))
-    assert script == Script([ScriptEntry(contains=("go",), response="once", max_uses=1)])
+    assert script == Script([ScriptEntry(
+        contains=("go",), response="once", max_uses=1, roles=None, excludes=(), line=None
+    )])
 
 
 def test_round_dependent_entries_via_roles():
@@ -282,7 +298,7 @@ def test_needles_nested_past_the_flat_cutoff_still_match():
     # the regex builder factors before it lists suffixes flat.
     entries = [
         ScriptEntry(contains=("a" * k,), excludes=("a" * (k + 1),), response=f"r{k}",
-                    line=k)
+                    roles=None, max_uses=None, line=k)
         for k in range(1, 151)
     ]
     indexed = ScriptedGateway(Script(entries))
@@ -365,6 +381,18 @@ def test_load_script_rejects_bad_max_uses(tmp_path):
     path = write_script(tmp_path / "s.yaml", [entry(["x"], "r", max_uses=0)])
     with pytest.raises(ScriptParseError, match="max_uses"):
         load_script(path)
+
+
+@pytest.mark.parametrize("value", ["yes", "true", "no"])
+def test_load_script_rejects_boolean_max_uses(tmp_path, value):
+    path = tmp_path / "s.yaml"
+    path.write_text(
+        f"- match:\n    contains: [x]\n  response: r\n"
+        f"- match:\n    contains: [y]\n  response: r\n  max_uses: {value}\n"
+    )
+    with pytest.raises(ScriptParseError, match="max_uses") as err:
+        load_script(str(path))
+    assert err.value.line == 4
 
 
 def test_load_script_rejects_missing_response(tmp_path):
@@ -606,7 +634,7 @@ def test_null_content_and_usage_are_empty(loopback):
     body = {"choices": [{"message": {"content": None}}], "usage": None}
     gw, _ = make_http(loopback, (200, body))
     res = gw.complete(req("u"))
-    assert (res.content, res.usage) == ("", Usage())
+    assert (res.content, res.usage) == ("", Usage(0, 0))
 
 
 def test_non_string_finish_reason_is_other(loopback):

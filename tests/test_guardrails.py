@@ -12,7 +12,7 @@ from reprompt.guardrails import (
     verify_protected,
     verify_required_tokens,
 )
-from reprompt.prompt_model import parse_prompt, render_prompt
+from reprompt.prompt_model import DEFAULT_SEGMENTATION, parse_prompt, render_prompt
 
 from conftest import (
     PROMPT_FIXTURES,
@@ -32,6 +32,7 @@ ORIGINAL_TEXT = (
     "Here is the task:\n{query}\n"
 )
 ORIGINAL = parse_prompt(ORIGINAL_TEXT)
+DEFAULT_PATTERNS = compile_placeholder_patterns(())
 
 
 def with_steps(steps_block):
@@ -53,7 +54,7 @@ def with_steps(steps_block):
     ],
 )
 def test_default_placeholder_shapes(text):
-    assert detect_placeholders(text)
+    assert detect_placeholders(text, DEFAULT_PATTERNS)
 
 
 @pytest.mark.parametrize(
@@ -66,12 +67,12 @@ def test_default_placeholder_shapes(text):
     ],
 )
 def test_non_placeholder_text(text):
-    assert detect_placeholders(text) == []
+    assert detect_placeholders(text, DEFAULT_PATTERNS) == []
 
 
 def test_spans_are_ordered_and_positioned():
     text = "a ⟨one⟩ then <Examples here> end"
-    spans = detect_placeholders(text)
+    spans = detect_placeholders(text, DEFAULT_PATTERNS)
     assert [s.text for s in spans] == ["⟨one⟩", "<Examples here>"]
     assert text[spans[0].start : spans[0].end] == "⟨one⟩"
 
@@ -86,7 +87,7 @@ def test_extra_patterns_extend_the_defaults():
 
 def test_fixture_with_placeholders_is_caught():
     text = (PROMPT_FIXTURES / "planner_rewrite_with_placeholder.txt").read_text()
-    spans = detect_placeholders(text)
+    spans = detect_placeholders(text, DEFAULT_PATTERNS)
     assert len(spans) >= 2
 
 
@@ -176,7 +177,8 @@ REPAIRED_TEXT = CANDIDATE_WITH_STUB.replace(
 def test_repair_happy_path():
     gw = make_recording_gateway(entry(["You are a template replacer"], REPAIRED_TEXT))
     result = repair_placeholders(
-        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw)
+        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
+        patterns=DEFAULT_PATTERNS, attempts=3,
     )
     assert result == REPAIRED_TEXT
     assert gw.calls == 1
@@ -200,7 +202,8 @@ def test_repair_retries_until_clean():
         ),
     )
     result = repair_placeholders(
-        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw)
+        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
+        patterns=DEFAULT_PATTERNS, attempts=3,
     )
     assert result == REPAIRED_TEXT
     assert gw.calls == 2
@@ -215,7 +218,10 @@ def test_repair_rejects_dropped_examples():
         entry(["You are a template replacer"], clean_but_lossy, max_uses=3)
     )
     with pytest.raises(RepairFailedError):
-        repair_placeholders(CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw))
+        repair_placeholders(
+            CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
+            patterns=DEFAULT_PATTERNS, attempts=3,
+        )
     assert gw.calls == 3
 
 
@@ -225,7 +231,8 @@ def test_repair_attempt_budget_is_configurable():
     )
     with pytest.raises(RepairFailedError):
         repair_placeholders(
-            CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw), attempts=2
+            CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
+            patterns=DEFAULT_PATTERNS, attempts=2,
         )
     assert gw.calls == 2
 
@@ -235,7 +242,9 @@ def test_repair_attempt_budget_is_configurable():
 
 def test_review_accepts_clean_candidate():
     candidate = with_steps("1. Read the query.\n2. Check the budget first.\n")
-    report, parsed = review_candidate(ORIGINAL, candidate, repair=None)
+    report, parsed = review_candidate(
+        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
+    )
     assert report.verdict is Verdict.ACCEPTED
     assert parsed is not None
 
@@ -243,14 +252,17 @@ def test_review_accepts_clean_candidate():
 def test_review_repairs_placeholder_candidate():
     gw = make_gateway(entry(["You are a template replacer"], REPAIRED_TEXT))
     report, parsed = review_candidate(
-        ORIGINAL, CANDIDATE_WITH_STUB, repair=make_caller(gw)
+        ORIGINAL, CANDIDATE_WITH_STUB, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(),
+        repair=make_caller(gw),
     )
     assert report.verdict is Verdict.REPAIRED
     assert render_prompt(parsed) == REPAIRED_TEXT
 
 
 def test_review_rejects_placeholders_without_gateway():
-    report, parsed = review_candidate(ORIGINAL, CANDIDATE_WITH_STUB, repair=None)
+    report, parsed = review_candidate(
+        ORIGINAL, CANDIDATE_WITH_STUB, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
+    )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
     assert report.violations[0].kind is ViolationKind.PLACEHOLDER_FOUND
@@ -261,7 +273,8 @@ def test_review_rejects_failed_repair():
         entry(["You are a template replacer"], CANDIDATE_WITH_STUB, max_uses=9)
     )
     report, parsed = review_candidate(
-        ORIGINAL, CANDIDATE_WITH_STUB, repair=make_caller(gw)
+        ORIGINAL, CANDIDATE_WITH_STUB, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(),
+        repair=make_caller(gw),
     )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
@@ -269,7 +282,9 @@ def test_review_rejects_failed_repair():
 
 def test_review_rejects_mutated_examples():
     candidate = ORIGINAL_TEXT.replace("Plan: p\n", "Plan: shortened\n")
-    report, parsed = review_candidate(ORIGINAL, candidate, repair=None)
+    report, parsed = review_candidate(
+        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
+    )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
     assert report.violations[0].kind is ViolationKind.EXAMPLES_MUTATED
@@ -278,7 +293,8 @@ def test_review_rejects_mutated_examples():
 def test_review_enforces_required_tokens():
     candidate = ORIGINAL_TEXT.replace("Here is the task:", "Here is the task, team:")
     report, parsed = review_candidate(
-        ORIGINAL, candidate, required_tokens=("never present",), repair=None
+        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION,
+        required_tokens=("never present",), guard_config=GuardConfig(), repair=None,
     )
     assert report.verdict is Verdict.REJECTED
     assert report.violations[0].kind is ViolationKind.REQUIRED_TOKEN_MISSING
@@ -287,6 +303,9 @@ def test_review_enforces_required_tokens():
 def test_review_honors_extra_patterns():
     candidate = with_steps("1. Read.\n2. [[steps continue as before]]\n")
     cfg = GuardConfig(extra_placeholder_patterns=(r"\[\[.*?\]\]",))
-    report, parsed = review_candidate(ORIGINAL, candidate, guard_config=cfg, repair=None)
+    report, parsed = review_candidate(
+        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(),
+        guard_config=cfg, repair=None,
+    )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None

@@ -4,7 +4,13 @@ from reprompt import prompts
 from reprompt.errors import GuardrailRejectionError, MarkerAbsentError, MissingFinalMarkerError
 from reprompt.guardrails import GuardConfig, Verdict
 from reprompt.optimizer import classify_placement, optimize, parse_final_prompt
-from reprompt.prompt_model import StepEdit, StepEditOp, parse_prompt, render_prompt
+from reprompt.prompt_model import (
+    DEFAULT_SEGMENTATION,
+    StepEdit,
+    StepEditOp,
+    parse_prompt,
+    render_prompt,
+)
 from reprompt.summarizer import FocusCase, FocusPoint
 
 from conftest import entry, make_caller, make_gateway, make_recording_gateway
@@ -30,6 +36,14 @@ NEW_TEXT = OLD_TEXT.replace(
 
 def focus(text="the budget is never checked.", case=FocusCase.FAILURE_REASON):
     return FocusPoint(case=case, text=text)
+
+
+# The run settings of a run on the stock markers and guards.
+SETTINGS = {
+    "seg_config": DEFAULT_SEGMENTATION,
+    "required_tokens": (),
+    "guard_config": GuardConfig(),
+}
 
 
 def callers(gateway):
@@ -112,7 +126,7 @@ def test_classify_placement_with_equal_steps_is_whole_block():
 def test_bare_item_candidate_is_an_insert():
     bare = OLD_TEXT.replace("2. Draft the plan.\n", "2.\n3. Draft the plan.\n")
     gw = make_gateway(entry(["You are a prompt optimizer"], f"{MARKER}\n{bare}"))
-    update = optimize(OLD, focus(), **callers(gw))
+    update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed
     assert update.placement == StepEdit(StepEditOp.INSERT_BEFORE, 2)
     assert render_prompt(update.new_prompt) == bare
@@ -123,7 +137,7 @@ def test_bare_item_candidate_is_an_insert():
 
 def test_no_general_reason_is_identity_with_zero_calls():
     gw = make_gateway(entry(["You are a prompt optimizer"], "should never fire"))
-    update = optimize(OLD, no_reason_focus(), **callers(gw))
+    update = optimize(OLD, no_reason_focus(), **callers(gw), **SETTINGS)
     assert update.changed is False
     assert update.new_prompt is OLD
     assert update.placement is None
@@ -134,7 +148,7 @@ def test_accepted_rewrite_bumps_version():
     gw = make_gateway(
         entry(["You are a prompt optimizer"], f"analysis\n{MARKER}\n{NEW_TEXT}")
     )
-    update = optimize(OLD, focus(), **callers(gw))
+    update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed
     assert render_prompt(update.new_prompt) == NEW_TEXT
     assert update.new_prompt.version == OLD.version + 1
@@ -147,7 +161,7 @@ def test_request_carries_prompt_and_focus():
     gw = make_recording_gateway(
         entry(["You are a prompt optimizer"], f"{MARKER}\n{NEW_TEXT}")
     )
-    optimize(OLD, focus("check totals before answering."), **callers(gw))
+    optimize(OLD, focus("check totals before answering."), **callers(gw), **SETTINGS)
     request, _ = gw.history[0]
     user = request.messages[1].content
     assert OLD_TEXT in user
@@ -158,7 +172,7 @@ def test_identical_output_is_unchanged_but_consumes_a_call():
     gw = make_gateway(
         entry(["You are a prompt optimizer"], f"{MARKER}\n{OLD_TEXT}")
     )
-    update = optimize(OLD, focus(), **callers(gw))
+    update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed is False
     assert update.placement is None
     assert update.new_prompt is OLD
@@ -178,7 +192,7 @@ def test_retry_note_names_the_rejection():
             f"{MARKER}\n{NEW_TEXT}",
         ),
     )
-    update = optimize(OLD, focus(), **callers(gw))
+    update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed
     assert gw.calls == 2
     retry_request, _ = gw.history[1]
@@ -192,7 +206,7 @@ def test_marker_missing_on_every_attempt():
         entry(["You are a prompt optimizer"], "no final line here", max_uses=3)
     )
     with pytest.raises(MissingFinalMarkerError):
-        optimize(OLD, focus(), **callers(gw))
+        optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert gw.calls == 3
 
 
@@ -202,7 +216,7 @@ def test_all_attempts_rejected_carries_last_report():
         entry(["You are a prompt optimizer"], f"{MARKER}\n{mutated}", max_uses=3)
     )
     with pytest.raises(GuardrailRejectionError) as err:
-        optimize(OLD, focus(), **callers(gw))
+        optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert err.value.report is not None
     assert err.value.report.verdict is Verdict.REJECTED
 
@@ -216,6 +230,8 @@ def test_attempt_budget_is_configurable():
             OLD,
             focus(),
             **callers(gw),
+            seg_config=DEFAULT_SEGMENTATION,
+            required_tokens=(),
             guard_config=GuardConfig(optimizer_attempts=2),
         )
     assert gw.calls == 2
@@ -227,7 +243,7 @@ def test_conservation_rejects_preamble_edits():
         entry(["You are a prompt optimizer"], f"{MARKER}\n{sneaky}", max_uses=3)
     )
     with pytest.raises(GuardrailRejectionError) as err:
-        optimize(OLD, focus(), **callers(gw))
+        optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert "outside the step instructions" in str(err.value)
 
 
@@ -240,7 +256,7 @@ def test_placeholder_candidate_is_repaired_in_flight():
         entry(["You are a prompt optimizer"], f"{MARKER}\n{stubbed}"),
         entry(["You are a template replacer"], NEW_TEXT),
     )
-    update = optimize(OLD, focus(), **callers(gw))
+    update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed
     assert update.guard_report.verdict is Verdict.REPAIRED
     assert render_prompt(update.new_prompt) == NEW_TEXT
@@ -254,7 +270,9 @@ def test_required_tokens_flow_through():
     with pytest.raises(GuardrailRejectionError):
         optimize(
             OLD, focus(), **callers(gw),
+            seg_config=DEFAULT_SEGMENTATION,
             required_tokens=("THIS TOKEN IS NOWHERE",),
+            guard_config=GuardConfig(),
         )
 
 
@@ -262,4 +280,4 @@ def test_unstructured_prompt_is_refused():
     gw = make_gateway(entry(["x"], "y"))
     bare = parse_prompt("no steps at all\n")
     with pytest.raises(ValueError):
-        optimize(bare, focus(), **callers(gw))
+        optimize(bare, focus(), **callers(gw), **SETTINGS)

@@ -12,7 +12,6 @@ from reprompt.toy_task import (
     RULE_BUDGET,
     RULE_INVALID,
     RULE_ROUTE,
-    ToyAdapter,
     ToyOption,
     ToySample,
     best_answer,
@@ -388,18 +387,6 @@ def test_toy_and_task_samples_render_the_same_message(seed):
     )
     sample = generate_sample(seed)
     assert sample.render(prompt) == to_task_sample(sample).render(prompt)
-
-
-def test_adapter_check_delegates_to_checker():
-    calls = []
-
-    def checker(answer, sample):
-        calls.append(answer)
-        return toy_check(answer, sample)
-
-    adapter = ToyAdapter(checker=checker)
-    adapter.check(("a11", "a21"), TWO_DAY)
-    assert calls == [("a11", "a21")]
 
 
 # --- plan formatting and parsing --------------------------------------------------------

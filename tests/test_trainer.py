@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import GOLDEN, Recording, entry, make_gateway
+from conftest import GOLDEN, TOY_SEG, Recording, entry, make_gateway
 from reprompt import prompts, trainer
 from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.cli import main
 from reprompt.config import parse_config
 from reprompt.errors import BudgetExhaustedError, CorruptRunError
 from reprompt.gateway import ScriptedGateway, load_script
-from reprompt.prompt_model import render_prompt
+from reprompt.prompt_model import inject_default_steps, parse_prompt, render_prompt
 from reprompt.summarizer import ELIDED_PROMPT_LINE
 from reprompt.toy_task import ToyAdapter, load_toy_samples, to_task_sample
 from reprompt.trainer import (
@@ -45,7 +45,7 @@ def golden_inputs():
 
 def run_golden(run_dir, config=None, with_copies=False):
     samples, feedback, gateway = golden_inputs()
-    kwargs = {}
+    kwargs = {"dataset_src": None, "script_src": None}
     if with_copies:
         kwargs = {
             "dataset_src": GOLDEN / "dataset.yaml",
@@ -129,6 +129,7 @@ class TestGoldenRun:
             gateway=recording,
             feedback=feedback,
             run_dir=tmp_path / "run",
+            dataset_src=None, script_src=None,
         )
         requests = [request for request, _ in recording.history]
         digests = [
@@ -169,6 +170,7 @@ class TestGoldenRun:
             gateway=recording,
             feedback=feedback,
             run_dir=tmp_path / "run",
+            dataset_src=None, script_src=None,
         )
         summarizer_requests = [
             r for r, _ in recording.history
@@ -281,6 +283,7 @@ class TestGoldenRun:
                 gateway=gateway,
                 feedback=feedback,
                 run_dir=tmp_path / "run",
+                dataset_src=None, script_src=None,
             )
 
     def test_refuses_empty_sample_list(self, tmp_path):
@@ -293,6 +296,7 @@ class TestGoldenRun:
                 gateway=gateway,
                 feedback=feedback,
                 run_dir=tmp_path / "run",
+                dataset_src=None, script_src=None,
             )
 
     def test_verify_chain_and_replay(self, tmp_path):
@@ -366,6 +370,7 @@ def run_idle(run_dir, **train_overrides):
         gateway=gateway,
         feedback=NoFeedback(),
         run_dir=run_dir,
+        dataset_src=None, script_src=None,
     )
     return result, gateway
 
@@ -515,6 +520,7 @@ class TestBudgetAndResume:
         whole = train(
             prompt, samples, config=config, gateway=make_gateway(*IDLE_ENTRIES),
             feedback=NoFeedback(), run_dir=whole_dir,
+            dataset_src=None, script_src=None,
         )
 
         config, samples, prompt, cut_dir = run("cut", 2)
@@ -522,6 +528,7 @@ class TestBudgetAndResume:
             train(
                 prompt, samples, config=config, gateway=make_gateway(*IDLE_ENTRIES),
                 feedback=NoFeedback(), run_dir=cut_dir,
+                dataset_src=None, script_src=None,
             )
         # Only batch 1 ran; no epoch entry yet.
         assert [e["kind"] for e in cursor_entries(cut_dir)] == ["batch"]
@@ -671,6 +678,7 @@ class TestFailurePaths:
             self.prompt(), self.samples(), config=self.config(),
             gateway=make_gateway(), feedback=NoFeedback(),
             run_dir=tmp_path / "run",
+            dataset_src=None, script_src=None,
         )
         assert result.versions == (0,)
         assert result.episodes_run == 0
@@ -688,6 +696,7 @@ class TestFailurePaths:
                     self.prompt(), self.samples(), config=self.config(),
                     gateway=make_gateway(*IDLE_ENTRIES), feedback=NoFeedback(),
                     run_dir=run_dir,
+                    dataset_src=None, script_src=None,
                 )
         assert (run_dir / "transcripts" / "e1" / "b1").is_dir()
         assert not (run_dir / "state.cursor").read_bytes().endswith(b"\n")
@@ -707,6 +716,7 @@ class TestFailurePaths:
             self.prompt(), self.samples(), config=self.config(),
             gateway=make_gateway(IDLE_ENTRIES[0], bad_summary),
             feedback=NoFeedback(), run_dir=tmp_path / "run",
+            dataset_src=None, script_src=None,
         )
         assert result.versions == (0,)
         assert result.episodes_run == 1
@@ -729,6 +739,7 @@ class TestFailurePaths:
             self.prompt(), self.samples(), config=self.config(),
             gateway=make_gateway(IDLE_ENTRIES[0], focus_summary, no_marker),
             feedback=NoFeedback(), run_dir=tmp_path / "run",
+            dataset_src=None, script_src=None,
         )
         assert result.versions == (0,)
         assert render_prompt(result.final_prompt).startswith("You are a day-planner.")
@@ -758,10 +769,93 @@ class TestFailurePaths:
             self.prompt(), self.samples(), config=self.config(),
             gateway=make_gateway(IDLE_ENTRIES[0], focus_summary, bad_candidate),
             feedback=NoFeedback(), run_dir=tmp_path / "run",
+            dataset_src=None, script_src=None,
         )
         assert result.versions == (0,)
         note = cursor_entries(tmp_path / "run")[0]["note"]
         assert note.startswith("optimizer rejected:")
+
+
+class TestGuardSettings:
+    """The run's [guards] section governs its optimizer and repair calls."""
+
+    FOCUS = entry(
+        ["You are a summarizer"],
+        "Same failure everywhere.\n"
+        "In conclusion, the main focus point should be: "
+        "the answers skip the budget check.",
+    )
+
+    def train(self, run_dir, guards, *optimizer_entries):
+        config = parse_config(
+            IDLE_CFG.replace("epochs = 5", "epochs = 1").replace(
+                "batch_size = 2", "batch_size = 1"
+            ) + guards
+        )
+        toys = load_toy_samples(GOLDEN / "dataset.yaml")[:1]
+        gateway = Recording(make_gateway(IDLE_ENTRIES[0], self.FOCUS, *optimizer_entries))
+        result = train(
+            (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"),
+            [to_task_sample(s) for s in toys], config=config, gateway=gateway,
+            feedback=NoFeedback(), run_dir=run_dir, dataset_src=None, script_src=None,
+        )
+        return result, gateway
+
+    def candidate(self, step):
+        v0 = render_prompt(inject_default_steps(parse_prompt(
+            (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"), TOY_SEG
+        )))
+        return v0.replace("2. Then,", f"2. {step}\n3. Then,")
+
+    def test_optimizer_attempts_caps_the_retries(self, tmp_path):
+        mangled = self.candidate("Check the budget.").replace(
+            "You are a day-planner.", "You are a poet."
+        )
+        answers = [
+            # The first attempt rewrites the preamble; the retry is clean.
+            entry(
+                ["You are a prompt optimizer"],
+                f"{prompts.FINAL_PROMPT_MARKER}\n{mangled}",
+                excludes=["Your previous attempt was rejected"],
+            ),
+            entry(
+                ["You are a prompt optimizer", "Your previous attempt was rejected"],
+                f"{prompts.FINAL_PROMPT_MARKER}\n{self.candidate('Check the budget.')}",
+            ),
+        ]
+        result, _ = self.train(tmp_path / "default", "", *answers)
+        assert result.versions == (0, 1)
+        result, _ = self.train(
+            tmp_path / "once", "\n[guards]\noptimizer_attempts = 1\n", *answers
+        )
+        assert result.versions == (0,)
+        assert not (tmp_path / "once" / "prompts" / "v1.txt").exists()
+        batch = cursor_entries(tmp_path / "once")[0]
+        assert batch["note"].startswith("optimizer rejected:")
+        assert "version" not in batch
+
+    def test_extra_placeholder_patterns_send_a_repair_call(self, tmp_path):
+        stubbed = self.candidate("Check the rest SAME AS BEFORE.")
+        clean = self.candidate("Check the budget.")
+        answers = [
+            entry(
+                ["You are a prompt optimizer"], f"{prompts.FINAL_PROMPT_MARKER}\n{stubbed}"
+            ),
+            entry(["You are a template replacer"], clean),
+        ]
+        result, _ = self.train(tmp_path / "default", "", *answers)
+        assert render_prompt(result.final_prompt) == stubbed
+        result, gateway = self.train(
+            tmp_path / "extra",
+            '\n[guards]\nextra_placeholder_patterns = ["same as before"]\n',
+            *answers,
+        )
+        repairs = [
+            r for r, _ in gateway.history
+            if r.messages[0].content == prompts.TEMPLATE_REPLACER_SYSTEM_PROMPT
+        ]
+        assert len(repairs) == 1
+        assert render_prompt(result.final_prompt) == clean
 
 
 # --- corruption detection ------------------------------------------------------
