@@ -8,8 +8,6 @@ first-class transcript role; on the wire it travels as a user message.
 """
 from __future__ import annotations
 
-import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -25,8 +23,6 @@ from .errors import (
 from .gateway import Caller, Gateway, Message, Role
 from .prompt_model import PromptDocument, fill_slots
 from .yamlio import load_yaml
-
-logger = logging.getLogger(__name__)
 
 
 class TranscriptRole(Enum):
@@ -227,10 +223,16 @@ def collect_batch(
         try:
             return run_episode(prompt, sample, fg, max_rounds, caller=caller)
         except EpisodeError as exc:
-            logger.warning("episode failed for sample %s: %s", sample.id, exc)
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "episode failed for sample %s: %s", sample.id, exc
+            )
             return exc.transcript
 
     if parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(one, samples))
     return [one(s) for s in samples]

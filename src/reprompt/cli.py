@@ -3,12 +3,18 @@
 Subcommands: train, eval, resume, inspect, diff. Exit code 0 on success,
 1 for bad input (config, files, flag combinations), 2 for engine errors
 raised while running.
+
+Importing this module loads only what every command shares. The training
+stack (``trainer`` with the summarizer, optimizer and guardrails) is
+imported by the commands that run it, so ``eval`` and ``diff`` start
+without it.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .actor import feedback_generator, load_dataset
 from .config import ConfigError, EngineConfig, load_config
@@ -17,7 +23,9 @@ from .evaluator import evaluate, write_report_tsv, write_report_yaml
 from .gateway import Gateway, HttpGateway, ScriptedGateway, load_script
 from .prompt_model import diff_prompts, parse_prompt
 from .toy_task import ToyAdapter, generate_samples, load_toy_samples
-from . import trainer
+
+if TYPE_CHECKING:
+    from .trainer import TrainResult
 
 
 def _build_gateway(backend: str, script: str | None, config: EngineConfig) -> Gateway:
@@ -50,6 +58,8 @@ def _build_feedback(tag: str, config: EngineConfig, gateway: Gateway, adapter, s
 
 
 def _cmd_train(args) -> int:
+    from . import trainer
+
     config = load_config(args.config)
     backend = args.backend or config.gateway.backend
     gateway = _build_gateway(backend, args.script, config)
@@ -71,6 +81,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    from . import trainer
+
     config = load_config(args.config)
     run_dir = Path(args.out)
     dataset = args.dataset or str(run_dir / trainer.DATASET_COPY)
@@ -90,7 +102,7 @@ def _cmd_resume(args) -> int:
     return 0
 
 
-def _print_train_result(result: trainer.TrainResult) -> None:
+def _print_train_result(result: TrainResult) -> None:
     doc = result.final_prompt
     print(f"final prompt: v{doc.version}")
     print(f"versions written: {', '.join(f'v{n}' for n in result.versions)}")
@@ -157,6 +169,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from . import trainer
+
     records = trainer.verify_chain(args.out)
     for record in records:
         placement = record.meta.get("placement") or "-"

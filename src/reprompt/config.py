@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from .guardrails import GuardConfig
 from .prompt_model import DEFAULT_SEGMENTATION, SegmentationConfig
 
 
@@ -65,6 +64,13 @@ class TaskSettings:
             format_open=self.format_open,
             format_close=self.format_close,
         )
+
+
+@dataclass(frozen=True)
+class GuardConfig:
+    extra_placeholder_patterns: tuple[str, ...] = ()
+    repair_attempts: int = 3
+    optimizer_attempts: int = 3
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,9 @@ checker. No optimization happens here.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Protocol, Sequence
-
-import yaml
 
 from .actor import (
     FeedbackGenerator,
@@ -141,6 +138,8 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def write_report_yaml(report: EvalReport, path: str | Path) -> None:
+    import yaml
+
     Path(path).write_text(
         yaml.safe_dump(report_to_dict(report), sort_keys=False),
         encoding="utf-8",
@@ -148,6 +147,8 @@ def write_report_yaml(report: EvalReport, path: str | Path) -> None:
 
 
 def write_report_tsv(report: EvalReport, path: str | Path) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, dialect="excel-tab")
         writer.writerow(

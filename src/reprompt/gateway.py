@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol
 
-import yaml
-
 from .errors import (
     AmbiguousScriptError,
     EmptyResponseError,
@@ -36,7 +34,7 @@ from .errors import (
     StageCallError,
     TransportError,
 )
-from .yamlio import SafeLoader
+from .yamlio import safe_loader
 
 API_KEY_ENV = "REPROMPT_API_KEY"
 BASE_URL_ENV = "REPROMPT_BASE_URL"
@@ -231,9 +229,11 @@ def load_script(path: str) -> Script:
     for malformed files and AmbiguousScriptError when two entries share a
     fingerprint.
     """
+    import yaml
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    loader = SafeLoader(text)
+    loader = safe_loader()(text)
     try:
         root = loader.get_single_node()
         data = None if root is None else loader.construct_document(root)

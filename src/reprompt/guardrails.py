@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import prompts
+from .config import GuardConfig
 from .errors import EmptyPromptError, RepairFailedError
 from .gateway import Caller
 from .prompt_model import (
@@ -191,16 +192,6 @@ def repair_placeholders(
     )
 
 
-@dataclass(frozen=True)
-class GuardConfig:
-    extra_placeholder_patterns: tuple[str, ...] = ()
-    repair_attempts: int = 3
-    optimizer_attempts: int = 3
-
-    def compiled_patterns(self) -> tuple[re.Pattern, ...]:
-        return compile_placeholder_patterns(self.extra_placeholder_patterns)
-
-
 def review_candidate(
     old: PromptDocument,
     candidate: str,
@@ -218,7 +209,7 @@ def review_candidate(
     re-reviewing a repaired prompt free and idempotent). Any repair failure
     or residual violation rejects.
     """
-    patterns = guard_config.compiled_patterns()
+    patterns = compile_placeholder_patterns(guard_config.extra_placeholder_patterns)
     verdict = Verdict.ACCEPTED
     spans = detect_placeholders(candidate, patterns)
     if spans:

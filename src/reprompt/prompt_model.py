@@ -117,11 +117,11 @@ def _line_categories(line: str, config: SegmentationConfig) -> set[str]:
     stripped = line.strip()
     if not stripped:
         return set()
-    cats = set()
-    for name in _BOUNDARY_FIELDS:
-        if any(stripped.startswith(marker) for marker in getattr(config, name)):
-            cats.add(name)
-    return cats
+    # Each field is a tuple of markers, which str.startswith tests in one call.
+    return {
+        name for name in _BOUNDARY_FIELDS
+        if stripped.startswith(getattr(config, name))
+    }
 
 
 def _scan_numbered(lines: list[str], start: int, is_boundary) -> int | None:

@@ -17,9 +17,10 @@ A batch's one bookkeeping write is its cursor line. Besides the counters
 it carries, when they exist, the batch's ``focus`` (case and text), the
 optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
 (hash, parent hash, placement and step segment text). One pass over
-run.meta and these lines rebuilds each version's meta, checks the hash
-chain and replays every version (see _check_run); verify_chain,
-replay_lineage and resume all read the directory through it.
+run.meta and these lines checks the cursor's structure and rebuilds each
+version's meta (see _committed_versions); a second checks the hash chain
+and replays every version (see _check_run). verify_chain, replay_lineage
+and resume all read the directory through them.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -36,8 +37,6 @@ import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import yaml
 
 from .actor import (
     FeedbackGenerator,
@@ -277,6 +276,8 @@ def train(
         "required_tokens": list(config.task.required_tokens),
         "v0_hash": _sha256(text),
     }
+    import yaml
+
     paths.run_meta.write_text(
         yaml.safe_dump(meta, sort_keys=False), encoding="utf-8"
     )
@@ -334,29 +335,52 @@ def _markers(
     return seg, tuple(lists[-1])
 
 
-def _check_run(
+def _run_shape(paths: _RunPaths, meta: dict) -> tuple[int, int]:
+    """The batches per epoch and the epochs recorded in run.meta."""
+    values = [meta.get(key) for key in ("samples", "batch_size", "epochs")]
+    if not all(type(v) is int and v >= 1 for v in values):
+        raise CorruptRunError(
+            f"{paths.run_meta} does not record the sample count, batch size "
+            "and epochs as positive integers"
+        )
+    samples, batch_size, epochs = values
+    return -(-samples // batch_size), epochs
+
+
+def _due(epoch: int, batch: int, per_epoch: int, epochs: int) -> str:
+    """The cursor line that may follow batch ``batch`` of ``epoch``."""
+    if epoch > epochs:
+        return f"the end of the cursor after the run's {epochs} epoch(s)"
+    if batch == per_epoch:
+        return f"the epoch line of epoch {epoch}"
+    return f"the batch line of epoch {epoch}, batch {batch + 1}"
+
+
+def _committed_versions(
     paths: _RunPaths, meta: dict, entries: Sequence[dict]
-) -> tuple[list[VersionRecord], list[PromptDocument]]:
-    """Rebuild, check and replay every committed prompt version, in order.
+) -> list[dict]:
+    """Check the cursor's structure and return the meta of each committed
+    version, v0 first. Reads no file, so resume runs it before it discards
+    anything.
 
     ``meta`` is the parsed run.meta and ``entries`` the parsed cursor
-    lines. v0's hash comes from run.meta; every later version is committed
-    by the cursor line of the batch that wrote it. Each record's meta holds
+    lines. Epoch 1 has batch lines 1, 2, ... up to run.meta's batches per
+    epoch, then its epoch line; epoch 2 follows, and so on up to run.meta's
+    epochs. The last epoch may stop after any of its lines. Batch lines'
+    ``prompt_version`` starts at 0 and rises by one exactly on the lines
+    that carry a ``version`` record, an epoch line's equals the batch
+    line's before it, and ``episodes_total`` and ``calls_total`` never
+    fall.
+
+    v0's hash comes from run.meta; every later version is committed by the
+    cursor line of the batch that wrote it. Each record's meta holds
     ``version``, ``parent``, ``hash``, ``parent_hash``, ``placement``,
     ``focus_case``, ``focus_text`` and ``segment_text``; a version's parent
     is the prompt its batch ran with. A committed version's hashes,
     placement, focus text and segment text must be strings, and its focus
-    case a FocusCase value.
-
-    The versions must be contiguous from 0, every committed file must exist
-    and no file may be uncommitted. Each text must match its hash and each
-    parent hash its parent's hash. Each accepted optimizer update changes
-    only the step-instruction segment, so swapping the recorded segment
-    text into the previous version, parsed with the run's own markers,
-    must reproduce the stored file byte for byte. The first failure raises
-    CorruptRunError.
+    case a FocusCase value. The first failure raises CorruptRunError.
     """
-    seg = _markers(paths, meta)[0]
+    per_epoch, epochs = _run_shape(paths, meta)
     v0_hash = meta.get("v0_hash")
     if not isinstance(v0_hash, str):
         raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
@@ -365,13 +389,43 @@ def _check_run(
         "placement": None, "focus_case": None, "focus_text": None,
         "segment_text": None,
     }]
-    parent = 0
+    epoch, batch = 1, 0  # the epoch in progress and its last batch line
+    totals = (0, 0)
     for entry in entries:
-        if entry["kind"] != "batch":
+        n = entry["prompt_version"]
+        if entry["kind"] == "epoch":
+            if entry["epoch"] != epoch or batch != per_epoch:
+                raise CorruptRunError(
+                    f"the cursor's epoch line of epoch {entry['epoch']} is out "
+                    f"of order; expected {_due(epoch, batch, per_epoch, epochs)}"
+                )
+            if n != len(metas) - 1:
+                raise CorruptRunError(
+                    f"the epoch line of epoch {epoch} records prompt v{n}, but "
+                    f"the batch line before it records v{len(metas) - 1}"
+                )
+            epoch, batch = epoch + 1, 0
             continue
+        where = f"epoch {entry['epoch']}, batch {entry['batch']}"
+        if (
+            epoch > epochs
+            or batch == per_epoch
+            or (entry["epoch"], entry["batch"]) != (epoch, batch + 1)
+        ):
+            raise CorruptRunError(
+                f"the cursor's batch line of {where} is out of order; "
+                f"expected {_due(epoch, batch, per_epoch, epochs)}"
+            )
+        batch += 1
+        now = (entry["episodes_total"], entry["calls_total"])
+        if now[0] < totals[0] or now[1] < totals[1]:
+            raise CorruptRunError(
+                f"the batch line of {where} records fewer episodes or calls "
+                "than the line before it"
+            )
+        totals = now
         record = entry.get("version")
         if record is not None:
-            n = entry["prompt_version"]
             if n == 0:
                 raise CorruptRunError(
                     f"prompt v0 must have no parent, but a batch of epoch "
@@ -384,7 +438,7 @@ def _check_run(
                 )
             vmeta = {
                 "version": n,
-                "parent": parent,
+                "parent": len(metas) - 1,
                 "hash": record.get("hash"),
                 "parent_hash": record.get("parent_hash"),
                 "placement": record.get("placement"),
@@ -400,12 +454,29 @@ def _check_run(
                     f"the cursor's record of prompt v{n} has a malformed {bad[0]}"
                 )
             metas.append(vmeta)
-        parent = entry["prompt_version"]
+        if n != len(metas) - 1:
+            raise CorruptRunError(
+                f"prompt versions are not contiguous from 0: the batch line of "
+                f"{where} records v{n} where v{len(metas) - 1} is due"
+            )
+    return metas
+
+
+def _check_run(
+    paths: _RunPaths, seg: SegmentationConfig, metas: Sequence[dict]
+) -> tuple[list[VersionRecord], list[PromptDocument]]:
+    """Check and replay every committed prompt version, in order.
+
+    ``metas`` comes from _committed_versions and ``seg`` holds the run's
+    own markers. Every committed file must exist and no file may be
+    uncommitted. Each text must match its hash and each parent hash its
+    parent's hash. Each accepted optimizer update changes only the
+    step-instruction segment, so swapping the recorded segment text into
+    the previous version, parsed with the run's own markers, must
+    reproduce the stored file byte for byte. The first failure raises
+    CorruptRunError.
+    """
     numbers = [m["version"] for m in metas]
-    if numbers != list(range(len(metas))):
-        raise CorruptRunError(
-            f"prompt versions are not contiguous from 0: {numbers}"
-        )
     on_disk = _version_numbers(paths)
     for n in numbers:
         if n not in on_disk:
@@ -427,10 +498,6 @@ def _check_run(
         if n == 0:
             doc = parse_prompt(text, seg)
         else:
-            if vmeta["parent"] != n - 1:
-                raise CorruptRunError(
-                    f"prompt v{n} names parent {vmeta['parent']}, expected {n - 1}"
-                )
             if vmeta["parent_hash"] != metas[n - 1]["hash"]:
                 raise CorruptRunError(
                     f"prompt v{n} parent hash does not match v{n - 1}"
@@ -463,7 +530,10 @@ def _run_paths(run_dir: str | Path) -> _RunPaths:
 
 def _read_run(run_dir: str | Path) -> tuple[list[VersionRecord], list[PromptDocument]]:
     paths = _run_paths(run_dir)
-    return _check_run(paths, _read_run_meta(paths), _read_cursor(paths)[0])
+    meta = _read_run_meta(paths)
+    seg = _markers(paths, meta)[0]
+    metas = _committed_versions(paths, meta, _read_cursor(paths)[0])
+    return _check_run(paths, seg, metas)
 
 
 def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
@@ -490,8 +560,10 @@ def resume(
 
     The cursor's last batch line is the one commit record: its
     ``prompt_version`` is the committed prompt (v0 before any batch line).
-    A torn last cursor line, version files no cursor line commits and the
-    transcripts of the first uncommitted batch are discarded before the
+    The cursor's structure is checked first (see _committed_versions), so
+    a corrupt cursor raises CorruptRunError with the directory untouched.
+    Then a torn last cursor line, version files no cursor line commits and
+    the transcripts of the first uncommitted batch are discarded before the
     versions are checked and replayed (see _check_run), so whatever a crash
     left behind is redone. run.meta and the cursor are each read once. The
     markers and required tokens come from run.meta, and so do the sample
@@ -511,6 +583,8 @@ def resume(
     paths = _run_paths(run_dir)
     meta = _read_run_meta(paths)
     seg, required_tokens = _markers(paths, meta)
+    entries, complete = _read_cursor(paths)
+    metas = _committed_versions(paths, meta, entries)
     if (seg, required_tokens) != (config.task.segmentation(), config.task.required_tokens):
         raise ValueError(
             f"the config's segmentation markers or required tokens differ "
@@ -526,7 +600,6 @@ def resume(
         raise ValueError(
             f"the run shape {shape} differs from {recorded} in {paths.run_meta}"
         )
-    entries, complete = _read_cursor(paths)
     if paths.cursor.exists() and paths.cursor.stat().st_size > complete:
         os.truncate(paths.cursor, complete)
     batch_lines = [e for e in entries if e["kind"] == "batch"]
@@ -545,12 +618,7 @@ def resume(
             paths.version_txt(n).unlink()
     shutil.rmtree(paths.batch_dir(epoch, first_batch), ignore_errors=True)
 
-    records, docs = _check_run(paths, meta, entries)
-    if records[-1].version != committed:
-        raise CorruptRunError(
-            f"the cursor commits prompt v{committed}, but its lines record "
-            f"v0 to v{records[-1].version}"
-        )
+    records, docs = _check_run(paths, seg, metas)
     prompt = docs[committed]
     head_hash = records[committed].meta["hash"]
     boundary = epoch_lines[-1]["prompt_version"] if epoch_lines else 0

@@ -9,14 +9,22 @@ so JSON text holding one of them, and any text that is not JSON, goes to
 libyaml's safe loader when PyYAML was built with it. Writing stays with
 ``yaml.safe_dump`` or ``json.dumps``, so the bytes of every file the
 engine writes are unaffected.
+
+PyYAML is imported only where it is used: here on the YAML fallback, and
+by the functions that dump YAML or load a gateway script. A command that
+reads only JSON datasets, such as ``reprompt eval --backend http``, never
+loads it.
 """
 from __future__ import annotations
 
 import json
 
-import yaml
 
-SafeLoader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+def safe_loader():
+    """PyYAML's safe loader class, libyaml's when PyYAML was built with it."""
+    import yaml
+
+    return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _not_plain_json(token: str):
@@ -33,7 +41,9 @@ def load_yaml(text: str):
         )
     except ValueError:
         pass  # libyaml runs outside the handler, so its errors carry no JSON context
+    import yaml
+
     try:
-        return yaml.load(text, Loader=SafeLoader)
+        return yaml.load(text, Loader=safe_loader())
     except yaml.YAMLError as exc:
         raise ValueError(f"invalid YAML: {' '.join(str(exc).split())}") from None

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from reprompt.actor import (
@@ -173,6 +175,22 @@ def test_batch_isolates_failures():
     assert out[0].terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert out[1].terminal is Terminal.ERROR
     assert out[1].sample_id == "b"
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_batch_logs_each_failed_episode(caplog, parallelism):
+    gw = make_gateway(entry(["Task id: a"], "ra"))
+    with caplog.at_level(logging.WARNING, logger="reprompt.actor"):
+        collect_batch(
+            PROMPT, [sample("a"), sample("b")], NoFeedback(), 1,
+            caller=make_caller(gw), parallelism=parallelism,
+        )
+    assert [(r.name, r.levelno) for r in caplog.records] == [
+        ("reprompt.actor", logging.WARNING)
+    ]
+    assert caplog.records[0].getMessage().startswith(
+        "episode failed for sample b: episode for b failed: "
+    )
 
 
 def test_batch_parallel_results_match_serial():

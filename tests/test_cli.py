@@ -711,3 +711,19 @@ class TestProcessKill:
         assert main(argv) == 0, (child.returncode, left, capsys.readouterr().err)
         assert tree_hashes(run_dir) == golden_manifest()["files"], (child.returncode, left)
         assert main(["inspect", "--out", str(run_dir)]) == 0
+
+
+def test_importing_the_cli_loads_only_what_every_command_shares():
+    # The training stack, PyYAML, threads, logging and csv wait for the
+    # command that uses them, so `eval` starts without them.
+    deferred = (
+        "yaml", "concurrent.futures", "logging", "csv", "reprompt.trainer",
+        "reprompt.optimizer", "reprompt.summarizer", "reprompt.guardrails",
+    )
+    code = f"import sys, reprompt.cli; print([m for m in {deferred!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.splitlines() == ["[]"]

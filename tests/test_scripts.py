@@ -19,6 +19,15 @@ def run_script(name, *args):
     )
 
 
+def import_script(monkeypatch, name):
+    """Import a script as a module; its ``sys.path`` edit is undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_run_scripted_demo(tmp_path):
     out = tmp_path / "run"
     proc = run_script("run_scripted_demo.py", "--out", str(out), "--fresh")
@@ -41,11 +50,7 @@ def test_toy_improvement_demo():
 
 
 def test_regen_golden_fixtures_reproduces_them(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    path = SCRIPTS / "regen_golden_fixtures.py"
-    spec = importlib.util.spec_from_file_location("regen_golden_fixtures", path)
-    regen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regen)
+    regen = import_script(monkeypatch, "regen_golden_fixtures")
     monkeypatch.setattr(regen, "GOLDEN", tmp_path)
     assert regen.main() == 0
     names = sorted(p.name for p in GOLDEN.iterdir())
@@ -82,3 +87,12 @@ def test_src_size_counts_lines_and_settable_values(tmp_path):
     src = SCRIPTS.parent / "src" / "reprompt"
     lines = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
     assert proc.stdout.splitlines()[0] == f"lines: {lines}"
+
+
+def test_mutation_soak_subset(monkeypatch):
+    # Every 7th of the soak's cases: each kind of damage to the golden run,
+    # in a few seconds. `python scripts/mutation_soak.py` runs them all.
+    soak = import_script(monkeypatch, "mutation_soak")
+    count, failures = soak.soak(every=7)
+    assert failures == []
+    assert count >= 90

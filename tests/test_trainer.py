@@ -75,14 +75,18 @@ def cursor_entries(run_dir):
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def edit_cursor(run_dir, index, edit):
-    """Apply ``edit`` to the ``index``-th cursor line and write it back."""
-    entries = cursor_entries(run_dir)
-    edit(entries[index])
+def write_cursor(run_dir, entries):
     (run_dir / "state.cursor").write_text(
         "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries),
         encoding="utf-8",
     )
+
+
+def edit_cursor(run_dir, index, edit):
+    """Apply ``edit`` to the ``index``-th cursor line and write it back."""
+    entries = cursor_entries(run_dir)
+    edit(entries[index])
+    write_cursor(run_dir, entries)
 
 
 # sha256 of each golden-run request's (model, temperature, seed, roles,
@@ -1039,6 +1043,52 @@ class TestCorruptRuns:
                 golden_dir, samples, config=golden_config(),
                 gateway=make_gateway(), feedback=feedback,
             )
+
+    # The golden cursor: batch e1/b1 (writes v1), epoch 1, batch e2/b1
+    # (writes v2), epoch 2; one batch per epoch.
+    @pytest.mark.parametrize("damage, message", [
+        (lambda lines: lines[2].update(prompt_version=-1),
+         "not contiguous from 0: the batch line of epoch 2, batch 1 records v-1"),
+        (lambda lines: lines.pop(2), "epoch line of epoch 2 is out of order"),
+        (lambda lines: lines[3].update(prompt_version=10**30),
+         "epoch line of epoch 2 records prompt v1000"),
+        (lambda lines: lines[3].update(prompt_version=-1),
+         "epoch line of epoch 2 records prompt v-1"),
+        (lambda lines: lines.insert(1, lines[0]), "batch line of epoch 1, batch 1 is out"),
+        (lambda lines: lines.append({**lines[2], "epoch": 3}),
+         "end of the cursor after the run's 2 epoch"),
+        (lambda lines: lines[2].update(calls_total=7), "fewer episodes or calls"),
+        (lambda lines: lines[0].update(episodes_total=-1), "fewer episodes or calls"),
+    ], ids=[
+        "negative-batch-version", "missing-batch-line", "huge-epoch-version",
+        "negative-epoch-version", "duplicate-batch-line",
+        "epoch-past-run-shape", "falling-calls", "negative-episodes",
+    ])
+    def test_resume_refuses_a_bad_cursor_untouched(self, golden_dir, damage, message):
+        lines = cursor_entries(golden_dir)
+        damage(lines)
+        write_cursor(golden_dir, lines)
+        before = tree_hashes(golden_dir)
+        with pytest.raises(CorruptRunError, match=message):
+            verify_chain(golden_dir)
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match=message):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
+        assert tree_hashes(golden_dir) == before
+
+    @pytest.mark.parametrize("key, value", [
+        ("samples", "3"), ("batch_size", 0), ("epochs", None), ("epochs", True),
+    ])
+    def test_run_meta_without_a_run_shape(self, golden_dir, key, value):
+        meta_path = golden_dir / "run.meta"
+        meta = yaml.safe_load(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
+        with pytest.raises(CorruptRunError, match="does not record the sample count"):
+            verify_chain(golden_dir)
 
     def test_bad_cursor_line(self, golden_dir):
         with open(golden_dir / "state.cursor", "a", encoding="utf-8") as fh:
