@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Run the benchmark in alternating pairs: a base revision against the working tree.
+
+    python scripts/bench_pairs.py --base HEAD~1 --workload eval_http \\
+        --pairs 10 --seconds 6 --seed-base 601
+
+Pair ``i`` runs ``perfbench/run.py --seed K+i --trace 0`` once on each
+side, the base first in even pairs and the change first in odd ones. Each
+side's committed files are exported (``git archive``) into the same
+directory, ``.bench_pairs``, just before it runs, and its own
+``perfbench/run.py`` runs there unchanged. The working tree is exported
+through ``git stash create``, so it holds the tracked files as they are
+now, staged or not; a new file counts once it is staged. One path for
+both sides matters: the same code from two checkout paths has read
+differently in every pair (``train_wide`` ``peak_rss_mb`` 26.84 against
+27.29 MiB in 6/6 pairs).
+
+Per end-to-end metric it prints each side's median and quartiles, the
+change's wins and ties (a tie counts for neither side), and whether the
+gain rule holds: the change wins at least nine tenths of the pairs, and
+its median beats the base's by more than the base's q1-q3 spread. The
+direction of each metric comes from ``BENCHMARK.json``. Every run's
+``correct`` flag and failed count are printed too.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / ".bench_pairs"
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], capture_output=True, check=True
+    ).stdout
+
+
+def export(rev: str, dest: Path) -> None:
+    """The files of ``rev``, and only those, at ``dest``."""
+    shutil.rmtree(dest, ignore_errors=True)
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def run_side(rev: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run of ``rev``: the last line ``perfbench/run.py`` prints."""
+    export(rev, WORK)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=WORK, capture_output=True, text=True,
+        )
+    finally:
+        shutil.rmtree(WORK, ignore_errors=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"the benchmark printed nothing: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(base: list[float], change: list[float], better: str) -> dict:
+    """Medians, quartiles and wins of paired runs of one metric, and
+    whether the gain rule holds for the change."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change, strict=True))
+    ties = sum(b == c for b, c in zip(base, change))
+    b_q1, b_median, b_q3 = _quartiles(base)
+    c_q1, c_median, c_q3 = _quartiles(change)
+    return {
+        "base": (b_median, b_q1, b_q3),
+        "change": (c_median, c_q1, c_q3),
+        "wins": wins,
+        "ties": ties,
+        "pairs": len(base),
+        "gain": 10 * wins >= 9 * len(base) and sign * (b_median - c_median) > b_q3 - b_q1,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--base", required=True, help="the revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed-base", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+    change = _git("stash", "create").decode().strip() or _git("rev-parse", "HEAD").decode().strip()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = [("base", base), ("change", change)]
+        for side, rev in order if i % 2 == 0 else order[::-1]:
+            result = run_side(rev, args.workload, seed, args.seconds)
+            runs[side].append(result)
+            print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} "
+                  f"failed={result['failed']}/{result['attempted']}", flush=True)
+
+    print(f"\n{args.workload}, {args.pairs} pairs, {args.seconds:g} s runs, "
+          f"seeds {args.seed_base}-{args.seed_base + args.pairs - 1}")
+    print("metric          base median [q1-q3]            change median [q1-q3]          wins  ties  gain")
+    for name, unit, better in metrics:
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        s = summarize(values["base"], values["change"], better)
+        cells = [f"{m:.4g} [{q1:.4g}-{q3:.4g}] {unit}" for m, q1, q3 in (s["base"], s["change"])]
+        print(f"{name:<15} {cells[0]:<30} {cells[1]:<30} {s['wins']:>2}/{s['pairs']:<2} "
+              f"{s['ties']:>2}/{s['pairs']:<2} {'yes' if s['gain'] else 'no'}")
+    bad = [side for side in runs for r in runs[side] if not r["correct"] or r["failed"]]
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,8 +60,9 @@ FLIPS = 9
 # Damage to these may make resume exit 1: the run.meta keys it compares with
 # the config, run.meta as a whole, and the dataset and script it loads.
 CONFIG_INPUTS = {
-    "samples", "batch_size", "epochs", "segmentation", "required_tokens",
-    "run.meta", "dataset.yaml", "script.yaml",
+    "samples", "batch_size", "epochs", "max_rounds", "feedback", "model",
+    "summarizer_model", "optimizer_model", "repair_model", "segmentation",
+    "required_tokens", "run.meta", "dataset.yaml", "script.yaml",
 }
 
 

@@ -9,17 +9,13 @@ temperature and seed; it is where every request the engine sends is built.
 """
 from __future__ import annotations
 
-import base64
 import collections
-import functools
 import itertools
 import json
 import os
 import re
 import threading
 import time
-import urllib.parse
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Protocol
@@ -420,118 +416,6 @@ _BACKOFF = (1.0, 2.0)
 _TIMEOUT = 60.0
 
 
-def _is_dropped(sock) -> bool:
-    """Whether an idle connection's socket is readable: the peer closed it
-    (or sent on it unasked), so it must not carry another request."""
-    import select
-
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
-
-
-def _close_all(connections: list) -> None:
-    for conn in connections:
-        conn.close()
-
-
-class _Connections:
-    """Keep-alive connections to one origin, shared by every calling thread.
-
-    A call takes the idle connection returned last, or dials a new one,
-    and puts it back once the whole answer is read, so the idle list never
-    holds more connections than there have been concurrent calls. An idle
-    connection the peer has closed is closed and replaced before it is
-    used. Any failure once the request may have gone out closes the
-    connection and propagates: a POST is never sent twice here.
-
-    The proxy for the origin's scheme is resolved once, here, from the
-    environment (``http_proxy``, ``https_proxy``, ``no_proxy``). The proxy
-    is reached over plain TCP, as ``urllib.request`` does: an ``http``
-    origin through it with absolute-form request targets, an ``https``
-    origin through a CONNECT tunnel. Credentials in the proxy URL become a
-    ``Proxy-Authorization`` header. The idle connections close when the
-    pool is garbage-collected.
-    """
-
-    def __init__(self, base_url: str):
-        import http.client
-        import urllib.request
-
-        url = urllib.parse.urlsplit(base_url)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ValueError(f"base URL {base_url!r} is not an http or https URL")
-        origin = f"{url.scheme}://{url.netloc}"
-        host, port = url.hostname, url.port
-        if url.scheme == "https":
-            import ssl
-
-            self._connection = functools.partial(
-                http.client.HTTPSConnection, context=ssl.create_default_context()
-            )
-        else:
-            self._connection = http.client.HTTPConnection
-        self._address = (host, port)
-        self._tunnel = None
-        self._proxy_headers: dict[str, str] = {}
-        # A posted URL without its origin is the request target, unless a
-        # proxy takes the whole URL.
-        self._target_start = len(origin)
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if proxy and not urllib.request.proxy_bypass(url.netloc):
-            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            self._address = (proxy_url.hostname, proxy_url.port or 80)
-            auth = {}
-            if proxy_url.username is not None:
-                userinfo = ":".join(
-                    urllib.parse.unquote(part or "")
-                    for part in (proxy_url.username, proxy_url.password)
-                )
-                token = base64.b64encode(userinfo.encode("utf-8")).decode("ascii")
-                auth["Proxy-Authorization"] = f"Basic {token}"
-            if url.scheme == "https":
-                self._tunnel = (host, port or 443, auth)
-            else:
-                self._proxy_headers = auth
-                self._target_start = 0
-        self._idle: list = []
-        self._lock = threading.Lock()
-        weakref.finalize(self, _close_all, self._idle)
-
-    def _take(self):
-        while True:
-            with self._lock:
-                conn = self._idle.pop() if self._idle else None
-            if conn is None:
-                conn = self._connection(*self._address, timeout=_TIMEOUT)
-                if self._tunnel is not None:
-                    conn.set_tunnel(*self._tunnel)
-                return conn
-            if not _is_dropped(conn.sock):
-                return conn
-            conn.close()
-
-    def post(self, url: str, body: bytes, headers: dict) -> tuple[int, bytes]:
-        """POST ``body`` to ``url``, which starts with the base URL's origin,
-        and read the whole answer: (status, body)."""
-        if self._proxy_headers:
-            headers = {**headers, **self._proxy_headers}
-        conn = self._take()
-        try:
-            conn.request("POST", url[self._target_start:], body=body, headers=headers)
-            response = conn.getresponse()
-            answer = response.status, response.read()
-        except BaseException:
-            conn.close()
-            raise
-        if conn.sock is not None:  # not closed by a "Connection: close" answer
-            with self._lock:
-                self._idle.append(conn)
-        return answer
-
-
 class HttpGateway:
     """OpenAI-compatible chat-completions client.
 
@@ -541,13 +425,13 @@ class HttpGateway:
     (``_TIMEOUT``). The bearer token is read from ``REPROMPT_API_KEY`` when
     the gateway is built, so secrets never travel through config files.
 
-    Calls go over the standard library's ``http.client`` keep-alive
-    connections, which every thread of every batch shares: a run holds one
-    connection per concurrent caller and reuses it call after call (see
-    ``_Connections``). Proxies are read from the environment once, when the
-    gateway is built, and ``https`` uses the system trust store.
-    ``http.client`` and ``urllib.request`` are imported when the first
-    gateway is built, so a process that never builds one does not load them.
+    Calls go over the HTTP/1.1 keep-alive connections of ``http11``,
+    which every thread of every batch shares: a run holds one connection
+    per concurrent caller and reuses it call after call, and each request
+    goes out in one write (see ``http11.Connections``). Proxies are read
+    from the environment once, when the gateway is built, and ``https``
+    uses the system trust store. ``http11`` is imported when the first
+    gateway is built, so a process that never builds one does not load it.
     """
 
     def __init__(
@@ -555,21 +439,20 @@ class HttpGateway:
         base_url: str | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        import http.client
+        from . import http11
 
         resolved = base_url or os.environ.get(BASE_URL_ENV)
         if not resolved:
             raise ValueError(
                 f"no base URL given and {BASE_URL_ENV} is not set"
             )
-        base = resolved.rstrip("/")
-        self._url = f"{base}/chat/completions"
-        self._headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
-        self._transport_errors = (OSError, http.client.HTTPException)
-        self._connections = _Connections(base)
+            headers["Authorization"] = f"Bearer {api_key}"
+        self._connections = http11.Connections(
+            f"{resolved.rstrip('/')}/chat/completions", headers, _TIMEOUT
+        )
         self._sleep = sleep
         self._counter = _CallCounter()
 
@@ -596,8 +479,8 @@ class HttpGateway:
             if attempt > 0:
                 self._sleep(_BACKOFF[attempt - 1])
             try:
-                status, body = self._connections.post(self._url, payload, self._headers)
-            except self._transport_errors as exc:
+                status, body = self._connections.post(payload)
+            except OSError as exc:
                 last_error = TransportError(f"request failed: {exc}")
                 continue
             if status == 429:

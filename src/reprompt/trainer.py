@@ -223,6 +223,20 @@ def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
 _MARKER_FIELDS = tuple(f.name for f in dataclasses.fields(SegmentationConfig))
 
 
+def _run_settings(config: EngineConfig) -> dict:
+    """The settings besides the run shape that run.meta records and that
+    a resuming config must repeat."""
+    gw = config.gateway
+    return {
+        "max_rounds": config.train.max_rounds,
+        "feedback": config.train.feedback,
+        "model": gw.model,
+        "summarizer_model": gw.summarizer_model,
+        "optimizer_model": gw.optimizer_model,
+        "repair_model": gw.repair_model,
+    }
+
+
 def train(
     initial_prompt: str,
     samples: Sequence[Sample],
@@ -264,12 +278,7 @@ def train(
         "samples": len(samples),
         "epochs": config.train.epochs,
         "batch_size": config.train.batch_size,
-        "max_rounds": config.train.max_rounds,
-        "feedback": config.train.feedback,
-        "model": config.gateway.model,
-        "summarizer_model": config.gateway.summarizer_model,
-        "optimizer_model": config.gateway.optimizer_model,
-        "repair_model": config.gateway.repair_model,
+        **_run_settings(config),
         "dataset": DATASET_COPY if dataset_src is not None else None,
         "script": SCRIPT_COPY if script_src is not None else None,
         "segmentation": {name: list(getattr(seg, name)) for name in _MARKER_FIELDS},
@@ -567,8 +576,9 @@ def resume(
     versions are checked and replayed (see _check_run), so whatever a crash
     left behind is redone. run.meta and the cursor are each read once. The
     markers and required tokens come from run.meta, and so do the sample
-    count, ``batch_size`` and ``epochs``; a config or sample list whose
-    values differ raises ValueError.
+    count, ``batch_size``, ``epochs``, ``max_rounds``, ``feedback`` and the
+    four model names; a config or sample list whose values differ raises
+    ValueError, before anything is truncated or deleted.
 
     Batch-level failures (all episodes down, summarizer or optimizer
     giving up) skip that batch and leave the prompt unchanged. A gateway
@@ -599,6 +609,12 @@ def resume(
     if shape != recorded:
         raise ValueError(
             f"the run shape {shape} differs from {recorded} in {paths.run_meta}"
+        )
+    settings = _run_settings(config)
+    recorded = {key: meta.get(key) for key in settings}
+    if settings != recorded:
+        raise ValueError(
+            f"the run settings {settings} differ from {recorded} in {paths.run_meta}"
         )
     if paths.cursor.exists() and paths.cursor.stat().st_size > complete:
         os.truncate(paths.cursor, complete)

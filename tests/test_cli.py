@@ -322,6 +322,34 @@ class TestResume:
         assert code == 1
         assert "run shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("max_rounds = 2", "max_rounds = 1"),
+        ("feedback = rulecheck", "feedback = none"),
+        ("model = planner", "model = other"),
+        ("summarizer_model = critic", "summarizer_model = other"),
+        ("model = planner", "model = planner\noptimizer_model = other"),
+        ("model = planner", "model = planner\nrepair_model = other"),
+    ], ids=["max_rounds", "feedback", "model", "summarizer_model",
+            "optimizer_model", "repair_model"])
+    def test_other_run_settings_are_rejected_untouched(self, tmp_path, capsys, old, new):
+        cfg = (GOLDEN / "run.cfg").read_text(encoding="utf-8")
+        budget_cfg = tmp_path / "budget.cfg"
+        budget_cfg.write_text(
+            cfg.replace("seed = 42", "seed = 42\ncall_budget = 8"), encoding="utf-8"
+        )
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--config") + 1] = str(budget_cfg)
+        assert main(argv) == 2  # cut after epoch 1
+        before = tree_hashes(tmp_path / "run")
+        capsys.readouterr()
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(cfg.replace(f"\n{old}\n", f"\n{new}\n"), encoding="utf-8")
+        assert other_cfg.read_text(encoding="utf-8") != cfg
+        code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "run settings" in capsys.readouterr().err
+        assert tree_hashes(tmp_path / "run") == before
+
     def test_other_markers_are_rejected(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()
@@ -714,11 +742,12 @@ class TestProcessKill:
 
 
 def test_importing_the_cli_loads_only_what_every_command_shares():
-    # The training stack, PyYAML, threads, logging and csv wait for the
-    # command that uses them, so `eval` starts without them.
+    # The training stack, the HTTP client, PyYAML, threads, logging and csv
+    # wait for the command that uses them, so `eval` starts without them.
     deferred = (
         "yaml", "concurrent.futures", "logging", "csv", "reprompt.trainer",
         "reprompt.optimizer", "reprompt.summarizer", "reprompt.guardrails",
+        "reprompt.http11",
     )
     code = f"import sys, reprompt.cli; print([m for m in {deferred!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

@@ -1,5 +1,6 @@
 import base64
 import http.server
+import itertools
 import json
 import os
 import socketserver
@@ -711,39 +712,71 @@ def test_pool_holds_a_connection_per_thread(loopback):
     assert 1 <= loopback.connections <= 16
 
 
-class _RecordingHandler(socketserver.StreamRequestHandler):
+class _RecordingHandler(socketserver.BaseRequestHandler):
+    def recv(self):
+        try:
+            return self.request.recv(65536)
+        except ConnectionResetError:  # the client closed with an answer unread
+            return b""
+
     def handle(self):
         server = self.server
+        with server.lock:
+            server.connections += 1
+        buf = b""
         while True:
-            line = self.rfile.readline()
-            if not line:
-                return
-            headers = {}
-            for raw in iter(self.rfile.readline, b"\r\n"):
-                if not raw:
+            reads = 0
+            while b"\r\n\r\n" not in buf:
+                chunk = self.recv()
+                if not chunk:
                     return
-                name, _, value = raw.decode("latin-1").partition(":")
+                buf, reads = buf + chunk, reads + 1
+            head, _, buf = buf.partition(b"\r\n\r\n")
+            line, *fields = head.decode("latin-1").split("\r\n")
+            headers = {}
+            for field in fields:
+                name, _, value = field.partition(":")
                 headers[name.strip().lower()] = value.strip()
-            self.rfile.read(int(headers.get("content-length", 0)))
+            length = int(headers.get("content-length", 0))
+            while len(buf) < length:
+                chunk = self.recv()
+                if not chunk:
+                    return
+                buf, reads = buf + chunk, reads + 1
+            buf = buf[length:]
             with server.lock:
-                server.heads.append((line.decode("latin-1").rstrip("\r\n"), headers))
+                server.heads.append((line, headers))
+                server.raw.append((head, reads))
+                answer = server.answers.pop(0) if server.answers else None
             if server.mode == "stall":
                 server.stop.wait(10)
-            if server.mode != "answer" or line.startswith(b"CONNECT"):
+            if server.mode != "answer" or line.startswith("CONNECT"):
                 return  # the connection closes unanswered
-            body = json.dumps(ok_body("recorded")).encode()
-            self.wfile.write(
-                b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
-            )
+            if answer is None:
+                body = json.dumps(ok_body("recorded")).encode()
+                answer = (
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+            self.request.sendall(answer.removesuffix(CLOSE))
+            if answer.endswith(CLOSE):
+                return
+
+
+# Ends a queued raw answer that the server closes the connection after.
+CLOSE = b"<close>"
 
 
 class _Recorder(socketserver.ThreadingTCPServer):
     """Loopback server that records each request's line and headers.
 
-    ``mode`` "answer" sends a completion and keeps the connection open;
-    "drop" closes it unanswered; "stall" holds it unanswered until the
-    server stops. A CONNECT is always closed unanswered.
+    ``mode`` "answer" sends the next raw answer queued in ``answers`` (a
+    completion when none is queued) and keeps the connection open, unless
+    the answer ends in CLOSE; "drop" closes it unanswered; "stall" holds it
+    unanswered until the server stops. A CONNECT is always closed
+    unanswered. ``raw`` holds each request's head and the number of reads
+    that took in its head and body; ``connections`` counts the accepted
+    connections.
     """
 
     daemon_threads = True
@@ -752,6 +785,9 @@ class _Recorder(socketserver.ThreadingTCPServer):
         super().__init__(("127.0.0.1", 0), _RecordingHandler)
         self.mode = mode
         self.heads = []
+        self.raw = []
+        self.answers = []
+        self.connections = 0
         self.lock = threading.Lock()
         self.stop = threading.Event()
         self.address = f"127.0.0.1:{self.server_address[1]}"
@@ -867,42 +903,337 @@ def test_proxy_route_is_fixed_when_the_gateway_is_built(recorder, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("empty_lower, proxied", [(False, True), (True, False)],
+                         ids=["upper-case", "upper-case-under-empty-lower-case"])
+def test_upper_case_proxy_variable_routes_as_urllib_does(
+    recorder, monkeypatch, empty_lower, proxied
+):
+    proxy, direct = recorder(), recorder()
+    monkeypatch.setenv("HTTP_PROXY", f"http://{proxy.address}")
+    if empty_lower:
+        monkeypatch.setenv("http_proxy", "")
+    gw = HttpGateway(base_url=f"http://{direct.address}/v1")
+    assert gw.complete(req("u")).content == "recorded"
+    assert (len(proxy.heads), len(direct.heads)) == ((1, 0) if proxied else (0, 1))
+
+
+# --- HTTP/1.1 on the wire ------------------------------------------------------
+
+_JSON = json.dumps(ok_body("wired")).encode()
+
+
+def _answer(*fields, body=_JSON, status="HTTP/1.1 200 OK"):
+    return "\r\n".join((status, *fields, "", "")).encode() + body
+
+
+def _chunked(body, size=7):
+    chunks = [
+        b"%x;ext=%d\r\n%s\r\n" % (len(body[i:i + size]), i, body[i:i + size])
+        for i in range(0, len(body), size)
+    ]
+    return b"".join(chunks) + b"0\r\nX-Checksum: none\r\n\r\n"
+
+
+def _wired(recorder, *answers):
+    server = recorder()
+    server.answers.extend(answers)
+    slept = []
+    gw = HttpGateway(base_url=f"http://{server.address}/v1", sleep=slept.append)
+    return server, gw, slept
+
+
+def _field_names(head):
+    return [line.split(b":")[0].decode() for line in head.split(b"\r\n")[1:]]
+
+
+@pytest.mark.parametrize("proxied", [False, True], ids=["direct", "proxy"])
+def test_request_goes_out_in_one_write_with_fields_in_order(recorder, monkeypatch, proxied):
+    server = recorder()
+    url = f"http://{server.address}/v1"
+    names = ["Host", "Accept-Encoding", "Content-Length", "Content-Type", "Authorization"]
+    if proxied:
+        monkeypatch.setenv("http_proxy", f"http://user:pw@{server.address}")
+        url = "http://api.invalid/v1"
+        names.append("Proxy-Authorization")
+    assert HttpGateway(base_url=url).complete(req("u")).content == "recorded"
+    [(head, reads)] = server.raw
+    assert reads == 1  # head and body came in one segment
+    assert _field_names(head) == names
+    line, headers = server.heads[0]
+    assert headers["host"] == url.split("/")[2]
+    assert headers["accept-encoding"] == "identity"
+
+
+def test_chunked_answer_with_extensions_and_trailer(recorder):
+    chunked = _answer("Transfer-Encoding: chunked", body=_chunked(_JSON))
+    # Chunked framing wins over a Content-Length sent with it, but the
+    # connection that carried both is not trusted with another request.
+    both = _answer("Content-Length: 3", "Transfer-Encoding: chunked", body=_chunked(_JSON))
+    server, gw, slept = _wired(recorder, chunked, both)
+    assert gw.complete(req("u")).content == "wired"
+    assert gw.complete(req("u")).content == "wired"
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 2
+    assert slept == []
+
+
+def test_close_delimited_answer_is_read_to_the_end(recorder):
+    server, gw, slept = _wired(recorder, _answer("Content-Type: application/json") + CLOSE)
+    assert gw.complete(req("u")).content == "wired"
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 2
+    assert slept == []
+
+
+@pytest.mark.parametrize("answer", [
+    _answer(f"Content-Length: {len(_JSON)}", status="HTTP/1.0 200 OK"),
+    _answer(f"Content-Length: {len(_JSON)}", "Connection: close"),
+], ids=["http-1.0", "connection-close"])
+def test_answer_that_ends_the_connection_is_not_reused(recorder, answer):
+    server, gw, slept = _wired(recorder, answer)
+    assert gw.complete(req("u")).content == "wired"
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 2
+    assert slept == []
+
+
+@pytest.mark.parametrize("interim", [
+    b"HTTP/1.1 100 Continue\r\n\r\n",
+    b"HTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n",
+], ids=["100", "103"])
+def test_interim_answers_are_skipped(recorder, interim):
+    server, gw, slept = _wired(recorder, interim + _answer(f"Content-Length: {len(_JSON)}"))
+    assert gw.complete(req("u")).content == "wired"
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 1
+
+
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1 OK\r\n\r\n",
+    b"SPDY/3 200 OK\r\nContent-Length: 0\r\n\r\n",
+    _answer(*(f"X-Field-{i}: {i}" for i in range(101)), "Content-Length: 0", body=b""),
+    _answer("X-Long: " + "x" * 70_000, "Content-Length: 0", body=b""),
+    _answer("Content-Length: many"),
+    _answer("Content-Length: -1"),
+    _answer(f"Content-Length: {len(_JSON)}", "Content-Length: 1"),
+    _answer("Transfer-Encoding: chunked", body=b"zz\r\n"),
+    _answer("Transfer-Encoding: chunked", body=b"3\r\nabcXY0\r\n\r\n"),
+], ids=[
+    "no-status-code", "not-http", "too-many-fields", "head-too-long",
+    "bad-length", "negative-length", "conflicting-lengths", "bad-chunk-size",
+    "chunk-without-crlf",
+])
+def test_malformed_answer_is_a_retried_transport_error(recorder, monkeypatch, answer):
+    # An answer read to the server's close would otherwise wait this long.
+    monkeypatch.setattr("reprompt.gateway._TIMEOUT", 0.5)
+    server, gw, slept = _wired(recorder, *(answer for _ in range(3)))
+    with pytest.raises(TransportError, match="request failed"):
+        gw.complete(req("u"))
+    assert slept == [1.0, 2.0]
+    assert len(server.heads) == 3
+
+
+def test_no_content_answer_has_no_body(recorder):
+    server, gw, slept = _wired(recorder, b"HTTP/1.1 204 No Content\r\n\r\n")
+    with pytest.raises(RejectedError, match="endpoint returned 204"):
+        gw.complete(req("u"))
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 1
+
+
+def test_bytes_past_the_body_close_the_connection(recorder):
+    server, gw, slept = _wired(
+        recorder, _answer(f"Content-Length: {len(_JSON)}") + b"HTTP/1.1 200 OK\r\n"
+    )
+    assert gw.complete(req("u")).content == "wired"
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 2
+    assert slept == []
+
+
+class _Segments:
+    """A socket whose peer sends ``stream`` in pieces of the given sizes."""
+
+    def __init__(self, stream, sizes):
+        self.pieces = []
+        for size in sizes:
+            if stream:
+                self.pieces.append(stream[:size])
+                stream = stream[size:]
+        self.pieces.append(stream)
+        self.sent = b""
+
+    def sendall(self, data):
+        self.sent += data
+
+    def recv(self, limit):
+        piece = self.pieces.pop(0) if self.pieces else b""
+        if len(piece) > limit:
+            self.pieces.insert(0, piece[limit:])
+        return piece[:limit]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    body=st.binary(max_size=300),
+    framing=st.sampled_from(["length", "chunked", "close"]),
+    chunk=st.integers(1, 40),
+    sizes=st.lists(st.integers(1, 50), max_size=40),
+    extra=st.sampled_from([b"", b"HTTP/1.1 200 OK\r\n"]),
+)
+def test_framing_holds_however_the_answer_is_cut(body, framing, chunk, sizes, extra):
+    from reprompt.http11 import Connection
+
+    if framing == "length":
+        answer = _answer(f"Content-Length: {len(body)}", body=body)
+    elif framing == "chunked":
+        answer = _answer("Transfer-Encoding: chunked", body=_chunked(body, chunk))
+    else:
+        answer, extra = _answer("Server: x", body=body), b""
+    sock = _Segments(answer + extra, sizes)
+    # Bytes past the body are seen when they come in the piece that ends it.
+    seen = extra and len(answer) not in itertools.accumulate(map(len, sock.pieces))
+    assert Connection(sock).exchange(b"POST / HTTP/1.1\r\n\r\n") == (
+        200, body, framing != "close" and not seen
+    )
+    assert sock.sent == b"POST / HTTP/1.1\r\n\r\n"
+
+
+def _self_signed(directory, name):
+    """A certificate for ``name`` that signs itself, and its key: PEM paths."""
+    pytest.importorskip("cryptography")
+    import datetime
+
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    subject = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, name)])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(subject)
+        .issuer_name(subject)
+        .public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(days=1))
+        .not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName([x509.DNSName(name)]), critical=False)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .sign(key, hashes.SHA256())
+    )
+    cert_path, key_path = directory / f"{name}.crt", directory / f"{name}.key"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    ))
+    return cert_path, key_path
+
+
+class _TlsRecorder(_Recorder):
+    """A _Recorder that speaks TLS with the given certificate and key."""
+
+    def __init__(self, cert_path, key_path):
+        import ssl
+
+        super().__init__("answer")
+        self.tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        self.tls.load_cert_chain(cert_path, key_path)
+
+    def get_request(self):
+        sock, address = super().get_request()
+        sock.settimeout(5)
+        return self.tls.wrap_socket(sock, server_side=True), address
+
+
+@pytest.fixture
+def tls_server(tmp_path, monkeypatch):
+    """Starts a _TlsRecorder whose certificate names ``name`` and is the
+    only one the client trusts (``SSL_CERT_FILE``)."""
+    _clear_proxies(monkeypatch)
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    started = []
+
+    def start(name):
+        cert_path, key_path = _self_signed(tmp_path, name)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
+        server = _TlsRecorder(cert_path, key_path)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}
+        )
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_https_call_is_verified_against_the_trust_store(tls_server):
+    server = tls_server("localhost")
+    server.answers.append(_answer("Transfer-Encoding: chunked", body=_chunked(_JSON)))
+    port = server.server_address[1]
+    gw = HttpGateway(base_url=f"https://localhost:{port}/v1", sleep=lambda _: None)
+    assert gw.complete(req("u")).content == "wired"
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 1
+    line, headers = server.heads[0]
+    assert line == "POST /v1/chat/completions HTTP/1.1"
+    assert headers["host"] == f"localhost:{port}"
+
+
+def test_https_certificate_for_another_name_is_a_transport_error(tls_server):
+    server = tls_server("other.invalid")
+    slept = []
+    gw = HttpGateway(
+        base_url=f"https://localhost:{server.server_address[1]}/v1", sleep=slept.append
+    )
+    with pytest.raises(TransportError, match="certificate verify failed"):
+        gw.complete(req("u"))
+    assert slept == [1.0, 2.0]
+    assert server.heads == []
+
+
 _CLI_SUBPROCESS = textwrap.dedent(
     """
     import sys
 
     import reprompt.cli
 
-    LAZY = ("http.client", "urllib.request", "ssl", "requests", "urllib3")
+    LAZY = ("http.client", "urllib.request", "email.parser", "ssl", "requests", "urllib3")
     print([m for m in LAZY if m in sys.modules])
 
-    import http.server, json, threading
+    import json, socket, threading
     from reprompt.gateway import ChatRequest, HttpGateway, Message, Role
 
-    class Handler(http.server.BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    body = json.dumps({"choices": [{"message": {"content": "hi"},
+                                    "finish_reason": "stop"}]}).encode()
+    listener = socket.create_server(("127.0.0.1", 0))
 
-        def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            body = json.dumps({"choices": [{"message": {"content": "hi"},
-                                            "finish_reason": "stop"}]}).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    def serve():
+        conn, _ = listener.accept()
+        data = b""
+        while b"\\r\\n\\r\\n" not in data or not data.endswith(b"}"):
+            data += conn.recv(65536)
+        conn.sendall(b"HTTP/1.1 200 OK\\r\\nContent-Length: %d\\r\\n\\r\\n%s"
+                     % (len(body), body))
+        conn.recv(1)  # until the client closes
 
-        def log_message(self, *args):
-            pass
-
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    server.daemon_threads = True
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    gw = HttpGateway(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1")
+    threading.Thread(target=serve, daemon=True).start()
+    gw = HttpGateway(base_url=f"http://127.0.0.1:{listener.getsockname()[1]}/v1")
     request = ChatRequest(
         messages=(Message(Role.USER, "u"),), model="agent", temperature=0.0, seed=42
     )
     print(gw.complete(request).content)
-    print([m for m in ("requests", "urllib3") if m in sys.modules])
+    print([m for m in LAZY if m in sys.modules])
     """
 )
 

@@ -96,3 +96,24 @@ def test_mutation_soak_subset(monkeypatch):
     count, failures = soak.soak(every=7)
     assert failures == []
     assert count >= 90
+
+
+def test_bench_pairs_summary_applies_the_gain_rule(monkeypatch):
+    pairs = import_script(monkeypatch, "bench_pairs")
+    base = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # q1 12.25, q3 16.75
+    clear = pairs.summarize(base, [b - 5 for b in base], "lower")
+    assert clear == {
+        "base": (14.5, 12.25, 16.75), "change": (9.5, 7.25, 11.75),
+        "wins": 10, "ties": 0, "pairs": 10, "gain": True,
+    }
+    # Every pair won, but the medians differ by less than the base's spread.
+    assert not pairs.summarize(base, [b - 4 for b in base], "lower")["gain"]
+    # A wide gap, but a tie and a loss leave 8 wins of 10.
+    mixed = [b - 5 for b in base[:8]] + [base[8], base[9] + 1]
+    assert pairs.summarize(base, mixed, "lower")["wins"] == 8
+    assert pairs.summarize(base, mixed, "lower")["ties"] == 1
+    assert not pairs.summarize(base, mixed, "lower")["gain"]
+    # For a metric where higher is better, the same runs count the other way.
+    higher = pairs.summarize(base, [b + 5 for b in base], "higher")
+    assert (higher["wins"], higher["gain"]) == (10, True)
+    assert pairs.summarize(base, [b + 5 for b in base], "lower")["wins"] == 0
