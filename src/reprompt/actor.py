@@ -14,12 +14,7 @@ from pathlib import Path
 from typing import Protocol, Sequence
 
 from . import prompts
-from .errors import (
-    EpisodeError,
-    GatewayError,
-    NoThinkSpanError,
-    UnparseableAnswerError,
-)
+from .errors import GatewayError, NoThinkSpanError, UnparseableAnswerError
 from .gateway import Caller, Gateway, Message, Role
 from .prompt_model import PromptDocument, fill_slots
 from .yamlio import load_yaml
@@ -130,22 +125,6 @@ def _wire_messages(messages: tuple[TranscriptMessage, ...]) -> tuple[Message, ..
     return tuple(wire)
 
 
-def _aborted(
-    message: str,
-    sample: Sample,
-    history: list[TranscriptMessage],
-    rounds_used: int,
-) -> EpisodeError:
-    partial = Transcript(
-        sample_id=sample.id,
-        messages=tuple(history),
-        rounds_used=rounds_used,
-        terminal=Terminal.ERROR,
-        error=message,
-    )
-    return EpisodeError(message, partial)
-
-
 def run_episode(
     prompt: PromptDocument,
     sample: Sample,
@@ -156,9 +135,9 @@ def run_episode(
 ) -> Transcript:
     """Run one episode and return its transcript.
 
-    The round-1 message is ``sample.render(prompt)``. Gateway and feedback
-    failures abort the episode and are re-raised as EpisodeError with the
-    partial transcript attached; its ``error`` carries the same message.
+    The round-1 message is ``sample.render(prompt)``. A gateway or feedback
+    failure ends the episode early: the partial transcript comes back with
+    terminal ERROR and ``error`` naming the failure.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -166,19 +145,18 @@ def run_episode(
         TranscriptMessage(TranscriptRole.USER, sample.render(prompt), 1)
     ]
     rounds = 0
+    terminal, error = Terminal.MAX_ROUNDS_EXHAUSTED, ""
     while True:
-        rounds += 1
         try:
             response = caller.complete(_wire_messages(tuple(history)))
         except GatewayError as exc:
-            raise _aborted(
-                f"episode for {sample.id} failed: {exc}", sample, history, rounds - 1
-            ) from exc
+            terminal, error = Terminal.ERROR, f"episode for {sample.id} failed: {exc}"
+            break
+        rounds += 1
         history.append(
             TranscriptMessage(TranscriptRole.ASSISTANT, response.content, rounds)
         )
         if rounds >= max_rounds:
-            terminal = Terminal.MAX_ROUNDS_EXHAUSTED
             break
         snapshot = Transcript(
             sample_id=sample.id,
@@ -189,9 +167,8 @@ def run_episode(
         try:
             text = fg.feedback(snapshot)
         except Exception as exc:
-            raise _aborted(
-                f"feedback failed for {sample.id}: {exc}", sample, history, rounds
-            ) from exc
+            terminal, error = Terminal.ERROR, f"feedback failed for {sample.id}: {exc}"
+            break
         if text is None:
             terminal = Terminal.FINISHED_BY_AGENT
             break
@@ -201,6 +178,7 @@ def run_episode(
         messages=tuple(history),
         rounds_used=rounds,
         terminal=terminal,
+        error=error,
     )
 
 
@@ -220,15 +198,14 @@ def collect_batch(
     """
 
     def one(sample: Sample) -> Transcript:
-        try:
-            return run_episode(prompt, sample, fg, max_rounds, caller=caller)
-        except EpisodeError as exc:
+        transcript = run_episode(prompt, sample, fg, max_rounds, caller=caller)
+        if transcript.terminal is Terminal.ERROR:
             import logging
 
             logging.getLogger(__name__).warning(
-                "episode failed for sample %s: %s", sample.id, exc
+                "episode failed for sample %s: %s", sample.id, transcript.error
             )
-            return exc.transcript
+        return transcript
 
     if parallelism > 1:
         from concurrent.futures import ThreadPoolExecutor

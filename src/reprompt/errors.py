@@ -83,14 +83,6 @@ class AmbiguousScriptError(EngineError):
 
 # --- actor ----------------------------------------------------------------
 
-class EpisodeError(EngineError):
-    """An episode aborted on a gateway failure; carries the partial transcript."""
-
-    def __init__(self, message: str, transcript):
-        self.transcript = transcript
-        super().__init__(message)
-
-
 class NoThinkSpanError(EngineError):
     """The last assistant message carries no reasoning-trace span."""
 
@@ -100,10 +92,6 @@ class UnparseableAnswerError(EngineError):
 
 
 # --- summarizer -----------------------------------------------------------
-
-class MarkerAbsentError(EngineError):
-    """A required conclusion or final-prompt marker is missing from raw model output."""
-
 
 class MissingConclusionMarkerError(EngineError):
     """The summarizer never produced its conclusion line, even after the retry."""
@@ -121,14 +109,6 @@ class MissingFinalMarkerError(EngineError):
 
 class GuardrailRejectionError(EngineError):
     """Every optimizer attempt was rejected by the guardrails."""
-
-    def __init__(self, message: str, report):
-        self.report = report
-        super().__init__(message)
-
-
-class RepairFailedError(EngineError):
-    """Placeholder repair could not produce a clean candidate within its budget."""
 
 
 # --- trainer ----------------------------------------------------

@@ -13,7 +13,6 @@ from enum import Enum
 
 from . import prompts
 from .config import GuardConfig
-from .errors import EmptyPromptError, RepairFailedError
 from .gateway import Caller
 from .prompt_model import (
     PromptDocument,
@@ -39,14 +38,6 @@ def compile_placeholder_patterns(extra: tuple[str, ...]) -> tuple[re.Pattern, ..
         re.compile(p, re.IGNORECASE)
         for p in DEFAULT_PLACEHOLDER_PATTERNS + tuple(extra)
     )
-
-
-
-@dataclass(frozen=True)
-class PlaceholderSpan:
-    start: int
-    end: int
-    text: str
 
 
 class ViolationKind(Enum):
@@ -76,14 +67,10 @@ class GuardReport:
 
 def detect_placeholders(
     text: str, patterns: tuple[re.Pattern, ...]
-) -> list[PlaceholderSpan]:
-    """Find placeholder spans in candidate text, ordered by position."""
-    spans = [
-        PlaceholderSpan(m.start(), m.end(), m.group(0))
-        for pattern in patterns
-        for m in pattern.finditer(text)
-    ]
-    return sorted(spans, key=lambda s: (s.start, s.end))
+) -> list[re.Match]:
+    """Find placeholder matches in candidate text, ordered by position."""
+    matches = [m for pattern in patterns for m in pattern.finditer(text)]
+    return sorted(matches, key=lambda m: m.span())
 
 
 def _first_diff_range(old: str, new: str) -> tuple[int, int]:
@@ -101,7 +88,9 @@ def _first_diff_range(old: str, new: str) -> tuple[int, int]:
     return prefix, max(len(old) - suffix, prefix + 1)
 
 
-def verify_protected(old: PromptDocument, new: PromptDocument) -> GuardReport:
+def verify_protected(
+    old: PromptDocument, new: PromptDocument
+) -> tuple[Violation, ...]:
     """Check that old's protected segments appear byte-identical, in order.
 
     Each violation names the mutated segment kind and the minimal character
@@ -136,17 +125,15 @@ def verify_protected(old: PromptDocument, new: PromptDocument) -> GuardReport:
         else:
             detail = f"{old_seg.kind.value} segment {nth + 1} is missing"
         violations.append(Violation(kind_map[old_seg.kind], detail))
-    if violations:
-        return GuardReport(Verdict.REJECTED, tuple(violations))
-    return GuardReport(Verdict.ACCEPTED)
+    return tuple(violations)
 
 
 def verify_required_tokens(
     new: PromptDocument, tokens: tuple[str, ...]
-) -> GuardReport:
+) -> tuple[Violation, ...]:
     """Case-sensitive presence check for tokens the task depends on."""
     rendered = render_prompt(new)
-    violations = tuple(
+    return tuple(
         Violation(
             ViolationKind.REQUIRED_TOKEN_MISSING,
             f"required token {token!r} not found (case-sensitive)",
@@ -154,9 +141,6 @@ def verify_required_tokens(
         for token in tokens
         if token not in rendered
     )
-    if violations:
-        return GuardReport(Verdict.REJECTED, violations)
-    return GuardReport(Verdict.ACCEPTED)
 
 
 def repair_placeholders(
@@ -166,12 +150,12 @@ def repair_placeholders(
     caller: Caller,
     patterns: tuple[re.Pattern, ...],
     attempts: int,
-) -> str:
+) -> str | None:
     """Ask a model to splice original text back over placeholder stubs.
 
     The result must contain zero placeholders and every original examples
     segment verbatim; otherwise the call is retried with a corrective note,
-    and RepairFailedError is raised once the budget is spent.
+    and None is returned once the budget is spent.
     """
     example_texts = [
         s.text for s in original.segments if s.kind is SegmentKind.EXAMPLES
@@ -187,9 +171,7 @@ def repair_placeholders(
         ):
             return repaired
         note = prompts.REPAIR_RETRY_NOTE
-    raise RepairFailedError(
-        f"placeholders survived {attempts} repair attempts"
-    )
+    return None
 
 
 def review_candidate(
@@ -211,46 +193,36 @@ def review_candidate(
     """
     patterns = compile_placeholder_patterns(guard_config.extra_placeholder_patterns)
     verdict = Verdict.ACCEPTED
-    spans = detect_placeholders(candidate, patterns)
-    if spans:
-        placeholder_violations = tuple(
-            Violation(
-                ViolationKind.PLACEHOLDER_FOUND,
-                f"placeholder {span.text!r} at chars {span.start}..{span.end}",
-            )
-            for span in spans
-        )
-        if repair is None:
-            return GuardReport(Verdict.REJECTED, placeholder_violations), None
-        try:
-            candidate = repair_placeholders(
+    matches = detect_placeholders(candidate, patterns)
+    if matches:
+        repaired = None
+        if repair is not None:
+            repaired = repair_placeholders(
                 candidate,
                 old,
                 caller=repair,
                 patterns=patterns,
                 attempts=guard_config.repair_attempts,
             )
-        except RepairFailedError:
-            return GuardReport(Verdict.REJECTED, placeholder_violations), None
-        verdict = Verdict.REPAIRED
-    try:
-        parsed = parse_prompt(candidate, seg_config)
-    except EmptyPromptError:
-        return (
-            GuardReport(
+        if repaired is None:
+            return GuardReport(
                 Verdict.REJECTED,
-                (
+                tuple(
                     Violation(
                         ViolationKind.PLACEHOLDER_FOUND,
-                        "candidate prompt is empty",
-                    ),
+                        f"placeholder {m.group(0)!r} at chars {m.start()}..{m.end()}",
+                    )
+                    for m in matches
                 ),
-            ),
-            None,
-        )
-    violations: list[Violation] = []
-    violations.extend(verify_protected(old, parsed).violations)
-    violations.extend(verify_required_tokens(parsed, required_tokens).violations)
+            ), None
+        candidate, verdict = repaired, Verdict.REPAIRED
+    if candidate == "":
+        empty = Violation(ViolationKind.PLACEHOLDER_FOUND, "candidate prompt is empty")
+        return GuardReport(Verdict.REJECTED, (empty,)), None
+    parsed = parse_prompt(candidate, seg_config)
+    violations = verify_protected(old, parsed) + verify_required_tokens(
+        parsed, required_tokens
+    )
     if violations:
-        return GuardReport(Verdict.REJECTED, tuple(violations)), None
+        return GuardReport(Verdict.REJECTED, violations), None
     return GuardReport(verdict), parsed

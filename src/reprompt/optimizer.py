@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import prompts
-from .errors import (
-    GuardrailRejectionError,
-    MarkerAbsentError,
-    MissingFinalMarkerError,
-)
+from .errors import GuardrailRejectionError, MissingFinalMarkerError
 from .gateway import Caller
-from .guardrails import GuardConfig, GuardReport, Verdict, review_candidate
+from .guardrails import GuardConfig, review_candidate
 from .prompt_model import (
     WHOLE_BLOCK,
     DiffStatus,
@@ -41,23 +37,23 @@ class PromptUpdate:
     raw_output: str
     new_prompt: PromptDocument
     placement: StepEdit | None = None
-    guard_report: GuardReport | None = None
 
     @property
     def changed(self) -> bool:
         return self.placement is not None
 
 
-def parse_final_prompt(raw: str) -> str:
+def parse_final_prompt(raw: str) -> str | None:
     """Extract the improved prompt from behind the last final-line marker.
 
     One leading space (the marker's own separator) and one leading newline
-    are trimmed; everything else is returned byte for byte.
+    are trimmed; everything else is returned byte for byte. Returns None
+    when the marker never appears.
     """
     marker = prompts.FINAL_PROMPT_MARKER.rstrip(" ")
     idx = raw.rfind(marker)
     if idx < 0:
-        raise MarkerAbsentError("optimizer output has no final-prompt marker")
+        return None
     rest = raw[idx + len(marker):]
     if rest.startswith(" "):
         rest = rest[1:]
@@ -121,15 +117,13 @@ def optimize(
     )
     marker_missing = 0
     last_reason: str | None = None
-    last_report: GuardReport | None = None
     for _ in range(attempts):
         note = None
         if last_reason is not None:
             note = prompts.OPTIMIZER_RETRY_NOTE_TEMPLATE.format(reason=last_reason)
         raw = caller.ask(prompts.OPTIMIZER_SYSTEM_PROMPT, base_user, note)
-        try:
-            candidate = parse_final_prompt(raw)
-        except MarkerAbsentError:
+        candidate = parse_final_prompt(raw)
+        if candidate is None:
             marker_missing += 1
             last_reason = "the final-prompt line was missing"
             continue
@@ -141,20 +135,15 @@ def optimize(
             guard_config=guard_config,
             repair=repair,
         )
-        last_report = report
-        if report.verdict is Verdict.REJECTED or parsed is None:
-            last_reason = (
-                report.violations[0].detail if report.violations else "rejected"
-            )
+        if parsed is None:
+            last_reason = report.violations[0].detail
             continue
         problem = _conservation_failure(prompt, parsed)
         if problem is not None:
             last_reason = problem
             continue
         if render_prompt(parsed) == old_text:
-            return PromptUpdate(
-                raw_output=raw, new_prompt=prompt, guard_report=report
-            )
+            return PromptUpdate(raw_output=raw, new_prompt=prompt)
         new_prompt = PromptDocument(
             segments=parsed.segments, version=prompt.version + 1
         )
@@ -162,13 +151,11 @@ def optimize(
             raw_output=raw,
             new_prompt=new_prompt,
             placement=classify_placement(prompt, new_prompt),
-            guard_report=report,
         )
     if marker_missing == attempts:
         raise MissingFinalMarkerError(
             f"no final-prompt line in any of {attempts} attempts"
         )
     raise GuardrailRejectionError(
-        f"every optimizer attempt was rejected (last: {last_reason})",
-        report=last_report,
+        f"every optimizer attempt was rejected (last: {last_reason})"
     )

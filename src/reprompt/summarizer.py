@@ -14,7 +14,7 @@ from enum import Enum
 
 from . import prompts
 from .actor import Transcript, TranscriptMessage, TranscriptRole, format_transcript
-from .errors import MarkerAbsentError, MissingConclusionMarkerError, ScrubRejectedError
+from .errors import MissingConclusionMarkerError, ScrubRejectedError
 from .gateway import Caller
 from .prompt_model import PromptDocument, render_prompt
 
@@ -52,15 +52,15 @@ _NO_REASON_KEY = "no general reason"
 _THOUGHT_KEYS = ("thought", "helpful", "focus on")
 
 
-def parse_conclusion(raw: str) -> tuple[FocusCase, str]:
+def parse_conclusion(raw: str) -> tuple[FocusCase, str] | None:
     """Extract and classify the conclusion line from raw summarizer output.
 
     The substring after the last occurrence of the conclusion marker wins.
-    Raises MarkerAbsentError when the marker never appears.
+    Returns None when the marker never appears.
     """
     idx = raw.rfind(prompts.CONCLUSION_MARKER)
     if idx < 0:
-        raise MarkerAbsentError("summarizer output has no conclusion marker")
+        return None
     text = raw[idx + len(prompts.CONCLUSION_MARKER):].strip()
     lowered = text.lower()
     if _NO_REASON_KEY in lowered:
@@ -185,15 +185,15 @@ def summarize_batch(
     note = None
     for attempt in range(2):
         raw = caller.ask(prompts.SUMMARIZER_SYSTEM_PROMPT, user, note)
-        try:
-            case, text = parse_conclusion(raw)
-        except MarkerAbsentError:
+        conclusion = parse_conclusion(raw)
+        if conclusion is None:
             if attempt == 1:
                 raise MissingConclusionMarkerError(
                     "no conclusion line, even after the retry"
                 )
             note = prompts.SUMMARIZER_FORMAT_REMINDER
             continue
+        case, text = conclusion
         hits = scrub_violations(text)
         if hits:
             if attempt == 1:

@@ -53,7 +53,6 @@ from .errors import (
     GuardrailRejectionError,
     MissingConclusionMarkerError,
     MissingFinalMarkerError,
-    RepairFailedError,
     ScrubRejectedError,
     StageCallError,
 )
@@ -215,6 +214,21 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
     return entries, len(complete)
 
 
+def _check_samples(samples: Sequence[Sample]) -> None:
+    """Each sample id names its transcript file, ``<id>.txt``, in a batch
+    directory, so it must be one plain file name, unique in the run."""
+    if not samples:
+        raise ValueError("training needs at least one sample")
+    seen: set[str] = set()
+    for sample in samples:
+        sid = sample.id
+        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+            raise ValueError(f"sample id {sid!r} cannot name a transcript file")
+        if sid in seen:
+            raise ValueError(f"sample id {sid!r} is not unique")
+        seen.add(sid)
+
+
 def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
     return [list(samples[i:i + batch_size]) for i in range(0, len(samples), batch_size)]
 
@@ -257,8 +271,7 @@ def train(
     settings. ``dataset_src`` and ``script_src``, when not None, are copied
     into the directory.
     """
-    if not samples:
-        raise ValueError("training needs at least one sample")
+    _check_samples(samples)
     paths = _RunPaths(run_dir)
     if paths.cursor.exists() or paths.version_txt(0).exists():
         raise ValueError(
@@ -588,8 +601,7 @@ def resume(
     batch's calls; reaching it raises BudgetExhaustedError with all
     completed work committed, so the run can be resumed again.
     """
-    if not samples:
-        raise ValueError("training needs at least one sample")
+    _check_samples(samples)
     paths = _run_paths(run_dir)
     meta = _read_run_meta(paths)
     seg, required_tokens = _markers(paths, meta)
@@ -716,7 +728,7 @@ def resume(
                     required_tokens=required_tokens,
                     guard_config=config.guards,
                 )
-            except (MissingFinalMarkerError, GuardrailRejectionError, RepairFailedError) as exc:
+            except (MissingFinalMarkerError, GuardrailRejectionError) as exc:
                 note = f"optimizer rejected: {exc}"
                 update = None
             except StageCallError as exc:

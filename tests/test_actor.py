@@ -18,11 +18,7 @@ from reprompt.actor import (
     load_dataset,
     run_episode,
 )
-from reprompt.errors import (
-    EpisodeError,
-    NoThinkSpanError,
-    UnparseableAnswerError,
-)
+from reprompt.errors import NoThinkSpanError, UnparseableAnswerError
 from reprompt.prompt_model import parse_prompt
 
 from conftest import entry, make_caller, make_gateway, make_recording_gateway
@@ -121,11 +117,10 @@ def test_empty_feedback_text_continues():
 
 def test_gateway_failure_wraps_partial_transcript():
     gw = make_gateway(entry(["never matches"], "x"))
-    with pytest.raises(EpisodeError) as err:
-        run_episode(PROMPT, sample(), NoFeedback(), 1, caller=make_caller(gw))
-    partial = err.value.transcript
+    partial = run_episode(PROMPT, sample(), NoFeedback(), 1, caller=make_caller(gw))
     assert partial is not None
     assert partial.terminal is Terminal.ERROR
+    assert partial.error.startswith("episode for s1 failed: ")
     assert partial.rounds_used == 0
     assert [m.role for m in partial.messages] == [TranscriptRole.USER]
 
@@ -137,10 +132,10 @@ def test_feedback_failure_wraps_partial_transcript():
         def feedback(self, transcript):
             raise RuntimeError("bad feedback")
 
-    with pytest.raises(EpisodeError) as err:
-        run_episode(PROMPT, sample(), Boom(), 2, caller=make_caller(gw))
-    assert err.value.transcript.terminal is Terminal.ERROR
-    assert err.value.transcript.rounds_used == 1
+    partial = run_episode(PROMPT, sample(), Boom(), 2, caller=make_caller(gw))
+    assert partial.terminal is Terminal.ERROR
+    assert partial.rounds_used == 1
+    assert partial.error == "feedback failed for s1: bad feedback"
 
 
 def test_round_cap_must_be_positive():

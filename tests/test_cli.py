@@ -17,8 +17,9 @@ from reprompt import cli, prompts
 from reprompt.cli import main
 from reprompt.config import parse_config
 from reprompt.evaluator import EvalReport
+from reprompt.gateway import ScriptedGateway
 from reprompt.prompt_model import inject_default_steps, parse_prompt, render_prompt
-from reprompt.toy_task import best_answer, format_plan, load_toy_samples
+from reprompt.toy_task import best_answer, format_plan, load_toy_samples, save_toy_samples
 
 CFG = str(GOLDEN / "run.cfg")
 CFG_TEXT = (GOLDEN / "run.cfg").read_text(encoding="utf-8")
@@ -94,6 +95,34 @@ def golden_train_argv(out_dir):
         "--script", str(GOLDEN / "script.yaml"),
         "--out", str(out_dir),
     ]
+
+
+def generic_train_argv(tmp_path, ids, train_cfg=""):
+    """A generic-task run whose samples carry ``ids``: one answer per
+    sample and a summarizer that finds no general reason."""
+    cfg = tmp_path / "generic.cfg"
+    cfg.write_text(
+        f"[train]\nepochs = 2\nbatch_size = 2\n{train_cfg}\n[task]\nkind = generic\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "prompt.txt").write_text("Do the task.\n\nTask id: {task_id}\n")
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(
+        json.dumps([{"id": i, "slot_values": {"task_id": i}} for i in ids]),
+        encoding="utf-8",
+    )
+    script = write_script(tmp_path / "script.yaml", [
+        entry(["Task id: "], "done", roles=["user"]),
+        entry(["You are a summarizer"], f"{prompts.CONCLUSION_MARKER}no general reason"),
+    ])
+    return [
+        "train", "--config", str(cfg), "--prompt", str(tmp_path / "prompt.txt"),
+        "--dataset", str(dataset), "--script", script, "--out", str(tmp_path / "run"),
+    ]
+
+
+# Ids that cannot name a transcript file (transcripts/eE/bB/<id>.txt).
+BAD_SAMPLE_IDS = ["../../../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"]
 
 
 class TestTrain:
@@ -275,6 +304,79 @@ class TestTrain:
         assert tree_hashes(run_dir) == golden_manifest()["files"]
         assert main(["inspect", "--out", str(run_dir)]) == 0
 
+    def test_reflexion_trains_without_the_checker(self, tmp_path, capsys, monkeypatch):
+        # Reflexion feedback replaces the rule checker inside the loop: a
+        # reflection holding the finish marker ends toy-1's episode after one
+        # answer, and toy-3's reflection is fed back for a second answer.
+        initial = (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8")
+        v0 = render_prompt(inject_default_steps(parse_prompt(initial, TOY_SEG)))
+        candidate = v0.replace("2. Then,", "2. Check the budget.\n3. Then,")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[train]\nepochs = 1\nbatch_size = 2\nmax_rounds = 2\n"
+            "feedback = reflexion\nparallelism = 2\n\n"
+            "[gateway]\nbackend = scripted\nmodel = planner\nsummarizer_model = critic\n\n"
+            '[task]\nkind = toy\nrequired_tokens = ["PLAN:"]\n'
+            'format_open = ["Your final answer"]\n',
+            encoding="utf-8",
+        )
+        save_toy_samples(load_toy_samples(GOLDEN / "dataset.yaml")[:2], tmp_path / "toy.json")
+        reflection = "You are a reflection assistant"
+        script = write_script(tmp_path / "script.yaml", [
+            entry(["Task id: toy-"], "PLAN:\nDay 1: a11\n", roles=["user"]),
+            entry([reflection, "Task id: toy-1\n"], f"Fine. {prompts.DEFAULT_FINISH_MARKER}"),
+            entry([reflection, "Task id: toy-3\n"], "Check the budget."),
+            entry(
+                ["Task id: toy-3\n", "Check the budget."], "PLAN:\nDay 1: a12\n",
+                roles=["user", "assistant", "user"],
+            ),
+            entry(
+                ["You are a summarizer"],
+                f"Budgets are ignored.\n{prompts.CONCLUSION_MARKER}check the budget.",
+            ),
+            entry(
+                ["You are a prompt optimizer"],
+                f"{prompts.FINAL_PROMPT_MARKER}\n{candidate}",
+            ),
+        ])
+        requests = []
+        complete = ScriptedGateway.complete
+
+        def recording(gateway, request):
+            requests.append(request)
+            return complete(gateway, request)
+
+        monkeypatch.setattr(ScriptedGateway, "complete", recording)
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--config") + 1] = str(cfg)
+        argv[argv.index("--dataset") + 1] = str(tmp_path / "toy.json")
+        argv[argv.index("--script") + 1] = script
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "final prompt: v1" in out
+        assert "episodes: 2, gateway calls: 7, epochs: 1" in out
+        assert (tmp_path / "run" / "prompts" / "v1.txt").exists()
+        reflections = [
+            r for r in requests if r.messages[0].content == prompts.REFLECTION_SYSTEM_PROMPT
+        ]
+        assert len(reflections) == 2
+        assert {r.model for r in reflections} == {"critic"}
+        batch = tmp_path / "run" / "transcripts" / "e1" / "b1"
+        toy1 = (batch / "toy-1.txt").read_text(encoding="utf-8")
+        assert "terminal: finished_by_agent\nrounds: 1\n" in toy1
+        toy3 = (batch / "toy-3.txt").read_text(encoding="utf-8")
+        assert "terminal: max_rounds_exhausted\nrounds: 2\n" in toy3
+        assert "[feedback / round 2]\nCheck the budget." in toy3
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("bad", BAD_SAMPLE_IDS)
+    def test_sample_id_that_is_no_file_name_is_rejected(self, tmp_path, capsys, bad):
+        assert main(generic_train_argv(tmp_path, ["a", bad])) == 1
+        assert f"error: sample id {bad!r} cannot name a transcript file" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_http_gateway_is_built_from_base_url_alone(self, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "HttpGateway", lambda **kwargs: built.append(kwargs))
@@ -348,6 +450,30 @@ class TestResume:
         code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
         assert code == 1
         assert "run settings" in capsys.readouterr().err
+        assert tree_hashes(tmp_path / "run") == before
+
+    @pytest.mark.parametrize("bad", BAD_SAMPLE_IDS)
+    def test_sample_id_that_is_no_file_name_is_rejected_untouched(
+        self, tmp_path, capsys, bad
+    ):
+        argv = generic_train_argv(tmp_path, ["a", "b"], "call_budget = 3\n")
+        assert main(argv) == 2  # cut after epoch 1
+        before = tree_hashes(tmp_path / "run")
+        capsys.readouterr()
+        dataset = tmp_path / "bad.json"
+        dataset.write_text(json.dumps([
+            {"id": i, "slot_values": {"task_id": i}} for i in ("a", bad)
+        ]))
+        config = Path(argv[argv.index("--config") + 1])
+        config.write_text(config.read_text().replace("call_budget = 3\n", ""))
+        code = main([
+            "resume", "--config", str(config), "--dataset", str(dataset),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert f"sample id {bad!r} cannot name a transcript file" in (
+            capsys.readouterr().err
+        )
         assert tree_hashes(tmp_path / "run") == before
 
     def test_other_markers_are_rejected(self, tmp_path, capsys):
@@ -693,6 +819,33 @@ class TestDiff:
         out = capsys.readouterr().out
         assert "identical" in out
         assert "modified" not in out and "added" not in out
+
+    @pytest.mark.parametrize("old, new, lines", [
+        (
+            "***** Example *****\nx\n***** Example Ends *****\n\n",
+            "1. a\n2. b\n\n",
+            ["examples             removed", "step_instructions    added"],
+        ),
+        (
+            "1. a\n2. b\n\n",
+            "1. a\n2. c\n\nMore text.\n\n",
+            ["step_instructions    modified: ReplaceStep(2)", "preamble             added"],
+        ),
+        (
+            "1. a\n2. c\n\nMore text.\n\n",
+            "1. a\n2. b\n\n",
+            ["step_instructions    modified: ReplaceStep(2)", "preamble             removed"],
+        ),
+    ], ids=["kind-changed", "one-to-two", "two-to-one"])
+    def test_replaced_segments_pair_up_by_kind(self, tmp_path, capsys, old, new, lines):
+        for name, middle in (("old.txt", old), ("new.txt", new)):
+            (tmp_path / name).write_text(
+                f"Intro.\n\n{middle}Here is the task:\n{{t}}\n", encoding="utf-8"
+            )
+        assert main(["diff", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "preamble             identical", *lines, "task_slot            identical",
+        ]
 
     def test_missing_file(self, tmp_path, capsys):
         code = main([

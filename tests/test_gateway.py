@@ -673,6 +673,31 @@ def test_base_url_must_be_http_or_https(url):
         HttpGateway(base_url=url)
 
 
+@pytest.mark.parametrize("url", [
+    "http://host/v 1", "http://host/v1\t", "http://host/v1\x01", "http://host/v1\x7f",
+], ids=["space", "tab", "control", "delete"])
+def test_base_url_with_a_space_or_control_character_is_an_error(url):
+    with pytest.raises(ValueError, match="holds a space or control character"):
+        HttpGateway(base_url=url)
+
+
+@pytest.mark.parametrize("key", ["k\r\nX-Injected: 1", "k\rX", "k\nX"],
+                         ids=["crlf", "cr", "lf"])
+def test_api_key_with_a_line_break_is_an_error(monkeypatch, key):
+    _clear_proxies(monkeypatch)
+    monkeypatch.setenv(API_KEY_ENV, key)
+    with pytest.raises(ValueError, match="Authorization header value holds a line break"):
+        HttpGateway(base_url="http://127.0.0.1:1/v1")
+
+
+def test_header_value_with_nul_is_an_error():
+    from reprompt.http11 import Connections
+
+    # The environment cannot hold NUL, so the field goes to the client directly.
+    with pytest.raises(ValueError, match="Authorization header value holds a line break"):
+        Connections("http://127.0.0.1:1/v1", {"Authorization": "Bearer k\0"}, 1.0)
+
+
 def test_pooled_calls_share_one_connection(loopback):
     slept = []
     gw = HttpGateway(base_url=loopback.url, sleep=slept.append)
@@ -750,7 +775,8 @@ class _RecordingHandler(socketserver.BaseRequestHandler):
                 answer = server.answers.pop(0) if server.answers else None
             if server.mode == "stall":
                 server.stop.wait(10)
-            if server.mode != "answer" or line.startswith("CONNECT"):
+            connect = line.startswith("CONNECT")
+            if server.mode != "answer" or (connect and answer is None):
                 return  # the connection closes unanswered
             if answer is None:
                 body = json.dumps(ok_body("recorded")).encode()
@@ -761,6 +787,11 @@ class _RecordingHandler(socketserver.BaseRequestHandler):
             self.request.sendall(answer.removesuffix(CLOSE))
             if answer.endswith(CLOSE):
                 return
+            if connect and server.tls is not None:  # the tunnel is open
+                self.request = server.tls.wrap_socket(self.request, server_side=True)
+
+    def finish(self):
+        self.request.close()  # a tunnel's TLS socket, which the server does not hold
 
 
 # Ends a queued raw answer that the server closes the connection after.
@@ -773,13 +804,15 @@ class _Recorder(socketserver.ThreadingTCPServer):
     ``mode`` "answer" sends the next raw answer queued in ``answers`` (a
     completion when none is queued) and keeps the connection open, unless
     the answer ends in CLOSE; "drop" closes it unanswered; "stall" holds it
-    unanswered until the server stops. A CONNECT is always closed
-    unanswered. ``raw`` holds each request's head and the number of reads
-    that took in its head and body; ``connections`` counts the accepted
-    connections.
+    unanswered until the server stops. A CONNECT is answered from the same
+    queue, and closed unanswered when none is queued; on a server with a
+    ``tls`` context, TLS starts once it is answered. ``raw`` holds each
+    request's head and the number of reads that took in its head and body;
+    ``connections`` counts the accepted connections.
     """
 
     daemon_threads = True
+    tls = None
 
     def __init__(self, mode):
         super().__init__(("127.0.0.1", 0), _RecordingHandler)
@@ -888,6 +921,26 @@ def test_https_proxy_gets_a_connect_tunnel(recorder, monkeypatch):
         assert headers["proxy-authorization"] == _basic("user:pw")
 
 
+@pytest.mark.parametrize("answer, message", [
+    (b"HTTP/1.1 407 Proxy Authentication Required\r\nContent-Length: 0\r\n\r\n",
+     "answered CONNECT with 407"),
+    (b"HTTP/1.1 200 Connection established\r\n\r\nearly",
+     "sent bytes before the tunnel opened"),
+], ids=["refused", "bytes-before-open"])
+def test_tunnel_that_does_not_open_is_a_retried_transport_error(
+    recorder, monkeypatch, answer, message
+):
+    proxy = recorder()
+    proxy.answers.extend(answer + CLOSE for _ in range(3))
+    monkeypatch.setenv("https_proxy", f"http://{proxy.address}")
+    slept = []
+    gw = HttpGateway(base_url="https://api.invalid/v1", sleep=slept.append)
+    with pytest.raises(TransportError, match=message):
+        gw.complete(req("u"))
+    assert slept == [1.0, 2.0]
+    assert [line for line, _ in proxy.heads] == ["CONNECT api.invalid:443 HTTP/1.1"] * 3
+
+
 def test_proxy_route_is_fixed_when_the_gateway_is_built(recorder, monkeypatch):
     proxy, direct = recorder(), recorder()
     plain = HttpGateway(base_url=f"http://{direct.address}/v1")
@@ -988,7 +1041,8 @@ def test_close_delimited_answer_is_read_to_the_end(recorder):
 @pytest.mark.parametrize("answer", [
     _answer(f"Content-Length: {len(_JSON)}", status="HTTP/1.0 200 OK"),
     _answer(f"Content-Length: {len(_JSON)}", "Connection: close"),
-], ids=["http-1.0", "connection-close"])
+    _answer("Transfer-Encoding: gzip") + CLOSE,
+], ids=["http-1.0", "connection-close", "not-chunked-read-to-close"])
 def test_answer_that_ends_the_connection_is_not_reused(recorder, answer):
     server, gw, slept = _wired(recorder, answer)
     assert gw.complete(req("u")).content == "wired"
@@ -1018,10 +1072,12 @@ def test_interim_answers_are_skipped(recorder, interim):
     _answer(f"Content-Length: {len(_JSON)}", "Content-Length: 1"),
     _answer("Transfer-Encoding: chunked", body=b"zz\r\n"),
     _answer("Transfer-Encoding: chunked", body=b"3\r\nabcXY0\r\n\r\n"),
+    _answer("No colon in this field", "Content-Length: 0", body=b""),
+    _answer(f"Content-Length: {len(_JSON) + 1}") + CLOSE,
 ], ids=[
     "no-status-code", "not-http", "too-many-fields", "head-too-long",
     "bad-length", "negative-length", "conflicting-lengths", "bad-chunk-size",
-    "chunk-without-crlf",
+    "chunk-without-crlf", "field-without-colon", "body-cut-by-close",
 ])
 def test_malformed_answer_is_a_retried_transport_error(recorder, monkeypatch, answer):
     # An answer read to the server's close would otherwise wait this long.
@@ -1135,18 +1191,22 @@ def _self_signed(directory, name):
 
 
 class _TlsRecorder(_Recorder):
-    """A _Recorder that speaks TLS with the given certificate and key."""
+    """A _Recorder that speaks TLS with the given certificate and key: from
+    the start or, as a proxy ``tunnel``, once it has answered a CONNECT."""
 
-    def __init__(self, cert_path, key_path):
+    def __init__(self, cert_path, key_path, tunnel):
         import ssl
 
         super().__init__("answer")
         self.tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         self.tls.load_cert_chain(cert_path, key_path)
+        self.tunnel = tunnel
 
     def get_request(self):
         sock, address = super().get_request()
         sock.settimeout(5)
+        if self.tunnel:
+            return sock, address
         return self.tls.wrap_socket(sock, server_side=True), address
 
 
@@ -1158,10 +1218,10 @@ def tls_server(tmp_path, monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "k")
     started = []
 
-    def start(name):
+    def start(name, tunnel=False):
         cert_path, key_path = _self_signed(tmp_path, name)
         monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
-        server = _TlsRecorder(cert_path, key_path)
+        server = _TlsRecorder(cert_path, key_path, tunnel)
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05}
         )
@@ -1188,6 +1248,22 @@ def test_https_call_is_verified_against_the_trust_store(tls_server):
     line, headers = server.heads[0]
     assert line == "POST /v1/chat/completions HTTP/1.1"
     assert headers["host"] == f"localhost:{port}"
+
+
+def test_https_call_goes_through_an_open_tunnel(tls_server, monkeypatch):
+    server = tls_server("localhost", tunnel=True)
+    server.answers.append(b"HTTP/1.1 200 Connection established\r\n\r\n")
+    port = server.server_address[1]
+    monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{port}")
+    gw = HttpGateway(base_url=f"https://localhost:{port}/v1", sleep=lambda _: None)
+    assert gw.complete(req("u")).content == "recorded"
+    assert gw.complete(req("u")).content == "recorded"
+    assert server.connections == 1
+    assert [line for line, _ in server.heads] == [
+        f"CONNECT localhost:{port} HTTP/1.1",
+        "POST /v1/chat/completions HTTP/1.1",
+        "POST /v1/chat/completions HTTP/1.1",
+    ]
 
 
 def test_https_certificate_for_another_name_is_a_transport_error(tls_server):

@@ -1,9 +1,10 @@
 import pytest
 
-from reprompt.errors import RepairFailedError
 from reprompt.guardrails import (
     GuardConfig,
+    GuardReport,
     Verdict,
+    Violation,
     ViolationKind,
     compile_placeholder_patterns,
     detect_placeholders,
@@ -73,14 +74,14 @@ def test_non_placeholder_text(text):
 def test_spans_are_ordered_and_positioned():
     text = "a ⟨one⟩ then <Examples here> end"
     spans = detect_placeholders(text, DEFAULT_PATTERNS)
-    assert [s.text for s in spans] == ["⟨one⟩", "<Examples here>"]
-    assert text[spans[0].start : spans[0].end] == "⟨one⟩"
+    assert [m.group(0) for m in spans] == ["⟨one⟩", "<Examples here>"]
+    assert text[spans[0].start() : spans[0].end()] == "⟨one⟩"
 
 
 def test_extra_patterns_extend_the_defaults():
     patterns = compile_placeholder_patterns((r"\[\[.*?\]\]",))
     spans = detect_placeholders("keep [[the rest]] intact", patterns)
-    assert [s.text for s in spans] == ["[[the rest]]"]
+    assert [m.group(0) for m in spans] == ["[[the rest]]"]
     # Defaults still apply alongside the extras.
     assert detect_placeholders("⟨x⟩", patterns)
 
@@ -96,23 +97,23 @@ def test_fixture_with_placeholders_is_caught():
 
 def test_identical_examples_accepted():
     new = parse_prompt(with_steps("1. Read the query.\n2. Check the budget.\n"))
-    assert verify_protected(ORIGINAL, new).verdict is Verdict.ACCEPTED
+    assert verify_protected(ORIGINAL, new) == ()
 
 
 def test_mutated_example_rejected_with_char_range():
     new = parse_prompt(ORIGINAL_TEXT.replace("Plan: p\n", "Plan: different\n"))
-    report = verify_protected(ORIGINAL, new)
-    assert report.verdict is Verdict.REJECTED
-    v = report.violations[0]
+    violations = verify_protected(ORIGINAL, new)
+    assert violations
+    v = violations[0]
     assert v.kind is ViolationKind.EXAMPLES_MUTATED
     assert "chars" in v.detail
 
 
 def test_dropped_example_rejected_as_missing():
     new = parse_prompt("Plan the trip.\n\n1. Read the query.\n\nHere is the task:\n{query}\n")
-    report = verify_protected(ORIGINAL, new)
-    assert report.verdict is Verdict.REJECTED
-    assert "missing" in report.violations[0].detail
+    violations = verify_protected(ORIGINAL, new)
+    assert violations
+    assert "missing" in violations[0].detail
 
 
 def test_reordered_duplicate_examples_must_keep_order():
@@ -127,34 +128,32 @@ def test_reordered_duplicate_examples_must_keep_order():
         "Here is the task:\n{q}\n"
     )
     old = parse_prompt(base)
-    assert verify_protected(old, parse_prompt(base)).verdict is Verdict.ACCEPTED
-    report = verify_protected(old, parse_prompt(swapped))
-    assert report.verdict is Verdict.REJECTED
+    assert verify_protected(old, parse_prompt(base)) == ()
+    assert verify_protected(old, parse_prompt(swapped))
 
 
 def test_unprotected_changes_do_not_trip_the_check():
     new = parse_prompt(ORIGINAL_TEXT.replace("Plan the trip.", "Plan the journey."))
-    assert verify_protected(ORIGINAL, new).verdict is Verdict.ACCEPTED
+    assert verify_protected(ORIGINAL, new) == ()
 
 
 # --- required tokens ------------------------------------------------------------------
 
 
 def test_required_tokens_present():
-    report = verify_required_tokens(ORIGINAL, ("Plan the trip.", "{query}"))
-    assert report.verdict is Verdict.ACCEPTED
+    assert verify_required_tokens(ORIGINAL, ("Plan the trip.", "{query}")) == ()
 
 
 def test_required_token_case_sensitivity():
-    report = verify_required_tokens(ORIGINAL, ("PLAN THE TRIP.",))
-    assert report.verdict is Verdict.REJECTED
-    assert report.violations[0].kind is ViolationKind.REQUIRED_TOKEN_MISSING
-    assert "case-sensitive" in report.violations[0].detail
+    violations = verify_required_tokens(ORIGINAL, ("PLAN THE TRIP.",))
+    assert violations
+    assert violations[0].kind is ViolationKind.REQUIRED_TOKEN_MISSING
+    assert "case-sensitive" in violations[0].detail
 
 
 def test_each_missing_token_is_reported():
-    report = verify_required_tokens(ORIGINAL, ("absent one", "absent two"))
-    assert len(report.violations) == 2
+    violations = verify_required_tokens(ORIGINAL, ("absent one", "absent two"))
+    assert len(violations) == 2
 
 
 # --- repair ------------------------------------------------------------------------
@@ -217,11 +216,11 @@ def test_repair_rejects_dropped_examples():
     gw = make_gateway(
         entry(["You are a template replacer"], clean_but_lossy, max_uses=3)
     )
-    with pytest.raises(RepairFailedError):
-        repair_placeholders(
-            CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
-            patterns=DEFAULT_PATTERNS, attempts=3,
-        )
+    result = repair_placeholders(
+        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
+        patterns=DEFAULT_PATTERNS, attempts=3,
+    )
+    assert result is None
     assert gw.calls == 3
 
 
@@ -229,11 +228,11 @@ def test_repair_attempt_budget_is_configurable():
     gw = make_gateway(
         entry(["You are a template replacer"], CANDIDATE_WITH_STUB, max_uses=5)
     )
-    with pytest.raises(RepairFailedError):
-        repair_placeholders(
-            CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
-            patterns=DEFAULT_PATTERNS, attempts=2,
-        )
+    result = repair_placeholders(
+        CANDIDATE_WITH_STUB, ORIGINAL, caller=make_caller(gw),
+        patterns=DEFAULT_PATTERNS, attempts=2,
+    )
+    assert result is None
     assert gw.calls == 2
 
 
@@ -278,6 +277,17 @@ def test_review_rejects_failed_repair():
     )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
+
+
+def test_review_rejects_empty_candidate():
+    report, parsed = review_candidate(
+        ORIGINAL, "", seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
+    )
+    assert parsed is None
+    assert report == GuardReport(
+        Verdict.REJECTED,
+        (Violation(ViolationKind.PLACEHOLDER_FOUND, "candidate prompt is empty"),),
+    )
 
 
 def test_review_rejects_mutated_examples():

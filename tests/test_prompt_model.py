@@ -248,6 +248,25 @@ def test_format_section_with_close_marker():
     assert doc.segments[1].text.endswith("=== End Format ===\n\n")
 
 
+@pytest.mark.parametrize("close, raw, format_text", [
+    ((), "Intro.\n\nFormat: PLAN:\nDay k: <id>\n\nHere is the task:\n{t}\n",
+     "Format: PLAN:\nDay k: <id>\n\n"),
+    (("=== End Format ===",), "Intro.\n\nFormat: PLAN:\nline one\nHere is the task:\n{t}\n",
+     "Format: PLAN:\nline one\n"),
+], ids=["paragraph-without-close-marker", "boundary-before-close-marker"])
+def test_format_section_ends_at_its_paragraph_or_the_next_boundary(close, raw, format_text):
+    cfg = dataclasses.replace(
+        DEFAULT_SEGMENTATION, format_open=("Format:",), format_close=close
+    )
+    doc = parse_prompt(raw, cfg)
+    assert kinds(doc) == [
+        SegmentKind.PREAMBLE,
+        SegmentKind.FORMAT_REQUIREMENTS,
+        SegmentKind.TASK_SLOT,
+    ]
+    assert doc.segments[1].text == format_text
+
+
 # --- document invariants -------------------------------------------------------
 
 

@@ -117,3 +117,29 @@ def test_bench_pairs_summary_applies_the_gain_rule(monkeypatch):
     higher = pairs.summarize(base, [b + 5 for b in base], "higher")
     assert (higher["wins"], higher["gain"]) == (10, True)
     assert pairs.summarize(base, [b + 5 for b in base], "lower")["wins"] == 0
+
+
+def test_untested_lines_counts_each_statement_by_its_head(monkeypatch):
+    tool = import_script(monkeypatch, "untested_lines")
+    source = (
+        "import os\n"
+        "@dec\n"
+        "def f(x):\n"
+        "    '''A docstring runs no instruction.'''\n"
+        "    global g\n"
+        "    if (x and\n"
+        "            x > 1):\n"
+        "        return (\n"
+        "            x)\n"
+        "    try:\n"
+        "        pass\n"
+        "    except OSError:\n"
+        "        raise\n"
+        "    return None\n"
+    )
+    assert tool.statements(source) == {
+        1: range(1, 2), 3: range(2, 4), 6: range(6, 8), 8: range(8, 10),
+        10: range(10, 11), 11: range(11, 12), 13: range(13, 14), 14: range(14, 15),
+    }
+    # A statement is reached through any line of its head.
+    assert tool.unreached(source, {1, 2, 7, 11, 14}) == [8, 10, 13]

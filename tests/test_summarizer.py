@@ -2,11 +2,7 @@ import pytest
 
 from reprompt import prompts
 from reprompt.actor import Terminal, Transcript, TranscriptMessage, TranscriptRole
-from reprompt.errors import (
-    MarkerAbsentError,
-    MissingConclusionMarkerError,
-    ScrubRejectedError,
-)
+from reprompt.errors import MissingConclusionMarkerError, ScrubRejectedError
 from reprompt.gateway import Role
 from reprompt import summarizer
 from reprompt.prompt_model import parse_prompt, render_prompt
@@ -83,9 +79,8 @@ def test_last_marker_occurrence_wins():
     assert text == "the final conclusion stands."
 
 
-def test_missing_marker_raises():
-    with pytest.raises(MarkerAbsentError):
-        parse_conclusion("no conclusion line anywhere")
+def test_missing_marker_is_none():
+    assert parse_conclusion("no conclusion line anywhere") is None
 
 
 def test_routing_is_case_insensitive():
@@ -158,6 +153,15 @@ def test_serialization_respects_budget():
     # Symmetric trim keeps each transcript's header and its tail.
     assert "=== Transcript for sample s1 ===" in text
     assert text.rstrip().endswith("x")
+
+
+def test_short_transcript_is_kept_whole_beside_a_cut_one():
+    short, long = transcript("s1"), transcript("s2", "x" * 50_000)
+    text = serialize_transcripts([short, long], 10_000, PROMPT_TEXT)
+    assert len(text) <= 10_000
+    whole = serialize_transcripts([short], 10_000, PROMPT_TEXT)
+    assert text.startswith(whole + "\n\n=== Transcript for sample s2 ===")
+    assert text.count(TRUNCATION_SENTINEL) == 1
 
 
 def test_serialization_untouched_under_budget():

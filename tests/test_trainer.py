@@ -303,6 +303,21 @@ class TestGoldenRun:
                 dataset_src=None, script_src=None,
             )
 
+    def test_refuses_duplicate_sample_ids(self, tmp_path):
+        # Two equal ids would write one transcript file over the other.
+        samples, feedback, gateway = golden_inputs()
+        with pytest.raises(ValueError, match="sample id 'toy-1' is not unique"):
+            train(
+                (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"),
+                [samples[0], samples[1], samples[0]],
+                config=golden_config(),
+                gateway=gateway,
+                feedback=feedback,
+                run_dir=tmp_path / "run",
+                dataset_src=None, script_src=None,
+            )
+        assert not (tmp_path / "run").exists()
+
     def test_verify_chain_and_replay(self, tmp_path):
         run_golden(tmp_path / "run")
         records = verify_chain(tmp_path / "run")
