@@ -10,9 +10,13 @@ of:
 
 - every default of a ``def`` or ``async def`` parameter, positional or
   keyword-only (a keyword-only parameter without a default is not one);
-- every annotated field with a value in the body of a class decorated
-  with ``@dataclass`` (called or not), ``ClassVar`` fields excepted.
+- every annotated field with a value in the body of a record class:
+  one decorated with ``@dataclass`` (called or not), or one that
+  subclasses ``NamedTuple``; ``ClassVar`` fields excepted.
 
+A class that subclasses a record class of the same file and defines
+``__new__`` (a validating record) takes the record's fields, so that
+``__new__``'s defaults repeat the fields' and are not counted again.
 Lambdas, module constants and plain class attributes are not counted.
 
     python scripts/src_size.py [PACKAGE_DIR]
@@ -35,16 +39,36 @@ def _name(node: ast.expr) -> str | None:
     return getattr(node, "id", None)
 
 
+def _is_record(node: ast.ClassDef) -> bool:
+    return any(_name(d) == "dataclass" for d in node.decorator_list) or any(
+        _name(b) == "NamedTuple" for b in node.bases
+    )
+
+
+def _repeated_defaults(tree: ast.AST) -> set[ast.AST]:
+    """The ``__new__`` of each class that subclasses a record class of
+    ``tree``: its defaults repeat the record's field defaults."""
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    records = {n.name for n in classes if _is_record(n)}
+    return {
+        stmt
+        for n in classes if any(_name(b) in records for b in n.bases)
+        for stmt in n.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__new__"
+    }
+
+
 def settable_values(tree: ast.AST) -> int:
     count = 0
+    repeated = _repeated_defaults(tree)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node in repeated:
+                continue
             args = node.args
             count += len(args.defaults)
             count += sum(d is not None for d in args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and any(
-            _name(d) == "dataclass" for d in node.decorator_list
-        ):
+        elif isinstance(node, ast.ClassDef) and _is_record(node):
             count += sum(
                 isinstance(stmt, ast.AnnAssign)
                 and stmt.value is not None

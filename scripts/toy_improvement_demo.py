@@ -11,7 +11,6 @@ through the enumeration oracle, independent of the training-time checker.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import tempfile
 from pathlib import Path
@@ -84,9 +83,7 @@ def main() -> int:
     args = parser.parse_args()
 
     config = parse_config((GOLDEN / "run.cfg").read_text(encoding="utf-8"))
-    config = dataclasses.replace(
-        config, train=dataclasses.replace(config.train, epochs=1)
-    )
+    config = config._replace(train=config.train._replace(epochs=1))
     toys = load_toy_samples(GOLDEN / "dataset.yaml")
     with tempfile.TemporaryDirectory() as tmp:
         result = train(

@@ -8,10 +8,9 @@ first-class transcript role; on the wire it travels as a user message.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from . import prompts
 from .errors import GatewayError, NoThinkSpanError, UnparseableAnswerError
@@ -33,15 +32,13 @@ class Terminal(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class TranscriptMessage:
+class TranscriptMessage(NamedTuple):
     role: TranscriptRole
     content: str
     round: int
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     sample_id: str
     messages: tuple[TranscriptMessage, ...]
     rounds_used: int
@@ -64,8 +61,7 @@ class Sample(Protocol):
     def render(self, prompt: PromptDocument) -> str: ...
 
 
-@dataclass(frozen=True)
-class TaskSample:
+class TaskSample(NamedTuple):
     id: str
     slot_values: dict[str, str]
 
@@ -284,11 +280,9 @@ class RuleCheckFeedback:
 
     def feedback(self, transcript: Transcript) -> str | None:
         sample = self._samples[transcript.sample_id]
-        answer_text = transcript.last_assistant()
-        if answer_text is None:
-            return "no answer was produced"
+        # run_episode asks for feedback only after an answer.
         try:
-            answer = self._adapter.parse_answer(answer_text)
+            answer = self._adapter.parse_answer(transcript.last_assistant())
         except UnparseableAnswerError as exc:
             return str(exc)
         result = self._adapter.check(answer, sample)

@@ -29,13 +29,12 @@ if TYPE_CHECKING:
 
 
 def _build_gateway(backend: str, script: str | None, config: EngineConfig) -> Gateway:
-    if backend == "scripted":
-        if not script:
-            raise ConfigError("the scripted backend needs --script")
-        return ScriptedGateway(load_script(script))
+    # argparse and the config reader both limit backend to scripted or http.
     if backend == "http":
         return HttpGateway(base_url=config.gateway.base_url)
-    raise ConfigError(f"unknown backend {backend!r}")
+    if not script:
+        raise ConfigError("the scripted backend needs --script")
+    return ScriptedGateway(load_script(script))
 
 
 def _load_task(config: EngineConfig, dataset_path: str):

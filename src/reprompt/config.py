@@ -11,9 +11,8 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .prompt_model import DEFAULT_SEGMENTATION, SegmentationConfig
 
@@ -22,8 +21,7 @@ class ConfigError(ValueError):
     """A config file is malformed or holds an out-of-range value."""
 
 
-@dataclass(frozen=True)
-class TrainSettings:
+class TrainSettings(NamedTuple):
     epochs: int = 1
     batch_size: int = 1
     max_rounds: int = 1
@@ -35,8 +33,7 @@ class TrainSettings:
     seed: int = 42
 
 
-@dataclass(frozen=True)
-class GatewaySettings:
+class GatewaySettings(NamedTuple):
     backend: str = "scripted"
     model: str = "agent"
     summarizer_model: str = "agent"
@@ -46,8 +43,7 @@ class GatewaySettings:
     base_url: str | None = None
 
 
-@dataclass(frozen=True)
-class TaskSettings:
+class TaskSettings(NamedTuple):
     kind: str = "toy"
     required_tokens: tuple[str, ...] = ()
     examples_open: tuple[str, ...] = DEFAULT_SEGMENTATION.examples_open
@@ -66,19 +62,17 @@ class TaskSettings:
         )
 
 
-@dataclass(frozen=True)
-class GuardConfig:
+class GuardConfig(NamedTuple):
     extra_placeholder_patterns: tuple[str, ...] = ()
     repair_attempts: int = 3
     optimizer_attempts: int = 3
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    train: TrainSettings = field(default_factory=TrainSettings)
-    gateway: GatewaySettings = field(default_factory=GatewaySettings)
-    task: TaskSettings = field(default_factory=TaskSettings)
-    guards: GuardConfig = field(default_factory=GuardConfig)
+class EngineConfig(NamedTuple):
+    train: TrainSettings = TrainSettings()
+    gateway: GatewaySettings = GatewaySettings()
+    task: TaskSettings = TaskSettings()
+    guards: GuardConfig = GuardConfig()
 
 
 # A reader turns a key's raw text into its value; ``where`` names the key

@@ -6,9 +6,8 @@ checker. No optimization happens here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol, Sequence
+from typing import Any, NamedTuple, Protocol, Sequence
 
 from .actor import (
     FeedbackGenerator,
@@ -30,8 +29,7 @@ class TaskAdapter(Protocol):
     def check(self, answer: Any, sample: Any) -> Any: ...
 
 
-@dataclass(frozen=True)
-class EvalRecord:
+class EvalRecord(NamedTuple):
     sample_id: str
     delivered: bool
     passed: bool
@@ -40,8 +38,7 @@ class EvalRecord:
     detail: str
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     records: tuple[EvalRecord, ...]
 
     @property

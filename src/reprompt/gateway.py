@@ -16,9 +16,8 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .errors import (
     AmbiguousScriptError,
@@ -42,36 +41,43 @@ class Role(Enum):
     ASSISTANT = "assistant"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     role: Role
     content: str
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class _ChatRequestFields(NamedTuple):
     messages: tuple[Message, ...]
     model: str
     temperature: float
     seed: int
 
-    def __post_init__(self):
+
+class ChatRequest(_ChatRequestFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.messages:
             raise ValueError("a request needs at least one message")
         if self.messages[0].role is Role.ASSISTANT:
             raise ValueError("the first message must come from system or user")
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Usage:
+class Usage(NamedTuple):
     prompt_units: int
     output_units: int
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     content: str
     usage: Usage
 
@@ -83,8 +89,7 @@ class Gateway(Protocol):
     def calls(self) -> int: ...
 
 
-@dataclass(frozen=True)
-class Caller:
+class Caller(NamedTuple):
     """A gateway bound to one stage's model, temperature and seed.
 
     Every request the engine sends is built here, so two calls through the
@@ -141,8 +146,7 @@ class _CallCounter:
 # --- scripted backend ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
+class ScriptEntry(NamedTuple):
     """One canned response, matched by substring fingerprint.
 
     ``contains`` anchors must appear in order within the request content
@@ -163,8 +167,7 @@ class ScriptEntry:
         return (self.contains, self.roles, self.excludes)
 
 
-@dataclass
-class Script:
+class Script(NamedTuple):
     entries: list[ScriptEntry]
 
 

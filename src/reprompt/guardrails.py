@@ -8,8 +8,8 @@ case change in a load-bearing word silently breaks downstream parsers).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import prompts
 from .config import GuardConfig
@@ -47,8 +47,7 @@ class ViolationKind(Enum):
     REQUIRED_TOKEN_MISSING = "required_token_missing"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     detail: str
 
@@ -59,8 +58,7 @@ class Verdict(Enum):
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class GuardReport:
+class GuardReport(NamedTuple):
     verdict: Verdict
     violations: tuple[Violation, ...] = ()
 

@@ -8,7 +8,7 @@ reason short-circuits to an identity update without any model call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import prompts
 from .errors import GuardrailRejectionError, MissingFinalMarkerError
@@ -30,8 +30,7 @@ from .prompt_model import (
 from .summarizer import FocusCase, FocusPoint
 
 
-@dataclass(frozen=True)
-class PromptUpdate:
+class PromptUpdate(NamedTuple):
     """``placement`` is set exactly when the prompt changed."""
 
     raw_output: str

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import difflib
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AlreadyStructuredError,
@@ -35,34 +35,48 @@ class SegmentKind(Enum):
 _ALWAYS_PROTECTED = {SegmentKind.EXAMPLES, SegmentKind.FORMAT_REQUIREMENTS}
 
 
-@dataclass(frozen=True)
-class PromptSegment:
+class _PromptSegmentFields(NamedTuple):
+    kind: SegmentKind
+    text: str
+
+
+class PromptSegment(_PromptSegmentFields):
     """One contiguous span of prompt text.
 
     Examples and format requirements are protected; every other kind is not.
     """
 
-    kind: SegmentKind
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.text:
             raise ValueError("segment text must be non-empty")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks.
+        return cls(*iterable)
 
     @property
     def protected(self) -> bool:
         return self.kind in _ALWAYS_PROTECTED
 
 
-@dataclass(frozen=True)
-class PromptDocument:
-    """An ordered segment sequence plus its version number; version n is
-    the child of version n - 1."""
-
+class _PromptDocumentFields(NamedTuple):
     segments: tuple[PromptSegment, ...]
     version: int = 0
 
-    def __post_init__(self):
+
+class PromptDocument(_PromptDocumentFields):
+    """An ordered segment sequence plus its version number; version n is
+    the child of version n - 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.segments:
             raise ValueError("a prompt document needs at least one segment")
         n_steps = sum(
@@ -72,10 +86,15 @@ class PromptDocument:
             raise ValueError("at most one step instruction segment is allowed")
         if self.version < 0:
             raise ValueError("version must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
+class SegmentationConfig(NamedTuple):
     """Boundary patterns used to split raw prompt text into segments.
 
     All patterns match when a line, stripped of surrounding whitespace,
@@ -380,8 +399,7 @@ class StepEditOp(Enum):
     APPEND_STEP = "AppendStep"
 
 
-@dataclass(frozen=True)
-class StepEdit:
+class StepEdit(NamedTuple):
     """Where an edit landed among the steps (``index`` is 1-based); its
     label is what ``reprompt diff`` prints and a run's cursor records. A
     ReplaceStep without an index replaces the whole block."""
@@ -427,8 +445,7 @@ def classify_step_edits(
     return WHOLE_BLOCK
 
 
-@dataclass(frozen=True)
-class SegmentDiff:
+class SegmentDiff(NamedTuple):
     kind: SegmentKind
     status: DiffStatus
     step_edit: StepEdit | None = None
@@ -440,8 +457,7 @@ class SegmentDiff:
         return label
 
 
-@dataclass(frozen=True)
-class StructuredDiff:
+class StructuredDiff(NamedTuple):
     entries: tuple[SegmentDiff, ...]
 
     def __str__(self) -> str:

@@ -7,10 +7,9 @@ case is the identity signal, it makes the optimizer skip the round.
 """
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import prompts
 from .actor import Transcript, TranscriptMessage, TranscriptRole, format_transcript
@@ -33,16 +32,26 @@ class FocusCase(Enum):
     NO_GENERAL_REASON = "no_general_reason"
 
 
-@dataclass(frozen=True)
-class FocusPoint:
+class _FocusPointFields(NamedTuple):
     case: FocusCase
     text: str
 
-    def __post_init__(self):
+
+class FocusPoint(_FocusPointFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.case is FocusCase.NO_GENERAL_REASON and self.text != "":
             raise ValueError("the no-general-reason case carries empty text")
         if self.case is not FocusCase.NO_GENERAL_REASON and not self.text:
             raise ValueError("focus text must be non-empty")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks.
+        return cls(*iterable)
 
 
 # Conclusions are routed on keywords. Misrouting between the failure-reason
@@ -119,7 +128,7 @@ def _serialize_transcript(t: Transcript, prompt_text: str) -> str:
         first = TranscriptMessage(
             first.role, _elide_prompt(first.content, prompt_text), first.round
         )
-        t = dataclasses.replace(t, messages=(first, *messages[1:]))
+        t = t._replace(messages=(first, *messages[1:]))
     return f"=== Transcript for sample {t.sample_id} ===\n{format_transcript(t)}"
 
 
@@ -183,24 +192,22 @@ def summarize_batch(
     )
     user = prompts.SUMMARIZER_USER_TEMPLATE.format(chat_history=chat_history)
     note = None
-    for attempt in range(2):
+    for _ in range(2):
         raw = caller.ask(prompts.SUMMARIZER_SYSTEM_PROMPT, user, note)
         conclusion = parse_conclusion(raw)
         if conclusion is None:
-            if attempt == 1:
-                raise MissingConclusionMarkerError(
-                    "no conclusion line, even after the retry"
-                )
+            failure = MissingConclusionMarkerError(
+                "no conclusion line, even after the retry"
+            )
             note = prompts.SUMMARIZER_FORMAT_REMINDER
             continue
         case, text = conclusion
         hits = scrub_violations(text)
         if hits:
-            if attempt == 1:
-                raise ScrubRejectedError(
-                    f"focus text still carries scenario details: {hits}"
-                )
+            failure = ScrubRejectedError(
+                f"focus text still carries scenario details: {hits}"
+            )
             note = prompts.SUMMARIZER_DETAIL_REMINDER
             continue
         return FocusPoint(case=case, text=text)
-    raise AssertionError("unreachable")
+    raise failure

@@ -11,8 +11,8 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .actor import TaskSample
 from .errors import UnparseableAnswerError
@@ -28,34 +28,42 @@ RULE_ROUTE = "Route"
 RULE_INVALID = "Invalid"
 
 
-@dataclass(frozen=True)
-class ToyOption:
+class ToyOption(NamedTuple):
     id: str
     cost: int
     city: str
 
 
-@dataclass(frozen=True)
-class ToySample:
+class _ToySampleFields(NamedTuple):
     id: str
     days: int
     budget: int
     options: tuple[tuple[ToyOption, ...], ...]
     route_rule: frozenset[tuple[str, str]]
 
-    def __post_init__(self):
+
+class ToySample(_ToySampleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.days <= MAX_DAYS:
             raise ValueError(f"days must be between 1 and {MAX_DAYS}")
         if len(self.options) != self.days:
             raise ValueError("one option list per day is required")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks.
+        return cls(*iterable)
 
     def render(self, prompt: PromptDocument) -> str:
         """The round-1 message: the prompt with this sample's slots filled."""
         return fill_slots(prompt, sample_slots(self))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     violated: tuple[str, ...] = ()
     messages: tuple[str, ...] = ()

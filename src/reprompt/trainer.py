@@ -28,15 +28,13 @@ and ``resume`` runs the loop over it (see its docstring).
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import re
 import shutil
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actor import (
     FeedbackGenerator,
@@ -82,8 +80,7 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class TrainResult:
+class TrainResult(NamedTuple):
     final_prompt: PromptDocument
     versions: tuple[int, ...]
     episodes_run: int
@@ -93,8 +90,7 @@ class TrainResult:
     run_dir: Path
 
 
-@dataclass(frozen=True)
-class VersionRecord:
+class VersionRecord(NamedTuple):
     version: int
     text: str
     meta: dict
@@ -234,7 +230,7 @@ def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
 
 
 # Every field of SegmentationConfig is a marker list run.meta records.
-_MARKER_FIELDS = tuple(f.name for f in dataclasses.fields(SegmentationConfig))
+_MARKER_FIELDS = SegmentationConfig._fields
 
 
 def _run_settings(config: EngineConfig) -> dict:
@@ -526,7 +522,7 @@ def _check_run(
                 )
             doc = PromptDocument(
                 segments=tuple(
-                    dataclasses.replace(s, text=vmeta["segment_text"])
+                    s._replace(text=vmeta["segment_text"])
                     if s.kind is SegmentKind.STEP_INSTRUCTIONS
                     else s
                     for s in docs[-1].segments

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import itertools
 from pathlib import Path
 
@@ -17,9 +16,7 @@ PROMPT_FIXTURES = FIXTURES / "prompts"
 GOLDEN = FIXTURES / "golden"
 
 # The toy prompts mark their format line with this opener.
-TOY_SEG = dataclasses.replace(
-    DEFAULT_SEGMENTATION, format_open=("Your final answer",)
-)
+TOY_SEG = DEFAULT_SEGMENTATION._replace(format_open=("Your final answer",))
 
 
 def entry(

@@ -3,7 +3,6 @@
 Each test prints a single [PASS]/[FAIL] line straight to the terminal
 (bypassing capture) so the verdicts are visible in any pytest run.
 """
-import dataclasses
 import hashlib
 import time
 
@@ -52,9 +51,7 @@ def report(capsys, name, ok, detail=""):
 def golden_config(**train_overrides):
     config = parse_config((GOLDEN / "run.cfg").read_text(encoding="utf-8"))
     if train_overrides:
-        config = dataclasses.replace(
-            config, train=dataclasses.replace(config.train, **train_overrides)
-        )
+        config = config._replace(train=config.train._replace(**train_overrides))
     return config
 
 
@@ -280,10 +277,9 @@ IDLE_ENTRIES = [
 
 def idle_train(run_dir, sample_count, epochs, **train_overrides):
     config = parse_config(IDLE_CFG)
-    config = dataclasses.replace(
-        config,
-        train=dataclasses.replace(
-            config.train, epochs=epochs, batch_size=sample_count,
+    config = config._replace(
+        train=config.train._replace(
+            epochs=epochs, batch_size=sample_count,
             **train_overrides,
         ),
     )

@@ -896,16 +896,39 @@ class TestProcessKill:
 
 def test_importing_the_cli_loads_only_what_every_command_shares():
     # The training stack, the HTTP client, PyYAML, threads, logging and csv
-    # wait for the command that uses them, so `eval` starts without them.
+    # wait for the command that uses them, so `eval` starts without them;
+    # no command needs dataclasses.
     deferred = (
         "yaml", "concurrent.futures", "logging", "csv", "reprompt.trainer",
         "reprompt.optimizer", "reprompt.summarizer", "reprompt.guardrails",
-        "reprompt.http11",
+        "reprompt.http11", "dataclasses",
     )
     code = f"import sys, reprompt.cli; print([m for m in {deferred!r} if m in sys.modules])"
+    assert _fresh_interpreter(code) == ["[]"]
+
+
+def test_no_module_loads_dataclasses_or_inspect():
+    # Records are NamedTuples: `import dataclasses` would also load inspect,
+    # ast, dis and tokenize, and each @dataclass generates code at import.
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import reprompt\n"
+        "for path in sorted(Path(reprompt.__file__).parent.glob('*.py')):\n"
+        "    __import__('reprompt.' + path.stem)\n"
+        "from reprompt.gateway import HttpGateway, Script, ScriptedGateway\n"
+        "ScriptedGateway(Script([]))\n"
+        "HttpGateway(base_url='http://127.0.0.1:9/v1')\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+    )
+    assert _fresh_interpreter(code) == ["[]"]
+
+
+def _fresh_interpreter(code: str) -> list[str]:
+    """The lines ``code`` prints when run by a new interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert out.stdout.splitlines() == ["[]"]
+    return out.stdout.splitlines()

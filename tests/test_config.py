@@ -1,5 +1,4 @@
 import configparser
-import dataclasses
 import re
 from pathlib import Path
 
@@ -189,8 +188,8 @@ def test_readme_example_parses():
     assert cfg.gateway.optimizer_model == cfg.gateway.repair_model == "critic"
     assert cfg.gateway.base_url is None
     assert cfg.task.required_tokens == ("PLAN:",)
-    assert cfg.task.segmentation() == dataclasses.replace(
-        DEFAULT_SEGMENTATION, format_open=("Your final answer",)
+    assert cfg.task.segmentation() == DEFAULT_SEGMENTATION._replace(
+        format_open=("Your final answer",)
     )
     assert cfg.guards == EngineConfig().guards
 
@@ -198,5 +197,5 @@ def test_readme_example_parses():
 def test_readme_example_lists_every_key():
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(readme_config())
-    for name, settings in dataclasses.asdict(EngineConfig()).items():
-        assert set(parser[name]) == set(settings), name
+    for name, settings in EngineConfig()._asdict().items():
+        assert set(parser[name]) == set(settings._fields), name

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -205,8 +204,7 @@ def test_step_block_stops_at_examples_marker():
 
 
 def test_overlapping_markers_rejected():
-    cfg = dataclasses.replace(
-        DEFAULT_SEGMENTATION,
+    cfg = DEFAULT_SEGMENTATION._replace(
         examples_open=("Section:",),
         task_open=("Section:",),
     )
@@ -229,8 +227,7 @@ def test_protection_flags():
 
 
 def test_format_section_with_close_marker():
-    cfg = dataclasses.replace(
-        DEFAULT_SEGMENTATION,
+    cfg = DEFAULT_SEGMENTATION._replace(
         format_open=("=== Format ===",),
         format_close=("=== End Format ===",),
     )
@@ -255,9 +252,7 @@ def test_format_section_with_close_marker():
      "Format: PLAN:\nline one\n"),
 ], ids=["paragraph-without-close-marker", "boundary-before-close-marker"])
 def test_format_section_ends_at_its_paragraph_or_the_next_boundary(close, raw, format_text):
-    cfg = dataclasses.replace(
-        DEFAULT_SEGMENTATION, format_open=("Format:",), format_close=close
-    )
+    cfg = DEFAULT_SEGMENTATION._replace(format_open=("Format:",), format_close=close)
     doc = parse_prompt(raw, cfg)
     assert kinds(doc) == [
         SegmentKind.PREAMBLE,

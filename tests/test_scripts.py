@@ -63,7 +63,7 @@ def test_regen_golden_fixtures_reproduces_them(tmp_path, monkeypatch, capsys):
 def test_src_size_counts_lines_and_settable_values(tmp_path):
     (tmp_path / "a.py").write_text(
         "from dataclasses import dataclass, field\n"
-        "from typing import ClassVar\n"
+        "from typing import ClassVar, NamedTuple\n"
         "def f(a, b=1, *args, c=2, d, **kw):\n"
         "    return lambda x=3: x\n"
         "@dataclass(frozen=True)\n"
@@ -73,14 +73,21 @@ def test_src_size_counts_lines_and_settable_values(tmp_path):
         "    z: list = field(default_factory=list)\n"
         "    k: ClassVar[int] = 1\n"
         "class Plain:\n"
-        "    w: int = 0\n",
+        "    w: int = 0\n"
+        "class N(NamedTuple):\n"
+        "    p: int\n"
+        "    q: int = 0\n"
+        "class V(N):\n"
+        "    def __new__(cls, p, q=0):\n"
+        "        return super().__new__(cls, p, q)\n",
         encoding="utf-8",
     )
     (tmp_path / "b.py").write_text("async def g(e=None):\n    pass\n", encoding="utf-8")
     proc = run_script("src_size.py", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    # b=1, c=2, e=None, y and z; not the lambda's default, the ClassVar or Plain.w.
-    assert proc.stdout.splitlines() == ["lines: 14", "settable values: 5"]
+    # b=1, c=2, e=None, y, z and q; not the lambda's default, the ClassVar,
+    # Plain.w, or V.__new__'s q=0, which repeats N's.
+    assert proc.stdout.splitlines() == ["lines: 20", "settable values: 6"]
 
     proc = run_script("src_size.py")
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,4 @@
 """Training loop end to end: run layout, budgets, resume, corruption checks."""
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -29,9 +28,7 @@ from reprompt.trainer import (
 def golden_config(**train_overrides):
     config = parse_config((GOLDEN / "run.cfg").read_text(encoding="utf-8"))
     if train_overrides:
-        config = dataclasses.replace(
-            config, train=dataclasses.replace(config.train, **train_overrides)
-        )
+        config = config._replace(train=config.train._replace(**train_overrides))
     return config
 
 
@@ -376,9 +373,7 @@ IDLE_ENTRIES = [
 def run_idle(run_dir, **train_overrides):
     config = parse_config(IDLE_CFG)
     if train_overrides:
-        config = dataclasses.replace(
-            config, train=dataclasses.replace(config.train, **train_overrides)
-        )
+        config = config._replace(train=config.train._replace(**train_overrides))
     toys = load_toy_samples(GOLDEN / "dataset.yaml")[:2]
     samples = [to_task_sample(s) for s in toys]
     gateway = make_gateway(*IDLE_ENTRIES)
@@ -519,10 +514,9 @@ class TestBudgetAndResume:
         # Two single-sample batches per epoch; cut between them.
         def run(dir_name, budget):
             config = parse_config(IDLE_CFG)
-            config = dataclasses.replace(
-                config,
-                train=dataclasses.replace(
-                    config.train, batch_size=1, epochs=1,
+            config = config._replace(
+                train=config.train._replace(
+                    batch_size=1, epochs=1,
                     convergence_patience=None, call_budget=budget,
                 ),
             )
@@ -552,9 +546,7 @@ class TestBudgetAndResume:
         # Only batch 1 ran; no epoch entry yet.
         assert [e["kind"] for e in cursor_entries(cut_dir)] == ["batch"]
 
-        config = dataclasses.replace(
-            config, train=dataclasses.replace(config.train, call_budget=None)
-        )
+        config = config._replace(train=config.train._replace(call_budget=None))
         resumed = resume(
             cut_dir, samples, config=config, gateway=make_gateway(*IDLE_ENTRIES),
             feedback=NoFeedback(),
@@ -688,9 +680,7 @@ class TestFailurePaths:
         config = parse_config(IDLE_CFG)
         overrides = {"epochs": 1, "batch_size": 1, "convergence_patience": None}
         overrides.update(train_overrides)
-        return dataclasses.replace(
-            config, train=dataclasses.replace(config.train, **overrides)
-        )
+        return config._replace(train=config.train._replace(**overrides))
 
     def test_unscripted_batch_is_skipped(self, tmp_path):
         result = train(
