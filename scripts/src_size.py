@@ -14,9 +14,6 @@ of:
   one decorated with ``@dataclass`` (called or not), or one that
   subclasses ``NamedTuple``; ``ClassVar`` fields excepted.
 
-A class that subclasses a record class of the same file and defines
-``__new__`` (a validating record) takes the record's fields, so that
-``__new__``'s defaults repeat the fields' and are not counted again.
 Lambdas, module constants and plain class attributes are not counted.
 
     python scripts/src_size.py [PACKAGE_DIR]
@@ -45,26 +42,10 @@ def _is_record(node: ast.ClassDef) -> bool:
     )
 
 
-def _repeated_defaults(tree: ast.AST) -> set[ast.AST]:
-    """The ``__new__`` of each class that subclasses a record class of
-    ``tree``: its defaults repeat the record's field defaults."""
-    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
-    records = {n.name for n in classes if _is_record(n)}
-    return {
-        stmt
-        for n in classes if any(_name(b) in records for b in n.bases)
-        for stmt in n.body
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__new__"
-    }
-
-
 def settable_values(tree: ast.AST) -> int:
     count = 0
-    repeated = _repeated_defaults(tree)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node in repeated:
-                continue
             args = node.args
             count += len(args.defaults)
             count += sum(d is not None for d in args.kw_defaults)

@@ -46,30 +46,11 @@ class Message(NamedTuple):
     content: str
 
 
-class _ChatRequestFields(NamedTuple):
+class ChatRequest(NamedTuple):
     messages: tuple[Message, ...]
     model: str
     temperature: float
     seed: int
-
-
-class ChatRequest(_ChatRequestFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.messages:
-            raise ValueError("a request needs at least one message")
-        if self.messages[0].role is Role.ASSISTANT:
-            raise ValueError("the first message must come from system or user")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip __new__'s checks.
-        return cls(*iterable)
 
 
 class Usage(NamedTuple):

@@ -260,7 +260,8 @@ class Connections:
         host, port = parts.hostname, parts.port or (443 if parts.scheme == "https" else 80)
         authority = parts.netloc.rpartition("@")[2]
         target = url[len(f"{parts.scheme}://{parts.netloc}"):]
-        self._address = (host, port)
+        # A bytes host keeps getaddrinfo from loading the idna codec.
+        self._address = (_host(host), port)
         self._timeout = timeout
         self._tls = None
         self._tunnel = None
@@ -268,7 +269,9 @@ class Connections:
         proxy = _proxy_for(parts)
         if proxy is not None:
             proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            # A proxy URL without a host names this machine, as a None host does.
+            hostname = proxy_url.hostname or "localhost"
+            self._address = (_host(hostname), proxy_url.port or 80)
             if proxy_url.username is not None:
                 import base64
 

@@ -35,63 +35,26 @@ class SegmentKind(Enum):
 _ALWAYS_PROTECTED = {SegmentKind.EXAMPLES, SegmentKind.FORMAT_REQUIREMENTS}
 
 
-class _PromptSegmentFields(NamedTuple):
-    kind: SegmentKind
-    text: str
-
-
-class PromptSegment(_PromptSegmentFields):
+class PromptSegment(NamedTuple):
     """One contiguous span of prompt text.
 
     Examples and format requirements are protected; every other kind is not.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.text:
-            raise ValueError("segment text must be non-empty")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip __new__'s checks.
-        return cls(*iterable)
+    kind: SegmentKind
+    text: str
 
     @property
     def protected(self) -> bool:
         return self.kind in _ALWAYS_PROTECTED
 
 
-class _PromptDocumentFields(NamedTuple):
-    segments: tuple[PromptSegment, ...]
-    version: int = 0
-
-
-class PromptDocument(_PromptDocumentFields):
+class PromptDocument(NamedTuple):
     """An ordered segment sequence plus its version number; version n is
     the child of version n - 1."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.segments:
-            raise ValueError("a prompt document needs at least one segment")
-        n_steps = sum(
-            1 for s in self.segments if s.kind is SegmentKind.STEP_INSTRUCTIONS
-        )
-        if n_steps > 1:
-            raise ValueError("at most one step instruction segment is allowed")
-        if self.version < 0:
-            raise ValueError("version must be non-negative")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip __new__'s checks.
-        return cls(*iterable)
+    segments: tuple[PromptSegment, ...]
+    version: int = 0
 
 
 class SegmentationConfig(NamedTuple):

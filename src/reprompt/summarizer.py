@@ -32,26 +32,9 @@ class FocusCase(Enum):
     NO_GENERAL_REASON = "no_general_reason"
 
 
-class _FocusPointFields(NamedTuple):
+class FocusPoint(NamedTuple):
     case: FocusCase
     text: str
-
-
-class FocusPoint(_FocusPointFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.case is FocusCase.NO_GENERAL_REASON and self.text != "":
-            raise ValueError("the no-general-reason case carries empty text")
-        if self.case is not FocusCase.NO_GENERAL_REASON and not self.text:
-            raise ValueError("focus text must be non-empty")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip __new__'s checks.
-        return cls(*iterable)
 
 
 # Conclusions are routed on keywords. Misrouting between the failure-reason
@@ -65,12 +48,14 @@ def parse_conclusion(raw: str) -> tuple[FocusCase, str] | None:
     """Extract and classify the conclusion line from raw summarizer output.
 
     The substring after the last occurrence of the conclusion marker wins.
-    Returns None when the marker never appears.
+    Returns None when the marker never appears or nothing follows it.
     """
     idx = raw.rfind(prompts.CONCLUSION_MARKER)
     if idx < 0:
         return None
     text = raw[idx + len(prompts.CONCLUSION_MARKER):].strip()
+    if not text:
+        return None
     lowered = text.lower()
     if _NO_REASON_KEY in lowered:
         return FocusCase.NO_GENERAL_REASON, ""
@@ -178,9 +163,9 @@ def summarize_batch(
 ) -> FocusPoint:
     """Summarize a batch into a FocusPoint, with one retry on bad output.
 
-    One gateway call on the happy path. A missing conclusion line or a
-    scrubber hit triggers a single retry that carries a corrective note;
-    a second failure raises MissingConclusionMarkerError or
+    One gateway call on the happy path. A missing or empty conclusion line
+    or a scrubber hit triggers a single retry that carries a corrective
+    note; a second failure raises MissingConclusionMarkerError or
     ScrubRejectedError respectively.
     """
     if not transcripts:

@@ -34,29 +34,12 @@ class ToyOption(NamedTuple):
     city: str
 
 
-class _ToySampleFields(NamedTuple):
+class ToySample(NamedTuple):
     id: str
     days: int
     budget: int
     options: tuple[tuple[ToyOption, ...], ...]
     route_rule: frozenset[tuple[str, str]]
-
-
-class ToySample(_ToySampleFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 1 <= self.days <= MAX_DAYS:
-            raise ValueError(f"days must be between 1 and {MAX_DAYS}")
-        if len(self.options) != self.days:
-            raise ValueError("one option list per day is required")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip __new__'s checks.
-        return cls(*iterable)
 
     def render(self, prompt: PromptDocument) -> str:
         """The round-1 message: the prompt with this sample's slots filled."""
@@ -259,9 +242,14 @@ def toy_sample_from_dict(data: dict) -> ToySample:
             )
             for day in data["options"]
         )
+        days = int(data["days"])
+        if not 1 <= days <= MAX_DAYS:
+            raise ValueError(f"days must be between 1 and {MAX_DAYS}")
+        if len(options) != days:
+            raise ValueError("one option list per day is required")
         return ToySample(
             id=str(data["id"]),
-            days=int(data["days"]),
+            days=days,
             budget=int(data["budget"]),
             options=options,
             route_rule=frozenset((str(a), str(b)) for a, b in data["routes"]),

@@ -160,7 +160,7 @@ _CURSOR_FIELDS = {
 }
 
 # A committed version's fields that readers format or replay as text; the
-# focus case must also name a FocusCase.
+# focus case must also name a FocusCase, and the segment text be non-empty.
 _VERSION_STRINGS = (
     "hash", "parent_hash", "placement", "focus_case", "focus_text", "segment_text",
 )
@@ -467,6 +467,8 @@ def _committed_versions(
             bad = [k for k in _VERSION_STRINGS if not isinstance(vmeta[k], str)]
             if not bad and vmeta["focus_case"] not in _FOCUS_CASES:
                 bad = ["focus_case"]
+            if not bad and not vmeta["segment_text"]:
+                bad = ["segment_text"]
             if bad:
                 raise CorruptRunError(
                     f"the cursor's record of prompt v{n} has a malformed {bad[0]}"

@@ -153,7 +153,12 @@ class TestTrain:
             "error: malformed toy sample record: cannot convert float infinity",
         ),
         ("[unclosed\n", "error: invalid YAML: "),
-    ], ids=["infinite-cost", "not-yaml"])
+        (
+            "- id: x\n  days: 4\n  budget: 50\n  routes: []\n"
+            "  options: [[{id: a11, cost: 5, city: A}]]\n",
+            "error: malformed toy sample record: days must be between 1 and 3\n",
+        ),
+    ], ids=["infinite-cost", "not-yaml", "days-out-of-range"])
     def test_unreadable_dataset_is_an_error(self, tmp_path, capsys, text, message):
         dataset = tmp_path / "dataset.yaml"
         dataset.write_text(text, encoding="utf-8")
@@ -286,6 +291,28 @@ class TestTrain:
             "unscripted request\n"
         )
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+
+    def test_empty_conclusion_line_is_a_failed_summary(self, tmp_path, capsys):
+        # The epoch-1 summary and its retry are both the bare marker, so the
+        # batch is recorded as a failed summary and the prompt stays v0.
+        entries = yaml.safe_load((GOLDEN / "script.yaml").read_text(encoding="utf-8"))
+        summary = next(
+            e for e in entries
+            if "You are a summarizer" in e["match"]["contains"] and e["match"].get("excludes")
+        )
+        summary["response"] = prompts.CONCLUSION_MARKER
+        entries.append(entry(
+            ["You are a summarizer", "previous reply did not contain"],
+            prompts.CONCLUSION_MARKER,
+            roles=["system", "user", "user"],
+        ))
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--script") + 1] = write_script(tmp_path / "script.yaml", entries)
+        assert main(argv) == 0, capsys.readouterr().err
+        cursor = (tmp_path / "run" / "state.cursor").read_text(encoding="utf-8")
+        batch = json.loads(cursor.splitlines()[0])
+        assert batch["note"].startswith("summarizer failed:")
+        assert "version" not in batch
 
     def test_failed_v0_write_is_trained_again(self, tmp_path, capsys, monkeypatch):
         run_dir = tmp_path / "run"
@@ -757,7 +784,8 @@ class TestInspect:
     @pytest.mark.parametrize("edit", [
         lambda e: e["version"].update(placement=5),
         lambda e: e.update(focus={"case": ["x"], "text": 3}),
-    ], ids=["int-placement", "list-focus-case"])
+        lambda e: e["version"].update(segment_text=""),
+    ], ids=["int-placement", "list-focus-case", "empty-segment-text"])
     def test_malformed_version_record_is_corrupt(self, tmp_path, capsys, edit):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()

@@ -13,8 +13,6 @@ from reprompt.errors import (
 from reprompt.prompt_model import (
     DEFAULT_SEGMENTATION,
     DiffStatus,
-    PromptDocument,
-    PromptSegment,
     SegmentKind,
     SegmentationConfig,
     StepEdit,
@@ -42,19 +40,26 @@ def kinds(doc):
 # --- round trip -----------------------------------------------------------
 
 
+def assert_round_trips(raw):
+    """Parsing keeps every byte, in non-empty segments with at most one
+    step block: the shape every later stage relies on."""
+    doc = parse_prompt(raw)
+    assert render_prompt(doc) == raw
+    assert doc.segments and all(s.text for s in doc.segments)
+    assert kinds(doc).count(SegmentKind.STEP_INSTRUCTIONS) <= 1
+
+
 @pytest.mark.parametrize(
     "name", sorted(p.name for p in PROMPT_FIXTURES.glob("*.txt"))
 )
 def test_fixture_corpus_round_trips(name):
-    raw = (PROMPT_FIXTURES / name).read_text(encoding="utf-8")
-    doc = parse_prompt(raw)
-    assert render_prompt(doc) == raw
+    assert_round_trips((PROMPT_FIXTURES / name).read_text(encoding="utf-8"))
 
 
 @given(st.text(min_size=1, max_size=400))
 @settings(max_examples=300)
 def test_round_trip_on_arbitrary_text(raw):
-    assert render_prompt(parse_prompt(raw)) == raw
+    assert_round_trips(raw)
 
 
 _marker_lines = st.sampled_from(
@@ -83,7 +88,7 @@ def test_round_trip_on_marker_collages(lines):
     raw = "".join(lines)
     if not raw:
         raw = "x"
-    assert render_prompt(parse_prompt(raw)) == raw
+    assert_round_trips(raw)
 
 
 def test_empty_prompt_rejected():
@@ -266,14 +271,18 @@ def test_format_section_ends_at_its_paragraph_or_the_next_boundary(close, raw, f
 
 
 def test_document_needs_a_segment():
-    with pytest.raises(ValueError):
-        PromptDocument(segments=())
+    # Text of blank lines is still one segment, never an empty document.
+    doc = parse_prompt("\n \n")
+    assert kinds(doc) == [SegmentKind.PREAMBLE]
+    assert render_prompt(doc) == "\n \n"
 
 
 def test_at_most_one_step_segment():
-    seg = PromptSegment(SegmentKind.STEP_INSTRUCTIONS, "1. a\n")
-    with pytest.raises(ValueError):
-        PromptDocument(segments=(seg, seg))
+    # Once a numbered block is taken, a later introducer starts no second one.
+    raw = "1. a\n2. b\n\nPlease solve the task step by step:\n1. c\n"
+    doc = parse_prompt(raw)
+    assert kinds(doc) == [SegmentKind.STEP_INSTRUCTIONS, SegmentKind.PREAMBLE]
+    assert render_prompt(doc) == raw
 
 
 # --- default step injection ------------------------------------------------------

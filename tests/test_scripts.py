@@ -76,18 +76,15 @@ def test_src_size_counts_lines_and_settable_values(tmp_path):
         "    w: int = 0\n"
         "class N(NamedTuple):\n"
         "    p: int\n"
-        "    q: int = 0\n"
-        "class V(N):\n"
-        "    def __new__(cls, p, q=0):\n"
-        "        return super().__new__(cls, p, q)\n",
+        "    q: int = 0\n",
         encoding="utf-8",
     )
     (tmp_path / "b.py").write_text("async def g(e=None):\n    pass\n", encoding="utf-8")
     proc = run_script("src_size.py", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    # b=1, c=2, e=None, y, z and q; not the lambda's default, the ClassVar,
-    # Plain.w, or V.__new__'s q=0, which repeats N's.
-    assert proc.stdout.splitlines() == ["lines: 20", "settable values: 6"]
+    # b=1, c=2, e=None, y, z and q; not the lambda's default, the ClassVar
+    # or Plain.w.
+    assert proc.stdout.splitlines() == ["lines: 17", "settable values: 6"]
 
     proc = run_script("src_size.py")
     assert proc.returncode == 0, proc.stderr

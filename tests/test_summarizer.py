@@ -9,7 +9,6 @@ from reprompt.prompt_model import parse_prompt, render_prompt
 from reprompt.summarizer import (
     ELIDED_PROMPT_LINE,
     FocusCase,
-    FocusPoint,
     TRUNCATION_SENTINEL,
     parse_conclusion,
     scrub_violations,
@@ -83,22 +82,15 @@ def test_missing_marker_is_none():
     assert parse_conclusion("no conclusion line anywhere") is None
 
 
+def test_reason_focus_must_have_text():
+    # An empty conclusion line is no conclusion, not a reason without text.
+    assert parse_conclusion(f"analysis...\n{MARKER}") is None
+    assert parse_conclusion(f"{MARKER}a reason.\n{MARKER}  \n") is None
+
+
 def test_routing_is_case_insensitive():
     case, _ = parse_conclusion(MARKER + "There Is No GENERAL reason here.")
     assert case is FocusCase.NO_GENERAL_REASON
-
-
-# --- focus point invariants ----------------------------------------------------
-
-
-def test_no_reason_focus_must_have_empty_text():
-    with pytest.raises(ValueError):
-        FocusPoint(case=FocusCase.NO_GENERAL_REASON, text="something")
-
-
-def test_reason_focus_must_have_text():
-    with pytest.raises(ValueError):
-        FocusPoint(case=FocusCase.FAILURE_REASON, text="")
 
 
 # --- scrubbing --------------------------------------------------------------------
@@ -303,28 +295,32 @@ def test_request_carries_prompt_and_transcripts():
     assert request.model == "critic"
 
 
+# Replies without a conclusion: no marker at all, or an empty conclusion line.
+NO_CONCLUSION = ("no marker in sight", conclusion(""))
+
+
 def test_retry_after_missing_marker():
-    gw = make_recording_gateway(
-        entry(["You are a summarizer"], "no marker in sight", excludes=["previous reply"]),
-        entry(
-            ["You are a summarizer", "previous reply did not contain"],
-            conclusion("the constraint is never checked."),
-        ),
-    )
-    focus = summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
-    assert focus.case is FocusCase.FAILURE_REASON
-    assert gw.calls == 2
-    retry_request, _ = gw.history[1]
-    assert retry_request.messages[2].content == prompts.SUMMARIZER_FORMAT_REMINDER
+    for reply in NO_CONCLUSION:
+        gw = make_recording_gateway(
+            entry(["You are a summarizer"], reply, excludes=["previous reply"]),
+            entry(
+                ["You are a summarizer", "previous reply did not contain"],
+                conclusion("the constraint is never checked."),
+            ),
+        )
+        focus = summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
+        assert focus.case is FocusCase.FAILURE_REASON
+        assert gw.calls == 2
+        retry_request, _ = gw.history[1]
+        assert retry_request.messages[2].content == prompts.SUMMARIZER_FORMAT_REMINDER
 
 
 def test_two_missing_markers_raise():
-    gw = make_gateway(
-        entry(["You are a summarizer"], "still no marker", max_uses=2)
-    )
-    with pytest.raises(MissingConclusionMarkerError):
-        summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
-    assert gw.calls == 2
+    for reply in NO_CONCLUSION:
+        gw = make_gateway(entry(["You are a summarizer"], reply, max_uses=2))
+        with pytest.raises(MissingConclusionMarkerError):
+            summarize_batch([transcript()], PROMPT, caller=make_caller(gw, "critic"))
+        assert gw.calls == 2
 
 
 def test_retry_after_scrub_hit():

@@ -9,6 +9,7 @@ from conftest import enumerate_plans
 from reprompt.errors import UnparseableAnswerError
 from reprompt.prompt_model import parse_prompt
 from reprompt.toy_task import (
+    MAX_DAYS,
     RULE_BUDGET,
     RULE_INVALID,
     RULE_ROUTE,
@@ -142,16 +143,25 @@ def test_single_day_plan_has_no_route_constraint():
 # --- sample validation ------------------------------------------------------------
 
 
+def day_record(days, option_lists):
+    """A dataset row with ``days`` days and ``option_lists`` option lists."""
+    option = {"id": "a", "cost": 1, "city": "A"}
+    return {"id": "t", "days": days, "budget": 10, "options": [[option]] * option_lists,
+            "routes": []}
+
+
 def test_days_bounds():
-    with pytest.raises(ValueError):
-        mk(4, 10, [[ToyOption("a", 1, "A")]] * 4, [])
-    with pytest.raises(ValueError):
-        mk(0, 10, [], [])
+    message = f"^malformed toy sample record: days must be between 1 and {MAX_DAYS}$"
+    for days in (0, MAX_DAYS + 1):
+        with pytest.raises(ValueError, match=message):
+            toy_sample_from_dict(day_record(days, days))
 
 
 def test_options_must_match_days():
-    with pytest.raises(ValueError):
-        mk(2, 10, [[ToyOption("a", 1, "A")]], [])
+    with pytest.raises(
+        ValueError, match="^malformed toy sample record: one option list per day is required$"
+    ):
+        toy_sample_from_dict(day_record(2, 1))
 
 
 # --- checker agrees with the enumeration oracle ---------------------------------------

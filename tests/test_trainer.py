@@ -967,17 +967,19 @@ class TestCorruptRuns:
         lambda e: e["version"].update(placement=5),
         lambda e: e["version"].update(placement=["x"]),
         lambda e: e["version"].update(segment_text=3),
+        lambda e: e["version"].update(segment_text=""),
         lambda e: e.update(focus={"case": ["x"], "text": 3}),
         lambda e: e.update(focus={"case": "bogus", "text": "a reason"}),
         lambda e: e["focus"].update(text=3),
         lambda e: e.pop("focus"),
     ], ids=[
         "int-hash", "null-parent-hash", "int-placement", "list-placement",
-        "int-segment-text", "list-focus-case", "unknown-focus-case", "int-focus-text",
-        "no-focus",
+        "int-segment-text", "empty-segment-text", "list-focus-case",
+        "unknown-focus-case", "int-focus-text", "no-focus",
     ])
     def test_malformed_version_record(self, golden_dir, edit):
         edit_cursor(golden_dir, 0, edit)
+        before = tree_hashes(golden_dir)
         with pytest.raises(CorruptRunError, match="record of prompt v1 has a malformed"):
             verify_chain(golden_dir)
         samples, feedback, _ = golden_inputs()
@@ -986,6 +988,7 @@ class TestCorruptRuns:
                 golden_dir, samples, config=golden_config(),
                 gateway=make_gateway(), feedback=feedback,
             )
+        assert tree_hashes(golden_dir) == before
 
     def test_replay_rejects_foreign_segment_text(self, golden_dir):
         edit_cursor(golden_dir, 0, lambda e: e["version"].update(
