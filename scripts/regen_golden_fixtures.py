@@ -28,14 +28,12 @@ from reprompt.prompt_model import (
     SegmentKind,
     StepEdit,
     StepEditOp,
-    classify_step_edits,
-    extract_steps,
     inject_default_steps,
     parse_prompt,
     render_prompt,
 )
 from reprompt.summarizer import FocusCase, parse_conclusion, scrub_violations
-from reprompt.optimizer import parse_final_prompt
+from reprompt.optimizer import classify_placement, parse_final_prompt
 from reprompt.toy_task import (
     RULE_BUDGET,
     ToyAdapter,
@@ -181,9 +179,9 @@ def build_versions(seg):
         assert render_prompt(parse_prompt(text, seg)) == text
 
     d0, d1, d2 = (parse_prompt(t, seg) for t in (v0, v1, v2))
-    edit = classify_step_edits(extract_steps(d0), extract_steps(d1))
+    edit = classify_placement(d0, d1)
     assert edit == StepEdit(StepEditOp.INSERT_BEFORE, 2), edit
-    edit = classify_step_edits(extract_steps(d1), extract_steps(d2))
+    edit = classify_placement(d1, d2)
     assert edit == StepEdit(StepEditOp.APPEND_STEP), edit
     return v0, v1, v2, d1
 

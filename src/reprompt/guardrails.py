@@ -2,8 +2,9 @@
 
 Three independent nets: placeholder detection with model-driven repair
 (optimizers love to abbreviate long example blocks), byte-exact
-verification of protected segments, and required-token enforcement (a
-case change in a load-bearing word silently breaks downstream parsers).
+verification of every segment outside the step instructions, and
+required-token enforcement (a case change in a load-bearing word silently
+breaks downstream parsers).
 """
 from __future__ import annotations
 
@@ -42,8 +43,7 @@ def compile_placeholder_patterns(extra: tuple[str, ...]) -> tuple[re.Pattern, ..
 
 class ViolationKind(Enum):
     PLACEHOLDER_FOUND = "placeholder_found"
-    EXAMPLES_MUTATED = "examples_mutated"
-    FORMAT_MUTATED = "format_mutated"
+    SEGMENT_MUTATED = "segment_mutated"
     REQUIRED_TOKEN_MISSING = "required_token_missing"
 
 
@@ -89,41 +89,33 @@ def _first_diff_range(old: str, new: str) -> tuple[int, int]:
 def verify_protected(
     old: PromptDocument, new: PromptDocument
 ) -> tuple[Violation, ...]:
-    """Check that old's protected segments appear byte-identical, in order.
+    """Check that every segment of ``old`` but its step instructions comes
+    back byte-identical and in place.
 
-    Each violation names the mutated segment kind and the minimal character
-    range that differs from the closest same-kind counterpart.
+    ``new`` must have old's segment kinds in the same order. Returns the
+    first difference only: a changed layout, or the mutated segment's kind,
+    its occurrence among that kind and the minimal character range that
+    differs.
     """
-    kind_map = {
-        SegmentKind.EXAMPLES: ViolationKind.EXAMPLES_MUTATED,
-        SegmentKind.FORMAT_REQUIREMENTS: ViolationKind.FORMAT_MUTATED,
-    }
-    new_protected = [s for s in new.segments if s.protected]
-    violations: list[Violation] = []
-    cursor = 0
-    occurrence: dict[SegmentKind, int] = {}
-    for old_seg in (s for s in old.segments if s.protected):
-        nth = occurrence.get(old_seg.kind, 0)
-        occurrence[old_seg.kind] = nth + 1
-        found = None
-        for idx in range(cursor, len(new_protected)):
-            candidate = new_protected[idx]
-            if candidate.kind is old_seg.kind and candidate.text == old_seg.text:
-                found = idx
-                break
-        if found is not None:
-            cursor = found + 1
+    old_kinds = [s.kind.value for s in old.segments]
+    new_kinds = [s.kind.value for s in new.segments]
+    if old_kinds != new_kinds:
+        detail = (
+            f"segment layout changed from [{', '.join(old_kinds)}] "
+            f"to [{', '.join(new_kinds)}]"
+        )
+        return (Violation(ViolationKind.SEGMENT_MUTATED, detail),)
+    for i, (old_seg, new_seg) in enumerate(zip(old.segments, new.segments)):
+        if (
+            old_seg.kind is SegmentKind.STEP_INSTRUCTIONS
+            or old_seg.text == new_seg.text
+        ):
             continue
-        same_kind = [s for s in new_protected if s.kind is old_seg.kind]
-        if nth < len(same_kind):
-            lo, hi = _first_diff_range(old_seg.text, same_kind[nth].text)
-            detail = (
-                f"{old_seg.kind.value} segment {nth + 1} mutated at chars {lo}..{hi}"
-            )
-        else:
-            detail = f"{old_seg.kind.value} segment {nth + 1} is missing"
-        violations.append(Violation(kind_map[old_seg.kind], detail))
-    return tuple(violations)
+        nth = old_kinds[:i + 1].count(old_kinds[i])
+        lo, hi = _first_diff_range(old_seg.text, new_seg.text)
+        detail = f"{old_kinds[i]} segment {nth} mutated at chars {lo}..{hi}"
+        return (Violation(ViolationKind.SEGMENT_MUTATED, detail),)
+    return ()
 
 
 def verify_required_tokens(

@@ -1,10 +1,11 @@
 """Rewrites a prompt's step instructions to address one focus point.
 
 The optimizer asks a model for a full improved prompt, parses it from
-behind a fixed final-line marker, routes it through the guardrails, and
-verifies that nothing outside the step instructions moved; an accepted
-change carries its placement, a StepEdit. A focus point with no general
-reason short-circuits to an identity update without any model call.
+behind a fixed final-line marker and routes it through the guardrails,
+which let nothing outside the step instructions change; an accepted
+change carries its placement, a StepEdit read from the structural diff.
+A focus point with no general reason short-circuits to an identity update
+without any model call.
 """
 from __future__ import annotations
 
@@ -21,9 +22,7 @@ from .prompt_model import (
     SegmentKind,
     SegmentationConfig,
     StepEdit,
-    classify_step_edits,
     diff_prompts,
-    extract_steps,
     has_step_instructions,
     render_prompt,
 )
@@ -63,28 +62,16 @@ def parse_final_prompt(raw: str) -> str | None:
     return rest
 
 
-def classify_placement(old: PromptDocument, new: PromptDocument) -> StepEdit:
-    """Describe the accepted step edit; a change that moved several steps,
-    or none of them, is the whole-block replacement."""
-    return classify_step_edits(extract_steps(old), extract_steps(new)) or WHOLE_BLOCK
-
-
-def _conservation_failure(
-    old: PromptDocument, new: PromptDocument
-) -> str | None:
-    """Reject reason when anything outside the step block changed."""
+def classify_placement(old: PromptDocument, new: PromptDocument) -> StepEdit | None:
+    """Where the step edit of a guarded candidate landed, read from the
+    diff's modified step entry; None when nothing changed. A change that
+    moved several steps, or none of them, is the whole-block replacement."""
     for entry in diff_prompts(old, new).entries:
-        if entry.status is DiffStatus.IDENTICAL:
-            continue
         if (
             entry.status is DiffStatus.MODIFIED
             and entry.kind is SegmentKind.STEP_INSTRUCTIONS
         ):
-            continue
-        return (
-            f"prompt text outside the step instructions changed "
-            f"({entry.kind.value}: {entry.status.value})"
-        )
+            return entry.step_edit or WHOLE_BLOCK
     return None
 
 
@@ -110,9 +97,8 @@ def optimize(
     if focus.case is FocusCase.NO_GENERAL_REASON:
         return PromptUpdate(raw_output="", new_prompt=prompt)
     attempts = guard_config.optimizer_attempts
-    old_text = render_prompt(prompt)
     base_user = prompts.OPTIMIZER_USER_TEMPLATE.format(
-        prompt=old_text, focus=focus.text
+        prompt=render_prompt(prompt), focus=focus.text
     )
     marker_missing = 0
     last_reason: str | None = None
@@ -137,19 +123,15 @@ def optimize(
         if parsed is None:
             last_reason = report.violations[0].detail
             continue
-        problem = _conservation_failure(prompt, parsed)
-        if problem is not None:
-            last_reason = problem
-            continue
-        if render_prompt(parsed) == old_text:
+        placement = classify_placement(prompt, parsed)
+        if placement is None:
             return PromptUpdate(raw_output=raw, new_prompt=prompt)
-        new_prompt = PromptDocument(
-            segments=parsed.segments, version=prompt.version + 1
-        )
         return PromptUpdate(
             raw_output=raw,
-            new_prompt=new_prompt,
-            placement=classify_placement(prompt, new_prompt),
+            new_prompt=PromptDocument(
+                segments=parsed.segments, version=prompt.version + 1
+            ),
+            placement=placement,
         )
     if marker_missing == attempts:
         raise MissingFinalMarkerError(

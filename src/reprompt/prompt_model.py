@@ -31,22 +31,11 @@ class SegmentKind(Enum):
     TASK_SLOT = "task_slot"
 
 
-# Segment kinds the optimizer must never touch.
-_ALWAYS_PROTECTED = {SegmentKind.EXAMPLES, SegmentKind.FORMAT_REQUIREMENTS}
-
-
 class PromptSegment(NamedTuple):
-    """One contiguous span of prompt text.
-
-    Examples and format requirements are protected; every other kind is not.
-    """
+    """One contiguous span of prompt text."""
 
     kind: SegmentKind
     text: str
-
-    @property
-    def protected(self) -> bool:
-        return self.kind in _ALWAYS_PROTECTED
 
 
 class PromptDocument(NamedTuple):
@@ -337,13 +326,6 @@ def steps_from_text(text: str) -> tuple[str, ...]:
         elif collected:
             collected[-1].append(line)
     return tuple("".join(parts).strip() for parts in collected)
-
-
-def extract_steps(doc: PromptDocument) -> tuple[str, ...]:
-    for segment in doc.segments:
-        if segment.kind is SegmentKind.STEP_INSTRUCTIONS:
-            return steps_from_text(segment.text)
-    return ()
 
 
 # --- structural diff ---------------------------------------------------------

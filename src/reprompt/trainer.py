@@ -160,11 +160,14 @@ _CURSOR_FIELDS = {
 }
 
 # A committed version's fields that readers format or replay as text; the
-# focus case must also name a FocusCase, and the segment text be non-empty.
+# focus case must also name a FocusCase that reaches the optimizer, and the
+# segment text be non-empty.
 _VERSION_STRINGS = (
     "hash", "parent_hash", "placement", "focus_case", "focus_text", "segment_text",
 )
-_FOCUS_CASES = frozenset(case.value for case in FocusCase)
+_FOCUS_CASES = frozenset(
+    case.value for case in FocusCase if case is not FocusCase.NO_GENERAL_REASON
+)
 
 
 def _cursor_problem(entry) -> str | None:
@@ -396,7 +399,8 @@ def _committed_versions(
     ``focus_case``, ``focus_text`` and ``segment_text``; a version's parent
     is the prompt its batch ran with. A committed version's hashes,
     placement, focus text and segment text must be strings, and its focus
-    case a FocusCase value. The first failure raises CorruptRunError.
+    case a FocusCase value other than no_general_reason, which never reaches
+    the optimizer. The first failure raises CorruptRunError.
     """
     per_epoch, epochs = _run_shape(paths, meta)
     v0_hash = meta.get("v0_hash")

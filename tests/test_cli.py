@@ -158,14 +158,15 @@ class TestTrain:
             "  options: [[{id: a11, cost: 5, city: A}]]\n",
             "error: malformed toy sample record: days must be between 1 and 3\n",
         ),
-    ], ids=["infinite-cost", "not-yaml", "days-out-of-range"])
+        ("[]\n", "error: {dataset}: expected a non-empty list of toy samples\n"),
+    ], ids=["infinite-cost", "not-yaml", "days-out-of-range", "empty"])
     def test_unreadable_dataset_is_an_error(self, tmp_path, capsys, text, message):
         dataset = tmp_path / "dataset.yaml"
         dataset.write_text(text, encoding="utf-8")
         argv = golden_train_argv(tmp_path / "run")
         argv[argv.index("--dataset") + 1] = str(dataset)
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err.startswith(message.format(dataset=dataset))
 
     def generic_argv(self, tmp_path, feedback, dataset):
         cfg = tmp_path / "generic.cfg"
@@ -674,6 +675,19 @@ class TestEval:
         assert "--test-set or --trials" in capsys.readouterr().err
 
 
+    def test_needs_the_toy_task(self, tmp_path, capsys):
+        cfg = tmp_path / "generic.cfg"
+        cfg.write_text("[task]\nkind = generic\n", encoding="utf-8")
+        script = write_script(tmp_path / "s.yaml", [entry(["x"], "y")])
+        code = main([
+            "eval", "--config", str(cfg), "--script", script,
+            "--prompt", str(GOLDEN / "initial_prompt.txt"), "--trials", "2",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: eval currently supports only task kind 'toy'\n"
+        )
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_must_be_positive(self, tmp_path, capsys, trials):
         script = write_script(tmp_path / "s.yaml", [entry(["x"], "y")])
@@ -785,7 +799,11 @@ class TestInspect:
         lambda e: e["version"].update(placement=5),
         lambda e: e.update(focus={"case": ["x"], "text": 3}),
         lambda e: e["version"].update(segment_text=""),
-    ], ids=["int-placement", "list-focus-case", "empty-segment-text"])
+        lambda e: e.update(focus={"case": "no_general_reason", "text": "a reason"}),
+    ], ids=[
+        "int-placement", "list-focus-case", "empty-segment-text",
+        "no-reason-focus-case",
+    ])
     def test_malformed_version_record_is_corrupt(self, tmp_path, capsys, edit):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()
@@ -800,18 +818,26 @@ class TestInspect:
         assert "record of prompt v1 has a malformed" in captured.err
         assert "check out" not in captured.out
 
-    @pytest.mark.parametrize("data", [b"a: [\n", b"\xff\xfe\n"], ids=["not-yaml", "not-utf8"])
-    def test_unreadable_run_meta_is_corrupt(self, tmp_path, capsys, data):
+    @pytest.mark.parametrize("data, message", [
+        (b"a: [\n", "run.meta is unreadable: "),
+        (b"\xff\xfe\n", "run.meta is unreadable: "),
+        (None, "run has no run.meta"),
+        (b"- a\n", "run.meta is not a mapping"),
+    ], ids=["not-yaml", "not-utf8", "missing", "not-a-mapping"])
+    def test_unreadable_run_meta_is_corrupt(self, tmp_path, capsys, data, message):
         run = tmp_path / "run"
         assert main(golden_train_argv(run)) == 0
         capsys.readouterr()
-        (run / "run.meta").write_bytes(data)
+        if data is None:
+            (run / "run.meta").unlink()
+        else:
+            (run / "run.meta").write_bytes(data)
         assert main(["inspect", "--out", str(run)]) == 2
         assert main(["resume", "--config", CFG, "--out", str(run)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert all(line.startswith("engine error: ") for line in err)
-        assert all("run.meta is unreadable: " in line for line in err)
+        assert all(message in line for line in err)
 
     def test_tampered_run(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0

@@ -143,6 +143,11 @@ def test_negative_temperature_rejected():
         parse_config("[gateway]\ntemperature = -1\n")
 
 
+def test_non_numeric_temperature_rejected():
+    with pytest.raises(ConfigError, match="temperature must be a number, got 'abc'"):
+        parse_config("[gateway]\ntemperature = abc\n")
+
+
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "1e999"])
 def test_non_finite_temperature_rejected(raw):
     with pytest.raises(ConfigError, match="temperature must be finite"):

@@ -376,6 +376,23 @@ def test_load_script_rejects_boolean_max_uses(tmp_path, value):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("second, message", [
+    ("- just text\n", "script entry must be a mapping"),
+    ("- match: {roles: [user]}\n  response: r\n", "entry is missing match.contains"),
+    (
+        "- match: {contains: [y], excludes: ['']}\n  response: r\n",
+        "match.excludes must be a list of strings",
+    ),
+], ids=["not-a-mapping", "no-contains", "empty-exclude"])
+def test_malformed_entry_names_its_line(tmp_path, second, message):
+    path = tmp_path / "s.yaml"
+    path.write_text("- match:\n    contains: [x]\n  response: r\n" + second)
+    with pytest.raises(ScriptParseError) as err:
+        load_script(str(path))
+    assert err.value.line == 4
+    assert str(err.value) == f"{message} (line 4)"
+
+
 def test_load_script_rejects_missing_response(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text("- match:\n    contains: [x]\n")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reprompt.guardrails import (
     GuardConfig,
@@ -13,10 +15,18 @@ from reprompt.guardrails import (
     verify_protected,
     verify_required_tokens,
 )
-from reprompt.prompt_model import DEFAULT_SEGMENTATION, parse_prompt, render_prompt
+from reprompt.prompt_model import (
+    DEFAULT_SEGMENTATION,
+    DiffStatus,
+    SegmentKind,
+    diff_prompts,
+    parse_prompt,
+    render_prompt,
+)
 
 from conftest import (
     PROMPT_FIXTURES,
+    TOY_SEG,
     entry,
     make_caller,
     make_gateway,
@@ -102,18 +112,24 @@ def test_identical_examples_accepted():
 
 def test_mutated_example_rejected_with_char_range():
     new = parse_prompt(ORIGINAL_TEXT.replace("Plan: p\n", "Plan: different\n"))
-    violations = verify_protected(ORIGINAL, new)
-    assert violations
-    v = violations[0]
-    assert v.kind is ViolationKind.EXAMPLES_MUTATED
-    assert "chars" in v.detail
+    assert verify_protected(ORIGINAL, new) == (
+        Violation(
+            ViolationKind.SEGMENT_MUTATED,
+            "examples segment 1 mutated at chars 35..36",
+        ),
+    )
 
 
 def test_dropped_example_rejected_as_missing():
     new = parse_prompt("Plan the trip.\n\n1. Read the query.\n\nHere is the task:\n{query}\n")
-    violations = verify_protected(ORIGINAL, new)
-    assert violations
-    assert "missing" in violations[0].detail
+    assert verify_protected(ORIGINAL, new) == (
+        Violation(
+            ViolationKind.SEGMENT_MUTATED,
+            "segment layout changed from "
+            "[preamble, step_instructions, examples, task_slot] "
+            "to [preamble, step_instructions, task_slot]",
+        ),
+    )
 
 
 def test_reordered_duplicate_examples_must_keep_order():
@@ -132,9 +148,95 @@ def test_reordered_duplicate_examples_must_keep_order():
     assert verify_protected(old, parse_prompt(swapped))
 
 
-def test_unprotected_changes_do_not_trip_the_check():
+def test_only_the_step_block_may_change():
     new = parse_prompt(ORIGINAL_TEXT.replace("Plan the trip.", "Plan the journey."))
-    assert verify_protected(ORIGINAL, new) == ()
+    assert verify_protected(ORIGINAL, new) == (
+        Violation(
+            ViolationKind.SEGMENT_MUTATED, "preamble segment 1 mutated at chars 9..13"
+        ),
+    )
+    step_only = parse_prompt(with_steps("1. Restate the query.\n2. Draft the plan.\n"))
+    assert verify_protected(ORIGINAL, step_only) == ()
+
+
+# One text per segment: preamble, steps, examples, preamble, examples,
+# format, task slot.
+SEGMENT_TEXTS = (
+    "Plan the trip.\n\n",
+    "1. Read the query.\n2. Draft the plan.\n\n",
+    "***** Example *****\nQuery: q\nPlan: p\n***** Example Ends *****\n\n",
+    "Mind the budget.\n\n",
+    "***** Example *****\nQuery: r\nPlan: s\n***** Example Ends *****\n\n",
+    "Your final answer is one line per day.\n\n",
+    "Here is the task:\n{query}\n",
+)
+STRUCTURED = parse_prompt("".join(SEGMENT_TEXTS), TOY_SEG)
+
+_index = st.integers(0, len(SEGMENT_TEXTS) * 2)
+_insert = st.sampled_from(["x", "\n", "3. Check the budget.\n", "step by step", " "])
+_segment_edits = st.one_of(
+    st.tuples(st.just("edit"), _index, _index, _insert),
+    st.tuples(st.just("edit steps"), _index, _insert),
+    st.tuples(st.just("drop"), _index),
+    st.tuples(st.just("duplicate"), _index),
+    st.tuples(st.just("swap"), _index, _index),
+    st.tuples(st.just("move steps"), _index),
+)
+
+
+def apply_segment_edit(segments, op):
+    """Apply one edit to a list of segments, indices taken modulo its length."""
+    name, i, *rest = op
+    kinds = [s.kind for s in segments]
+    steps = None
+    if SegmentKind.STEP_INSTRUCTIONS in kinds:
+        steps = kinds.index(SegmentKind.STEP_INSTRUCTIONS)
+    if name == "edit steps":
+        if steps is None:
+            return
+        name, i, rest = "edit", steps, [i, *rest]
+    i %= len(segments)
+    if name == "edit":
+        text = segments[i].text
+        at = rest[0] % (len(text) + 1)
+        segments[i] = segments[i]._replace(text=text[:at] + rest[1] + text[at:])
+    elif name == "drop":
+        del segments[i]
+    elif name == "duplicate":
+        segments.insert(i, segments[i])
+    elif name == "swap":
+        j = rest[0] % len(segments)
+        segments[i], segments[j] = segments[j], segments[i]
+    elif steps is not None:
+        segments.insert(i, segments.pop(steps))
+
+
+def test_structured_prompt_has_every_segment_kind():
+    assert [s.text for s in STRUCTURED.segments] == list(SEGMENT_TEXTS)
+    assert {s.kind for s in STRUCTURED.segments} == set(SegmentKind)
+
+
+@given(st.lists(_segment_edits, min_size=1, max_size=4))
+@settings(max_examples=300)
+def test_only_an_in_place_step_edit_passes(ops):
+    segments = list(STRUCTURED.segments)
+    for op in ops:
+        if segments:
+            apply_segment_edit(segments, op)
+    if not segments:
+        return
+    new = parse_prompt("".join(s.text for s in segments), TOY_SEG)
+    violations = verify_protected(STRUCTURED, new)
+    step_only = all(
+        entry.status is DiffStatus.IDENTICAL
+        or (
+            entry.status is DiffStatus.MODIFIED
+            and entry.kind is SegmentKind.STEP_INSTRUCTIONS
+        )
+        for entry in diff_prompts(STRUCTURED, new).entries
+    )
+    assert (violations == ()) == step_only
+    assert len(violations) <= 1
 
 
 # --- required tokens ------------------------------------------------------------------
@@ -295,13 +397,20 @@ def test_review_rejects_mutated_examples():
     report, parsed = review_candidate(
         ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
     )
-    assert report.verdict is Verdict.REJECTED
     assert parsed is None
-    assert report.violations[0].kind is ViolationKind.EXAMPLES_MUTATED
+    assert report == GuardReport(
+        Verdict.REJECTED,
+        (
+            Violation(
+                ViolationKind.SEGMENT_MUTATED,
+                "examples segment 1 mutated at chars 35..36",
+            ),
+        ),
+    )
 
 
 def test_review_enforces_required_tokens():
-    candidate = ORIGINAL_TEXT.replace("Here is the task:", "Here is the task, team:")
+    candidate = with_steps("1. Read the query, team.\n2. Draft the plan.\n")
     report, parsed = review_candidate(
         ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION,
         required_tokens=("never present",), guard_config=GuardConfig(), repair=None,

@@ -194,9 +194,11 @@ def test_retry_note_names_the_rejection():
     assert update.changed
     assert gw.calls == 2
     retry_request, _ = gw.history[1]
-    note = retry_request.messages[2].content
-    assert "examples" in note
-    assert "mutated" in note
+    assert retry_request.messages[2].content == (
+        prompts.OPTIMIZER_RETRY_NOTE_TEMPLATE.format(
+            reason="examples segment 1 mutated at chars 35..36"
+        )
+    )
 
 
 def test_marker_missing_on_every_attempt():
@@ -242,7 +244,7 @@ def test_conservation_rejects_preamble_edits():
     )
     with pytest.raises(GuardrailRejectionError) as err:
         optimize(OLD, focus(), **callers(gw), **SETTINGS)
-    assert "outside the step instructions" in str(err.value)
+    assert "(last: preamble segment 1 mutated at chars 9..10)" in str(err.value)
 
 
 def test_placeholder_candidate_is_repaired_in_flight():

@@ -19,7 +19,6 @@ from reprompt.prompt_model import (
     StepEditOp,
     classify_step_edits,
     diff_prompts,
-    extract_steps,
     fill_slots,
     has_step_instructions,
     inject_default_steps,
@@ -193,9 +192,17 @@ def test_continuation_after_blank_gap():
     assert "change lodging" in steps[0]
 
 
+def test_blank_line_between_items_keeps_one_block():
+    doc = parse_prompt("1. alpha\n\n2. beta\n\nTail prose.\n")
+    assert kinds(doc) == [SegmentKind.STEP_INSTRUCTIONS, SegmentKind.PREAMBLE]
+    assert doc.segments[0].text == "1. alpha\n\n2. beta\n\n"
+    assert steps_from_text(doc.segments[0].text) == ("alpha", "beta")
+
+
 def test_lettered_subitems_attach_to_their_step():
     doc = parse_prompt((PROMPT_FIXTURES / "travel_v5.txt").read_text())
-    steps = extract_steps(doc)
+    (block,) = [s for s in doc.segments if s.kind is SegmentKind.STEP_INSTRUCTIONS]
+    steps = steps_from_text(block.text)
     assert len(steps) == 5
     assert "a. total budget," in steps[0]
     assert "Keep breakfast" in steps[2]
@@ -215,20 +222,6 @@ def test_overlapping_markers_rejected():
     )
     with pytest.raises(OverlappingMarkersError):
         parse_prompt("Section: both\n", cfg)
-
-
-def test_protection_flags():
-    raw = (
-        "Intro.\n\n1. a\n2. b\n\n"
-        "***** Example *****\nx\n***** Example Ends *****\n\n"
-        "Here is the task:\n{t}\n"
-    )
-    doc = parse_prompt(raw)
-    by_kind = {s.kind: s for s in doc.segments}
-    assert by_kind[SegmentKind.EXAMPLES].protected
-    assert not by_kind[SegmentKind.STEP_INSTRUCTIONS].protected
-    assert not by_kind[SegmentKind.PREAMBLE].protected
-    assert not by_kind[SegmentKind.TASK_SLOT].protected
 
 
 def test_format_section_with_close_marker():
@@ -339,8 +332,8 @@ def test_bare_item_is_an_empty_step():
     assert steps_from_text("1. alpha\n2.\n3. beta\n") == ("alpha", "", "beta")
 
 
-def test_extract_steps_without_block():
-    assert extract_steps(parse_prompt("no steps here\n")) == ()
+def test_text_without_items_has_no_steps():
+    assert steps_from_text("Think it through step by step.\n") == ()
 
 
 # --- step edit classification -----------------------------------------------------

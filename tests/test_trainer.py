@@ -970,12 +970,13 @@ class TestCorruptRuns:
         lambda e: e["version"].update(segment_text=""),
         lambda e: e.update(focus={"case": ["x"], "text": 3}),
         lambda e: e.update(focus={"case": "bogus", "text": "a reason"}),
+        lambda e: e.update(focus={"case": "no_general_reason", "text": "a reason"}),
         lambda e: e["focus"].update(text=3),
         lambda e: e.pop("focus"),
     ], ids=[
         "int-hash", "null-parent-hash", "int-placement", "list-placement",
         "int-segment-text", "empty-segment-text", "list-focus-case",
-        "unknown-focus-case", "int-focus-text", "no-focus",
+        "unknown-focus-case", "no-reason-focus-case", "int-focus-text", "no-focus",
     ])
     def test_malformed_version_record(self, golden_dir, edit):
         edit_cursor(golden_dir, 0, edit)
