@@ -11,15 +11,15 @@ and ``reprompt resume`` on it in this process. The damages:
 - per cursor field, per field of a version record or focus, and per
   run.meta key: remove it or set it to null, a string, a float, a list, a
   mapping, a bool, -1 or 10**30;
-- per cursor line: delete or duplicate it; per pair of lines: swap them.
+- per cursor line: delete or duplicate it, or insert a blank line before
+  it (and after the last); per pair of lines: swap them.
 
 Each case must keep three invariants:
 
 - ``inspect`` exits 0 or 2 and ``resume`` exits 0, 1 or 2; neither
   raises. ``resume`` may exit 1 only on a case that damages an input it
-  checks as such: run.meta's run shape, markers and required tokens,
-  which must match the config, and the dataset and script copies it
-  loads;
+  checks as such: the run.meta keys that must match the config and
+  sample list, and the dataset and script copies it loads;
 - a ``resume`` that does not exit 0 leaves the tree byte-identical;
 - after a ``resume`` that exits 0, ``inspect`` exits 0.
 
@@ -150,6 +150,14 @@ def _file_cases(golden: Path) -> list[tuple[str, str, Damage]]:
     return cases
 
 
+def _blank_line(index: int) -> Damage:
+    def damage(run):
+        lines = (run / "state.cursor").read_bytes().splitlines(keepends=True)
+        lines.insert(index, b"\n")
+        (run / "state.cursor").write_bytes(b"".join(lines))
+    return damage
+
+
 def _cursor_cases(golden: Path) -> list[tuple[str, str, Damage]]:
     entries = _read_lines(golden)
     cases = []
@@ -184,6 +192,9 @@ def _cursor_cases(golden: Path) -> list[tuple[str, str, Damage]]:
                       reorder([j for j in lines if j != i])))
         cases.append(("state.cursor", f"state.cursor: duplicate line {i + 1}",
                       reorder([j for j in lines for _ in range(2 if j == i else 1)])))
+    for i in range(len(entries) + 1):
+        cases.append(("state.cursor", f"state.cursor: blank line before line {i + 1}",
+                      _blank_line(i)))
     for i, j in itertools.combinations(lines, 2):
         order = list(lines)
         order[i], order[j] = j, i

@@ -352,7 +352,7 @@ def main() -> int:
     )
     # The loader enforces unique fingerprints; fail here, not in the tests.
     script = load_script(str(GOLDEN / "script.yaml"))
-    assert len(script.entries) == len(entries)
+    assert len(script) == len(entries)
 
     with tempfile.TemporaryDirectory() as tmp:
         result, gateway, run_dir = reference_run(Path(tmp))

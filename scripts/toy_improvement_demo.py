@@ -21,7 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.config import parse_config
 from reprompt.evaluator import evaluate
-from reprompt.gateway import Script, ScriptEntry, ScriptedGateway, load_script
+from reprompt.gateway import ScriptEntry, ScriptedGateway, load_script
 from reprompt.prompt_model import parse_prompt, render_prompt
 from reprompt.toy_task import (
     CheckResult,
@@ -62,7 +62,7 @@ def eval_gateway(holdout) -> ScriptedGateway:
             max_uses=None,
             line=None,
         ))
-    return ScriptedGateway(Script(entries))
+    return ScriptedGateway(entries)
 
 
 class OracleAdapter(ToyAdapter):

@@ -144,13 +144,6 @@ class ScriptEntry(NamedTuple):
     max_uses: int | None
     line: int | None
 
-    def fingerprint(self) -> tuple:
-        return (self.contains, self.roles, self.excludes)
-
-
-class Script(NamedTuple):
-    entries: list[ScriptEntry]
-
 
 _ROLE_VALUES = {r.value for r in Role}
 
@@ -201,13 +194,13 @@ def _entry_from_mapping(data, line: int | None) -> ScriptEntry:
     )
 
 
-def load_script(path: str) -> Script:
+def load_script(path: str) -> list[ScriptEntry]:
     """Load a script file, preserving entry order.
 
     The file is composed once; the data is built from that node tree, whose
     marks give each entry's line. Raises ScriptParseError with a line number
     for malformed files and AmbiguousScriptError when two entries share a
-    fingerprint.
+    fingerprint: the same ``contains``, ``roles`` and ``excludes``.
     """
     import yaml
 
@@ -233,13 +226,13 @@ def load_script(path: str) -> Script:
     ]
     seen: dict[tuple, int | None] = {}
     for entry in entries:
-        key = entry.fingerprint()
+        key = (entry.contains, entry.roles, entry.excludes)
         if key in seen:
             raise AmbiguousScriptError(
                 f"entries at lines {seen[key]} and {entry.line} share a fingerprint"
             )
         seen[key] = entry.line
-    return Script(entries=entries)
+    return entries
 
 
 # Past this many nested branch points the needle regex lists the remaining
@@ -346,12 +339,12 @@ class ScriptedGateway:
     count run under the lock, so concurrent episodes match in parallel.
     """
 
-    def __init__(self, script: Script):
+    def __init__(self, script: list[ScriptEntry]):
         grouped: dict[tuple[str, ...] | None, list] = {}
-        for index, entry in enumerate(script.entries):
+        for index, entry in enumerate(script):
             grouped.setdefault(entry.roles, []).append((index, entry))
         self._indexes = {roles: _AnchorIndex(group) for roles, group in grouped.items()}
-        self._uses = [0] * len(script.entries)  # by script index
+        self._uses = [0] * len(script)  # by script index
         self._lock = threading.Lock()
         self._counter = _CallCounter()
 

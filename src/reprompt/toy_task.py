@@ -233,16 +233,25 @@ def toy_sample_to_dict(sample: ToySample) -> dict:
     }
 
 
+def _integer(data: dict, key: str) -> int:
+    """``data[key]``, which must be an int: the checker grades against the
+    number the file states, so 1.9, "2" or true are not read as one."""
+    value = data[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def toy_sample_from_dict(data: dict) -> ToySample:
     try:
         options = tuple(
             tuple(
-                ToyOption(id=str(o["id"]), cost=int(o["cost"]), city=str(o["city"]))
+                ToyOption(id=str(o["id"]), cost=_integer(o, "cost"), city=str(o["city"]))
                 for o in day
             )
             for day in data["options"]
         )
-        days = int(data["days"])
+        days = _integer(data, "days")
         if not 1 <= days <= MAX_DAYS:
             raise ValueError(f"days must be between 1 and {MAX_DAYS}")
         if len(options) != days:
@@ -250,11 +259,11 @@ def toy_sample_from_dict(data: dict) -> ToySample:
         return ToySample(
             id=str(data["id"]),
             days=days,
-            budget=int(data["budget"]),
+            budget=_integer(data, "budget"),
             options=options,
             route_rule=frozenset((str(a), str(b)) for a, b in data["routes"]),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed toy sample record: {exc}") from None
 
 

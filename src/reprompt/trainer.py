@@ -16,11 +16,13 @@ inspected, and replayed:
 A batch's one bookkeeping write is its cursor line. Besides the counters
 it carries, when they exist, the batch's ``focus`` (case and text), the
 optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
-(hash, parent hash, placement and step segment text). One pass over
-run.meta and these lines checks the cursor's structure and rebuilds each
-version's meta (see _committed_versions); a second checks the hash chain
-and replays every version (see _check_run). verify_chain, replay_lineage
-and resume all read the directory through them.
+(hash, parent hash, placement and step segment text). _committed_versions
+is the one reader of these lines: one pass over them and run.meta checks
+the cursor's structure, rebuilds each version's meta and finds where the
+run stands. A second pass checks the hash chain and replays every version
+(see _check_run). verify_chain, replay_lineage and resume all read the
+directory through them. _run_meta states run.meta once: train writes it
+and resume compares it key by key.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -115,13 +117,6 @@ class _RunPaths:
         return self.transcripts / f"e{epoch}" / f"b{batch}"
 
 
-def _step_segment_text(doc: PromptDocument) -> str | None:
-    for segment in doc.segments:
-        if segment.kind is SegmentKind.STEP_INSTRUCTIONS:
-            return segment.text
-    return None
-
-
 def _write_version(paths: _RunPaths, doc: PromptDocument) -> str:
     """Write version ``doc`` and return its hash."""
     text = render_prompt(doc)
@@ -189,7 +184,8 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
     commits nothing and is skipped; only resume truncates it, to the
     returned length. A complete line that is not UTF-8 JSON, or not a
     batch or epoch record whose fields have the types resume relies on,
-    raises CorruptRunError.
+    raises CorruptRunError; no writer appends a blank line, so one is
+    corrupt too.
     """
     if not paths.cursor.exists():
         return [], 0
@@ -197,8 +193,6 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
     complete = data[:data.rfind(b"\n") + 1]
     entries = []
     for line_no, line in enumerate(complete.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
             entry = json.loads(line.decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
@@ -236,17 +230,35 @@ def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
 _MARKER_FIELDS = SegmentationConfig._fields
 
 
-def _run_settings(config: EngineConfig) -> dict:
-    """The settings besides the run shape that run.meta records and that
-    a resuming config must repeat."""
+def _run_meta(
+    config: EngineConfig,
+    samples: Sequence[Sample],
+    *,
+    dataset: str | None,
+    script: str | None,
+    v0_hash: str | None,
+) -> dict:
+    """run.meta as train writes it, in its key order. ``dataset`` and
+    ``script`` name the input copies in the directory, if any; resume,
+    which cannot know them or v0's hash, passes the recorded values and
+    requires every other key to match its own config and samples."""
+    seg = config.task.segmentation()
     gw = config.gateway
     return {
+        "samples": len(samples),
+        "epochs": config.train.epochs,
+        "batch_size": config.train.batch_size,
         "max_rounds": config.train.max_rounds,
         "feedback": config.train.feedback,
         "model": gw.model,
         "summarizer_model": gw.summarizer_model,
         "optimizer_model": gw.optimizer_model,
         "repair_model": gw.repair_model,
+        "dataset": dataset,
+        "script": script,
+        "segmentation": {name: list(getattr(seg, name)) for name in _MARKER_FIELDS},
+        "required_tokens": list(config.task.required_tokens),
+        "v0_hash": v0_hash,
     }
 
 
@@ -276,8 +288,7 @@ def train(
         raise ValueError(
             f"{paths.root} already holds a run; use resume() to continue it"
         )
-    seg = config.task.segmentation()
-    doc = parse_prompt(initial_prompt, seg)
+    doc = parse_prompt(initial_prompt, config.task.segmentation())
     if not has_step_instructions(doc):
         doc = inject_default_steps(doc)
     paths.make_dirs()
@@ -286,17 +297,13 @@ def train(
     if script_src is not None:
         shutil.copyfile(script_src, paths.root / SCRIPT_COPY)
     text = render_prompt(doc)
-    meta = {
-        "samples": len(samples),
-        "epochs": config.train.epochs,
-        "batch_size": config.train.batch_size,
-        **_run_settings(config),
-        "dataset": DATASET_COPY if dataset_src is not None else None,
-        "script": SCRIPT_COPY if script_src is not None else None,
-        "segmentation": {name: list(getattr(seg, name)) for name in _MARKER_FIELDS},
-        "required_tokens": list(config.task.required_tokens),
-        "v0_hash": _sha256(text),
-    }
+    meta = _run_meta(
+        config,
+        samples,
+        dataset=DATASET_COPY if dataset_src is not None else None,
+        script=SCRIPT_COPY if script_src is not None else None,
+        v0_hash=_sha256(text),
+    )
     import yaml
 
     paths.run_meta.write_text(
@@ -368,36 +375,53 @@ def _run_shape(paths: _RunPaths, meta: dict) -> tuple[int, int]:
     return -(-samples // batch_size), epochs
 
 
+def _line(kind: str, epoch: int, batch: int | None) -> str:
+    """A cursor line's name; the order check compares names."""
+    if kind == "epoch":
+        return f"epoch line of epoch {epoch}"
+    return f"batch line of epoch {epoch}, batch {batch}"
+
+
 def _due(epoch: int, batch: int, per_epoch: int, epochs: int) -> str:
-    """The cursor line that may follow batch ``batch`` of ``epoch``."""
+    """The name of the cursor line that may follow batch ``batch`` of
+    ``epoch``."""
     if epoch > epochs:
-        return f"the end of the cursor after the run's {epochs} epoch(s)"
-    if batch == per_epoch:
-        return f"the epoch line of epoch {epoch}"
-    return f"the batch line of epoch {epoch}, batch {batch + 1}"
+        return f"end of the cursor after the run's {epochs} epoch(s)"
+    return _line("epoch" if batch == per_epoch else "batch", epoch, batch + 1)
+
+
+class _Cursor(NamedTuple):
+    """Where a run's committed cursor lines leave it."""
+
+    versions: list[dict]  # each committed version's meta, v0 first
+    epoch: int  # the epoch in progress; the run's epochs + 1 once all ran
+    batch: int  # its last batch line, 0 before the first
+    episodes_total: int
+    calls_total: int
+    streak: int  # the epochs in a row, up to the last, that left the prompt unchanged
+    epoch_start: int  # the version the epoch in progress started from
 
 
 def _committed_versions(
     paths: _RunPaths, meta: dict, entries: Sequence[dict]
-) -> list[dict]:
-    """Check the cursor's structure and return the meta of each committed
-    version, v0 first. Reads no file, so resume runs it before it discards
-    anything.
+) -> _Cursor:
+    """Check the cursor's structure and return where the run stands. This
+    is the one reader of cursor lines; it reads no file, so resume runs it
+    before it discards anything.
 
     ``meta`` is the parsed run.meta and ``entries`` the parsed cursor
-    lines. Epoch 1 has batch lines 1, 2, ... up to run.meta's batches per
-    epoch, then its epoch line; epoch 2 follows, and so on up to run.meta's
-    epochs. The last epoch may stop after any of its lines. Batch lines'
-    ``prompt_version`` starts at 0 and rises by one exactly on the lines
-    that carry a ``version`` record, an epoch line's equals the batch
-    line's before it, and ``episodes_total`` and ``calls_total`` never
-    fall.
+    lines. Each line must be the one due: epoch 1 has batch lines 1, 2, ...
+    up to run.meta's batches per epoch, then its epoch line; epoch 2
+    follows, and so on up to run.meta's epochs. The last epoch may stop
+    after any of its lines. Each line's ``prompt_version`` must be the one
+    due: the last committed version, or the next one on a batch line that
+    carries a ``version`` record. ``episodes_total`` and ``calls_total``
+    never fall.
 
     v0's hash comes from run.meta; every later version is committed by the
-    cursor line of the batch that wrote it. Each record's meta holds
-    ``version``, ``parent``, ``hash``, ``parent_hash``, ``placement``,
-    ``focus_case``, ``focus_text`` and ``segment_text``; a version's parent
-    is the prompt its batch ran with. A committed version's hashes,
+    cursor line of the batch that wrote it. Each version's meta holds
+    ``version``, ``hash``, ``parent_hash``, ``placement``, ``focus_case``,
+    ``focus_text`` and ``segment_text``. A committed version's hashes,
     placement, focus text and segment text must be strings, and its focus
     case a FocusCase value other than no_general_reason, which never reaches
     the optimizer. The first failure raises CorruptRunError.
@@ -407,52 +431,39 @@ def _committed_versions(
     if not isinstance(v0_hash, str):
         raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
     metas = [{
-        "version": 0, "parent": None, "hash": v0_hash, "parent_hash": None,
-        "placement": None, "focus_case": None, "focus_text": None,
-        "segment_text": None,
+        "version": 0, "hash": v0_hash, "parent_hash": None, "placement": None,
+        "focus_case": None, "focus_text": None, "segment_text": None,
     }]
     epoch, batch = 1, 0  # the epoch in progress and its last batch line
     totals = (0, 0)
+    streak = epoch_start = 0
     for entry in entries:
-        n = entry["prompt_version"]
-        if entry["kind"] == "epoch":
-            if entry["epoch"] != epoch or batch != per_epoch:
-                raise CorruptRunError(
-                    f"the cursor's epoch line of epoch {entry['epoch']} is out "
-                    f"of order; expected {_due(epoch, batch, per_epoch, epochs)}"
-                )
-            if n != len(metas) - 1:
-                raise CorruptRunError(
-                    f"the epoch line of epoch {epoch} records prompt v{n}, but "
-                    f"the batch line before it records v{len(metas) - 1}"
-                )
-            epoch, batch = epoch + 1, 0
-            continue
-        where = f"epoch {entry['epoch']}, batch {entry['batch']}"
-        if (
-            epoch > epochs
-            or batch == per_epoch
-            or (entry["epoch"], entry["batch"]) != (epoch, batch + 1)
-        ):
+        kind, n = entry["kind"], entry["prompt_version"]
+        line = _line(kind, entry["epoch"], entry.get("batch"))
+        due = _due(epoch, batch, per_epoch, epochs)
+        if line != due:
             raise CorruptRunError(
-                f"the cursor's batch line of {where} is out of order; "
-                f"expected {_due(epoch, batch, per_epoch, epochs)}"
+                f"the cursor's {line} is out of order; expected the {due}"
             )
+        record = entry.get("version") if kind == "batch" else None
+        due_version = len(metas) if record is not None else len(metas) - 1
+        if n != due_version:
+            raise CorruptRunError(
+                f"the {line} records v{n} where v{due_version} is due"
+            )
+        if kind == "epoch":
+            streak = 0 if entry["changed"] else streak + 1
+            epoch, batch, epoch_start = epoch + 1, 0, n
+            continue
         batch += 1
         now = (entry["episodes_total"], entry["calls_total"])
         if now[0] < totals[0] or now[1] < totals[1]:
             raise CorruptRunError(
-                f"the batch line of {where} records fewer episodes or calls "
-                "than the line before it"
+                f"the {line} records fewer episodes or calls than the line "
+                "before it"
             )
         totals = now
-        record = entry.get("version")
         if record is not None:
-            if n == 0:
-                raise CorruptRunError(
-                    f"prompt v0 must have no parent, but a batch of epoch "
-                    f"{entry['epoch']} records writing it"
-                )
             focus = entry.get("focus") or {}
             if not isinstance(record, dict) or not isinstance(focus, dict):
                 raise CorruptRunError(
@@ -460,7 +471,6 @@ def _committed_versions(
                 )
             vmeta = {
                 "version": n,
-                "parent": len(metas) - 1,
                 "hash": record.get("hash"),
                 "parent_hash": record.get("parent_hash"),
                 "placement": record.get("placement"),
@@ -478,12 +488,7 @@ def _committed_versions(
                     f"the cursor's record of prompt v{n} has a malformed {bad[0]}"
                 )
             metas.append(vmeta)
-        if n != len(metas) - 1:
-            raise CorruptRunError(
-                f"prompt versions are not contiguous from 0: the batch line of "
-                f"{where} records v{n} where v{len(metas) - 1} is due"
-            )
-    return metas
+    return _Cursor(metas, epoch, batch, *totals, streak, epoch_start)
 
 
 def _check_run(
@@ -556,8 +561,8 @@ def _read_run(run_dir: str | Path) -> tuple[list[VersionRecord], list[PromptDocu
     paths = _run_paths(run_dir)
     meta = _read_run_meta(paths)
     seg = _markers(paths, meta)[0]
-    metas = _committed_versions(paths, meta, _read_cursor(paths)[0])
-    return _check_run(paths, seg, metas)
+    cursor = _committed_versions(paths, meta, _read_cursor(paths)[0])
+    return _check_run(paths, seg, cursor.versions)
 
 
 def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
@@ -584,16 +589,17 @@ def resume(
 
     The cursor's last batch line is the one commit record: its
     ``prompt_version`` is the committed prompt (v0 before any batch line).
-    The cursor's structure is checked first (see _committed_versions), so
-    a corrupt cursor raises CorruptRunError with the directory untouched.
-    Then a torn last cursor line, version files no cursor line commits and
-    the transcripts of the first uncommitted batch are discarded before the
-    versions are checked and replayed (see _check_run), so whatever a crash
-    left behind is redone. run.meta and the cursor are each read once. The
-    markers and required tokens come from run.meta, and so do the sample
-    count, ``batch_size``, ``epochs``, ``max_rounds``, ``feedback`` and the
-    four model names; a config or sample list whose values differ raises
-    ValueError, before anything is truncated or deleted.
+    _committed_versions checks the cursor's structure and says where the
+    run stands: the epoch in progress and its last batch, the totals, the
+    unchanged-epoch streak and the version the epoch started from. So a
+    corrupt cursor raises CorruptRunError with the directory untouched.
+    run.meta must equal what train would write from this config and sample
+    list (see _run_meta); the first key that differs raises ValueError,
+    also before anything changes. Then a torn last cursor line, version
+    files no cursor line commits and the transcripts of the first
+    uncommitted batch are discarded before the versions are checked and
+    replayed (see _check_run), so whatever a crash left behind is redone.
+    run.meta and the cursor are each read once.
 
     Batch-level failures (all episodes down, summarizer or optimizer
     giving up) skip that batch and leave the prompt unchanged. A gateway
@@ -608,54 +614,33 @@ def resume(
     meta = _read_run_meta(paths)
     seg, required_tokens = _markers(paths, meta)
     entries, complete = _read_cursor(paths)
-    metas = _committed_versions(paths, meta, entries)
-    if (seg, required_tokens) != (config.task.segmentation(), config.task.required_tokens):
-        raise ValueError(
-            f"the config's segmentation markers or required tokens differ "
-            f"from those in {paths.run_meta}"
-        )
-    shape = {
-        "samples": len(samples),
-        "batch_size": config.train.batch_size,
-        "epochs": config.train.epochs,
-    }
-    recorded = {key: meta.get(key) for key in shape}
-    if shape != recorded:
-        raise ValueError(
-            f"the run shape {shape} differs from {recorded} in {paths.run_meta}"
-        )
-    settings = _run_settings(config)
-    recorded = {key: meta.get(key) for key in settings}
-    if settings != recorded:
-        raise ValueError(
-            f"the run settings {settings} differ from {recorded} in {paths.run_meta}"
-        )
+    cursor = _committed_versions(paths, meta, entries)
+    expected = _run_meta(
+        config,
+        samples,
+        dataset=meta.get("dataset"),
+        script=meta.get("script"),
+        v0_hash=meta.get("v0_hash"),
+    )
+    for key, value in expected.items():
+        if meta.get(key) != value:
+            raise ValueError(
+                f"this run's {key} {value!r} differs from {meta.get(key)!r} "
+                f"in {paths.run_meta}"
+            )
     if paths.cursor.exists() and paths.cursor.stat().st_size > complete:
         os.truncate(paths.cursor, complete)
-    batch_lines = [e for e in entries if e["kind"] == "batch"]
-    epoch_lines = [e for e in entries if e["kind"] == "epoch"]
-    last = batch_lines[-1] if batch_lines else {
-        "prompt_version": 0, "episodes_total": 0, "calls_total": 0,
-    }
-    committed = last["prompt_version"]
-    epoch = len(epoch_lines) + 1
-    first_batch = 1 + max(
-        (e["batch"] for e in batch_lines if e["epoch"] == epoch), default=0
-    )
-
     for n in _version_numbers(paths):
-        if n > committed:
+        if n >= len(cursor.versions):
             paths.version_txt(n).unlink()
+    epoch, first_batch = cursor.epoch, cursor.batch + 1
     shutil.rmtree(paths.batch_dir(epoch, first_batch), ignore_errors=True)
 
-    records, docs = _check_run(paths, seg, metas)
-    prompt = docs[committed]
-    head_hash = records[committed].meta["hash"]
-    boundary = epoch_lines[-1]["prompt_version"] if epoch_lines else 0
-    epoch_start_text = records[boundary].text
-    streak = 0
-    for entry in epoch_lines:
-        streak = 0 if entry["changed"] else streak + 1
+    records, docs = _check_run(paths, seg, cursor.versions)
+    prompt = docs[-1]
+    head_hash = records[-1].meta["hash"]
+    epoch_start_text = records[cursor.epoch_start].text
+    streak = cursor.streak
 
     train_cfg = config.train
     gw_cfg = config.gateway
@@ -671,11 +656,11 @@ def resume(
     repair = caller(gw_cfg.repair_model, "repair")
     patience = train_cfg.convergence_patience
     batches = _batches(samples, train_cfg.batch_size)
-    episodes_run = last["episodes_total"]
+    episodes_run = cursor.episodes_total
     calls_at_entry = gateway.calls
 
     def calls_total() -> int:
-        return last["calls_total"] + (gateway.calls - calls_at_entry)
+        return cursor.calls_total + (gateway.calls - calls_at_entry)
 
     def record_batch(batch: int, note: str, **outputs) -> None:
         _append_cursor(paths, {
@@ -745,7 +730,10 @@ def resume(
                         "hash": digest,
                         "parent_hash": head_hash,
                         "placement": str(update.placement),
-                        "segment_text": _step_segment_text(prompt),
+                        "segment_text": next(
+                            segment.text for segment in prompt.segments
+                            if segment.kind is SegmentKind.STEP_INSTRUCTIONS
+                        ),
                     }
                     head_hash = digest
             record_batch(b, note, **outputs)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from reprompt.gateway import Caller, Script, ScriptEntry, ScriptedGateway
+from reprompt.gateway import Caller, ScriptEntry, ScriptedGateway
 from reprompt.prompt_model import DEFAULT_SEGMENTATION
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -69,7 +69,7 @@ def make_gateway(*entries_data: dict) -> ScriptedGateway:
                 line=None,
             )
         )
-    return ScriptedGateway(Script(built))
+    return ScriptedGateway(built)
 
 
 def make_caller(gateway, model="agent") -> Caller:

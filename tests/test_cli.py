@@ -150,7 +150,7 @@ class TestTrain:
         (
             "- id: x\n  days: 1\n  budget: 50\n  routes: []\n"
             "  options: [[{id: a11, cost: .inf, city: A}]]\n",
-            "error: malformed toy sample record: cannot convert float infinity",
+            "error: malformed toy sample record: cost must be an integer, not inf\n",
         ),
         ("[unclosed\n", "error: invalid YAML: "),
         (
@@ -159,7 +159,12 @@ class TestTrain:
             "error: malformed toy sample record: days must be between 1 and 3\n",
         ),
         ("[]\n", "error: {dataset}: expected a non-empty list of toy samples\n"),
-    ], ids=["infinite-cost", "not-yaml", "days-out-of-range", "empty"])
+        (
+            "- id: x\n  days: 1\n  budget: 31.9\n  routes: []\n"
+            "  options: [[{id: a11, cost: 5, city: A}]]\n",
+            "error: malformed toy sample record: budget must be an integer, not 31.9\n",
+        ),
+    ], ids=["infinite-cost", "not-yaml", "days-out-of-range", "empty", "float-budget"])
     def test_unreadable_dataset_is_an_error(self, tmp_path, capsys, text, message):
         dataset = tmp_path / "dataset.yaml"
         dataset.write_text(text, encoding="utf-8")
@@ -450,18 +455,20 @@ class TestResume:
         other_cfg.write_text(CFG_TEXT.replace("epochs = 2", "epochs = 3"), encoding="utf-8")
         code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
         assert code == 1
-        assert "run shape" in capsys.readouterr().err
+        assert "this run's epochs 3 differs from 2 in" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old, new", [
-        ("max_rounds = 2", "max_rounds = 1"),
-        ("feedback = rulecheck", "feedback = none"),
-        ("model = planner", "model = other"),
-        ("summarizer_model = critic", "summarizer_model = other"),
-        ("model = planner", "model = planner\noptimizer_model = other"),
-        ("model = planner", "model = planner\nrepair_model = other"),
+    @pytest.mark.parametrize("key, old, new", [
+        ("max_rounds", "max_rounds = 2", "max_rounds = 1"),
+        ("feedback", "feedback = rulecheck", "feedback = none"),
+        ("model", "model = planner", "model = other"),
+        ("summarizer_model", "summarizer_model = critic", "summarizer_model = other"),
+        ("optimizer_model", "model = planner", "model = planner\noptimizer_model = other"),
+        ("repair_model", "model = planner", "model = planner\nrepair_model = other"),
     ], ids=["max_rounds", "feedback", "model", "summarizer_model",
             "optimizer_model", "repair_model"])
-    def test_other_run_settings_are_rejected_untouched(self, tmp_path, capsys, old, new):
+    def test_other_run_settings_are_rejected_untouched(
+        self, tmp_path, capsys, key, old, new
+    ):
         cfg = (GOLDEN / "run.cfg").read_text(encoding="utf-8")
         budget_cfg = tmp_path / "budget.cfg"
         budget_cfg.write_text(
@@ -477,7 +484,7 @@ class TestResume:
         assert other_cfg.read_text(encoding="utf-8") != cfg
         code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
         assert code == 1
-        assert "run settings" in capsys.readouterr().err
+        assert f"error: this run's {key} " in capsys.readouterr().err
         assert tree_hashes(tmp_path / "run") == before
 
     @pytest.mark.parametrize("bad", BAD_SAMPLE_IDS)
@@ -513,7 +520,7 @@ class TestResume:
         )
         code = main(["resume", "--config", str(other_cfg), "--out", str(tmp_path / "run")])
         assert code == 1
-        assert "differ from" in capsys.readouterr().err
+        assert "error: this run's segmentation " in capsys.readouterr().err
 
     def test_run_without_prompts_is_corrupt(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
@@ -786,7 +793,8 @@ class TestInspect:
         '{"kind": "batch", "epoch": 3, "batch": "x", "prompt_version": 2, '
         '"episodes_total": 6, "calls_total": 14}',
         '{"kind": "epoch", "epoch": 3, "changed": "yes", "prompt_version": 2}',
-    ], ids=["list-kind", "str-batch", "str-changed"])
+        "",
+    ], ids=["list-kind", "str-batch", "str-changed", "blank"])
     def test_malformed_cursor_field_is_corrupt(self, tmp_path, capsys, line):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()
@@ -970,8 +978,8 @@ def test_no_module_loads_dataclasses_or_inspect():
         "import reprompt\n"
         "for path in sorted(Path(reprompt.__file__).parent.glob('*.py')):\n"
         "    __import__('reprompt.' + path.stem)\n"
-        "from reprompt.gateway import HttpGateway, Script, ScriptedGateway\n"
-        "ScriptedGateway(Script([]))\n"
+        "from reprompt.gateway import HttpGateway, ScriptedGateway\n"
+        "ScriptedGateway([])\n"
         "HttpGateway(base_url='http://127.0.0.1:9/v1')\n"
         "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     )

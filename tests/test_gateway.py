@@ -29,7 +29,6 @@ from reprompt.gateway import (
     HttpGateway,
     Message,
     Role,
-    Script,
     ScriptEntry,
     ScriptedGateway,
     Usage,
@@ -59,7 +58,7 @@ def req(*parts, model="agent"):
 def matches(e: ScriptEntry, request: ChatRequest) -> bool:
     """Whether a gateway scripted with ``e`` alone answers ``request``."""
     try:
-        ScriptedGateway(Script([e])).complete(request)
+        ScriptedGateway([e]).complete(request)
     except RejectedError:
         return False
     return True
@@ -148,17 +147,17 @@ def test_max_uses_retires_an_entry():
 
 
 def test_gateways_share_a_script_without_sharing_its_uses():
-    script = Script([ScriptEntry(
+    script = [ScriptEntry(
         contains=("go",), response="once", max_uses=1, roles=None, excludes=(), line=None
-    )])
+    )]
     first, second = ScriptedGateway(script), ScriptedGateway(script)
     assert first.complete(req("go")).content == "once"
     assert second.complete(req("go")).content == "once"
     with pytest.raises(RejectedError):
         first.complete(req("go"))
-    assert script == Script([ScriptEntry(
+    assert script == [ScriptEntry(
         contains=("go",), response="once", max_uses=1, roles=None, excludes=(), line=None
-    )])
+    )]
 
 
 def test_round_dependent_entries_via_roles():
@@ -269,7 +268,7 @@ def cases(draw):
 def test_indexed_matching_agrees_with_linear_reference(case):
     entries, sequence = case
     reference = LinearGateway(entries)
-    indexed = ScriptedGateway(Script(entries))
+    indexed = ScriptedGateway(entries)
     for request in sequence:
         assert outcome(indexed, request) == outcome(reference, request)
 
@@ -282,7 +281,7 @@ def test_needles_nested_past_the_flat_cutoff_still_match():
                     roles=None, max_uses=None, line=k)
         for k in range(1, 151)
     ]
-    indexed = ScriptedGateway(Script(entries))
+    indexed = ScriptedGateway(entries)
     reference = LinearGateway(entries)
     for n in (1, 63, 64, 65, 149, 150, 151):
         request = req("b" + "a" * n + "b")
@@ -301,12 +300,12 @@ def test_load_script_round_trip(tmp_path):
         ],
     )
     script = load_script(path)
-    assert len(script.entries) == 2
-    assert script.entries[0].contains == ("a",)
-    assert script.entries[0].roles == ("user",)
-    assert script.entries[0].max_uses == 2
-    assert script.entries[1].excludes == ("veto",)
-    assert script.entries[0].line == 1
+    assert len(script) == 2
+    assert script[0].contains == ("a",)
+    assert script[0].roles == ("user",)
+    assert script[0].max_uses == 2
+    assert script[1].excludes == ("veto",)
+    assert script[0].line == 1
 
 
 def test_load_script_reports_entry_line(tmp_path):

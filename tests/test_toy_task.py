@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 import yaml
@@ -348,6 +349,23 @@ def test_infinite_number_is_malformed(field):
     else:
         record[field] = float("inf")
     with pytest.raises(ValueError, match="malformed toy sample record"):
+        toy_sample_from_dict(record)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("days", 1.9), ("budget", 31.9), ("cost", 12.7), ("cost", True),
+    ("days", True), ("budget", "31"), ("cost", "12"), ("budget", None),
+], ids=["float-days", "float-budget", "float-cost", "bool-cost", "bool-days",
+        "str-budget", "str-cost", "null-budget"])
+def test_number_that_is_no_int_is_malformed(field, value):
+    # The checker grades against the file's numbers, so none is coerced.
+    record = toy_sample_to_dict(generate_sample(0))
+    (record["options"][0][0] if field == "cost" else record)[field] = value
+    with pytest.raises(
+        ValueError,
+        match=re.escape(f"malformed toy sample record: {field} must be an integer, "
+                        f"not {value!r}"),
+    ):
         toy_sample_from_dict(record)
 
 

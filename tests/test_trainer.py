@@ -200,14 +200,18 @@ class TestGoldenRun:
             assert meta["version"] == n
             digest = hashlib.sha256(texts[n].encode()).hexdigest()
             assert meta["hash"] == digest
-        assert metas[0]["parent"] is None and metas[0]["parent_hash"] is None
+        assert set(metas[1]) == {
+            "version", "hash", "parent_hash", "placement", "focus_case",
+            "focus_text", "segment_text",
+        }
+        assert metas[0]["parent_hash"] is None
         assert metas[0]["placement"] is None and metas[0]["focus_case"] is None
         run_meta = yaml.safe_load((tmp_path / "run" / "run.meta").read_text())
         assert run_meta["v0_hash"] == metas[0]["hash"]
-        assert metas[1]["parent"] == 0 and metas[1]["parent_hash"] == metas[0]["hash"]
+        assert metas[1]["parent_hash"] == metas[0]["hash"]
         assert metas[1]["placement"] == "InsertBefore(2)"
         assert metas[1]["focus_case"] == "failure_reason"
-        assert metas[2]["parent"] == 1 and metas[2]["parent_hash"] == metas[1]["hash"]
+        assert metas[2]["parent_hash"] == metas[1]["hash"]
         assert metas[2]["placement"] == "AppendStep"
         assert metas[2]["focus_case"] == "helpful_thought"
         # The recorded step block alone must rebuild each version.
@@ -456,11 +460,14 @@ class TestBudgetAndResume:
         (3, {"epochs": 3}),
     ])
     def test_resume_rejects_another_run_shape(self, tmp_path, samples, overrides):
+        # resume names the first run.meta key that differs; the sample count
+        # comes first.
+        key = "samples" if samples != 3 else next(iter(overrides))
         with pytest.raises(BudgetExhaustedError):
             run_golden(tmp_path / "run", config=golden_config(call_budget=8))
         before = tree_hashes(tmp_path / "run")
         all_samples, feedback, gateway = golden_inputs()
-        with pytest.raises(ValueError, match="run shape"):
+        with pytest.raises(ValueError, match=f"^this run's {key} .* differs from "):
             resume(
                 tmp_path / "run",
                 all_samples[:samples],
@@ -555,6 +562,79 @@ class TestBudgetAndResume:
         assert resumed.calls_used == whole.calls_used == 4
         assert resumed.epochs_completed == whole.epochs_completed == 1
         assert tree_hashes(cut_dir) == tree_hashes(whole_dir)
+
+
+    def test_resume_keeps_the_unchanged_epoch_streak(self, tmp_path):
+        # Epoch 1 leaves the prompt unchanged; the cut comes after it. The
+        # resumed run must count that epoch towards convergence.
+        whole, _ = run_idle(tmp_path / "whole", epochs=3)
+        with pytest.raises(BudgetExhaustedError):
+            run_idle(tmp_path / "cut", epochs=3, call_budget=3)
+        config = parse_config(IDLE_CFG)
+        config = config._replace(train=config.train._replace(epochs=3))
+        toys = load_toy_samples(GOLDEN / "dataset.yaml")[:2]
+        resumed = resume(
+            tmp_path / "cut", [to_task_sample(s) for s in toys], config=config,
+            gateway=make_gateway(*IDLE_ENTRIES), feedback=NoFeedback(),
+        )
+        assert resumed.converged and whole.converged
+        assert resumed.epochs_completed == whole.epochs_completed == 2
+        assert resumed.calls_used == whole.calls_used == 6
+        cursor = (tmp_path / "cut" / "state.cursor").read_bytes()
+        assert cursor == (tmp_path / "whole" / "state.cursor").read_bytes()
+
+    def test_resume_compares_with_the_epoch_start_version(self, tmp_path):
+        # Epoch 1 writes v1; epoch 2, whose summary finds no general reason
+        # once v1's step is in the prompt, writes nothing. So epoch 2
+        # starts from v1 and leaves the prompt unchanged.
+        v0 = render_prompt(inject_default_steps(parse_prompt(
+            (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"), TOY_SEG
+        )))
+        v1 = v0.replace("2. Then,", "2. Check the budget.\n3. Then,")
+        entries = [
+            IDLE_ENTRIES[0],
+            entry(
+                ["You are a summarizer"],
+                "Same failure everywhere.\n"
+                "In conclusion, the main focus point should be: "
+                "the answers skip the budget check.",
+                excludes=["Check the budget."],
+            ),
+            entry(
+                ["You are a summarizer", "Check the budget."], IDLE_ENTRIES[1]["response"]
+            ),
+            entry(["You are a prompt optimizer"], f"{prompts.FINAL_PROMPT_MARKER}\n{v1}"),
+        ]
+        config = parse_config(IDLE_CFG)
+        config = config._replace(train=config.train._replace(
+            epochs=2, batch_size=1, convergence_patience=None,
+        ))
+        samples = [to_task_sample(load_toy_samples(GOLDEN / "dataset.yaml")[0])]
+
+        def run(run_dir, config):
+            return train(
+                (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"), samples,
+                config=config, gateway=make_gateway(*entries), feedback=NoFeedback(),
+                run_dir=run_dir, dataset_src=None, script_src=None,
+            )
+
+        whole = run(tmp_path / "whole", config)
+        assert whole.versions == (0, 1)
+        # Epoch 1 is an episode, a summary and an optimizer call.
+        with pytest.raises(BudgetExhaustedError):
+            run(tmp_path / "cut", config._replace(
+                train=config.train._replace(call_budget=3),
+            ))
+        resume(
+            tmp_path / "cut", samples, config=config,
+            gateway=make_gateway(*entries), feedback=NoFeedback(),
+        )
+        epochs = [e for e in cursor_entries(tmp_path / "cut") if e["kind"] == "epoch"]
+        assert [(e["changed"], e["prompt_version"]) for e in epochs] == [
+            (True, 1), (False, 1),
+        ]
+        cursor = (tmp_path / "cut" / "state.cursor").read_bytes()
+        assert cursor == (tmp_path / "whole" / "state.cursor").read_bytes()
 
 
 # --- crash recovery ------------------------------------------------------------
@@ -907,7 +987,9 @@ class TestCorruptRuns:
     def test_gap_in_versions(self, golden_dir):
         (golden_dir / "prompts" / "v1.txt").unlink()
         edit_cursor(golden_dir, 0, lambda e: e.pop("version"))
-        with pytest.raises(CorruptRunError, match="not contiguous"):
+        with pytest.raises(
+            CorruptRunError, match="batch line of epoch 1, batch 1 records v1 where v0 is due"
+        ):
             verify_chain(golden_dir)
 
     def test_no_versions_at_all(self, tmp_path):
@@ -953,7 +1035,9 @@ class TestCorruptRuns:
     def test_v0_with_parent(self, golden_dir):
         # A batch line that records writing v0 gives v0 a parent.
         edit_cursor(golden_dir, 0, lambda e: e.update(prompt_version=0))
-        with pytest.raises(CorruptRunError, match="v0 must have no parent"):
+        with pytest.raises(
+            CorruptRunError, match="batch line of epoch 1, batch 1 records v0 where v1 is due"
+        ):
             verify_chain(golden_dir)
 
     def test_broken_parent_hash(self, golden_dir):
@@ -1057,12 +1141,12 @@ class TestCorruptRuns:
     # (writes v2), epoch 2; one batch per epoch.
     @pytest.mark.parametrize("damage, message", [
         (lambda lines: lines[2].update(prompt_version=-1),
-         "not contiguous from 0: the batch line of epoch 2, batch 1 records v-1"),
+         "the batch line of epoch 2, batch 1 records v-1 where v2 is due"),
         (lambda lines: lines.pop(2), "epoch line of epoch 2 is out of order"),
         (lambda lines: lines[3].update(prompt_version=10**30),
-         "epoch line of epoch 2 records prompt v1000"),
+         "epoch line of epoch 2 records v10{30} where v2 is due"),
         (lambda lines: lines[3].update(prompt_version=-1),
-         "epoch line of epoch 2 records prompt v-1"),
+         "epoch line of epoch 2 records v-1 where v2 is due"),
         (lambda lines: lines.insert(1, lines[0]), "batch line of epoch 1, batch 1 is out"),
         (lambda lines: lines.append({**lines[2], "epoch": 3}),
          "end of the cursor after the run's 2 epoch"),
@@ -1098,6 +1182,25 @@ class TestCorruptRuns:
         meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
         with pytest.raises(CorruptRunError, match="does not record the sample count"):
             verify_chain(golden_dir)
+
+    @pytest.mark.parametrize("index", [1, 4], ids=["between-lines", "at-the-end"])
+    def test_blank_cursor_line_is_corrupt(self, golden_dir, index):
+        # No writer appends a blank line, so a complete blank line is damage.
+        cursor = golden_dir / "state.cursor"
+        lines = cursor.read_bytes().splitlines(keepends=True)
+        lines.insert(index, b"\n")
+        cursor.write_bytes(b"".join(lines))
+        before = tree_hashes(golden_dir)
+        message = f"bad cursor line {index + 1}: "
+        with pytest.raises(CorruptRunError, match=message):
+            verify_chain(golden_dir)
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match=message):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
+        assert tree_hashes(golden_dir) == before
 
     def test_bad_cursor_line(self, golden_dir):
         with open(golden_dir / "state.cursor", "a", encoding="utf-8") as fh:
