@@ -19,7 +19,8 @@ Each case must keep three invariants:
 - ``inspect`` exits 0 or 2 and ``resume`` exits 0, 1 or 2; neither
   raises. ``resume`` may exit 1 only on a case that damages an input it
   checks as such: the run.meta keys that must match the config and
-  sample list, and the dataset and script copies it loads;
+  sample list, the dataset and script copies it loads, and the run.meta
+  keys that name those copies;
 - a ``resume`` that does not exit 0 leaves the tree byte-identical;
 - after a ``resume`` that exits 0, ``inspect`` exits 0.
 
@@ -58,11 +59,13 @@ _REMOVE = object()
 VALUES = (_REMOVE, None, "x", 1.5, [1], {"a": 1}, True, -1, 10**30)
 FLIPS = 9
 # Damage to these may make resume exit 1: the run.meta keys it compares with
-# the config, run.meta as a whole, and the dataset and script it loads.
+# the config, run.meta as a whole, the dataset and script it loads, and the
+# run.meta keys that name them (null leaves resume without a dataset or script).
 CONFIG_INPUTS = {
     "samples", "batch_size", "epochs", "max_rounds", "feedback", "model",
     "summarizer_model", "optimizer_model", "repair_model", "segmentation",
-    "required_tokens", "run.meta", "dataset.yaml", "script.yaml",
+    "required_tokens", "run.meta", "dataset.yaml", "script.yaml", "dataset",
+    "script",
 }
 
 

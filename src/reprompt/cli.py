@@ -84,12 +84,11 @@ def _cmd_resume(args) -> int:
 
     config = load_config(args.config)
     run_dir = Path(args.out)
-    dataset = args.dataset or str(run_dir / trainer.DATASET_COPY)
-    script = args.script or (
-        str(run_dir / trainer.SCRIPT_COPY)
-        if (run_dir / trainer.SCRIPT_COPY).exists()
-        else None
-    )
+    copies = trainer.input_copies(run_dir)
+    dataset = args.dataset or copies[0]
+    script = args.script or copies[1]
+    if dataset is None:
+        raise ConfigError(f"{run_dir} holds no dataset copy; resume needs --dataset")
     backend = args.backend or config.gateway.backend
     gateway = _build_gateway(backend, script, config)
     samples, adapter = _load_task(config, dataset)

@@ -242,11 +242,30 @@ def _integer(data: dict, key: str) -> int:
     return value
 
 
+def _string(data: dict, key: str) -> str:
+    """``data[key]``, which must be a string: ids name transcript files and
+    cities are matched against the routes, so null, 1.5 or [A] is not
+    read as one."""
+    value = data[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} must be a string, not {value!r}")
+    return value
+
+
+def _route(pair) -> tuple[str, str]:
+    """One route as the file states it: a list of two city names."""
+    if type(pair) is not list or len(pair) != 2 or any(type(c) is not str for c in pair):
+        raise ValueError(f"a route must be a list of two strings, not {pair!r}")
+    return pair[0], pair[1]
+
+
 def toy_sample_from_dict(data: dict) -> ToySample:
     try:
         options = tuple(
             tuple(
-                ToyOption(id=str(o["id"]), cost=_integer(o, "cost"), city=str(o["city"]))
+                ToyOption(
+                    id=_string(o, "id"), cost=_integer(o, "cost"), city=_string(o, "city")
+                )
                 for o in day
             )
             for day in data["options"]
@@ -257,11 +276,11 @@ def toy_sample_from_dict(data: dict) -> ToySample:
         if len(options) != days:
             raise ValueError("one option list per day is required")
         return ToySample(
-            id=str(data["id"]),
+            id=_string(data, "id"),
             days=days,
             budget=_integer(data, "budget"),
             options=options,
-            route_rule=frozenset((str(a), str(b)) for a, b in data["routes"]),
+            route_rule=frozenset(map(_route, data["routes"])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed toy sample record: {exc}") from None

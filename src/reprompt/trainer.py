@@ -7,8 +7,9 @@ inspected, and replayed:
       run.meta                  static run description (no timestamps),
                                 with v0's hash, the segmentation markers
                                 and the required tokens the run parses with
-      dataset.yaml              copy of the sample file, when given
-      script.yaml               copy of the gateway script, when given
+      dataset.yaml              copy of the sample file, when given; run.meta
+                                names it, or records null
+      script.yaml               copy of the gateway script, likewise
       prompts/v{N}.txt          rendered prompt version N
       transcripts/e{E}/b{B}/    one file per episode
       state.cursor              append-only JSONL progress log
@@ -30,7 +31,6 @@ and ``resume`` runs the loop over it (see its docstring).
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -78,8 +78,20 @@ SCRIPT_COPY = "script.yaml"
 _V0_STAGING = "v0.txt.tmp"
 
 
+# The hashes cover a few KB per version, and hashlib loads OpenSSL, which adds
+# about 3.5 MiB to every train, resume and inspect. The interpreter's built-in
+# SHA-256 gives the same digests; hashlib is the fallback for a build without it.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+
 def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 class TrainResult(NamedTuple):
@@ -137,11 +149,6 @@ def _write_transcripts(
             f"{format_transcript(t)}\n"
         )
         (out / f"{t.sample_id}.txt").write_text(body, encoding="utf-8")
-
-
-def _append_cursor(paths: _RunPaths, entry: dict) -> None:
-    with open(paths.cursor, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 # The fields each kind of cursor line must carry, with their exact types
@@ -375,6 +382,21 @@ def _run_shape(paths: _RunPaths, meta: dict) -> tuple[int, int]:
     return -(-samples // batch_size), epochs
 
 
+def _input_copies(paths: _RunPaths, meta: dict) -> tuple[Path | None, Path | None]:
+    """The dataset and script copies run.meta names. train records each as
+    its fixed copy name or, when it copied no such file, as null."""
+    copies = []
+    for key, name in (("dataset", DATASET_COPY), ("script", SCRIPT_COPY)):
+        value = meta.get(key)
+        if value is not None and value != name:
+            raise CorruptRunError(
+                f"{paths.run_meta} records {key} {value!r}; only {name!r} "
+                "or null is written"
+            )
+        copies.append(None if value is None else paths.root / name)
+    return copies[0], copies[1]
+
+
 def _line(kind: str, epoch: int, batch: int | None) -> str:
     """A cursor line's name; the order check compares names."""
     if kind == "epoch":
@@ -424,9 +446,12 @@ def _committed_versions(
     ``focus_text`` and ``segment_text``. A committed version's hashes,
     placement, focus text and segment text must be strings, and its focus
     case a FocusCase value other than no_general_reason, which never reaches
-    the optimizer. The first failure raises CorruptRunError.
+    the optimizer. run.meta's ``dataset`` and ``script`` must each be null
+    or the fixed copy name (see _input_copies). The first failure raises
+    CorruptRunError.
     """
     per_epoch, epochs = _run_shape(paths, meta)
+    _input_copies(paths, meta)
     v0_hash = meta.get("v0_hash")
     if not isinstance(v0_hash, str):
         raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
@@ -577,6 +602,14 @@ def replay_lineage(run_dir: str | Path) -> list[PromptDocument]:
     return _read_run(run_dir)[1]
 
 
+def input_copies(run_dir: str | Path) -> tuple[Path | None, Path | None]:
+    """The dataset and script copies a run directory's run.meta names, each
+    None when train copied no such file. ``reprompt resume`` loads them
+    unless it is given --dataset or --script."""
+    paths = _run_paths(run_dir)
+    return _input_copies(paths, _read_run_meta(paths))
+
+
 def resume(
     run_dir: str | Path,
     samples: Sequence[Sample],
@@ -599,7 +632,9 @@ def resume(
     files no cursor line commits and the transcripts of the first
     uncommitted batch are discarded before the versions are checked and
     replayed (see _check_run), so whatever a crash left behind is redone.
-    run.meta and the cursor are each read once.
+    run.meta and the cursor are each read once. The loop then holds the
+    cursor open for appending and flushes each line before the next
+    gateway call.
 
     Batch-level failures (all episodes down, summarizer or optimizer
     giving up) skip that batch and leave the prompt unchanged. A gateway
@@ -662,8 +697,13 @@ def resume(
     def calls_total() -> int:
         return cursor.calls_total + (gateway.calls - calls_at_entry)
 
+    def append(entry: dict) -> None:
+        # One line per write, flushed before the next gateway call.
+        log.write(json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n")
+        log.flush()
+
     def record_batch(batch: int, note: str, **outputs) -> None:
-        _append_cursor(paths, {
+        append({
             "kind": "batch",
             "epoch": epoch,
             "batch": batch,
@@ -675,81 +715,82 @@ def resume(
         })
 
     converged = patience is not None and streak >= patience
-    while epoch <= train_cfg.epochs and not converged:
-        for b in range(first_batch, len(batches) + 1):
-            if train_cfg.call_budget is not None and calls_total() >= train_cfg.call_budget:
-                raise BudgetExhaustedError(
-                    f"call budget {train_cfg.call_budget} reached after "
-                    f"{calls_total()} gateway calls; run can be resumed"
-                )
-            note = ""
-            transcripts = collect_batch(
-                prompt,
-                batches[b - 1],
-                feedback,
-                train_cfg.max_rounds,
-                caller=actor,
-                parallelism=train_cfg.parallelism,
-            )
-            if all(t.terminal is Terminal.ERROR for t in transcripts):
-                record_batch(b, "batch skipped: every episode in the batch failed")
-                continue
-            _write_transcripts(paths, epoch, b, transcripts)
-            episodes_run += len(transcripts)
-            try:
-                focus = summarize_batch(transcripts, prompt, caller=summarizer)
-            except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
-                record_batch(b, f"summarizer failed: {exc}")
-                continue
-            except StageCallError as exc:
-                exc.where = f"epoch {epoch}, batch {b}"
-                raise
-            outputs = {"focus": {"case": focus.case.value, "text": focus.text}}
-            try:
-                update = optimize(
+    with open(paths.cursor, "ab") as log:
+        while epoch <= train_cfg.epochs and not converged:
+            for b in range(first_batch, len(batches) + 1):
+                if train_cfg.call_budget is not None and calls_total() >= train_cfg.call_budget:
+                    raise BudgetExhaustedError(
+                        f"call budget {train_cfg.call_budget} reached after "
+                        f"{calls_total()} gateway calls; run can be resumed"
+                    )
+                note = ""
+                transcripts = collect_batch(
                     prompt,
-                    focus,
-                    caller=optimizer,
-                    repair=repair,
-                    seg_config=seg,
-                    required_tokens=required_tokens,
-                    guard_config=config.guards,
+                    batches[b - 1],
+                    feedback,
+                    train_cfg.max_rounds,
+                    caller=actor,
+                    parallelism=train_cfg.parallelism,
                 )
-            except (MissingFinalMarkerError, GuardrailRejectionError) as exc:
-                note = f"optimizer rejected: {exc}"
-                update = None
-            except StageCallError as exc:
-                exc.where = f"epoch {epoch}, batch {b}"
-                raise
-            if update is not None:
-                outputs["optimizer_raw"] = update.raw_output
-                if update.changed:
-                    prompt = update.new_prompt
-                    digest = _write_version(paths, prompt)
-                    outputs["version"] = {
-                        "hash": digest,
-                        "parent_hash": head_hash,
-                        "placement": str(update.placement),
-                        "segment_text": next(
-                            segment.text for segment in prompt.segments
-                            if segment.kind is SegmentKind.STEP_INSTRUCTIONS
-                        ),
-                    }
-                    head_hash = digest
-            record_batch(b, note, **outputs)
-        text = render_prompt(prompt)
-        changed = text != epoch_start_text
-        _append_cursor(paths, {
-            "kind": "epoch",
-            "epoch": epoch,
-            "changed": changed,
-            "prompt_version": prompt.version,
-        })
-        streak = 0 if changed else streak + 1
-        converged = patience is not None and streak >= patience
-        epoch += 1
-        first_batch = 1
-        epoch_start_text = text
+                if all(t.terminal is Terminal.ERROR for t in transcripts):
+                    record_batch(b, "batch skipped: every episode in the batch failed")
+                    continue
+                _write_transcripts(paths, epoch, b, transcripts)
+                episodes_run += len(transcripts)
+                try:
+                    focus = summarize_batch(transcripts, prompt, caller=summarizer)
+                except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
+                    record_batch(b, f"summarizer failed: {exc}")
+                    continue
+                except StageCallError as exc:
+                    exc.where = f"epoch {epoch}, batch {b}"
+                    raise
+                outputs = {"focus": {"case": focus.case.value, "text": focus.text}}
+                try:
+                    update = optimize(
+                        prompt,
+                        focus,
+                        caller=optimizer,
+                        repair=repair,
+                        seg_config=seg,
+                        required_tokens=required_tokens,
+                        guard_config=config.guards,
+                    )
+                except (MissingFinalMarkerError, GuardrailRejectionError) as exc:
+                    note = f"optimizer rejected: {exc}"
+                    update = None
+                except StageCallError as exc:
+                    exc.where = f"epoch {epoch}, batch {b}"
+                    raise
+                if update is not None:
+                    outputs["optimizer_raw"] = update.raw_output
+                    if update.changed:
+                        prompt = update.new_prompt
+                        digest = _write_version(paths, prompt)
+                        outputs["version"] = {
+                            "hash": digest,
+                            "parent_hash": head_hash,
+                            "placement": str(update.placement),
+                            "segment_text": next(
+                                segment.text for segment in prompt.segments
+                                if segment.kind is SegmentKind.STEP_INSTRUCTIONS
+                            ),
+                        }
+                        head_hash = digest
+                record_batch(b, note, **outputs)
+            text = render_prompt(prompt)
+            changed = text != epoch_start_text
+            append({
+                "kind": "epoch",
+                "epoch": epoch,
+                "changed": changed,
+                "prompt_version": prompt.version,
+            })
+            streak = 0 if changed else streak + 1
+            converged = patience is not None and streak >= patience
+            epoch += 1
+            first_batch = 1
+            epoch_start_text = text
     return TrainResult(
         final_prompt=prompt,
         versions=tuple(range(prompt.version + 1)),

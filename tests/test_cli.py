@@ -1,5 +1,6 @@
 """Command line entry points, driven through main(argv)."""
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -164,7 +165,13 @@ class TestTrain:
             "  options: [[{id: a11, cost: 5, city: A}]]\n",
             "error: malformed toy sample record: budget must be an integer, not 31.9\n",
         ),
-    ], ids=["infinite-cost", "not-yaml", "days-out-of-range", "empty", "float-budget"])
+        (
+            "- id: null\n  days: 1\n  budget: 50\n  routes: []\n"
+            "  options: [[{id: a11, cost: 5, city: A}]]\n",
+            "error: malformed toy sample record: id must be a string, not None\n",
+        ),
+    ], ids=["infinite-cost", "not-yaml", "days-out-of-range", "empty", "float-budget",
+            "null-id"])
     def test_unreadable_dataset_is_an_error(self, tmp_path, capsys, text, message):
         dataset = tmp_path / "dataset.yaml"
         dataset.write_text(text, encoding="utf-8")
@@ -431,6 +438,59 @@ class TestResume:
         out = capsys.readouterr().out
         assert "final prompt: v2" in out
         assert "converged: no" in out
+
+    def edit_run_meta(self, run, **changes):
+        meta = yaml.safe_load((run / "run.meta").read_text(encoding="utf-8"))
+        meta.update(changes)
+        (run / "run.meta").write_text(yaml.safe_dump(meta, sort_keys=False), encoding="utf-8")
+
+    @pytest.mark.parametrize("key, flag", [
+        ("dataset", None), ("dataset", "--dataset"), ("script", None), ("script", "--script"),
+    ], ids=["dataset", "dataset-given", "script", "script-given"])
+    def test_input_copy_named_elsewhere_is_corrupt(self, tmp_path, capsys, key, flag):
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        self.edit_run_meta(run, **{key: "elsewhere.yaml"})
+        before = tree_hashes(run)
+        capsys.readouterr()
+        assert main(["inspect", "--out", str(run)]) == 2
+        argv = ["resume", "--config", CFG, "--out", str(run)]
+        if flag:
+            argv += [flag, str(GOLDEN / f"{key}.yaml")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"engine error: {run / 'run.meta'} records {key} 'elsewhere.yaml'; "
+            f"only '{key}.yaml' or null is written"
+        ] * 2
+        assert tree_hashes(run) == before
+
+    def test_null_script_leaves_a_scripted_resume_without_one(self, tmp_path, capsys):
+        # script.yaml is still in the directory, but run.meta says train
+        # copied no script, so resume does not take it.
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        self.edit_run_meta(run, script=None)
+        before = tree_hashes(run)
+        capsys.readouterr()
+        assert main(["resume", "--config", CFG, "--out", str(run)]) == 1
+        assert capsys.readouterr().err == "error: the scripted backend needs --script\n"
+        assert tree_hashes(run) == before
+        assert main(["inspect", "--out", str(run)]) == 0
+
+    def test_null_dataset_needs_the_dataset_flag(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        self.edit_run_meta(run, dataset=None)
+        capsys.readouterr()
+        assert main(["resume", "--config", CFG, "--out", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {run} holds no dataset copy; resume needs --dataset\n"
+        )
+        argv = ["resume", "--config", CFG, "--out", str(run),
+                "--dataset", str(GOLDEN / "dataset.yaml")]
+        assert main(argv) == 0
+        assert "final prompt: v2" in capsys.readouterr().out
 
     def test_resume_after_budget_cut(self, tmp_path, capsys):
         cfg = (GOLDEN / "run.cfg").read_text(encoding="utf-8")
@@ -984,6 +1044,28 @@ def test_no_module_loads_dataclasses_or_inspect():
         "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
     )
     assert _fresh_interpreter(code) == ["[]"]
+
+
+def test_train_resume_and_inspect_load_no_openssl(tmp_path):
+    # The run directory's hashes come from the interpreter's built-in
+    # SHA-256; hashlib would load OpenSSL (_hashlib).
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    run = str(tmp_path / "run")
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import reprompt\n"
+        "for path in sorted(Path(reprompt.__file__).parent.glob('*.py')):\n"
+        "    __import__('reprompt.' + path.stem)\n"
+        "from reprompt.cli import main\n"
+        f"assert main({golden_train_argv(run)!r}) == 0\n"
+        f"assert main(['resume', '--config', {CFG!r}, '--out', {run!r}]) == 0\n"
+        f"assert main(['inspect', '--out', {run!r}]) == 0\n"
+        "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])\n"
+    )
+    assert _fresh_interpreter(code)[-1] == "[]"
+    assert tree_hashes(tmp_path / "run") == golden_manifest()["files"]
 
 
 def _fresh_interpreter(code: str) -> list[str]:

@@ -369,6 +369,39 @@ def test_number_that_is_no_int_is_malformed(field, value):
         toy_sample_from_dict(record)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("id", None), ("id", 7), ("option id", 1.5), ("option id", None),
+    ("city", ["A"]), ("city", True),
+], ids=["null-id", "int-id", "float-option-id", "null-option-id", "list-city",
+        "bool-city"])
+def test_name_that_is_no_string_is_malformed(key, value):
+    # An id names a transcript file and a city is matched against the
+    # routes, so none is coerced: null would load as the id 'None'.
+    record = toy_sample_to_dict(generate_sample(0))
+    target = record if key == "id" else record["options"][0][0]
+    target[key.removeprefix("option ")] = value
+    with pytest.raises(
+        ValueError,
+        match=re.escape(f"malformed toy sample record: {key.removeprefix('option ')} "
+                        f"must be a string, not {value!r}"),
+    ):
+        toy_sample_from_dict(record)
+
+
+@pytest.mark.parametrize("route", [
+    ["A", 1], [None, "B"], ["A"], ["A", "B", "C"], "AB", {"A": "B"},
+], ids=["int-end", "null-end", "one-end", "three-ends", "string", "mapping"])
+def test_route_that_is_no_pair_of_strings_is_malformed(route):
+    record = toy_sample_to_dict(generate_sample(0))
+    record["routes"].append(route)
+    with pytest.raises(
+        ValueError,
+        match=re.escape("malformed toy sample record: a route must be a list of two "
+                        f"strings, not {route!r}"),
+    ):
+        toy_sample_from_dict(record)
+
+
 def test_duplicate_ids_rejected(tmp_path):
     sample = generate_sample(0)
     path = tmp_path / "toys.yaml"

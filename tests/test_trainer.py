@@ -1,11 +1,15 @@
 """Training loop end to end: run layout, budgets, resume, corruption checks."""
 import hashlib
+import importlib.util
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import GOLDEN, TOY_SEG, Recording, entry, make_gateway
 from reprompt import prompts, trainer
@@ -57,6 +61,26 @@ def run_golden(run_dir, config=None, with_copies=False):
         run_dir=run_dir,
         **kwargs,
     )
+
+
+@given(st.text())
+def test_sha256_matches_hashlib(text):
+    assert trainer._sha256(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_sha256_falls_back_to_hashlib(monkeypatch):
+    # A build without the built-in SHA-256 modules: a fresh copy of the
+    # trainer module hashes through hashlib, to the same digests.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location(
+        "reprompt._trainer_without_builtin_sha256", trainer.__file__
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.sha256 is hashlib.sha256
+    text = (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8")
+    assert module._sha256(text) == trainer._sha256(text)
 
 
 def tree_hashes(root):
@@ -477,6 +501,14 @@ class TestBudgetAndResume:
             )
         assert tree_hashes(tmp_path / "run") == before
 
+    def test_input_copies_are_the_ones_run_meta_names(self, tmp_path):
+        run_golden(tmp_path / "bare")
+        assert trainer.input_copies(tmp_path / "bare") == (None, None)
+        run_golden(tmp_path / "copies", with_copies=True)
+        assert trainer.input_copies(tmp_path / "copies") == (
+            tmp_path / "copies" / "dataset.yaml", tmp_path / "copies" / "script.yaml",
+        )
+
     def test_resume_reads_run_meta_and_cursor_once(self, golden_dir, file_reads):
         samples, feedback, gateway = golden_inputs()
         file_reads.clear()
@@ -643,6 +675,40 @@ class Crash(Exception):
     """Stands in for the process dying in the middle of a run."""
 
 
+class CursorLog:
+    """Stands in for the cursor file resume opens: each line it appends goes
+    to ``append(fh, line)``, which may write it to the real file ``fh``."""
+
+    def __init__(self, fh, append):
+        self.fh, self.append = fh, append
+
+    def write(self, line):
+        self.append(self.fh, line)
+
+    def flush(self):
+        self.fh.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def route_cursor_appends(monkeypatch, append):
+    """Make resume's cursor file a CursorLog that calls ``append``; returns
+    the list of the files resume opens."""
+    opened = []
+
+    def fake_open(path, mode, *args, **kwargs):
+        assert Path(path).name == "state.cursor" and mode == "ab"
+        opened.append(path)
+        return CursorLog(open(path, mode, *args, **kwargs), append)
+
+    monkeypatch.setattr(trainer, "open", fake_open, raising=False)
+    return opened
+
+
 def crash_at_write(monkeypatch, run_dir, n, torn):
     """Kill the run at the n-th write after v0 exists (0-based).
 
@@ -652,7 +718,6 @@ def crash_at_write(monkeypatch, run_dir, n, torn):
     """
     seen = []
     write_text = Path.write_text
-    append_cursor = trainer._append_cursor
 
     def fatal(what):
         if not (run_dir / "prompts" / "v0.txt").exists():
@@ -667,17 +732,16 @@ def crash_at_write(monkeypatch, run_dir, n, torn):
             raise Crash(self)
         return write_text(self, data, *args, **kwargs)
 
-    def fake_append_cursor(paths, entry):
+    def append(fh, line):
+        entry = json.loads(line)
         if fatal(f"cursor {entry['kind']} e{entry['epoch']}"):
             if torn:
-                line = json.dumps(entry, sort_keys=True)
-                with open(paths.cursor, "a", encoding="utf-8") as fh:
-                    fh.write(line[: len(line) // 2])
+                fh.write(line[: (len(line) - 1) // 2])
             raise Crash(entry)
-        append_cursor(paths, entry)
+        fh.write(line)
 
     monkeypatch.setattr(Path, "write_text", fake_write_text)
-    monkeypatch.setattr(trainer, "_append_cursor", fake_append_cursor)
+    route_cursor_appends(monkeypatch, append)
     return seen
 
 
@@ -704,16 +768,16 @@ class TestCrashRecovery:
     def test_uncommitted_version_is_discarded(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
 
-        def crash(paths, entry):
-            raise Crash(entry)
+        def crash(fh, line):
+            raise Crash(line)
 
         with monkeypatch.context() as m:
-            m.setattr(trainer, "_append_cursor", crash)
+            route_cursor_appends(m, crash)
             with pytest.raises(Crash):
                 run_golden(run_dir, with_copies=True)
         # v1 was written, but no cursor line commits it.
         assert (run_dir / "prompts" / "v1.txt").exists()
-        assert not (run_dir / "state.cursor").exists()
+        assert (run_dir / "state.cursor").read_bytes() == b""
         assert_golden(resume_golden(run_dir), run_dir)
 
     def test_torn_cursor_tail_is_dropped(self, tmp_path):
@@ -744,6 +808,36 @@ class TestCrashRecovery:
                     assert_golden(resume_golden(run_dir), run_dir)
                 except AssertionError as exc:
                     raise AssertionError(f"crash at {what} (torn={torn}): {exc}") from exc
+
+    def test_one_cursor_handle_flushes_each_line_before_the_next_call(
+        self, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        written, on_disk = [], []
+
+        def append(fh, line):
+            fh.write(line)
+            written.append(line)
+
+        class Checking(Recording):
+            def complete(self, request):
+                cursor = run_dir / "state.cursor"
+                on_disk.append(cursor.read_bytes() == b"".join(written))
+                return super().complete(request)
+
+        opened = route_cursor_appends(monkeypatch, append)
+        samples, feedback, gateway = golden_inputs()
+        result = train(
+            (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"), samples,
+            config=golden_config(), gateway=Checking(gateway), feedback=feedback,
+            run_dir=run_dir, dataset_src=GOLDEN / "dataset.yaml",
+            script_src=GOLDEN / "script.yaml",
+        )
+        assert opened == [run_dir / "state.cursor"]
+        assert len(written) == 4
+        # Every line written so far is on disk when the gateway is called.
+        assert on_disk == [True] * 14
+        assert_golden(result, run_dir)
 
 
 # --- failure paths -------------------------------------------------------------
@@ -1182,6 +1276,28 @@ class TestCorruptRuns:
         meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
         with pytest.raises(CorruptRunError, match="does not record the sample count"):
             verify_chain(golden_dir)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", "elsewhere.yaml"), ("script", "dataset.yaml"), ("dataset", 1),
+    ])
+    def test_run_meta_naming_another_input_copy(self, golden_dir, key, value):
+        meta_path = golden_dir / "run.meta"
+        meta = yaml.safe_load(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(yaml.safe_dump(meta, sort_keys=False), encoding="utf-8")
+        before = tree_hashes(golden_dir)
+        message = f"records {key} {value!r}; only '{key}.yaml' or null is written"
+        with pytest.raises(CorruptRunError, match=message):
+            verify_chain(golden_dir)
+        with pytest.raises(CorruptRunError, match=message):
+            trainer.input_copies(golden_dir)
+        samples, feedback, _ = golden_inputs()
+        with pytest.raises(CorruptRunError, match=message):
+            resume(
+                golden_dir, samples, config=golden_config(),
+                gateway=make_gateway(), feedback=feedback,
+            )
+        assert tree_hashes(golden_dir) == before
 
     @pytest.mark.parametrize("index", [1, 4], ids=["between-lines", "at-the-end"])
     def test_blank_cursor_line_is_corrupt(self, golden_dir, index):
