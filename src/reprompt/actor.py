@@ -3,8 +3,13 @@
 An episode starts by sending the rendered prompt with task slots filled,
 then alternates assistant answers with feedback until the feedback
 generator says stop or the round cap is reached. A feedback generator
-returns the text to feed back, or None to stop the episode. Feedback is a
-first-class transcript role; on the wire it travels as a user message.
+returns the text to feed back, or None to stop the episode.
+
+A transcript is the messages as sent: the task as a user message, then
+each answer followed by the feedback on it, which travels as a user
+message too. ``format_transcript`` names each message by its position:
+the task is ``user / round 1``, answer k is ``assistant / round k`` and
+the feedback after it is ``feedback / round k+1``.
 """
 from __future__ import annotations
 
@@ -19,36 +24,28 @@ from .prompt_model import PromptDocument, fill_slots
 from .yamlio import load_yaml
 
 
-class TranscriptRole(Enum):
-    SYSTEM = "system"
-    USER = "user"
-    ASSISTANT = "assistant"
-    FEEDBACK = "feedback"
-
-
 class Terminal(Enum):
     FINISHED_BY_AGENT = "finished_by_agent"
     MAX_ROUNDS_EXHAUSTED = "max_rounds_exhausted"
     ERROR = "error"
 
 
-class TranscriptMessage(NamedTuple):
-    role: TranscriptRole
-    content: str
-    round: int
-
-
 class Transcript(NamedTuple):
     sample_id: str
-    messages: tuple[TranscriptMessage, ...]
-    rounds_used: int
+    # The task, then each answer followed by the feedback on it.
+    messages: tuple[Message, ...]
     terminal: Terminal
     # Why the episode aborted; empty unless terminal is ERROR.
     error: str = ""
 
+    @property
+    def rounds_used(self) -> int:
+        """The number of answers."""
+        return len(self.messages) // 2
+
     def last_assistant(self) -> str | None:
         for message in reversed(self.messages):
-            if message.role is TranscriptRole.ASSISTANT:
+            if message.role is Role.ASSISTANT:
                 return message.content
         return None
 
@@ -71,7 +68,11 @@ class TaskSample(NamedTuple):
 
 
 def load_dataset(path: str) -> list[TaskSample]:
-    """Read task samples from a YAML (or JSON) list of {id, slot_values} rows."""
+    """Read task samples from a YAML (or JSON) list of {id, slot_values} rows.
+
+    An id must be a string, since it names the sample's transcript file. A
+    slot value must be a string or a number, which is filled in as written.
+    """
     data = load_yaml(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: a dataset is a non-empty list of samples")
@@ -79,14 +80,22 @@ def load_dataset(path: str) -> list[TaskSample]:
     for row in data:
         if not isinstance(row, dict) or "id" not in row:
             raise ValueError(f"{path}: every sample needs an id")
+        sid = row["id"]
+        if type(sid) is not str:
+            raise ValueError(f"{path}: sample id must be a string, not {sid!r}")
         slots = row.get("slot_values") or {}
         if not isinstance(slots, dict):
-            raise ValueError(
-                f"{path}: sample {row['id']}: slot_values must be a mapping"
-            )
+            raise ValueError(f"{path}: sample {sid}: slot_values must be a mapping")
+        for key, value in slots.items():
+            # type(), not isinstance(): a bool is not taken for a number.
+            if type(value) not in (str, int, float):
+                raise ValueError(
+                    f"{path}: sample {sid}: slot value {key} must be a string "
+                    f"or a number, not {value!r}"
+                )
         samples.append(
             TaskSample(
-                id=str(row["id"]),
+                id=sid,
                 slot_values={str(k): str(v) for k, v in slots.items()},
             )
         )
@@ -102,23 +111,16 @@ class FeedbackGenerator(Protocol):
 
 
 def format_transcript(transcript: Transcript) -> str:
-    """Serialize a transcript as role-tagged blocks, content verbatim."""
-    parts = [
-        f"[{m.role.value} / round {m.round}]\n{m.content}"
-        for m in transcript.messages
-    ]
+    """Serialize a transcript as role-tagged blocks, content verbatim.
+
+    Message i belongs to round i // 2 + 1, and every user message after
+    the task is feedback.
+    """
+    parts = []
+    for i, m in enumerate(transcript.messages):
+        role = "feedback" if i and m.role is Role.USER else m.role.value
+        parts.append(f"[{role} / round {i // 2 + 1}]\n{m.content}")
     return "\n\n".join(parts)
-
-
-def _wire_messages(messages: tuple[TranscriptMessage, ...]) -> tuple[Message, ...]:
-    wire = []
-    for m in messages:
-        if m.role is TranscriptRole.FEEDBACK:
-            role = Role.USER
-        else:
-            role = Role(m.role.value)
-        wire.append(Message(role=role, content=m.content))
-    return tuple(wire)
 
 
 def run_episode(
@@ -137,42 +139,29 @@ def run_episode(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    history: list[TranscriptMessage] = [
-        TranscriptMessage(TranscriptRole.USER, sample.render(prompt), 1)
-    ]
-    rounds = 0
+    messages = (Message(Role.USER, sample.render(prompt)),)
     terminal, error = Terminal.MAX_ROUNDS_EXHAUSTED, ""
     while True:
         try:
-            response = caller.complete(_wire_messages(tuple(history)))
+            response = caller.complete(messages)
         except GatewayError as exc:
             terminal, error = Terminal.ERROR, f"episode for {sample.id} failed: {exc}"
             break
-        rounds += 1
-        history.append(
-            TranscriptMessage(TranscriptRole.ASSISTANT, response.content, rounds)
-        )
-        if rounds >= max_rounds:
+        messages += (Message(Role.ASSISTANT, response.content),)
+        if len(messages) // 2 >= max_rounds:
             break
-        snapshot = Transcript(
-            sample_id=sample.id,
-            messages=tuple(history),
-            rounds_used=rounds,
-            terminal=Terminal.FINISHED_BY_AGENT,
-        )
         try:
-            text = fg.feedback(snapshot)
+            text = fg.feedback(Transcript(sample.id, messages, Terminal.FINISHED_BY_AGENT))
         except Exception as exc:
             terminal, error = Terminal.ERROR, f"feedback failed for {sample.id}: {exc}"
             break
         if text is None:
             terminal = Terminal.FINISHED_BY_AGENT
             break
-        history.append(TranscriptMessage(TranscriptRole.FEEDBACK, text, rounds + 1))
+        messages += (Message(Role.USER, text),)
     return Transcript(
         sample_id=sample.id,
-        messages=tuple(history),
-        rounds_used=rounds,
+        messages=messages,
         terminal=terminal,
         error=error,
     )

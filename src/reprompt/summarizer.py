@@ -12,7 +12,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import prompts
-from .actor import Transcript, TranscriptMessage, TranscriptRole, format_transcript
+from .actor import Transcript, format_transcript
 from .errors import MissingConclusionMarkerError, ScrubRejectedError
 from .gateway import Caller
 from .prompt_model import PromptDocument, render_prompt
@@ -107,13 +107,9 @@ def _elide_prompt(message: str, prompt_text: str) -> str:
 
 
 def _serialize_transcript(t: Transcript, prompt_text: str) -> str:
-    messages = t.messages
-    if messages and messages[0].role is TranscriptRole.USER:
-        first = messages[0]
-        first = TranscriptMessage(
-            first.role, _elide_prompt(first.content, prompt_text), first.round
-        )
-        t = t._replace(messages=(first, *messages[1:]))
+    task, *later = t.messages
+    task = task._replace(content=_elide_prompt(task.content, prompt_text))
+    t = t._replace(messages=(task, *later))
     return f"=== Transcript for sample {t.sample_id} ===\n{format_transcript(t)}"
 
 

@@ -1,6 +1,8 @@
 import logging
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reprompt.actor import (
     NoFeedback,
@@ -10,15 +12,14 @@ from reprompt.actor import (
     Terminal,
     ThinkTraceFeedback,
     Transcript,
-    TranscriptMessage,
-    TranscriptRole,
     collect_batch,
     feedback_generator,
     format_transcript,
     load_dataset,
     run_episode,
 )
-from reprompt.errors import NoThinkSpanError, UnparseableAnswerError
+from reprompt.errors import GatewayError, NoThinkSpanError, UnparseableAnswerError
+from reprompt.gateway import ChatResponse, Message, Role, Usage
 from reprompt.prompt_model import parse_prompt
 
 from conftest import entry, make_caller, make_gateway, make_recording_gateway
@@ -52,10 +53,7 @@ def test_single_round_episode():
     t = run_episode(PROMPT, sample(), fg, 1, caller=make_caller(gw))
     assert t.terminal is Terminal.MAX_ROUNDS_EXHAUSTED
     assert t.rounds_used == 1
-    assert [m.role for m in t.messages] == [
-        TranscriptRole.USER,
-        TranscriptRole.ASSISTANT,
-    ]
+    assert [m.role for m in t.messages] == [Role.USER, Role.ASSISTANT]
     assert t.messages[0].content == "Solve it.\n\nHere is the task:\nTask id: s1\n"
     assert t.last_assistant() == "answer"
     # At the round cap the feedback generator is never consulted.
@@ -83,14 +81,17 @@ def test_continue_feedback_travels_as_user_message():
     t = run_episode(PROMPT, sample(), fg, 3, caller=make_caller(gw))
     assert t.terminal is Terminal.FINISHED_BY_AGENT
     assert t.rounds_used == 2
-    roles = [m.role for m in t.messages]
-    assert roles == [
-        TranscriptRole.USER,
-        TranscriptRole.ASSISTANT,
-        TranscriptRole.FEEDBACK,
-        TranscriptRole.ASSISTANT,
+    assert t.messages == (
+        Message(Role.USER, "Solve it.\n\nHere is the task:\nTask id: s1\n"),
+        Message(Role.ASSISTANT, "draft"),
+        Message(Role.USER, "fix the route"),
+        Message(Role.ASSISTANT, "final"),
+    )
+    labels = [line for line in format_transcript(t).splitlines() if line.startswith("[")]
+    assert labels == [
+        "[user / round 1]", "[assistant / round 1]",
+        "[feedback / round 2]", "[assistant / round 2]",
     ]
-    assert [m.round for m in t.messages] == [1, 1, 2, 2]
     assert t.last_assistant() == "final"
 
 
@@ -111,8 +112,7 @@ def test_empty_feedback_text_continues():
     gw = make_gateway(first, second)
     t = run_episode(PROMPT, sample(), CannedFeedback("", None), 3, caller=make_caller(gw))
     assert t.rounds_used == 2
-    assert t.messages[2].role is TranscriptRole.FEEDBACK
-    assert t.messages[2].content == ""
+    assert t.messages[2] == Message(Role.USER, "")
 
 
 def test_gateway_failure_wraps_partial_transcript():
@@ -122,7 +122,7 @@ def test_gateway_failure_wraps_partial_transcript():
     assert partial.terminal is Terminal.ERROR
     assert partial.error.startswith("episode for s1 failed: ")
     assert partial.rounds_used == 0
-    assert [m.role for m in partial.messages] == [TranscriptRole.USER]
+    assert [m.role for m in partial.messages] == [Role.USER]
 
 
 def test_feedback_failure_wraps_partial_transcript():
@@ -142,6 +142,94 @@ def test_round_cap_must_be_positive():
     gw = make_gateway(entry(["x"], "y"))
     with pytest.raises(ValueError):
         run_episode(PROMPT, sample(), NoFeedback(), 0, caller=make_caller(gw))
+
+
+RAISE = object()
+
+
+class ScriptedCalls:
+    """A gateway that answers call k with ``answers[k - 1]`` and fails call
+    ``fail_at``, recording the messages of every request."""
+
+    def __init__(self, answers, fail_at):
+        self.answers, self.fail_at, self.sent = answers, fail_at, []
+
+    def complete(self, request):
+        self.sent.append(request.messages)
+        if len(self.sent) == self.fail_at:
+            raise GatewayError("backend down")
+        return ChatResponse(self.answers[len(self.sent) - 1], Usage(0, 0))
+
+
+class ScriptedVerdicts(CannedFeedback):
+    def feedback(self, transcript):
+        verdict = super().feedback(transcript)
+        if verdict is RAISE:
+            raise RuntimeError("checker down")
+        return verdict
+
+
+def labelled_blocks(messages):
+    """The blocks by counting rounds: the task is round 1, each answer
+    counts a round, and the feedback after answer k opens round k + 1."""
+    blocks, answers = [], 0
+    for i, m in enumerate(messages):
+        if m.role is Role.ASSISTANT:
+            answers += 1
+            label = f"assistant / round {answers}"
+        elif i == 0:
+            label = "user / round 1"
+        else:
+            label = f"feedback / round {answers + 1}"
+        blocks.append(f"[{label}]\n{m.content}")
+    return "\n\n".join(blocks)
+
+
+@given(
+    max_rounds=st.integers(1, 4),
+    answers=st.lists(st.text(max_size=6), min_size=4, max_size=4),
+    verdicts=st.lists(
+        st.one_of(st.text(max_size=6), st.none(), st.just(RAISE)), min_size=3, max_size=3
+    ),
+    fail_at=st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_episode_transcript_is_the_messages_sent(max_rounds, answers, verdicts, fail_at):
+    gw = ScriptedCalls(answers, fail_at)
+    fg = ScriptedVerdicts(*verdicts)
+    t = run_episode(PROMPT, sample(), fg, max_rounds, caller=make_caller(gw))
+
+    # The outcome, round by round.
+    for k in range(1, max_rounds + 1):
+        if k == fail_at:
+            terminal, rounds = Terminal.ERROR, k - 1
+            break
+        if k == max_rounds:
+            terminal, rounds = Terminal.MAX_ROUNDS_EXHAUSTED, k
+            break
+        verdict = verdicts[k - 1]
+        if verdict is None or verdict is RAISE:
+            terminal = Terminal.FINISHED_BY_AGENT if verdict is None else Terminal.ERROR
+            rounds = k
+            break
+    assert (t.terminal, t.rounds_used) == (terminal, rounds)
+    assert bool(t.error) == (terminal is Terminal.ERROR)
+
+    # The task, then each answer followed by the feedback on it.
+    assert t.messages[0] == Message(Role.USER, "Solve it.\n\nHere is the task:\nTask id: s1\n")
+    assert [m.role for m in t.messages] == [
+        Role.ASSISTANT if i % 2 else Role.USER for i in range(len(t.messages))
+    ]
+    assert [m.content for m in t.messages[1::2]] == answers[:rounds]
+    feedback = [m.content for m in t.messages[2::2]]
+    assert feedback == verdicts[:len(feedback)]
+    assert t.rounds_used == sum(m.role is Role.ASSISTANT for m in t.messages)
+
+    # Each request carried the transcript so far, and so did each feedback call.
+    assert gw.sent == [t.messages[:2 * k + 1] for k in range(len(gw.sent))]
+    assert [seen.messages for seen in fg.seen] == [
+        t.messages[:2 * k + 2] for k in range(len(fg.seen))
+    ]
+    assert format_transcript(t) == labelled_blocks(t.messages)
 
 
 # --- collect_batch -----------------------------------------------------------------
@@ -212,13 +300,44 @@ def test_batch_parallel_results_match_serial():
 def test_load_dataset(tmp_path):
     path = tmp_path / "d.yaml"
     path.write_text(
-        "- id: s1\n  slot_values: {task_id: s1, budget: 90}\n"
+        "- id: s1\n  slot_values: {task_id: s1, budget: 90, rate: 0.5}\n"
         "- id: s2\n  slot_values: {task_id: s2}\n"
     )
     samples = load_dataset(str(path))
     assert [s.id for s in samples] == ["s1", "s2"]
-    # Scalar slot values are coerced to strings.
+    # Numbers are filled in as written.
     assert samples[0].slot_values["budget"] == "90"
+    assert samples[0].slot_values["rate"] == "0.5"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("- id: null\n", "sample id must be a string, not None"),
+    ("- id: [x]\n", "sample id must be a string, not ['x']"),
+    ("- id: 7\n", "sample id must be a string, not 7"),
+    (
+        "- id: a\n  slot_values: {task_id: [A, B]}\n",
+        "sample a: slot value task_id must be a string or a number, not ['A', 'B']",
+    ),
+    (
+        "- id: a\n  slot_values: {task_id: null}\n",
+        "sample a: slot value task_id must be a string or a number, not None",
+    ),
+    (
+        "- id: a\n  slot_values: {task_id: a, strict: true}\n",
+        "sample a: slot value strict must be a string or a number, not True",
+    ),
+    (
+        "- id: a\n  slot_values: {task_id: {x: 1}}\n",
+        "sample a: slot value task_id must be a string or a number, not {'x': 1}",
+    ),
+], ids=["null-id", "list-id", "int-id", "list-slot", "null-slot", "bool-slot",
+        "mapping-slot"])
+def test_load_dataset_rejects_malformed_records(tmp_path, text, message):
+    path = tmp_path / "d.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_load_dataset_reads_json(tmp_path):
@@ -263,11 +382,10 @@ def test_format_transcript_blocks():
     t = Transcript(
         sample_id="s1",
         messages=(
-            TranscriptMessage(TranscriptRole.USER, "ask", 1),
-            TranscriptMessage(TranscriptRole.ASSISTANT, "reply", 1),
-            TranscriptMessage(TranscriptRole.FEEDBACK, "hint", 2),
+            Message(Role.USER, "ask"),
+            Message(Role.ASSISTANT, "reply"),
+            Message(Role.USER, "hint"),
         ),
-        rounds_used=1,
         terminal=Terminal.FINISHED_BY_AGENT,
     )
     text = format_transcript(t)
@@ -277,7 +395,7 @@ def test_format_transcript_blocks():
 
 
 def test_last_assistant_on_empty_transcript():
-    t = Transcript(sample_id="s", messages=(), rounds_used=0, terminal=Terminal.ERROR)
+    t = Transcript(sample_id="s", messages=(), terminal=Terminal.ERROR)
     assert t.last_assistant() is None
 
 
@@ -287,11 +405,7 @@ def test_last_assistant_on_empty_transcript():
 def _snapshot(answer):
     return Transcript(
         sample_id="s1",
-        messages=(
-            TranscriptMessage(TranscriptRole.USER, "ask", 1),
-            TranscriptMessage(TranscriptRole.ASSISTANT, answer, 1),
-        ),
-        rounds_used=1,
+        messages=(Message(Role.USER, "ask"), Message(Role.ASSISTANT, answer)),
         terminal=Terminal.FINISHED_BY_AGENT,
     )
 
@@ -327,9 +441,7 @@ def test_thinktrace_errors():
         fg.feedback(_snapshot("no span here"))
     with pytest.raises(NoThinkSpanError):
         fg.feedback(_snapshot("<think>never closed"))
-    empty = Transcript(
-        sample_id="s", messages=(), rounds_used=0, terminal=Terminal.ERROR
-    )
+    empty = Transcript(sample_id="s", messages=(), terminal=Terminal.ERROR)
     with pytest.raises(NoThinkSpanError):
         fg.feedback(empty)
 

@@ -1,8 +1,8 @@
 """The names the offline benchmark (``perfbench/``) calls still exist.
 
-The benchmark imports the program's functions by name and its traced run
-wraps module attributes by name, so a rename would otherwise show up only
-as a failed benchmark run.
+The benchmark imports the program's functions by name, reads attributes
+of the results they return, and its traced run wraps module attributes by
+name, so a rename would otherwise show up only as a failed benchmark run.
 """
 import importlib
 import inspect
@@ -31,6 +31,18 @@ IMPORTED = [
     )),
 ]
 
+# (module, record, attributes) that perfbench/child.py and perfbench/tracing.py
+# read off the program's results and requests.
+READ = [
+    ("reprompt.trainer", "TrainResult", ("versions", "episodes_run", "calls_used")),
+    ("reprompt.evaluator", "EvalReport", ("records",)),
+    ("reprompt.evaluator", "EvalRecord", ("sample_id", "delivered", "passed", "rounds_used")),
+    ("reprompt.actor", "Transcript", ("rounds_used",)),
+    ("reprompt.optimizer", "PromptUpdate", ("changed",)),
+    ("reprompt.gateway", "ChatRequest", ("messages",)),
+    ("reprompt.gateway", "Message", ("role", "content")),
+]
+
 
 @pytest.fixture
 def bench_path():
@@ -46,6 +58,13 @@ def test_imported_names_resolve(module, names):
     loaded = importlib.import_module(module)
     for name in names:
         assert hasattr(loaded, name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("module, record, names", READ, ids=[r for _, r, _ in READ])
+def test_read_attributes_resolve(module, record, names):
+    loaded = getattr(importlib.import_module(module), record)
+    for name in names:
+        assert hasattr(loaded, name), f"{record}.{name}"
 
 
 def test_call_shapes():

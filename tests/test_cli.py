@@ -201,6 +201,21 @@ class TestTrain:
             "slot_values must be a mapping\n"
         )
 
+    @pytest.mark.parametrize("dataset, message", [
+        ("- id: null\n", "sample id must be a string, not None"),
+        (
+            "- id: a\n  slot_values: {task_id: [A, B]}\n",
+            "sample a: slot value task_id must be a string or a number, not ['A', 'B']",
+        ),
+    ], ids=["null-id", "list-slot"])
+    def test_generic_malformed_record_is_an_error(self, tmp_path, capsys, dataset, message):
+        argv = self.generic_argv(tmp_path, "none", dataset)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'dataset.yaml'}: {message}\n"
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_rulecheck_needs_the_toy_task(self, tmp_path, capsys):
         argv = self.generic_argv(
             tmp_path, "rulecheck", "- id: a\n  slot_values: {task_id: a}\n"

@@ -1,9 +1,9 @@
 import pytest
 
 from reprompt import prompts
-from reprompt.actor import Terminal, Transcript, TranscriptMessage, TranscriptRole
+from reprompt.actor import Terminal, Transcript
 from reprompt.errors import MissingConclusionMarkerError, ScrubRejectedError
-from reprompt.gateway import Role
+from reprompt.gateway import Message, Role
 from reprompt import summarizer
 from reprompt.prompt_model import parse_prompt, render_prompt
 from reprompt.summarizer import (
@@ -27,11 +27,7 @@ MARKER = prompts.CONCLUSION_MARKER
 def transcript(sid="s1", answer="a draft answer"):
     return Transcript(
         sample_id=sid,
-        messages=(
-            TranscriptMessage(TranscriptRole.USER, f"task {sid}", 1),
-            TranscriptMessage(TranscriptRole.ASSISTANT, answer, 1),
-        ),
-        rounds_used=1,
+        messages=(Message(Role.USER, f"task {sid}"), Message(Role.ASSISTANT, answer)),
         terminal=Terminal.FINISHED_BY_AGENT,
     )
 
@@ -174,19 +170,14 @@ TASK_PROMPT = (
 
 
 def episode(sid, first, *later):
-    """A transcript whose round-1 message is ``first``; ``later`` are
-    (role, content) pairs, an assistant reply then feedback, round by round."""
-    messages = [TranscriptMessage(TranscriptRole.USER, first, 1)]
+    """A transcript whose round-1 message is ``first``; ``later`` are the
+    contents that follow it, an assistant reply then feedback, round by round."""
+    messages = [Message(Role.USER, first)]
     messages += [
-        TranscriptMessage(role, content, 1 + (i + 1) // 2)
-        for i, (role, content) in enumerate(later)
+        Message(Role.USER if i % 2 else Role.ASSISTANT, content)
+        for i, content in enumerate(later)
     ]
-    return Transcript(
-        sample_id=sid,
-        messages=tuple(messages),
-        rounds_used=max(m.round for m in messages),
-        terminal=Terminal.FINISHED_BY_AGENT,
-    )
+    return Transcript(sid, tuple(messages), Terminal.FINISHED_BY_AGENT)
 
 
 def filled(sid):
@@ -195,7 +186,7 @@ def filled(sid):
 
 def test_shared_prompt_lines_become_one_line():
     text = serialize_transcripts(
-        [episode("t9", filled("t9"), (TranscriptRole.ASSISTANT, "PLAN:"))],
+        [episode("t9", filled("t9"), "PLAN:")],
         60_000, TASK_PROMPT,
     )
     assert text == (
@@ -232,10 +223,7 @@ def test_only_the_round_one_message_is_elided():
     # Assistant and feedback messages stay verbatim even when they repeat
     # the prompt.
     item = episode(
-        "t9", filled("t9"),
-        (TranscriptRole.ASSISTANT, filled("t9")),
-        (TranscriptRole.FEEDBACK, filled("t9")),
-        (TranscriptRole.ASSISTANT, "PLAN:"),
+        "t9", filled("t9"), filled("t9"), filled("t9"), "PLAN:"
     )
     text = serialize_transcripts([item], 60_000, TASK_PROMPT)
     assert text.count(ELIDED_PROMPT_LINE) == 1
@@ -247,8 +235,7 @@ def test_eliding_lets_a_batch_fit_the_budget_whole():
     rules = "".join(f"Rule {i}: keep the plan consistent.\n" for i in range(150))
     prompt = rules + "Task id: {task_id}\nDays: {days}\n"
     items = [
-        episode(f"t{i}", prompt.format(task_id=f"t{i}", days=2),
-                (TranscriptRole.ASSISTANT, f"PLAN: answer {i}"))
+        episode(f"t{i}", prompt.format(task_id=f"t{i}", days=2), f"PLAN: answer {i}")
         for i in range(4)
     ]
     budget = 10_000
