@@ -12,9 +12,10 @@ and ``reprompt resume`` on it in this process. The damages:
   run.meta key: remove it or set it to null, a string, a float, a list, a
   mapping, a bool, -1 or 10**30;
 - per cursor line: delete or duplicate it, or insert a blank line before
-  it (and after the last); per pair of lines: swap them.
+  it (and after the last); per pair of lines: swap them;
+- per epoch line: negate its ``changed`` flag.
 
-Each case must keep three invariants:
+Each case must keep these invariants:
 
 - ``inspect`` exits 0 or 2 and ``resume`` exits 0, 1 or 2; neither
   raises. ``resume`` may exit 1 only on a case that damages an input it
@@ -22,7 +23,9 @@ Each case must keep three invariants:
   sample list, the dataset and script copies it loads, and the run.meta
   keys that name those copies;
 - a ``resume`` that does not exit 0 leaves the tree byte-identical;
-- after a ``resume`` that exits 0, ``inspect`` exits 0.
+- after a ``resume`` that exits 0, ``inspect`` exits 0;
+- a negated ``changed`` makes a corrupt run: ``inspect`` and ``resume``
+  both exit 2.
 
     python scripts/mutation_soak.py [--every N]
 
@@ -67,6 +70,8 @@ CONFIG_INPUTS = {
     "required_tokens", "run.meta", "dataset.yaml", "script.yaml", "dataset",
     "script",
 }
+# Damage to this target makes a corrupt run: inspect and resume must exit 2.
+CORRUPTING = "state.cursor changed"
 
 
 def train_golden(run_dir: Path) -> None:
@@ -185,6 +190,9 @@ def _cursor_cases(golden: Path) -> list[tuple[str, str, Damage]]:
         for path, value in itertools.product(paths, VALUES):
             label = f"state.cursor line {index + 1} {'.'.join(path)}: {_value_name(value)}"
             cases.append(("state.cursor", label, edit(index, path, value)))
+        if entry["kind"] == "epoch":
+            label = f"state.cursor line {index + 1} changed: negate"
+            cases.append((CORRUPTING, label, edit(index, ("changed",), not entry["changed"])))
 
     def reorder(order: list[int]) -> Damage:
         return lambda run: _write_lines(run, [_read_lines(run)[i] for i in order])
@@ -226,7 +234,7 @@ def _meta_cases(golden: Path) -> list[tuple[str, str, Damage]]:
 
 def cases(golden: Path) -> list[tuple[str, str, Damage]]:
     """Every case as (target, label, damage). The target is the damaged
-    file, or the damaged run.meta key."""
+    file, the damaged run.meta key, or CORRUPTING."""
     return _file_cases(golden) + _cursor_cases(golden) + _meta_cases(golden)
 
 
@@ -237,12 +245,13 @@ def check(golden: Path, work: Path, target: str, damage: Damage) -> list[str]:
     shutil.copytree(golden, run)
     damage(run)
     problems = []
+    corrupting = target == CORRUPTING
     inspect, _, _ = run_cli(["inspect", "--out", str(run)])
-    if inspect not in (0, 2):
+    if inspect not in ((2,) if corrupting else (0, 2)):
         problems.append(f"inspect: {inspect}")
     before = tree(run)
     resumed, _, err = run_cli(["resume", "--config", CONFIG, "--out", str(run)])
-    allowed = (0, 1, 2) if target in CONFIG_INPUTS else (0, 2)
+    allowed = (2,) if corrupting else (0, 1, 2) if target in CONFIG_INPUTS else (0, 2)
     if resumed not in allowed:
         problems.append(f"resume: {resumed} {err.strip()}")
     elif resumed != 0 and tree(run) != before:

@@ -71,7 +71,8 @@ def load_dataset(path: str) -> list[TaskSample]:
     """Read task samples from a YAML (or JSON) list of {id, slot_values} rows.
 
     An id must be a string, since it names the sample's transcript file. A
-    slot value must be a string or a number, which is filled in as written.
+    slot name must be a string, and a slot value a string or a number,
+    which is filled in as written.
     """
     data = load_yaml(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list) or not data:
@@ -87,18 +88,17 @@ def load_dataset(path: str) -> list[TaskSample]:
         if not isinstance(slots, dict):
             raise ValueError(f"{path}: sample {sid}: slot_values must be a mapping")
         for key, value in slots.items():
+            if type(key) is not str:
+                raise ValueError(
+                    f"{path}: sample {sid}: slot name {key!r} must be a string"
+                )
             # type(), not isinstance(): a bool is not taken for a number.
             if type(value) not in (str, int, float):
                 raise ValueError(
                     f"{path}: sample {sid}: slot value {key} must be a string "
                     f"or a number, not {value!r}"
                 )
-        samples.append(
-            TaskSample(
-                id=sid,
-                slot_values={str(k): str(v) for k, v in slots.items()},
-            )
-        )
+        samples.append(TaskSample(sid, {k: str(v) for k, v in slots.items()}))
     ids = [s.id for s in samples]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: sample ids must be unique")

@@ -17,13 +17,13 @@ inspected, and replayed:
 A batch's one bookkeeping write is its cursor line. Besides the counters
 it carries, when they exist, the batch's ``focus`` (case and text), the
 optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
-(hash, parent hash, placement and step segment text). _committed_versions
-is the one reader of these lines: one pass over them and run.meta checks
-the cursor's structure, rebuilds each version's meta and finds where the
-run stands. A second pass checks the hash chain and replays every version
-(see _check_run). verify_chain, replay_lineage and resume all read the
-directory through them. _run_meta states run.meta once: train writes it
-and resume compares it key by key.
+(hash, parent hash, placement and step segment text). _advance is the
+cursor's one transition: it checks a line against where the run stands,
+``changed`` included, and returns where the run stands next. The readers
+fold it over the recorded lines (_committed_versions), and resume passes
+each line through it before appending it. A second pass checks the hash
+chain and replays every version (see _check_run). _run_meta states
+run.meta once: train writes it and resume compares it key by key.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -404,18 +404,10 @@ def _line(kind: str, epoch: int, batch: int | None) -> str:
     return f"batch line of epoch {epoch}, batch {batch}"
 
 
-def _due(epoch: int, batch: int, per_epoch: int, epochs: int) -> str:
-    """The name of the cursor line that may follow batch ``batch`` of
-    ``epoch``."""
-    if epoch > epochs:
-        return f"end of the cursor after the run's {epochs} epoch(s)"
-    return _line("epoch" if batch == per_epoch else "batch", epoch, batch + 1)
-
-
 class _Cursor(NamedTuple):
-    """Where a run's committed cursor lines leave it."""
+    """Where a run stands after its committed cursor lines."""
 
-    versions: list[dict]  # each committed version's meta, v0 first
+    versions: tuple[dict, ...]  # each committed version's meta, v0 first
     epoch: int  # the epoch in progress; the run's epochs + 1 once all ran
     batch: int  # its last batch line, 0 before the first
     episodes_total: int
@@ -424,96 +416,116 @@ class _Cursor(NamedTuple):
     epoch_start: int  # the version the epoch in progress started from
 
 
+def _changed(cursor: _Cursor) -> bool:
+    """Whether the epoch in progress has changed the prompt: its last
+    version's hash differs from that of the version it started from."""
+    return cursor.versions[-1]["hash"] != cursor.versions[cursor.epoch_start]["hash"]
+
+
+def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
+    """The cursor's one transition: check a parsed cursor line against
+    ``cursor`` and return where the run stands after it. It reads no file.
+
+    ``shape`` is the run's batches per epoch and epochs. The line must be
+    the one due: each epoch's batch lines 1, 2, ... up to the batches per
+    epoch, then its epoch line, up to the run's last epoch. Its
+    ``prompt_version`` must be the last committed version, or the next one
+    on a batch line that carries a ``version`` record. ``episodes_total``
+    and ``calls_total`` never fall. An epoch line's ``changed`` must say
+    whether the epoch's last version hash differs from its start version's.
+    A version record's hashes, placement, focus text and segment text must
+    be strings, the segment text non-empty, the parent hash the last
+    version's hash, and the focus case a FocusCase other than
+    no_general_reason, which never reaches the optimizer. A line that
+    breaks a rule raises CorruptRunError.
+    """
+    per_epoch, epochs = shape
+    kind, n = entry["kind"], entry["prompt_version"]
+    line = _line(kind, entry["epoch"], entry.get("batch"))
+    if cursor.epoch > epochs:
+        due = f"end of the cursor after the run's {epochs} epoch(s)"
+    else:
+        due = _line(
+            "epoch" if cursor.batch == per_epoch else "batch",
+            cursor.epoch, cursor.batch + 1,
+        )
+    if line != due:
+        raise CorruptRunError(f"the cursor's {line} is out of order; expected the {due}")
+    versions = cursor.versions
+    record = entry.get("version") if kind == "batch" else None
+    due_version = len(versions) if record is not None else len(versions) - 1
+    if n != due_version:
+        raise CorruptRunError(f"the {line} records v{n} where v{due_version} is due")
+    if kind == "epoch":
+        changed = _changed(cursor)
+        if entry["changed"] is not changed:
+            raise CorruptRunError(
+                f"the {line} records changed {json.dumps(entry['changed'])} "
+                f"where {json.dumps(changed)} is due"
+            )
+        return cursor._replace(
+            epoch=cursor.epoch + 1, batch=0,
+            streak=0 if changed else cursor.streak + 1, epoch_start=n,
+        )
+    episodes, calls = entry["episodes_total"], entry["calls_total"]
+    if episodes < cursor.episodes_total or calls < cursor.calls_total:
+        raise CorruptRunError(
+            f"the {line} records fewer episodes or calls than the line before it"
+        )
+    if record is not None:
+        focus = entry.get("focus") or {}
+        if not isinstance(record, dict) or not isinstance(focus, dict):
+            raise CorruptRunError(f"the cursor's record of prompt v{n} is not a mapping")
+        vmeta = {
+            "version": n,
+            "hash": record.get("hash"),
+            "parent_hash": record.get("parent_hash"),
+            "placement": record.get("placement"),
+            "focus_case": focus.get("case"),
+            "focus_text": focus.get("text"),
+            "segment_text": record.get("segment_text"),
+        }
+        bad = [k for k in _VERSION_STRINGS if not isinstance(vmeta[k], str)]
+        if not bad and vmeta["focus_case"] not in _FOCUS_CASES:
+            bad = ["focus_case"]
+        if not bad and not vmeta["segment_text"]:
+            bad = ["segment_text"]
+        if bad:
+            raise CorruptRunError(
+                f"the cursor's record of prompt v{n} has a malformed {bad[0]}"
+            )
+        if vmeta["parent_hash"] != versions[-1]["hash"]:
+            raise CorruptRunError(f"prompt v{n} parent hash does not match v{n - 1}")
+        versions += (vmeta,)
+    return cursor._replace(
+        versions=versions, batch=cursor.batch + 1,
+        episodes_total=episodes, calls_total=calls,
+    )
+
+
 def _committed_versions(
     paths: _RunPaths, meta: dict, entries: Sequence[dict]
 ) -> _Cursor:
-    """Check the cursor's structure and return where the run stands. This
-    is the one reader of cursor lines; it reads no file, so resume runs it
-    before it discards anything.
-
-    ``meta`` is the parsed run.meta and ``entries`` the parsed cursor
-    lines. Each line must be the one due: epoch 1 has batch lines 1, 2, ...
-    up to run.meta's batches per epoch, then its epoch line; epoch 2
-    follows, and so on up to run.meta's epochs. The last epoch may stop
-    after any of its lines. Each line's ``prompt_version`` must be the one
-    due: the last committed version, or the next one on a batch line that
-    carries a ``version`` record. ``episodes_total`` and ``calls_total``
-    never fall.
-
-    v0's hash comes from run.meta; every later version is committed by the
-    cursor line of the batch that wrote it. Each version's meta holds
-    ``version``, ``hash``, ``parent_hash``, ``placement``, ``focus_case``,
-    ``focus_text`` and ``segment_text``. A committed version's hashes,
-    placement, focus text and segment text must be strings, and its focus
-    case a FocusCase value other than no_general_reason, which never reaches
-    the optimizer. run.meta's ``dataset`` and ``script`` must each be null
-    or the fixed copy name (see _input_copies). The first failure raises
-    CorruptRunError.
+    """Fold _advance over the parsed cursor lines ``entries``, from v0
+    alone, and return where the run stands. ``meta`` is the parsed
+    run.meta, which gives the run shape, v0's hash and the input copies
+    (see _input_copies). It reads no file, so resume runs it before it
+    discards anything. The first failure raises CorruptRunError.
     """
-    per_epoch, epochs = _run_shape(paths, meta)
+    shape = _run_shape(paths, meta)
     _input_copies(paths, meta)
     v0_hash = meta.get("v0_hash")
     if not isinstance(v0_hash, str):
         raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
-    metas = [{
+    v0 = {
         "version": 0, "hash": v0_hash, "parent_hash": None, "placement": None,
         "focus_case": None, "focus_text": None, "segment_text": None,
-    }]
-    epoch, batch = 1, 0  # the epoch in progress and its last batch line
-    totals = (0, 0)
-    streak = epoch_start = 0
+    }
+    cursor = _Cursor((v0,), epoch=1, batch=0, episodes_total=0, calls_total=0,
+                     streak=0, epoch_start=0)
     for entry in entries:
-        kind, n = entry["kind"], entry["prompt_version"]
-        line = _line(kind, entry["epoch"], entry.get("batch"))
-        due = _due(epoch, batch, per_epoch, epochs)
-        if line != due:
-            raise CorruptRunError(
-                f"the cursor's {line} is out of order; expected the {due}"
-            )
-        record = entry.get("version") if kind == "batch" else None
-        due_version = len(metas) if record is not None else len(metas) - 1
-        if n != due_version:
-            raise CorruptRunError(
-                f"the {line} records v{n} where v{due_version} is due"
-            )
-        if kind == "epoch":
-            streak = 0 if entry["changed"] else streak + 1
-            epoch, batch, epoch_start = epoch + 1, 0, n
-            continue
-        batch += 1
-        now = (entry["episodes_total"], entry["calls_total"])
-        if now[0] < totals[0] or now[1] < totals[1]:
-            raise CorruptRunError(
-                f"the {line} records fewer episodes or calls than the line "
-                "before it"
-            )
-        totals = now
-        if record is not None:
-            focus = entry.get("focus") or {}
-            if not isinstance(record, dict) or not isinstance(focus, dict):
-                raise CorruptRunError(
-                    f"the cursor's record of prompt v{n} is not a mapping"
-                )
-            vmeta = {
-                "version": n,
-                "hash": record.get("hash"),
-                "parent_hash": record.get("parent_hash"),
-                "placement": record.get("placement"),
-                "focus_case": focus.get("case"),
-                "focus_text": focus.get("text"),
-                "segment_text": record.get("segment_text"),
-            }
-            bad = [k for k in _VERSION_STRINGS if not isinstance(vmeta[k], str)]
-            if not bad and vmeta["focus_case"] not in _FOCUS_CASES:
-                bad = ["focus_case"]
-            if not bad and not vmeta["segment_text"]:
-                bad = ["segment_text"]
-            if bad:
-                raise CorruptRunError(
-                    f"the cursor's record of prompt v{n} has a malformed {bad[0]}"
-                )
-            metas.append(vmeta)
-    return _Cursor(metas, epoch, batch, *totals, streak, epoch_start)
+        cursor = _advance(cursor, entry, shape)
+    return cursor
 
 
 def _check_run(
@@ -523,8 +535,8 @@ def _check_run(
 
     ``metas`` comes from _committed_versions and ``seg`` holds the run's
     own markers. Every committed file must exist and no file may be
-    uncommitted. Each text must match its hash and each parent hash its
-    parent's hash. Each accepted optimizer update changes only the
+    uncommitted, and each text must match its hash (_advance has checked
+    each parent hash). Each accepted optimizer update changes only the
     step-instruction segment, so swapping the recorded segment text into
     the previous version, parsed with the run's own markers, must
     reproduce the stored file byte for byte. The first failure raises
@@ -552,10 +564,6 @@ def _check_run(
         if n == 0:
             doc = parse_prompt(text, seg)
         else:
-            if vmeta["parent_hash"] != metas[n - 1]["hash"]:
-                raise CorruptRunError(
-                    f"prompt v{n} parent hash does not match v{n - 1}"
-                )
             doc = PromptDocument(
                 segments=tuple(
                     s._replace(text=vmeta["segment_text"])
@@ -622,19 +630,22 @@ def resume(
 
     The cursor's last batch line is the one commit record: its
     ``prompt_version`` is the committed prompt (v0 before any batch line).
-    _committed_versions checks the cursor's structure and says where the
-    run stands: the epoch in progress and its last batch, the totals, the
-    unchanged-epoch streak and the version the epoch started from. So a
-    corrupt cursor raises CorruptRunError with the directory untouched.
-    run.meta must equal what train would write from this config and sample
-    list (see _run_meta); the first key that differs raises ValueError,
-    also before anything changes. Then a torn last cursor line, version
-    files no cursor line commits and the transcripts of the first
-    uncommitted batch are discarded before the versions are checked and
-    replayed (see _check_run), so whatever a crash left behind is redone.
-    run.meta and the cursor are each read once. The loop then holds the
-    cursor open for appending and flushes each line before the next
-    gateway call.
+    _committed_versions says where the run stands, so a corrupt cursor
+    raises CorruptRunError with the directory untouched. run.meta must
+    equal what train would write from this config and sample list (see
+    _run_meta); the first key that differs raises ValueError, also before
+    anything changes. Then a torn last cursor line, version files no cursor
+    line commits and the transcripts of the first uncommitted batch are
+    discarded before the versions are checked and replayed (see
+    _check_run), so whatever a crash left behind is redone. run.meta and
+    the cursor are each read once.
+
+    The loop writes the line due next until the run's epochs are done or
+    the unchanged-epoch streak reaches ``convergence_patience``. Each line
+    passes through _advance, whose result is the loop's one record of where
+    the run stands, before it is appended; an epoch line's ``changed``
+    compares version hashes. The cursor stays open for appending, and each
+    line is flushed before the next gateway call.
 
     Batch-level failures (all episodes down, summarizer or optimizer
     giving up) skip that batch and leave the prompt unchanged. A gateway
@@ -668,14 +679,8 @@ def resume(
     for n in _version_numbers(paths):
         if n >= len(cursor.versions):
             paths.version_txt(n).unlink()
-    epoch, first_batch = cursor.epoch, cursor.batch + 1
-    shutil.rmtree(paths.batch_dir(epoch, first_batch), ignore_errors=True)
-
-    records, docs = _check_run(paths, seg, cursor.versions)
-    prompt = docs[-1]
-    head_hash = records[-1].meta["hash"]
-    epoch_start_text = records[cursor.epoch_start].text
-    streak = cursor.streak
+    shutil.rmtree(paths.batch_dir(cursor.epoch, cursor.batch + 1), ignore_errors=True)
+    prompt = _check_run(paths, seg, cursor.versions)[1][-1]
 
     train_cfg = config.train
     gw_cfg = config.gateway
@@ -691,112 +696,102 @@ def resume(
     repair = caller(gw_cfg.repair_model, "repair")
     patience = train_cfg.convergence_patience
     batches = _batches(samples, train_cfg.batch_size)
-    episodes_run = cursor.episodes_total
-    calls_at_entry = gateway.calls
+    # run.meta, which gave the cursor its shape, matches this config.
+    shape = (len(batches), train_cfg.epochs)
+    # The one count kept outside the cursor: calls_total is gateway.calls less it.
+    calls_before = gateway.calls - cursor.calls_total
 
-    def calls_total() -> int:
-        return cursor.calls_total + (gateway.calls - calls_at_entry)
+    def run_batch(epoch: int, b: int) -> tuple[PromptDocument, int, dict]:
+        """Act, summarize and optimize on batch ``b`` of ``epoch``; return
+        the prompt after it, the episodes it counts, and its cursor line's
+        note and outputs."""
+        transcripts = collect_batch(
+            prompt,
+            batches[b - 1],
+            feedback,
+            train_cfg.max_rounds,
+            caller=actor,
+            parallelism=train_cfg.parallelism,
+        )
+        if all(t.terminal is Terminal.ERROR for t in transcripts):
+            return prompt, 0, {"note": "batch skipped: every episode in the batch failed"}
+        _write_transcripts(paths, epoch, b, transcripts)
+        episodes = len(transcripts)
+        try:
+            focus = summarize_batch(transcripts, prompt, caller=summarizer)
+        except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
+            return prompt, episodes, {"note": f"summarizer failed: {exc}"}
+        outputs = {"note": "", "focus": {"case": focus.case.value, "text": focus.text}}
+        try:
+            update = optimize(
+                prompt,
+                focus,
+                caller=optimizer,
+                repair=repair,
+                seg_config=seg,
+                required_tokens=required_tokens,
+                guard_config=config.guards,
+            )
+        except (MissingFinalMarkerError, GuardrailRejectionError) as exc:
+            return prompt, episodes, {**outputs, "note": f"optimizer rejected: {exc}"}
+        outputs["optimizer_raw"] = update.raw_output
+        if not update.changed:
+            return prompt, episodes, outputs
+        new = update.new_prompt
+        outputs["version"] = {
+            "hash": _write_version(paths, new),
+            "parent_hash": cursor.versions[-1]["hash"],
+            "placement": str(update.placement),
+            "segment_text": next(
+                segment.text for segment in new.segments
+                if segment.kind is SegmentKind.STEP_INSTRUCTIONS
+            ),
+        }
+        return new, episodes, outputs
 
-    def append(entry: dict) -> None:
-        # One line per write, flushed before the next gateway call.
-        log.write(json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n")
-        log.flush()
+    def converged() -> bool:
+        return patience is not None and cursor.streak >= patience
 
-    def record_batch(batch: int, note: str, **outputs) -> None:
-        append({
-            "kind": "batch",
-            "epoch": epoch,
-            "batch": batch,
-            "prompt_version": prompt.version,
-            "episodes_total": episodes_run,
-            "calls_total": calls_total(),
-            "note": note,
-            **outputs,
-        })
-
-    converged = patience is not None and streak >= patience
     with open(paths.cursor, "ab") as log:
-        while epoch <= train_cfg.epochs and not converged:
-            for b in range(first_batch, len(batches) + 1):
-                if train_cfg.call_budget is not None and calls_total() >= train_cfg.call_budget:
+        while cursor.epoch <= train_cfg.epochs and not converged():
+            if cursor.batch == len(batches):
+                entry = {
+                    "kind": "epoch",
+                    "epoch": cursor.epoch,
+                    "changed": _changed(cursor),
+                    "prompt_version": prompt.version,
+                }
+            else:
+                budget = train_cfg.call_budget
+                if budget is not None and cursor.calls_total >= budget:
                     raise BudgetExhaustedError(
-                        f"call budget {train_cfg.call_budget} reached after "
-                        f"{calls_total()} gateway calls; run can be resumed"
+                        f"call budget {budget} reached after "
+                        f"{cursor.calls_total} gateway calls; run can be resumed"
                     )
-                note = ""
-                transcripts = collect_batch(
-                    prompt,
-                    batches[b - 1],
-                    feedback,
-                    train_cfg.max_rounds,
-                    caller=actor,
-                    parallelism=train_cfg.parallelism,
-                )
-                if all(t.terminal is Terminal.ERROR for t in transcripts):
-                    record_batch(b, "batch skipped: every episode in the batch failed")
-                    continue
-                _write_transcripts(paths, epoch, b, transcripts)
-                episodes_run += len(transcripts)
                 try:
-                    focus = summarize_batch(transcripts, prompt, caller=summarizer)
-                except (MissingConclusionMarkerError, ScrubRejectedError) as exc:
-                    record_batch(b, f"summarizer failed: {exc}")
-                    continue
+                    prompt, episodes, outputs = run_batch(cursor.epoch, cursor.batch + 1)
                 except StageCallError as exc:
-                    exc.where = f"epoch {epoch}, batch {b}"
+                    exc.where = f"epoch {cursor.epoch}, batch {cursor.batch + 1}"
                     raise
-                outputs = {"focus": {"case": focus.case.value, "text": focus.text}}
-                try:
-                    update = optimize(
-                        prompt,
-                        focus,
-                        caller=optimizer,
-                        repair=repair,
-                        seg_config=seg,
-                        required_tokens=required_tokens,
-                        guard_config=config.guards,
-                    )
-                except (MissingFinalMarkerError, GuardrailRejectionError) as exc:
-                    note = f"optimizer rejected: {exc}"
-                    update = None
-                except StageCallError as exc:
-                    exc.where = f"epoch {epoch}, batch {b}"
-                    raise
-                if update is not None:
-                    outputs["optimizer_raw"] = update.raw_output
-                    if update.changed:
-                        prompt = update.new_prompt
-                        digest = _write_version(paths, prompt)
-                        outputs["version"] = {
-                            "hash": digest,
-                            "parent_hash": head_hash,
-                            "placement": str(update.placement),
-                            "segment_text": next(
-                                segment.text for segment in prompt.segments
-                                if segment.kind is SegmentKind.STEP_INSTRUCTIONS
-                            ),
-                        }
-                        head_hash = digest
-                record_batch(b, note, **outputs)
-            text = render_prompt(prompt)
-            changed = text != epoch_start_text
-            append({
-                "kind": "epoch",
-                "epoch": epoch,
-                "changed": changed,
-                "prompt_version": prompt.version,
-            })
-            streak = 0 if changed else streak + 1
-            converged = patience is not None and streak >= patience
-            epoch += 1
-            first_batch = 1
-            epoch_start_text = text
+                entry = {
+                    "kind": "batch",
+                    "epoch": cursor.epoch,
+                    "batch": cursor.batch + 1,
+                    "prompt_version": prompt.version,
+                    "episodes_total": cursor.episodes_total + episodes,
+                    "calls_total": gateway.calls - calls_before,
+                    **outputs,
+                }
+            cursor = _advance(cursor, entry, shape)
+            # One line per write, flushed before the next gateway call.
+            log.write(json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n")
+            log.flush()
     return TrainResult(
         final_prompt=prompt,
-        versions=tuple(range(prompt.version + 1)),
-        episodes_run=episodes_run,
-        calls_used=calls_total(),
-        epochs_completed=epoch - 1,
-        converged=converged,
+        versions=tuple(range(len(cursor.versions))),
+        episodes_run=cursor.episodes_total,
+        calls_used=cursor.calls_total,
+        epochs_completed=cursor.epoch - 1,
+        converged=converged(),
         run_dir=paths.root,
     )

@@ -330,8 +330,17 @@ def test_load_dataset(tmp_path):
         "- id: a\n  slot_values: {task_id: {x: 1}}\n",
         "sample a: slot value task_id must be a string or a number, not {'x': 1}",
     ),
+    (
+        # YAML's 1 and true are one key once loaded, so one value would be lost.
+        "- id: a\n  slot_values: {null: x, 1: y, true: z}\n",
+        "sample a: slot name None must be a string",
+    ),
+    (
+        "- id: a\n  slot_values: {task_id: a, 1: y}\n",
+        "sample a: slot name 1 must be a string",
+    ),
 ], ids=["null-id", "list-id", "int-id", "list-slot", "null-slot", "bool-slot",
-        "mapping-slot"])
+        "mapping-slot", "null-slot-name", "int-slot-name"])
 def test_load_dataset_rejects_malformed_records(tmp_path, text, message):
     path = tmp_path / "d.yaml"
     path.write_text(text)

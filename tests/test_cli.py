@@ -523,6 +523,42 @@ class TestResume:
         assert "final prompt: v2" in out
         assert "gateway calls: 14" in out
 
+    def test_flipped_changed_flag_is_not_taken_for_convergence(self, tmp_path, capsys):
+        # The budget cuts the run after epoch 1, which wrote v1. An epoch
+        # line that says otherwise must not let a patience of 1 end the run.
+        budget_cfg = tmp_path / "budget.cfg"
+        budget_cfg.write_text(
+            CFG_TEXT.replace("seed = 42", "seed = 42\ncall_budget = 8"), encoding="utf-8"
+        )
+        patience_cfg = tmp_path / "patience.cfg"
+        patience_cfg.write_text(
+            CFG_TEXT.replace("seed = 42", "seed = 42\nconvergence_patience = 1"),
+            encoding="utf-8",
+        )
+        run = tmp_path / "run"
+        argv = golden_train_argv(run)
+        argv[argv.index("--config") + 1] = str(budget_cfg)
+        assert main(argv) == 2
+        cursor = run / "state.cursor"
+        entries = [json.loads(line) for line in cursor.read_text(encoding="utf-8").splitlines()]
+        assert [(e["kind"], e.get("changed")) for e in entries] == [
+            ("batch", None), ("epoch", True),
+        ]
+        entries[1]["changed"] = False
+        cursor.write_text(
+            "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries), encoding="utf-8"
+        )
+        before = tree_hashes(run)
+        capsys.readouterr()
+        assert main(["resume", "--config", str(patience_cfg), "--out", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert "converged" not in captured.out
+        assert captured.err == (
+            "engine error: the epoch line of epoch 1 records changed false "
+            "where true is due\n"
+        )
+        assert tree_hashes(run) == before
+
     def test_other_run_shape_is_rejected(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()
@@ -877,6 +913,24 @@ class TestInspect:
             fh.write(line + "\n")
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
         assert "bad cursor line 5:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index, epoch", [(1, 1), (3, 2)], ids=["epoch-1", "epoch-2"])
+    def test_flipped_changed_flag_is_corrupt(self, tmp_path, capsys, index, epoch):
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        capsys.readouterr()
+        cursor = tmp_path / "run" / "state.cursor"
+        entries = [json.loads(line) for line in cursor.read_text(encoding="utf-8").splitlines()]
+        entries[index]["changed"] = not entries[index]["changed"]
+        cursor.write_text(
+            "".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8"
+        )
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert (
+            f"the epoch line of epoch {epoch} records changed false where true is due"
+            in captured.err
+        )
+        assert "check out" not in captured.out
 
     @pytest.mark.parametrize("edit", [
         lambda e: e["version"].update(placement=5),

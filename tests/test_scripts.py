@@ -102,6 +102,19 @@ def test_mutation_soak_subset(monkeypatch):
     assert count >= 90
 
 
+def test_mutation_soak_negated_changed_is_corrupt(monkeypatch, tmp_path):
+    # The subset above need not pick these cases, so run them here.
+    soak = import_script(monkeypatch, "mutation_soak")
+    golden = tmp_path / "golden"
+    soak.train_golden(golden)
+    selected = [case for case in soak.cases(golden) if case[0] == soak.CORRUPTING]
+    assert [label for _, label, _ in selected] == [
+        "state.cursor line 2 changed: negate", "state.cursor line 4 changed: negate",
+    ]
+    for target, _, damage in selected:
+        assert soak.check(golden, tmp_path, target, damage) == []
+
+
 def test_bench_pairs_summary_applies_the_gain_rule(monkeypatch):
     pairs = import_script(monkeypatch, "bench_pairs")
     base = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # q1 12.25, q3 16.75

@@ -18,7 +18,12 @@ from reprompt.cli import main
 from reprompt.config import parse_config
 from reprompt.errors import BudgetExhaustedError, CorruptRunError
 from reprompt.gateway import ScriptedGateway, load_script
-from reprompt.prompt_model import inject_default_steps, parse_prompt, render_prompt
+from reprompt.prompt_model import (
+    SegmentKind,
+    inject_default_steps,
+    parse_prompt,
+    render_prompt,
+)
 from reprompt.summarizer import ELIDED_PROMPT_LINE
 from reprompt.toy_task import ToyAdapter, load_toy_samples, to_task_sample
 from reprompt.trainer import (
@@ -351,20 +356,30 @@ class TestGoldenRun:
         assert [render_prompt(d) for d in docs] == [r.text for r in records]
 
     def test_resume_of_complete_run_returns_final_state(self, tmp_path):
-        first = run_golden(tmp_path / "run")
+        # Resuming a finished run, converged or not, reads the writer's end
+        # state off the cursor and calls the gateway no more.
+        golden = run_golden(tmp_path / "golden")
+        idle, _ = run_idle(tmp_path / "idle")
+        assert idle.converged and idle.epochs_completed == 2
         samples, feedback, _ = golden_inputs()
-        again = resume(
-            tmp_path / "run",
-            samples,
-            config=golden_config(),
-            gateway=make_gateway(),
-            feedback=feedback,
-        )
-        assert again.versions == first.versions
-        assert again.episodes_run == first.episodes_run
-        assert again.calls_used == first.calls_used
-        assert again.epochs_completed == first.epochs_completed
-        assert render_prompt(again.final_prompt) == render_prompt(first.final_prompt)
+        toys = load_toy_samples(GOLDEN / "dataset.yaml")[:2]
+        for first, samples, config, feedback in (
+            (golden, samples, golden_config(), feedback),
+            (idle, [to_task_sample(s) for s in toys], parse_config(IDLE_CFG), NoFeedback()),
+        ):
+            gateway = make_gateway()
+            again = resume(
+                first.run_dir,
+                samples,
+                config=config,
+                gateway=gateway,
+                feedback=feedback,
+            )
+            assert gateway.calls == 0
+            # versions, episodes_run, calls_used, epochs_completed, converged
+            # and run_dir.
+            assert again._replace(final_prompt=None) == first._replace(final_prompt=None)
+            assert render_prompt(again.final_prompt) == render_prompt(first.final_prompt)
 
 
 # --- convergence ---------------------------------------------------------------
@@ -809,6 +824,29 @@ class TestCrashRecovery:
                 except AssertionError as exc:
                     raise AssertionError(f"crash at {what} (torn={torn}): {exc}") from exc
 
+    def test_writer_refuses_a_line_the_reader_would(self, tmp_path, monkeypatch):
+        # An update that empties the step block gives a version record the
+        # readers refuse, so resume raises before the line reaches the cursor.
+        run_dir = tmp_path / "run"
+        optimize = trainer.optimize
+
+        def emptying(prompt, focus, **kwargs):
+            update = optimize(prompt, focus, **kwargs)
+            segments = tuple(
+                s._replace(text="") if s.kind is SegmentKind.STEP_INSTRUCTIONS else s
+                for s in update.new_prompt.segments
+            )
+            return update._replace(new_prompt=update.new_prompt._replace(segments=segments))
+
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "optimize", emptying)
+            with pytest.raises(
+                CorruptRunError, match="record of prompt v1 has a malformed segment_text"
+            ):
+                run_golden(run_dir, with_copies=True)
+        assert (run_dir / "state.cursor").read_bytes() == b""
+        assert_golden(resume_golden(run_dir), run_dir)
+
     def test_one_cursor_handle_flushes_each_line_before_the_next_call(
         self, tmp_path, monkeypatch
     ):
@@ -1246,10 +1284,16 @@ class TestCorruptRuns:
          "end of the cursor after the run's 2 epoch"),
         (lambda lines: lines[2].update(calls_total=7), "fewer episodes or calls"),
         (lambda lines: lines[0].update(episodes_total=-1), "fewer episodes or calls"),
+        # Each golden epoch writes a version, so each epoch line says changed.
+        (lambda lines: lines[1].update(changed=False),
+         "epoch line of epoch 1 records changed false where true is due"),
+        (lambda lines: lines[3].update(changed=False),
+         "epoch line of epoch 2 records changed false where true is due"),
     ], ids=[
         "negative-batch-version", "missing-batch-line", "huge-epoch-version",
         "negative-epoch-version", "duplicate-batch-line",
         "epoch-past-run-shape", "falling-calls", "negative-episodes",
+        "epoch-1-changed-flipped", "epoch-2-changed-flipped",
     ])
     def test_resume_refuses_a_bad_cursor_untouched(self, golden_dir, damage, message):
         lines = cursor_entries(golden_dir)
