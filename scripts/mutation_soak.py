@@ -20,12 +20,13 @@ Each case must keep these invariants:
 - ``inspect`` exits 0 or 2 and ``resume`` exits 0, 1 or 2; neither
   raises. ``resume`` may exit 1 only on a case that damages an input it
   checks as such: the run.meta keys that must match the config and
-  sample list, the dataset and script copies it loads, and the run.meta
-  keys that name those copies;
+  sample list, run.meta as a whole, and the run.meta keys that name the
+  dataset and script copies;
 - a ``resume`` that does not exit 0 leaves the tree byte-identical;
 - after a ``resume`` that exits 0, ``inspect`` exits 0;
-- a negated ``changed`` makes a corrupt run: ``inspect`` and ``resume``
-  both exit 2.
+- a negated ``changed``, any damage to the dataset or script copy, and
+  any other value of the run.meta hash of either copy make a corrupt
+  run: ``inspect`` and ``resume`` both exit 2.
 
     python scripts/mutation_soak.py [--every N]
 
@@ -47,8 +48,6 @@ import time
 from pathlib import Path
 from typing import Callable
 
-import yaml
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -62,16 +61,18 @@ _REMOVE = object()
 VALUES = (_REMOVE, None, "x", 1.5, [1], {"a": 1}, True, -1, 10**30)
 FLIPS = 9
 # Damage to these may make resume exit 1: the run.meta keys it compares with
-# the config, run.meta as a whole, the dataset and script it loads, and the
-# run.meta keys that name them (null leaves resume without a dataset or script).
+# the config and samples, run.meta as a whole, and the run.meta keys that
+# name the copies (null leaves resume without a dataset or script).
 CONFIG_INPUTS = {
-    "samples", "batch_size", "epochs", "max_rounds", "feedback", "model",
-    "summarizer_model", "optimizer_model", "repair_model", "segmentation",
-    "required_tokens", "run.meta", "dataset.yaml", "script.yaml", "dataset",
-    "script",
+    "samples", "samples_sha256", "batch_size", "epochs", "max_rounds", "feedback",
+    "seed", "model", "summarizer_model", "optimizer_model", "repair_model",
+    "temperature", "segmentation", "required_tokens", "guards", "run.meta",
+    "dataset", "script",
 }
 # Damage to this target makes a corrupt run: inspect and resume must exit 2.
 CORRUPTING = "state.cursor changed"
+# So does damage to the input copies and to the hashes run.meta records of them.
+COPIES = {"dataset.yaml", "script.yaml", "dataset_sha256", "script_sha256"}
 
 
 def train_golden(run_dir: Path) -> None:
@@ -215,15 +216,13 @@ def _cursor_cases(golden: Path) -> list[tuple[str, str, Damage]]:
 
 
 def _meta_cases(golden: Path) -> list[tuple[str, str, Damage]]:
-    keys = list(yaml.safe_load((golden / "run.meta").read_text(encoding="utf-8")))
+    keys = list(json.loads((golden / "run.meta").read_text(encoding="utf-8")))
 
     def edit(key: str, value) -> Damage:
         def damage(run):
-            meta = yaml.safe_load((run / "run.meta").read_text(encoding="utf-8"))
+            meta = json.loads((run / "run.meta").read_text(encoding="utf-8"))
             _set(meta, key, value)
-            (run / "run.meta").write_text(
-                yaml.safe_dump(meta, sort_keys=False), encoding="utf-8"
-            )
+            (run / "run.meta").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
         return damage
 
     return [
@@ -245,7 +244,7 @@ def check(golden: Path, work: Path, target: str, damage: Damage) -> list[str]:
     shutil.copytree(golden, run)
     damage(run)
     problems = []
-    corrupting = target == CORRUPTING
+    corrupting = target == CORRUPTING or target in COPIES
     inspect, _, _ = run_cli(["inspect", "--out", str(run)])
     if inspect not in ((2,) if corrupting else (0, 2)):
         problems.append(f"inspect: {inspect}")

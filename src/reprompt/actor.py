@@ -21,7 +21,6 @@ from . import prompts
 from .errors import GatewayError, NoThinkSpanError, UnparseableAnswerError
 from .gateway import Caller, Gateway, Message, Role
 from .prompt_model import PromptDocument, fill_slots
-from .yamlio import load_yaml
 
 
 class Terminal(Enum):
@@ -54,6 +53,7 @@ class Sample(Protocol):
     """What the episode loop needs from a task sample."""
 
     id: str
+    slot_values: dict[str, str]  # what its prompt's slots are filled with
 
     def render(self, prompt: PromptDocument) -> str: ...
 
@@ -74,6 +74,8 @@ def load_dataset(path: str) -> list[TaskSample]:
     slot name must be a string, and a slot value a string or a number,
     which is filled in as written.
     """
+    from .yamlio import load_yaml
+
     data = load_yaml(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list) or not data:
         raise ValueError(f"{path}: a dataset is a non-empty list of samples")

@@ -29,7 +29,6 @@ from .errors import (
     StageCallError,
     TransportError,
 )
-from .yamlio import safe_loader
 
 API_KEY_ENV = "REPROMPT_API_KEY"
 BASE_URL_ENV = "REPROMPT_BASE_URL"
@@ -203,6 +202,8 @@ def load_script(path: str) -> list[ScriptEntry]:
     fingerprint: the same ``contains``, ``roles`` and ``excludes``.
     """
     import yaml
+
+    from .yamlio import safe_loader
 
     with open(path, encoding="utf-8") as fh:
         text = fh.read()

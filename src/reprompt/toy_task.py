@@ -41,6 +41,11 @@ class ToySample(NamedTuple):
     options: tuple[tuple[ToyOption, ...], ...]
     route_rule: frozenset[tuple[str, str]]
 
+    @property
+    def slot_values(self) -> dict[str, str]:
+        """The prompt slots this sample fills, as its TaskSample holds them."""
+        return sample_slots(self)
+
     def render(self, prompt: PromptDocument) -> str:
         """The round-1 message: the prompt with this sample's slots filled."""
         return fill_slots(prompt, sample_slots(self))

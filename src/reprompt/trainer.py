@@ -4,11 +4,12 @@ Every run writes a self-describing directory so it can be resumed,
 inspected, and replayed:
 
     run_dir/
-      run.meta                  static run description (no timestamps),
-                                with v0's hash, the segmentation markers
-                                and the required tokens the run parses with
+      run.meta                  static run description as one JSON object
+                                (no timestamps): the run shape, request
+                                settings, guards, markers, required tokens,
+                                the samples' hash, v0's hash and the copies
       dataset.yaml              copy of the sample file, when given; run.meta
-                                names it, or records null
+                                names it and records its hash, or null
       script.yaml               copy of the gateway script, likewise
       prompts/v{N}.txt          rendered prompt version N
       transcripts/e{E}/b{B}/    one file per episode
@@ -24,6 +25,7 @@ fold it over the recorded lines (_committed_versions), and resume passes
 each line through it before appending it. A second pass checks the hash
 chain and replays every version (see _check_run). _run_meta states
 run.meta once: train writes it and resume compares it key by key.
+_read_run_meta is its one reader, and checks it whole.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -68,7 +70,6 @@ from .prompt_model import (
     render_prompt,
 )
 from .summarizer import FocusCase, summarize_batch
-from .yamlio import load_yaml
 
 CURSOR_NAME = "state.cursor"
 RUN_META_NAME = "run.meta"
@@ -235,37 +236,49 @@ def _batches(samples: Sequence[Sample], batch_size: int) -> list[list[Sample]]:
 
 # Every field of SegmentationConfig is a marker list run.meta records.
 _MARKER_FIELDS = SegmentationConfig._fields
+# The input copies train may write, by their run.meta key.
+_COPIES = (("dataset", DATASET_COPY), ("script", SCRIPT_COPY))
+# The run.meta keys that describe the directory, not the config and samples.
+_DIRECTORY_KEYS = ("dataset", "dataset_sha256", "script", "script_sha256", "v0_hash")
 
 
-def _run_meta(
-    config: EngineConfig,
-    samples: Sequence[Sample],
-    *,
-    dataset: str | None,
-    script: str | None,
-    v0_hash: str | None,
-) -> dict:
-    """run.meta as train writes it, in its key order. ``dataset`` and
-    ``script`` name the input copies in the directory, if any; resume,
-    which cannot know them or v0's hash, passes the recorded values and
-    requires every other key to match its own config and samples."""
+def _samples_sha256(samples: Sequence[Sample]) -> str:
+    """The hash of the samples as loaded: each one's id and slot values as
+    canonical JSON, so a dataset written another way that loads to the same
+    samples matches, and a toy sample hashes like its TaskSample."""
+    rows = [(sample.id, sample.slot_values) for sample in samples]
+    return _sha256(json.dumps(rows, sort_keys=True, separators=(",", ":")))
+
+
+def _run_meta(config: EngineConfig, samples: Sequence[Sample], directory: dict) -> dict:
+    """run.meta as train writes it, in its key order. The _DIRECTORY_KEYS
+    come from ``directory``: each input copy's name and the hash of its
+    bytes (both None when there is no copy) and v0's hash. resume, which
+    cannot know them, passes the recorded run.meta, which _read_run_meta
+    has checked against the files, and requires every other key to match
+    its own config and samples."""
     seg = config.task.segmentation()
-    gw = config.gateway
+    train, gw = config.train, config.gateway
     return {
         "samples": len(samples),
-        "epochs": config.train.epochs,
-        "batch_size": config.train.batch_size,
-        "max_rounds": config.train.max_rounds,
-        "feedback": config.train.feedback,
+        "samples_sha256": _samples_sha256(samples),
+        "epochs": train.epochs,
+        "batch_size": train.batch_size,
+        "max_rounds": train.max_rounds,
+        "feedback": train.feedback,
+        "seed": train.seed,
         "model": gw.model,
         "summarizer_model": gw.summarizer_model,
         "optimizer_model": gw.optimizer_model,
         "repair_model": gw.repair_model,
-        "dataset": dataset,
-        "script": script,
+        "temperature": gw.temperature,
         "segmentation": {name: list(getattr(seg, name)) for name in _MARKER_FIELDS},
         "required_tokens": list(config.task.required_tokens),
-        "v0_hash": v0_hash,
+        "guards": {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in config.guards._asdict().items()
+        },
+        **{key: directory.get(key) for key in _DIRECTORY_KEYS},
     }
 
 
@@ -284,10 +297,12 @@ def train(
 
     The initial prompt gets the default step block injected when it has no
     step instructions of its own; the structured text is what version 0
-    records. run.meta records v0's hash and the effective segmentation
-    markers and required tokens, so the directory replays with its own
-    settings. ``dataset_src`` and ``script_src``, when not None, are copied
-    into the directory.
+    records. run.meta (see _run_meta) records v0's hash and the effective
+    segmentation markers and required tokens, so the directory replays with
+    its own settings, and the request settings, guards and samples' hash
+    that resume must match. ``dataset_src`` and ``script_src``, when not
+    None, are copied into the directory, and run.meta records each copy's
+    hash.
     """
     _check_samples(samples)
     paths = _RunPaths(run_dir)
@@ -299,23 +314,16 @@ def train(
     if not has_step_instructions(doc):
         doc = inject_default_steps(doc)
     paths.make_dirs()
-    if dataset_src is not None:
-        shutil.copyfile(dataset_src, paths.root / DATASET_COPY)
-    if script_src is not None:
-        shutil.copyfile(script_src, paths.root / SCRIPT_COPY)
     text = render_prompt(doc)
-    meta = _run_meta(
-        config,
-        samples,
-        dataset=DATASET_COPY if dataset_src is not None else None,
-        script=SCRIPT_COPY if script_src is not None else None,
-        v0_hash=_sha256(text),
-    )
-    import yaml
-
-    paths.run_meta.write_text(
-        yaml.safe_dump(meta, sort_keys=False), encoding="utf-8"
-    )
+    directory = {"v0_hash": _sha256(text)}
+    for (key, name), src in zip(_COPIES, (dataset_src, script_src)):
+        directory[key] = directory[f"{key}_sha256"] = None
+        if src is not None:
+            data = Path(src).read_bytes()
+            (paths.root / name).write_bytes(data)
+            directory[key], directory[f"{key}_sha256"] = name, sha256(data).hexdigest()
+    meta = _run_meta(config, samples, directory)
+    paths.run_meta.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     # v0 appears whole or not at all: a run without it is trained again.
     staged = paths.prompts / _V0_STAGING
     staged.write_text(text, encoding="utf-8")
@@ -328,33 +336,36 @@ def train(
 _VERSION_FILE_RE = re.compile(r"^v(\d+)\.txt$")
 
 
-def _read_run_meta(paths: _RunPaths) -> dict:
+class _RunMeta(NamedTuple):
+    """run.meta as _read_run_meta checked it."""
+
+    recorded: dict  # the parsed object, which resume compares with _run_meta
+    shape: tuple[int, int]  # the batches per epoch and the epochs
+    seg: SegmentationConfig
+    required_tokens: tuple[str, ...]
+    v0_hash: str
+    copies: tuple[Path | None, Path | None]  # the dataset and script copies
+
+
+def _read_run_meta(paths: _RunPaths) -> _RunMeta:
+    """Read and check run.meta, which must be a JSON object, so a block-YAML
+    run.meta is unreadable. It must record the sample count, batch size
+    and epochs as positive integers, each segmentation marker list and the
+    required tokens as lists of strings, and v0's hash as a string. train
+    records each input copy as its fixed name and the hash of its bytes, or
+    as null with a null hash; the copy must exist and match. The first
+    failure raises CorruptRunError."""
     if not paths.run_meta.exists():
         raise CorruptRunError(f"{paths.root} has no {RUN_META_NAME}")
     try:
-        meta = load_yaml(paths.run_meta.read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError, or text that is not YAML
+        meta = json.loads(paths.run_meta.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, or text that is not JSON
         raise CorruptRunError(f"{paths.run_meta} is unreadable: {exc}") from None
     if not isinstance(meta, dict):
         raise CorruptRunError(f"{paths.run_meta} is not a mapping")
-    return meta
-
-
-def _version_numbers(paths: _RunPaths) -> set[int]:
-    return {
-        int(m.group(1))
-        for m in map(_VERSION_FILE_RE.match, os.listdir(paths.prompts))
-        if m
-    }
-
-
-def _markers(
-    paths: _RunPaths, meta: dict
-) -> tuple[SegmentationConfig, tuple[str, ...]]:
-    """The segmentation markers and required tokens recorded in run.meta."""
     try:
-        markers = meta["segmentation"]
-        lists = [markers[name] for name in _MARKER_FIELDS] + [meta["required_tokens"]]
+        lists = [meta["segmentation"][name] for name in _MARKER_FIELDS]
+        lists.append(meta["required_tokens"])
     except (KeyError, TypeError):
         lists = None
     if lists is None or not all(
@@ -364,37 +375,51 @@ def _markers(
             f"{paths.run_meta} does not record the segmentation markers "
             "and required tokens"
         )
-    seg = SegmentationConfig(**{
-        name: tuple(v) for name, v in zip(_MARKER_FIELDS, lists)
-    })
-    return seg, tuple(lists[-1])
-
-
-def _run_shape(paths: _RunPaths, meta: dict) -> tuple[int, int]:
-    """The batches per epoch and the epochs recorded in run.meta."""
-    values = [meta.get(key) for key in ("samples", "batch_size", "epochs")]
-    if not all(type(v) is int and v >= 1 for v in values):
+    counts = [meta.get(key) for key in ("samples", "batch_size", "epochs")]
+    if not all(type(v) is int and v >= 1 for v in counts):
         raise CorruptRunError(
             f"{paths.run_meta} does not record the sample count, batch size "
             "and epochs as positive integers"
         )
-    samples, batch_size, epochs = values
-    return -(-samples // batch_size), epochs
-
-
-def _input_copies(paths: _RunPaths, meta: dict) -> tuple[Path | None, Path | None]:
-    """The dataset and script copies run.meta names. train records each as
-    its fixed copy name or, when it copied no such file, as null."""
+    samples, batch_size, epochs = counts
+    v0_hash = meta.get("v0_hash")
+    if not isinstance(v0_hash, str):
+        raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
     copies = []
-    for key, name in (("dataset", DATASET_COPY), ("script", SCRIPT_COPY)):
+    for key, name in _COPIES:
         value = meta.get(key)
         if value is not None and value != name:
             raise CorruptRunError(
                 f"{paths.run_meta} records {key} {value!r}; only {name!r} "
                 "or null is written"
             )
-        copies.append(None if value is None else paths.root / name)
-    return copies[0], copies[1]
+        copy = None if value is None else paths.root / name
+        try:
+            digest = None if copy is None else sha256(copy.read_bytes()).hexdigest()
+        except FileNotFoundError:
+            raise CorruptRunError(f"{paths.run_meta} names {copy}, which is missing") from None
+        if meta.get(f"{key}_sha256") != digest:
+            raise CorruptRunError(
+                f"{copy} does not match the {key}_sha256 in {paths.run_meta}" if copy
+                else f"{paths.run_meta} records a {key}_sha256 but no {key} copy"
+            )
+        copies.append(copy)
+    return _RunMeta(
+        recorded=meta,
+        shape=(-(-samples // batch_size), epochs),
+        seg=SegmentationConfig(*map(tuple, lists[:-1])),
+        required_tokens=tuple(lists[-1]),
+        v0_hash=v0_hash,
+        copies=tuple(copies),
+    )
+
+
+def _version_numbers(paths: _RunPaths) -> set[int]:
+    return {
+        int(m.group(1))
+        for m in map(_VERSION_FILE_RE.match, os.listdir(paths.prompts))
+        if m
+    }
 
 
 def _line(kind: str, epoch: int, batch: int | None) -> str:
@@ -503,28 +528,20 @@ def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
     )
 
 
-def _committed_versions(
-    paths: _RunPaths, meta: dict, entries: Sequence[dict]
-) -> _Cursor:
+def _committed_versions(meta: _RunMeta, entries: Sequence[dict]) -> _Cursor:
     """Fold _advance over the parsed cursor lines ``entries``, from v0
-    alone, and return where the run stands. ``meta`` is the parsed
-    run.meta, which gives the run shape, v0's hash and the input copies
-    (see _input_copies). It reads no file, so resume runs it before it
-    discards anything. The first failure raises CorruptRunError.
+    alone, and return where the run stands. ``meta`` gives the run shape
+    and v0's hash. It reads no file, so resume runs it before it discards
+    anything. The first failure raises CorruptRunError.
     """
-    shape = _run_shape(paths, meta)
-    _input_copies(paths, meta)
-    v0_hash = meta.get("v0_hash")
-    if not isinstance(v0_hash, str):
-        raise CorruptRunError(f"{paths.run_meta} does not record v0's hash")
     v0 = {
-        "version": 0, "hash": v0_hash, "parent_hash": None, "placement": None,
+        "version": 0, "hash": meta.v0_hash, "parent_hash": None, "placement": None,
         "focus_case": None, "focus_text": None, "segment_text": None,
     }
     cursor = _Cursor((v0,), epoch=1, batch=0, episodes_total=0, calls_total=0,
                      streak=0, epoch_start=0)
     for entry in entries:
-        cursor = _advance(cursor, entry, shape)
+        cursor = _advance(cursor, entry, meta.shape)
     return cursor
 
 
@@ -593,9 +610,8 @@ def _run_paths(run_dir: str | Path) -> _RunPaths:
 def _read_run(run_dir: str | Path) -> tuple[list[VersionRecord], list[PromptDocument]]:
     paths = _run_paths(run_dir)
     meta = _read_run_meta(paths)
-    seg = _markers(paths, meta)[0]
-    cursor = _committed_versions(paths, meta, _read_cursor(paths)[0])
-    return _check_run(paths, seg, cursor.versions)
+    cursor = _committed_versions(meta, _read_cursor(paths)[0])
+    return _check_run(paths, meta.seg, cursor.versions)
 
 
 def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
@@ -612,10 +628,11 @@ def replay_lineage(run_dir: str | Path) -> list[PromptDocument]:
 
 def input_copies(run_dir: str | Path) -> tuple[Path | None, Path | None]:
     """The dataset and script copies a run directory's run.meta names, each
-    None when train copied no such file. ``reprompt resume`` loads them
-    unless it is given --dataset or --script."""
-    paths = _run_paths(run_dir)
-    return _input_copies(paths, _read_run_meta(paths))
+    None when train copied no such file. run.meta is checked first (see
+    _read_run_meta), so a copy that does not match its hash raises
+    CorruptRunError. ``reprompt resume`` loads them unless it is given
+    --dataset or --script."""
+    return _read_run_meta(_run_paths(run_dir)).copies
 
 
 def resume(
@@ -658,20 +675,13 @@ def resume(
     _check_samples(samples)
     paths = _run_paths(run_dir)
     meta = _read_run_meta(paths)
-    seg, required_tokens = _markers(paths, meta)
     entries, complete = _read_cursor(paths)
-    cursor = _committed_versions(paths, meta, entries)
-    expected = _run_meta(
-        config,
-        samples,
-        dataset=meta.get("dataset"),
-        script=meta.get("script"),
-        v0_hash=meta.get("v0_hash"),
-    )
-    for key, value in expected.items():
-        if meta.get(key) != value:
+    cursor = _committed_versions(meta, entries)
+    recorded = meta.recorded
+    for key, value in _run_meta(config, samples, recorded).items():
+        if recorded.get(key) != value:
             raise ValueError(
-                f"this run's {key} {value!r} differs from {meta.get(key)!r} "
+                f"this run's {key} {value!r} differs from {recorded.get(key)!r} "
                 f"in {paths.run_meta}"
             )
     if paths.cursor.exists() and paths.cursor.stat().st_size > complete:
@@ -680,7 +690,7 @@ def resume(
         if n >= len(cursor.versions):
             paths.version_txt(n).unlink()
     shutil.rmtree(paths.batch_dir(cursor.epoch, cursor.batch + 1), ignore_errors=True)
-    prompt = _check_run(paths, seg, cursor.versions)[1][-1]
+    prompt = _check_run(paths, meta.seg, cursor.versions)[1][-1]
 
     train_cfg = config.train
     gw_cfg = config.gateway
@@ -728,8 +738,8 @@ def resume(
                 focus,
                 caller=optimizer,
                 repair=repair,
-                seg_config=seg,
-                required_tokens=required_tokens,
+                seg_config=meta.seg,
+                required_tokens=meta.required_tokens,
                 guard_config=config.guards,
             )
         except (MissingFinalMarkerError, GuardrailRejectionError) as exc:

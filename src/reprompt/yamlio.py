@@ -13,7 +13,8 @@ engine writes are unaffected.
 PyYAML is imported only where it is used: here on the YAML fallback, and
 by the functions that dump YAML or load a gateway script. A command that
 reads only JSON datasets, such as ``reprompt eval --backend http``, never
-loads it.
+loads it, and ``reprompt inspect`` never does: run.meta is JSON, read by
+``json.loads`` in the trainer, which does not import this module.
 """
 from __future__ import annotations
 

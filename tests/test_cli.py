@@ -455,9 +455,9 @@ class TestResume:
         assert "converged: no" in out
 
     def edit_run_meta(self, run, **changes):
-        meta = yaml.safe_load((run / "run.meta").read_text(encoding="utf-8"))
+        meta = json.loads((run / "run.meta").read_text(encoding="utf-8"))
         meta.update(changes)
-        (run / "run.meta").write_text(yaml.safe_dump(meta, sort_keys=False), encoding="utf-8")
+        (run / "run.meta").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
     @pytest.mark.parametrize("key, flag", [
         ("dataset", None), ("dataset", "--dataset"), ("script", None), ("script", "--script"),
@@ -485,7 +485,7 @@ class TestResume:
         # copied no script, so resume does not take it.
         run = tmp_path / "run"
         assert main(golden_train_argv(run)) == 0
-        self.edit_run_meta(run, script=None)
+        self.edit_run_meta(run, script=None, script_sha256=None)
         before = tree_hashes(run)
         capsys.readouterr()
         assert main(["resume", "--config", CFG, "--out", str(run)]) == 1
@@ -496,7 +496,7 @@ class TestResume:
     def test_null_dataset_needs_the_dataset_flag(self, tmp_path, capsys):
         run = tmp_path / "run"
         assert main(golden_train_argv(run)) == 0
-        self.edit_run_meta(run, dataset=None)
+        self.edit_run_meta(run, dataset=None, dataset_sha256=None)
         capsys.readouterr()
         assert main(["resume", "--config", CFG, "--out", str(run)]) == 1
         assert capsys.readouterr().err == (
@@ -597,6 +597,122 @@ class TestResume:
         assert code == 1
         assert f"error: this run's {key} " in capsys.readouterr().err
         assert tree_hashes(tmp_path / "run") == before
+
+    @pytest.mark.parametrize("key, old, new", [
+        ("seed", "seed = 42", "seed = 7"),
+        ("temperature", "model = planner", "model = planner\ntemperature = 0.9"),
+        ("guards", "[train]", "[guards]\nrepair_attempts = 2\n\n[train]"),
+    ], ids=["seed", "temperature", "repair_attempts"])
+    def test_other_request_settings_are_rejected_untouched(
+        self, tmp_path, capsys, key, old, new
+    ):
+        # A one-epoch run whose run.meta is then given a second epoch, so
+        # only the request setting stands between resume and epoch 2.
+        one_epoch = tmp_path / "one.cfg"
+        one_epoch.write_text(CFG_TEXT.replace("epochs = 2", "epochs = 1"), encoding="utf-8")
+        run = tmp_path / "run"
+        argv = golden_train_argv(run)
+        argv[argv.index("--config") + 1] = str(one_epoch)
+        assert main(argv) == 0
+        self.edit_run_meta(run, epochs=2)
+        before = tree_hashes(run)
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(CFG_TEXT.replace(old, new, 1), encoding="utf-8")
+        assert parse_config(other_cfg.read_text()) != parse_config(CFG_TEXT)
+        capsys.readouterr()
+        assert main(["resume", "--config", str(other_cfg), "--out", str(run)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: this run's {key} ")
+        assert tree_hashes(run) == before
+        assert main(["inspect", "--out", str(run)]) == 0
+
+    def budget_cut_run(self, tmp_path):
+        """The golden run cut by its call budget after epoch 1."""
+        budget_cfg = tmp_path / "budget.cfg"
+        budget_cfg.write_text(
+            CFG_TEXT.replace("seed = 42", "seed = 42\ncall_budget = 8"), encoding="utf-8"
+        )
+        run = tmp_path / "run"
+        argv = golden_train_argv(run)
+        argv[argv.index("--config") + 1] = str(budget_cfg)
+        assert main(argv) == 2
+        return run
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("budget: 31", "budget: 32"),
+        lambda text: text.replace("toy-1", "zzz-9"),
+    ], ids=["budget", "renamed-sample"])
+    def test_other_toy_samples_are_rejected_untouched(self, tmp_path, capsys, edit):
+        run = self.budget_cut_run(tmp_path)
+        text = (GOLDEN / "dataset.yaml").read_text(encoding="utf-8")
+        other = tmp_path / "other.yaml"
+        other.write_text(edit(text), encoding="utf-8")
+        assert other.read_text(encoding="utf-8") != text
+        before = tree_hashes(run)
+        capsys.readouterr()
+        argv = ["resume", "--config", CFG, "--out", str(run), "--dataset", str(other)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: this run's samples_sha256 ")
+        assert tree_hashes(run) == before
+        assert main(["inspect", "--out", str(run)]) == 0
+
+    def test_reserialised_toy_samples_resume(self, tmp_path, capsys):
+        # The same samples as flow-style YAML, keys sorted and routes reversed.
+        run = self.budget_cut_run(tmp_path)
+        rows = yaml.safe_load((GOLDEN / "dataset.yaml").read_text(encoding="utf-8"))
+        for row in rows:
+            row["routes"].reverse()
+        other = tmp_path / "other.yaml"
+        other.write_text(yaml.safe_dump(rows, default_flow_style=True), encoding="utf-8")
+        assert load_toy_samples(other) == load_toy_samples(GOLDEN / "dataset.yaml")
+        argv = ["resume", "--config", CFG, "--out", str(run), "--dataset", str(other)]
+        assert main(argv) == 0
+        assert tree_hashes(run) == golden_manifest()["files"]
+
+    @pytest.mark.parametrize("task_id, code", [("b", 0), ("c", 1)], ids=["same", "other"])
+    def test_generic_samples_are_compared_as_loaded(self, tmp_path, capsys, task_id, code):
+        argv = generic_train_argv(tmp_path, ["a", "b"], "call_budget = 3\n")
+        assert main(argv) == 2  # cut after epoch 1
+        config = Path(argv[argv.index("--config") + 1])
+        config.write_text(config.read_text().replace("call_budget = 3\n", ""))
+        other = tmp_path / "other.yaml"
+        other.write_text(yaml.safe_dump([
+            {"slot_values": {"task_id": "a"}, "id": "a"},
+            {"slot_values": {"task_id": task_id}, "id": "b"},
+        ]), encoding="utf-8")
+        before = tree_hashes(tmp_path / "run")
+        capsys.readouterr()
+        assert main([
+            "resume", "--config", str(config), "--dataset", str(other),
+            "--out", str(tmp_path / "run"),
+        ]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error: this run's samples_sha256 ")
+            assert tree_hashes(tmp_path / "run") == before
+        assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("dataset.yaml", lambda text: text.replace("budget: 31", "budget: 32"),
+         "dataset.yaml does not match the dataset_sha256 in "),
+        ("dataset.yaml", lambda text: text.replace("toy-1", "zzz-9"),
+         "dataset.yaml does not match the dataset_sha256 in "),
+        ("script.yaml", lambda text: text + "# a comment\n",
+         "script.yaml does not match the script_sha256 in "),
+        ("script.yaml", None, "script.yaml, which is missing"),
+    ], ids=["dataset-budget", "dataset-renamed-sample", "script-comment", "script-missing"])
+    def test_damaged_input_copy_is_corrupt(self, tmp_path, capsys, name, edit, message):
+        run = self.budget_cut_run(tmp_path)
+        if edit is None:
+            (run / name).unlink()
+        else:
+            (run / name).write_text(edit((run / name).read_text(encoding="utf-8")))
+        before = tree_hashes(run)
+        capsys.readouterr()
+        assert main(["inspect", "--out", str(run)]) == 2
+        assert main(["resume", "--config", CFG, "--out", str(run)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("engine error: ") and message in line for line in err)
+        assert tree_hashes(run) == before
 
     @pytest.mark.parametrize("bad", BAD_SAMPLE_IDS)
     def test_sample_id_that_is_no_file_name_is_rejected_untouched(
@@ -845,6 +961,7 @@ class TestInspect:
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
         assert file_reads == {
             "run.meta": 1, "state.cursor": 1, "v0.txt": 1, "v1.txt": 1, "v2.txt": 1,
+            "dataset.yaml": 1, "script.yaml": 1,
         }
 
     def test_replays_with_the_runs_own_markers(self, tmp_path, capsys):
@@ -959,8 +1076,9 @@ class TestInspect:
         (b"a: [\n", "run.meta is unreadable: "),
         (b"\xff\xfe\n", "run.meta is unreadable: "),
         (None, "run has no run.meta"),
-        (b"- a\n", "run.meta is not a mapping"),
-    ], ids=["not-yaml", "not-utf8", "missing", "not-a-mapping"])
+        (b'["a"]\n', "run.meta is not a mapping"),
+        (b"samples: 3\nepochs: 2\n", "run.meta is unreadable: "),
+    ], ids=["not-yaml", "not-utf8", "missing", "not-a-mapping", "yaml"])
     def test_unreadable_run_meta_is_corrupt(self, tmp_path, capsys, data, message):
         run = tmp_path / "run"
         assert main(golden_train_argv(run)) == 0
@@ -1096,6 +1214,22 @@ def test_importing_the_cli_loads_only_what_every_command_shares():
     )
     code = f"import sys, reprompt.cli; print([m for m in {deferred!r} if m in sys.modules])"
     assert _fresh_interpreter(code) == ["[]"]
+
+
+def test_inspect_and_the_trainer_load_no_yaml(tmp_path):
+    # run.meta is JSON, so reading a run needs no YAML parser at all.
+    run = str(tmp_path / "run")
+    assert main(golden_train_argv(tmp_path / "run")) == 0
+    code = (
+        "import sys\n"
+        "import reprompt.trainer\n"
+        "print([m for m in ('yaml', 'reprompt.yamlio') if m in sys.modules])\n"
+        "from reprompt.cli import main\n"
+        f"assert main(['inspect', '--out', {run!r}]) == 0\n"
+        "print([m for m in ('yaml',) if m in sys.modules])\n"
+    )
+    lines = _fresh_interpreter(code)
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_no_module_loads_dataclasses_or_inspect():

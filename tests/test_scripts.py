@@ -115,6 +115,20 @@ def test_mutation_soak_negated_changed_is_corrupt(monkeypatch, tmp_path):
         assert soak.check(golden, tmp_path, target, damage) == []
 
 
+def test_mutation_soak_damaged_copies_are_corrupt(monkeypatch, tmp_path):
+    # Every damage to the dataset or script copy, or to the hash run.meta
+    # records of it, must make inspect and resume exit 2.
+    soak = import_script(monkeypatch, "mutation_soak")
+    golden = tmp_path / "golden"
+    soak.train_golden(golden)
+    selected = [case for case in soak.cases(golden) if case[0] in soak.COPIES]
+    assert {target for target, _, _ in selected} == soak.COPIES
+    # Per copy: delete, three cuts and nine bit flips; per hash: nine values.
+    assert len(selected) == 2 * 13 + 2 * 9
+    for target, label, damage in selected:
+        assert soak.check(golden, tmp_path, target, damage) == [], label
+
+
 def test_bench_pairs_summary_applies_the_gain_rule(monkeypatch):
     pairs = import_script(monkeypatch, "bench_pairs")
     base = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # q1 12.25, q3 16.75

@@ -96,6 +96,12 @@ def tree_hashes(root):
     }
 
 
+def edit_run_meta(run_dir, **changes):
+    meta = json.loads((run_dir / "run.meta").read_text(encoding="utf-8"))
+    meta.update(changes)
+    (run_dir / "run.meta").write_text(json.dumps(meta), encoding="utf-8")
+
+
 def cursor_entries(run_dir):
     lines = (run_dir / "state.cursor").read_text(encoding="utf-8").splitlines()
     return [json.loads(line) for line in lines if line.strip()]
@@ -293,7 +299,9 @@ class TestGoldenRun:
 
     def test_run_meta(self, tmp_path):
         run_golden(tmp_path / "run", with_copies=True)
-        meta = yaml.safe_load((tmp_path / "run" / "run.meta").read_text())
+        text = (tmp_path / "run" / "run.meta").read_text()
+        meta = json.loads(text)
+        assert text == json.dumps(meta, indent=2) + "\n"
         assert meta["samples"] == 3
         assert meta["epochs"] == 2
         assert meta["model"] == "planner"
@@ -305,6 +313,25 @@ class TestGoldenRun:
         assert meta["segmentation"]["format_open"] == ["Your final answer"]
         assert meta["segmentation"]["task_open"] == ["Here is the task", "Given information:"]
         assert meta["required_tokens"] == ["PLAN:"]
+        assert (meta["seed"], meta["temperature"]) == (42, 0.0)
+        assert meta["guards"] == {
+            "extra_placeholder_patterns": [], "repair_attempts": 3, "optimizer_attempts": 3,
+        }
+        for name in ("dataset", "script"):
+            digest = hashlib.sha256((GOLDEN / f"{name}.yaml").read_bytes()).hexdigest()
+            assert meta[f"{name}_sha256"] == digest
+
+    def test_samples_hash_like_their_task_samples(self):
+        # The CLI trains on toy samples, the golden fixtures on their
+        # TaskSamples; both must write the same run.meta.
+        toys = load_toy_samples(GOLDEN / "dataset.yaml")
+        rows = [[s.id, s.slot_values] for s in map(to_task_sample, toys)]
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert trainer._samples_sha256(toys) == digest
+        assert trainer._samples_sha256(list(map(to_task_sample, toys))) == digest
+        assert trainer._samples_sha256(toys[::-1]) != digest
 
     def test_refuses_existing_run_dir(self, tmp_path):
         run_golden(tmp_path / "run")
@@ -1217,9 +1244,9 @@ class TestCorruptRuns:
     @pytest.mark.parametrize("field", ["segmentation", "required_tokens"])
     def test_run_meta_without_markers(self, golden_dir, field):
         meta_path = golden_dir / "run.meta"
-        meta = yaml.safe_load(meta_path.read_text())
+        meta = json.loads(meta_path.read_text())
         del meta[field]
-        meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(CorruptRunError, match="does not record the segmentation markers"):
             replay_lineage(golden_dir)
 
@@ -1315,9 +1342,9 @@ class TestCorruptRuns:
     ])
     def test_run_meta_without_a_run_shape(self, golden_dir, key, value):
         meta_path = golden_dir / "run.meta"
-        meta = yaml.safe_load(meta_path.read_text())
+        meta = json.loads(meta_path.read_text())
         meta[key] = value
-        meta_path.write_text(yaml.safe_dump(meta), encoding="utf-8")
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(CorruptRunError, match="does not record the sample count"):
             verify_chain(golden_dir)
 
@@ -1326,9 +1353,9 @@ class TestCorruptRuns:
     ])
     def test_run_meta_naming_another_input_copy(self, golden_dir, key, value):
         meta_path = golden_dir / "run.meta"
-        meta = yaml.safe_load(meta_path.read_text())
+        meta = json.loads(meta_path.read_text())
         meta[key] = value
-        meta_path.write_text(yaml.safe_dump(meta, sort_keys=False), encoding="utf-8")
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
         before = tree_hashes(golden_dir)
         message = f"records {key} {value!r}; only '{key}.yaml' or null is written"
         with pytest.raises(CorruptRunError, match=message):
@@ -1342,6 +1369,30 @@ class TestCorruptRuns:
                 gateway=make_gateway(), feedback=feedback,
             )
         assert tree_hashes(golden_dir) == before
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda run: (run / "dataset.yaml").write_text("[]\n"),
+         "dataset.yaml does not match the dataset_sha256 in "),
+        (lambda run: (run / "script.yaml").unlink(), "script.yaml, which is missing"),
+        (lambda run: edit_run_meta(run, script_sha256="0" * 64),
+         "script.yaml does not match the script_sha256 in "),
+        (lambda run: edit_run_meta(run, dataset=None),
+         "records a dataset_sha256 but no dataset copy"),
+    ], ids=["dataset-changed", "script-missing", "other-script-hash", "hash-without-copy"])
+    def test_input_copy_that_does_not_match_its_hash(self, tmp_path, damage, message):
+        run = tmp_path / "run"
+        with pytest.raises(BudgetExhaustedError):
+            run_golden(run, config=golden_config(call_budget=8), with_copies=True)
+        damage(run)
+        before = tree_hashes(run)
+        with pytest.raises(CorruptRunError, match=message):
+            verify_chain(run)
+        with pytest.raises(CorruptRunError, match=message):
+            trainer.input_copies(run)
+        samples, feedback, gateway = golden_inputs()
+        with pytest.raises(CorruptRunError, match=message):
+            resume(run, samples, config=golden_config(), gateway=gateway, feedback=feedback)
+        assert tree_hashes(run) == before
 
     @pytest.mark.parametrize("index", [1, 4], ids=["between-lines", "at-the-end"])
     def test_blank_cursor_line_is_corrupt(self, golden_dir, index):
