@@ -13,7 +13,8 @@ and ``reprompt resume`` on it in this process. The damages:
   mapping, a bool, -1 or 10**30;
 - per cursor line: delete or duplicate it, or insert a blank line before
   it (and after the last); per pair of lines: swap them;
-- per epoch line: negate its ``changed`` flag.
+- once: rewrite the cursor in its older format, which gave every line a
+  ``kind`` and followed each epoch's last batch line with an epoch line.
 
 Each case must keep these invariants:
 
@@ -24,9 +25,9 @@ Each case must keep these invariants:
   dataset and script copies;
 - a ``resume`` that does not exit 0 leaves the tree byte-identical;
 - after a ``resume`` that exits 0, ``inspect`` exits 0;
-- a negated ``changed``, any damage to the dataset or script copy, and
-  any other value of the run.meta hash of either copy make a corrupt
-  run: ``inspect`` and ``resume`` both exit 2.
+- a cursor in the older format, any damage to the dataset or script
+  copy, and any other value of the run.meta hash of either copy make a
+  corrupt run: ``inspect`` and ``resume`` both exit 2.
 
     python scripts/mutation_soak.py [--every N]
 
@@ -70,7 +71,7 @@ CONFIG_INPUTS = {
     "dataset", "script",
 }
 # Damage to this target makes a corrupt run: inspect and resume must exit 2.
-CORRUPTING = "state.cursor changed"
+CORRUPTING = "state.cursor epoch lines"
 # So does damage to the input copies and to the hashes run.meta records of them.
 COPIES = {"dataset.yaml", "script.yaml", "dataset_sha256", "script_sha256"}
 
@@ -167,6 +168,24 @@ def _blank_line(index: int) -> Damage:
     return damage
 
 
+def _older_format(run: Path) -> None:
+    """Rewrite the cursor as the older format wrote it: each batch line also
+    carries ``"kind": "batch"``, and an epoch line, whose ``changed`` says
+    whether the epoch wrote a version, follows each epoch's last batch line."""
+    entries = _read_lines(run)
+    lines = []
+    for index, entry in enumerate(entries):
+        lines.append({**entry, "kind": "batch"})
+        epoch = entry["epoch"]
+        if index + 1 == len(entries) or entries[index + 1]["epoch"] != epoch:
+            lines.append({
+                "kind": "epoch", "epoch": epoch,
+                "changed": any("version" in e for e in entries if e["epoch"] == epoch),
+                "prompt_version": entry["prompt_version"],
+            })
+    _write_lines(run, lines)
+
+
 def _cursor_cases(golden: Path) -> list[tuple[str, str, Damage]]:
     entries = _read_lines(golden)
     cases = []
@@ -191,9 +210,7 @@ def _cursor_cases(golden: Path) -> list[tuple[str, str, Damage]]:
         for path, value in itertools.product(paths, VALUES):
             label = f"state.cursor line {index + 1} {'.'.join(path)}: {_value_name(value)}"
             cases.append(("state.cursor", label, edit(index, path, value)))
-        if entry["kind"] == "epoch":
-            label = f"state.cursor line {index + 1} changed: negate"
-            cases.append((CORRUPTING, label, edit(index, ("changed",), not entry["changed"])))
+    cases.append((CORRUPTING, "state.cursor: older format with epoch lines", _older_format))
 
     def reorder(order: list[int]) -> Damage:
         return lambda run: _write_lines(run, [_read_lines(run)[i] for i in order])

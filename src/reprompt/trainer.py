@@ -13,19 +13,22 @@ inspected, and replayed:
       script.yaml               copy of the gateway script, likewise
       prompts/v{N}.txt          rendered prompt version N
       transcripts/e{E}/b{B}/    one file per episode
-      state.cursor              append-only JSONL progress log
+      state.cursor              append-only JSONL progress log, one line
+                                per batch
 
 A batch's one bookkeeping write is its cursor line. Besides the counters
 it carries, when they exist, the batch's ``focus`` (case and text), the
 optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
-(hash, parent hash, placement and step segment text). _advance is the
-cursor's one transition: it checks a line against where the run stands,
-``changed`` included, and returns where the run stands next. The readers
-fold it over the recorded lines (_committed_versions), and resume passes
-each line through it before appending it. A second pass checks the hash
-chain and replays every version (see _check_run). _run_meta states
-run.meta once: train writes it and resume compares it key by key.
-_read_run_meta is its one reader, and checks it whole.
+(hash, parent hash, placement and step segment text). Every cursor line
+is a batch line, and an epoch ends with its last one. _advance is the
+cursor's one transition: it checks a line against where the run stands
+and returns where the run stands next, closing the epoch at its last
+batch line. The readers fold it over the recorded lines
+(_committed_versions), and resume passes each line through it before
+appending it. A second pass checks the hash chain and replays every
+version (see _check_run). _run_meta states run.meta once: train writes it
+and resume compares it key by key. _read_run_meta is its one reader, and
+checks it whole.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -152,15 +155,9 @@ def _write_transcripts(
         (out / f"{t.sample_id}.txt").write_text(body, encoding="utf-8")
 
 
-# The fields each kind of cursor line must carry, with their exact types
-# (a bool is not taken for an int, nor an int for a bool).
-_CURSOR_FIELDS = {
-    "batch": {
-        "epoch": int, "batch": int, "prompt_version": int,
-        "episodes_total": int, "calls_total": int,
-    },
-    "epoch": {"epoch": int, "changed": bool, "prompt_version": int},
-}
+# The fields every cursor line must carry, each an int (a bool is not taken
+# for one).
+_CURSOR_FIELDS = ("epoch", "batch", "prompt_version", "episodes_total", "calls_total")
 
 # A committed version's fields that readers format or replay as text; the
 # focus case must also name a FocusCase that reaches the optimizer, and the
@@ -174,14 +171,12 @@ _FOCUS_CASES = frozenset(
 
 
 def _cursor_problem(entry) -> str | None:
-    """Why a parsed cursor line is no batch or epoch record, or None."""
-    kind = entry.get("kind") if isinstance(entry, dict) else None
-    fields = _CURSOR_FIELDS.get(kind) if isinstance(kind, str) else None
-    if fields is None or not fields.keys() <= entry.keys():
-        return "not a complete batch or epoch record"
-    for key, expected in fields.items():
-        if type(entry[key]) is not expected:
-            return f"{key} is not {'a boolean' if expected is bool else 'an integer'}"
+    """Why a parsed cursor line is no batch record, or None."""
+    if not isinstance(entry, dict) or any(key not in entry for key in _CURSOR_FIELDS):
+        return "not a complete batch record"
+    for key in _CURSOR_FIELDS:
+        if type(entry[key]) is not int:
+            return f"{key} is not an integer"
     return None
 
 
@@ -191,9 +186,8 @@ def _read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
     A final line without its newline was cut by a crash mid-append, so it
     commits nothing and is skipped; only resume truncates it, to the
     returned length. A complete line that is not UTF-8 JSON, or not a
-    batch or epoch record whose fields have the types resume relies on,
-    raises CorruptRunError; no writer appends a blank line, so one is
-    corrupt too.
+    batch record whose fields have the types resume relies on, raises
+    CorruptRunError; no writer appends a blank line, so one is corrupt too.
     """
     if not paths.cursor.exists():
         return [], 0
@@ -422,10 +416,8 @@ def _version_numbers(paths: _RunPaths) -> set[int]:
     }
 
 
-def _line(kind: str, epoch: int, batch: int | None) -> str:
+def _line(epoch: int, batch: int) -> str:
     """A cursor line's name; the order check compares names."""
-    if kind == "epoch":
-        return f"epoch line of epoch {epoch}"
     return f"batch line of epoch {epoch}, batch {batch}"
 
 
@@ -441,57 +433,39 @@ class _Cursor(NamedTuple):
     epoch_start: int  # the version the epoch in progress started from
 
 
-def _changed(cursor: _Cursor) -> bool:
-    """Whether the epoch in progress has changed the prompt: its last
-    version's hash differs from that of the version it started from."""
-    return cursor.versions[-1]["hash"] != cursor.versions[cursor.epoch_start]["hash"]
-
-
 def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
     """The cursor's one transition: check a parsed cursor line against
     ``cursor`` and return where the run stands after it. It reads no file.
 
     ``shape`` is the run's batches per epoch and epochs. The line must be
     the one due: each epoch's batch lines 1, 2, ... up to the batches per
-    epoch, then its epoch line, up to the run's last epoch. Its
-    ``prompt_version`` must be the last committed version, or the next one
-    on a batch line that carries a ``version`` record. ``episodes_total``
-    and ``calls_total`` never fall. An epoch line's ``changed`` must say
-    whether the epoch's last version hash differs from its start version's.
+    epoch, up to the run's last epoch. Its ``prompt_version`` must be the
+    last committed version, or the next one on a line that carries a
+    ``version`` record. ``episodes_total`` and ``calls_total`` never fall.
     A version record's hashes, placement, focus text and segment text must
     be strings, the segment text non-empty, the parent hash the last
     version's hash, and the focus case a FocusCase other than
     no_general_reason, which never reaches the optimizer. A line that
     breaks a rule raises CorruptRunError.
+
+    The epoch's last batch line also closes it: the next line is due in the
+    next epoch, and the epoch counts towards the unchanged-epoch streak
+    when its last version's hash is that of the version it started from.
     """
     per_epoch, epochs = shape
-    kind, n = entry["kind"], entry["prompt_version"]
-    line = _line(kind, entry["epoch"], entry.get("batch"))
+    n = entry["prompt_version"]
+    line = _line(entry["epoch"], entry["batch"])
     if cursor.epoch > epochs:
         due = f"end of the cursor after the run's {epochs} epoch(s)"
     else:
-        due = _line(
-            "epoch" if cursor.batch == per_epoch else "batch",
-            cursor.epoch, cursor.batch + 1,
-        )
+        due = _line(cursor.epoch, cursor.batch + 1)
     if line != due:
         raise CorruptRunError(f"the cursor's {line} is out of order; expected the {due}")
     versions = cursor.versions
-    record = entry.get("version") if kind == "batch" else None
+    record = entry.get("version")
     due_version = len(versions) if record is not None else len(versions) - 1
     if n != due_version:
         raise CorruptRunError(f"the {line} records v{n} where v{due_version} is due")
-    if kind == "epoch":
-        changed = _changed(cursor)
-        if entry["changed"] is not changed:
-            raise CorruptRunError(
-                f"the {line} records changed {json.dumps(entry['changed'])} "
-                f"where {json.dumps(changed)} is due"
-            )
-        return cursor._replace(
-            epoch=cursor.epoch + 1, batch=0,
-            streak=0 if changed else cursor.streak + 1, epoch_start=n,
-        )
     episodes, calls = entry["episodes_total"], entry["calls_total"]
     if episodes < cursor.episodes_total or calls < cursor.calls_total:
         raise CorruptRunError(
@@ -522,9 +496,16 @@ def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
         if vmeta["parent_hash"] != versions[-1]["hash"]:
             raise CorruptRunError(f"prompt v{n} parent hash does not match v{n - 1}")
         versions += (vmeta,)
-    return cursor._replace(
+    cursor = cursor._replace(
         versions=versions, batch=cursor.batch + 1,
         episodes_total=episodes, calls_total=calls,
+    )
+    if cursor.batch < per_epoch:
+        return cursor
+    changed = versions[-1]["hash"] != versions[cursor.epoch_start]["hash"]
+    return cursor._replace(
+        epoch=cursor.epoch + 1, batch=0,
+        streak=0 if changed else cursor.streak + 1, epoch_start=n,
     )
 
 
@@ -657,12 +638,12 @@ def resume(
     _check_run), so whatever a crash left behind is redone. run.meta and
     the cursor are each read once.
 
-    The loop writes the line due next until the run's epochs are done or
-    the unchanged-epoch streak reaches ``convergence_patience``. Each line
-    passes through _advance, whose result is the loop's one record of where
-    the run stands, before it is appended; an epoch line's ``changed``
-    compares version hashes. The cursor stays open for appending, and each
-    line is flushed before the next gateway call.
+    The loop runs the batch due next and writes its line until the run's
+    epochs are done or the unchanged-epoch streak reaches
+    ``convergence_patience``. Each line passes through _advance, whose
+    result is the loop's one record of where the run stands (an epoch ends
+    at its last batch line), before it is appended. The cursor stays open
+    for appending, and each line is flushed before the next gateway call.
 
     Batch-level failures (all episodes down, summarizer or optimizer
     giving up) skip that batch and leave the prompt unchanged. A gateway
@@ -764,34 +745,25 @@ def resume(
 
     with open(paths.cursor, "ab") as log:
         while cursor.epoch <= train_cfg.epochs and not converged():
-            if cursor.batch == len(batches):
-                entry = {
-                    "kind": "epoch",
-                    "epoch": cursor.epoch,
-                    "changed": _changed(cursor),
-                    "prompt_version": prompt.version,
-                }
-            else:
-                budget = train_cfg.call_budget
-                if budget is not None and cursor.calls_total >= budget:
-                    raise BudgetExhaustedError(
-                        f"call budget {budget} reached after "
-                        f"{cursor.calls_total} gateway calls; run can be resumed"
-                    )
-                try:
-                    prompt, episodes, outputs = run_batch(cursor.epoch, cursor.batch + 1)
-                except StageCallError as exc:
-                    exc.where = f"epoch {cursor.epoch}, batch {cursor.batch + 1}"
-                    raise
-                entry = {
-                    "kind": "batch",
-                    "epoch": cursor.epoch,
-                    "batch": cursor.batch + 1,
-                    "prompt_version": prompt.version,
-                    "episodes_total": cursor.episodes_total + episodes,
-                    "calls_total": gateway.calls - calls_before,
-                    **outputs,
-                }
+            budget = train_cfg.call_budget
+            if budget is not None and cursor.calls_total >= budget:
+                raise BudgetExhaustedError(
+                    f"call budget {budget} reached after "
+                    f"{cursor.calls_total} gateway calls; run can be resumed"
+                )
+            try:
+                prompt, episodes, outputs = run_batch(cursor.epoch, cursor.batch + 1)
+            except StageCallError as exc:
+                exc.where = f"epoch {cursor.epoch}, batch {cursor.batch + 1}"
+                raise
+            entry = {
+                "epoch": cursor.epoch,
+                "batch": cursor.batch + 1,
+                "prompt_version": prompt.version,
+                "episodes_total": cursor.episodes_total + episodes,
+                "calls_total": gateway.calls - calls_before,
+                **outputs,
+            }
             cursor = _advance(cursor, entry, shape)
             # One line per write, flushed before the next gateway call.
             log.write(json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n")

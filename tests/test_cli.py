@@ -523,9 +523,12 @@ class TestResume:
         assert "final prompt: v2" in out
         assert "gateway calls: 14" in out
 
-    def test_flipped_changed_flag_is_not_taken_for_convergence(self, tmp_path, capsys):
-        # The budget cuts the run after epoch 1, which wrote v1. An epoch
-        # line that says otherwise must not let a patience of 1 end the run.
+    def test_epoch_that_changed_the_prompt_is_not_taken_for_convergence(
+        self, tmp_path, capsys
+    ):
+        # The budget cuts the run after epoch 1, which wrote v1. The resumed
+        # run compares the epoch's version hashes, so a patience of 1 does
+        # not end it there.
         budget_cfg = tmp_path / "budget.cfg"
         budget_cfg.write_text(
             CFG_TEXT.replace("seed = 42", "seed = 42\ncall_budget = 8"), encoding="utf-8"
@@ -539,25 +542,14 @@ class TestResume:
         argv = golden_train_argv(run)
         argv[argv.index("--config") + 1] = str(budget_cfg)
         assert main(argv) == 2
-        cursor = run / "state.cursor"
-        entries = [json.loads(line) for line in cursor.read_text(encoding="utf-8").splitlines()]
-        assert [(e["kind"], e.get("changed")) for e in entries] == [
-            ("batch", None), ("epoch", True),
-        ]
-        entries[1]["changed"] = False
-        cursor.write_text(
-            "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries), encoding="utf-8"
-        )
-        before = tree_hashes(run)
+        lines = (run / "state.cursor").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["prompt_version"] for line in lines] == [1]
         capsys.readouterr()
-        assert main(["resume", "--config", str(patience_cfg), "--out", str(run)]) == 2
-        captured = capsys.readouterr()
-        assert "converged" not in captured.out
-        assert captured.err == (
-            "engine error: the epoch line of epoch 1 records changed false "
-            "where true is due\n"
-        )
-        assert tree_hashes(run) == before
+        assert main(["resume", "--config", str(patience_cfg), "--out", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "converged: no" in out
+        assert "final prompt: v2" in out
+        assert tree_hashes(run) == golden_manifest()["files"]
 
     def test_other_run_shape_is_rejected(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
@@ -762,13 +754,13 @@ class TestResume:
         with open(tmp_path / "run" / "state.cursor", "ab") as fh:
             fh.write(b"\xff\xfe\n")
         assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 2
-        assert "bad cursor line 5:" in capsys.readouterr().err
+        assert "bad cursor line 3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
-        '{"kind": []}',
-        '{"kind": "batch", "epoch": 3, "batch": "x", "prompt_version": 2, '
+        '[3, 1, 2, 6, 14]',
+        '{"epoch": 3, "batch": "x", "prompt_version": 2, '
         '"episodes_total": 6, "calls_total": 14}',
-        '{"kind": "batch", "epoch": 3, "batch": 1, "prompt_version": "two", '
+        '{"epoch": 3, "batch": 1, "prompt_version": "two", '
         '"episodes_total": 6, "calls_total": 14}',
     ], ids=["list-kind", "str-batch", "str-version"])
     def test_malformed_cursor_field_is_corrupt(self, tmp_path, capsys, line):
@@ -777,7 +769,7 @@ class TestResume:
         with open(tmp_path / "run" / "state.cursor", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 2
-        assert "bad cursor line 5:" in capsys.readouterr().err
+        assert "bad cursor line 3:" in capsys.readouterr().err
 
 
 class TestEval:
@@ -1001,7 +993,8 @@ class TestInspect:
         cursor = tmp_path / "run" / "state.cursor"
         data = cursor.read_bytes()
         last = data.rstrip(b"\n").rfind(b"\n") + 1
-        torn = data[: last + (len(data) - last) // 2]
+        # A third line cut by a crash mid-append.
+        torn = data + data[last: last + (len(data) - last) // 2]
         cursor.write_bytes(torn)
         # Only resume may truncate the cursor; inspect only reads it.
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
@@ -1014,40 +1007,41 @@ class TestInspect:
         with open(tmp_path / "run" / "state.cursor", "ab") as fh:
             fh.write(b"\xff\xfe\n")
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
-        assert "bad cursor line 5:" in capsys.readouterr().err
+        assert "bad cursor line 3:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [
-        '{"kind": []}',
-        '{"kind": "batch", "epoch": 3, "batch": "x", "prompt_version": 2, '
+        '[3, 1, 2, 6, 14]',
+        '{"epoch": 3, "batch": "x", "prompt_version": 2, '
         '"episodes_total": 6, "calls_total": 14}',
-        '{"kind": "epoch", "epoch": 3, "changed": "yes", "prompt_version": 2}',
         "",
-    ], ids=["list-kind", "str-batch", "str-changed", "blank"])
+    ], ids=["list-kind", "str-batch", "blank"])
     def test_malformed_cursor_field_is_corrupt(self, tmp_path, capsys, line):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()
         with open(tmp_path / "run" / "state.cursor", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
-        assert "bad cursor line 5:" in capsys.readouterr().err
+        assert "bad cursor line 3:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("index, epoch", [(1, 1), (3, 2)], ids=["epoch-1", "epoch-2"])
-    def test_flipped_changed_flag_is_corrupt(self, tmp_path, capsys, index, epoch):
-        assert main(golden_train_argv(tmp_path / "run")) == 0
+    def test_cursor_with_an_epoch_line_is_refused_untouched(self, tmp_path, capsys):
+        # A cursor written before every line was a batch line holds an epoch
+        # line after each epoch's last batch line.
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        cursor = run / "state.cursor"
+        lines = cursor.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(1, '{"kind": "epoch", "epoch": 1, "changed": true, "prompt_version": 1}\n')
+        cursor.write_text("".join(lines), encoding="utf-8")
+        before = tree_hashes(run)
         capsys.readouterr()
-        cursor = tmp_path / "run" / "state.cursor"
-        entries = [json.loads(line) for line in cursor.read_text(encoding="utf-8").splitlines()]
-        entries[index]["changed"] = not entries[index]["changed"]
-        cursor.write_text(
-            "".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8"
-        )
-        assert main(["inspect", "--out", str(tmp_path / "run")]) == 2
+        assert main(["inspect", "--out", str(run)]) == 2
+        assert main(["resume", "--config", CFG, "--out", str(run)]) == 2
         captured = capsys.readouterr()
-        assert (
-            f"the epoch line of epoch {epoch} records changed false where true is due"
-            in captured.err
-        )
         assert "check out" not in captured.out
+        assert captured.err.splitlines() == [
+            f"engine error: {cursor}: bad cursor line 2: not a complete batch record"
+        ] * 2
+        assert tree_hashes(run) == before
 
     @pytest.mark.parametrize("edit", [
         lambda e: e["version"].update(placement=5),

@@ -149,6 +149,15 @@ def test_numbered_block_must_start_at_one():
     assert kinds(doc) == [SegmentKind.PREAMBLE]
 
 
+def test_close_marker_line_does_not_open_a_step_block():
+    # A line numbered 1. that is a boundary (here an examples close marker)
+    # is no first step, so the numbered items after it open no block.
+    raw = "Intro\n1. End of examples\n2. next\n"
+    doc = parse_prompt(raw, SegmentationConfig(examples_close=("1. End",)))
+    assert kinds(doc) == [SegmentKind.PREAMBLE]
+    assert render_prompt(doc) == raw
+
+
 def test_numbering_gap_ends_the_block():
     raw = "1. one\n2. two\n4. four\n"
     doc = parse_prompt(raw)

@@ -1,6 +1,7 @@
 """The demo scripts run end to end in their own interpreter."""
 import hashlib
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -102,17 +103,28 @@ def test_mutation_soak_subset(monkeypatch):
     assert count >= 90
 
 
-def test_mutation_soak_negated_changed_is_corrupt(monkeypatch, tmp_path):
-    # The subset above need not pick these cases, so run them here.
+# sha256 of the golden run's cursor in the older format, with epoch lines.
+OLDER_GOLDEN_CURSOR = "d67207cb4107352447568c3948a7fe1d900a70de7769901f693eb72f9f1b01a8"
+
+
+def test_mutation_soak_older_cursor_is_corrupt(monkeypatch, tmp_path):
+    # The subset above need not pick this case, so run it here. It rebuilds
+    # the older golden cursor byte for byte, and inspect and resume refuse it.
     soak = import_script(monkeypatch, "mutation_soak")
     golden = tmp_path / "golden"
     soak.train_golden(golden)
     selected = [case for case in soak.cases(golden) if case[0] == soak.CORRUPTING]
     assert [label for _, label, _ in selected] == [
-        "state.cursor line 2 changed: negate", "state.cursor line 4 changed: negate",
+        "state.cursor: older format with epoch lines",
     ]
-    for target, _, damage in selected:
-        assert soak.check(golden, tmp_path, target, damage) == []
+    (target, _, damage), = selected
+    older = tmp_path / "older"
+    shutil.copytree(golden, older)
+    damage(older)
+    assert hashlib.sha256((older / "state.cursor").read_bytes()).hexdigest() == (
+        OLDER_GOLDEN_CURSOR
+    )
+    assert soak.check(golden, tmp_path, target, damage) == []
 
 
 def test_mutation_soak_damaged_copies_are_corrupt(monkeypatch, tmp_path):

@@ -254,26 +254,20 @@ class TestGoldenRun:
 
     def test_cursor_entries(self, tmp_path):
         run_golden(tmp_path / "run")
-        entries = cursor_entries(tmp_path / "run")
-        assert [e["kind"] for e in entries] == ["batch", "epoch", "batch", "epoch"]
-        first_batch, first_epoch, second_batch, second_epoch = entries
+        # One batch line per epoch, and no other line.
+        first_batch, second_batch = cursor_entries(tmp_path / "run")
         outputs = {"focus", "optimizer_raw", "version"}
         assert {k: v for k, v in first_batch.items() if k not in outputs} == {
-            "kind": "batch", "epoch": 1, "batch": 1, "prompt_version": 1,
+            "epoch": 1, "batch": 1, "prompt_version": 1,
             "episodes_total": 3, "calls_total": 8, "note": "",
         }
         assert outputs <= first_batch.keys() and outputs <= second_batch.keys()
         assert set(first_batch["version"]) == {
             "hash", "parent_hash", "placement", "segment_text",
         }
-        assert first_epoch == {
-            "kind": "epoch", "epoch": 1, "changed": True, "prompt_version": 1,
-        }
-        assert second_batch["calls_total"] == 14
-        assert second_batch["episodes_total"] == 6
-        assert second_batch["prompt_version"] == 2
-        assert second_epoch == {
-            "kind": "epoch", "epoch": 2, "changed": True, "prompt_version": 2,
+        assert {k: v for k, v in second_batch.items() if k not in outputs} == {
+            "epoch": 2, "batch": 1, "prompt_version": 2,
+            "episodes_total": 6, "calls_total": 14, "note": "",
         }
 
     def test_transcript_files(self, tmp_path):
@@ -288,7 +282,7 @@ class TestGoldenRun:
 
     def test_focus_and_raw_files(self, tmp_path):
         run_golden(tmp_path / "run")
-        first, second = [e for e in cursor_entries(tmp_path / "run") if e["kind"] == "batch"]
+        first, second = cursor_entries(tmp_path / "run")
         assert first["focus"]["case"] == "failure_reason"
         assert first["focus"]["text"].startswith("the plans repeatedly exceed")
         assert second["focus"]["case"] == "helpful_thought"
@@ -480,10 +474,10 @@ class TestConvergence:
         assert result.episodes_run == 6
 
     def test_epoch_entries_record_no_change(self, tmp_path):
-        run_idle(tmp_path / "run")
-        epochs = [e for e in cursor_entries(tmp_path / "run") if e["kind"] == "epoch"]
-        assert [e["changed"] for e in epochs] == [False, False]
-        assert all(e["prompt_version"] == 0 for e in epochs)
+        # Neither epoch writes a version, so each counts towards patience 2.
+        result, _ = run_idle(tmp_path / "run")
+        assert result.converged and result.epochs_completed == 2
+        assert [e["prompt_version"] for e in cursor_entries(tmp_path / "run")] == [0, 0]
 
 
 # --- budgets and resume --------------------------------------------------------
@@ -495,16 +489,15 @@ class TestBudgetAndResume:
         # Epoch 1 is fully persisted: v1 exists, cursor holds its entries.
         assert (tmp_path / "run" / "prompts" / "v1.txt").exists()
         assert not (tmp_path / "run" / "prompts" / "v2.txt").exists()
-        kinds = [e["kind"] for e in cursor_entries(tmp_path / "run")]
-        assert kinds == ["batch", "epoch"]
+        lines = [(e["epoch"], e["batch"]) for e in cursor_entries(tmp_path / "run")]
+        assert lines == [(1, 1)]
 
     def test_budget_overshoot_is_at_most_one_batch(self, tmp_path):
         # The budget is checked before each batch, so the batch that
         # starts under it runs to the end: 8 calls against a budget of 1.
         with pytest.raises(BudgetExhaustedError, match="after 8 gateway calls"):
             run_golden(tmp_path / "run", config=golden_config(call_budget=1))
-        assert [e["calls_total"] for e in cursor_entries(tmp_path / "run")
-                if e["kind"] == "batch"] == [8]
+        assert [e["calls_total"] for e in cursor_entries(tmp_path / "run")] == [8]
 
     def test_resume_with_same_budget_raises_again(self, tmp_path):
         with pytest.raises(BudgetExhaustedError):
@@ -624,8 +617,8 @@ class TestBudgetAndResume:
                 feedback=NoFeedback(), run_dir=cut_dir,
                 dataset_src=None, script_src=None,
             )
-        # Only batch 1 ran; no epoch entry yet.
-        assert [e["kind"] for e in cursor_entries(cut_dir)] == ["batch"]
+        # Only batch 1 ran.
+        assert [e["batch"] for e in cursor_entries(cut_dir)] == [1]
 
         config = config._replace(train=config.train._replace(call_budget=None))
         resumed = resume(
@@ -660,7 +653,8 @@ class TestBudgetAndResume:
     def test_resume_compares_with_the_epoch_start_version(self, tmp_path):
         # Epoch 1 writes v1; epoch 2, whose summary finds no general reason
         # once v1's step is in the prompt, writes nothing. So epoch 2
-        # starts from v1 and leaves the prompt unchanged.
+        # starts from v1 and leaves the prompt unchanged, and a patience of
+        # 1 ends the run before epoch 3.
         v0 = render_prompt(inject_default_steps(parse_prompt(
             (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8"), TOY_SEG
         )))
@@ -681,7 +675,7 @@ class TestBudgetAndResume:
         ]
         config = parse_config(IDLE_CFG)
         config = config._replace(train=config.train._replace(
-            epochs=2, batch_size=1, convergence_patience=None,
+            epochs=3, batch_size=1, convergence_patience=1,
         ))
         samples = [to_task_sample(load_toy_samples(GOLDEN / "dataset.yaml")[0])]
 
@@ -694,19 +688,18 @@ class TestBudgetAndResume:
 
         whole = run(tmp_path / "whole", config)
         assert whole.versions == (0, 1)
+        assert whole.converged and whole.epochs_completed == 2
         # Epoch 1 is an episode, a summary and an optimizer call.
         with pytest.raises(BudgetExhaustedError):
             run(tmp_path / "cut", config._replace(
                 train=config.train._replace(call_budget=3),
             ))
-        resume(
+        resumed = resume(
             tmp_path / "cut", samples, config=config,
             gateway=make_gateway(*entries), feedback=NoFeedback(),
         )
-        epochs = [e for e in cursor_entries(tmp_path / "cut") if e["kind"] == "epoch"]
-        assert [(e["changed"], e["prompt_version"]) for e in epochs] == [
-            (True, 1), (False, 1),
-        ]
+        assert resumed.converged and resumed.epochs_completed == 2
+        assert [e["prompt_version"] for e in cursor_entries(tmp_path / "cut")] == [1, 1]
         cursor = (tmp_path / "cut" / "state.cursor").read_bytes()
         assert cursor == (tmp_path / "whole" / "state.cursor").read_bytes()
 
@@ -776,7 +769,7 @@ def crash_at_write(monkeypatch, run_dir, n, torn):
 
     def append(fh, line):
         entry = json.loads(line)
-        if fatal(f"cursor {entry['kind']} e{entry['epoch']}"):
+        if fatal(f"cursor e{entry['epoch']} b{entry['batch']}"):
             if torn:
                 fh.write(line[: (len(line) - 1) // 2])
             raise Crash(entry)
@@ -836,9 +829,8 @@ class TestCrashRecovery:
         with monkeypatch.context() as m:
             writes = crash_at_write(m, tmp_path / "whole", -1, torn=False)
             run_golden(tmp_path / "whole", with_copies=True)
-        # Per epoch: 3 transcripts, the version text, the batch line and
-        # the epoch line.
-        assert len(writes) == 12
+        # Per epoch: 3 transcripts, the version text and the batch line.
+        assert len(writes) == 10
         for n, what in enumerate(writes):
             for torn in (False, True):
                 run_dir = tmp_path / f"crash{n}{'t' if torn else ''}"
@@ -899,7 +891,7 @@ class TestCrashRecovery:
             script_src=GOLDEN / "script.yaml",
         )
         assert opened == [run_dir / "state.cursor"]
-        assert len(written) == 4
+        assert len(written) == 2
         # Every line written so far is on disk when the gateway is called.
         assert on_disk == [True] * 14
         assert_golden(result, run_dir)
@@ -956,7 +948,7 @@ class TestFailurePaths:
         )
         assert cursor_entries(run_dir)[0]["note"].startswith("batch skipped:")
         assert not (run_dir / "transcripts" / "e1" / "b1").exists()
-        assert len(cursor_entries(run_dir)) == 2
+        assert len(cursor_entries(run_dir)) == 1
 
     def test_summarizer_failure_keeps_transcripts(self, tmp_path):
         bad_summary = entry(["You are a summarizer"], "no conclusion line here")
@@ -1116,7 +1108,7 @@ def golden_dir(tmp_path):
 
 # A batch line with every field resume needs, each of the right type.
 COMPLETE_BATCH = {
-    "kind": "batch", "epoch": 3, "batch": 1, "prompt_version": 2,
+    "epoch": 3, "batch": 1, "prompt_version": 2,
     "episodes_total": 6, "calls_total": 14,
 }
 
@@ -1200,7 +1192,7 @@ class TestCorruptRuns:
             verify_chain(golden_dir)
 
     def test_broken_parent_hash(self, golden_dir):
-        edit_cursor(golden_dir, 2, lambda e: e["version"].update(parent_hash="0" * 64))
+        edit_cursor(golden_dir, 1, lambda e: e["version"].update(parent_hash="0" * 64))
         with pytest.raises(CorruptRunError, match="parent hash does not match"):
             verify_chain(golden_dir)
 
@@ -1261,26 +1253,24 @@ class TestCorruptRuns:
 
     def test_incomplete_cursor_record(self, golden_dir):
         with open(golden_dir / "state.cursor", "a", encoding="utf-8") as fh:
-            fh.write('{"kind": "batch", "epoch": 3}\n')
+            fh.write('{"epoch": 3, "batch": 1}\n')
         samples, feedback, _ = golden_inputs()
-        with pytest.raises(CorruptRunError, match="not a complete batch or epoch record"):
+        with pytest.raises(CorruptRunError, match="not a complete batch record"):
             resume(
                 golden_dir, samples, config=golden_config(),
                 gateway=make_gateway(), feedback=feedback,
             )
 
     @pytest.mark.parametrize("line", [
-        {"kind": []},
+        list(COMPLETE_BATCH.values()),
         {**COMPLETE_BATCH, "batch": "x"},
         {**COMPLETE_BATCH, "prompt_version": "two"},
         {**COMPLETE_BATCH, "epoch": 3.0},
         {**COMPLETE_BATCH, "calls_total": None},
         {**COMPLETE_BATCH, "episodes_total": True},
-        {"kind": "epoch", "epoch": 3, "changed": "yes", "prompt_version": 2},
-        {"kind": "epoch", "epoch": 3, "changed": 1, "prompt_version": 2},
     ], ids=[
         "list-kind", "str-batch", "str-version", "float-epoch", "null-calls",
-        "bool-episodes", "str-changed", "int-changed",
+        "bool-episodes",
     ])
     def test_malformed_cursor_field(self, golden_dir, line):
         cursor = golden_dir / "state.cursor"
@@ -1296,31 +1286,25 @@ class TestCorruptRuns:
                 gateway=make_gateway(), feedback=feedback,
             )
 
-    # The golden cursor: batch e1/b1 (writes v1), epoch 1, batch e2/b1
-    # (writes v2), epoch 2; one batch per epoch.
+    # The golden cursor: batch e1/b1 (writes v1), then batch e2/b1 (writes
+    # v2); one batch per epoch, so each line closes its epoch.
     @pytest.mark.parametrize("damage, message", [
-        (lambda lines: lines[2].update(prompt_version=-1),
+        (lambda lines: lines[1].update(prompt_version=-1),
          "the batch line of epoch 2, batch 1 records v-1 where v2 is due"),
-        (lambda lines: lines.pop(2), "epoch line of epoch 2 is out of order"),
-        (lambda lines: lines[3].update(prompt_version=10**30),
-         "epoch line of epoch 2 records v10{30} where v2 is due"),
-        (lambda lines: lines[3].update(prompt_version=-1),
-         "epoch line of epoch 2 records v-1 where v2 is due"),
+        (lambda lines: lines.pop(0), "batch line of epoch 2, batch 1 is out of order"),
+        (lambda lines: lines[1].update(prompt_version=10**30),
+         "batch line of epoch 2, batch 1 records v10{30} where v2 is due"),
+        (lambda lines: lines[0].update(prompt_version=-1),
+         "batch line of epoch 1, batch 1 records v-1 where v1 is due"),
         (lambda lines: lines.insert(1, lines[0]), "batch line of epoch 1, batch 1 is out"),
-        (lambda lines: lines.append({**lines[2], "epoch": 3}),
+        (lambda lines: lines.append({**lines[1], "epoch": 3}),
          "end of the cursor after the run's 2 epoch"),
-        (lambda lines: lines[2].update(calls_total=7), "fewer episodes or calls"),
+        (lambda lines: lines[1].update(calls_total=7), "fewer episodes or calls"),
         (lambda lines: lines[0].update(episodes_total=-1), "fewer episodes or calls"),
-        # Each golden epoch writes a version, so each epoch line says changed.
-        (lambda lines: lines[1].update(changed=False),
-         "epoch line of epoch 1 records changed false where true is due"),
-        (lambda lines: lines[3].update(changed=False),
-         "epoch line of epoch 2 records changed false where true is due"),
     ], ids=[
         "negative-batch-version", "missing-batch-line", "huge-epoch-version",
         "negative-epoch-version", "duplicate-batch-line",
         "epoch-past-run-shape", "falling-calls", "negative-episodes",
-        "epoch-1-changed-flipped", "epoch-2-changed-flipped",
     ])
     def test_resume_refuses_a_bad_cursor_untouched(self, golden_dir, damage, message):
         lines = cursor_entries(golden_dir)
@@ -1394,7 +1378,7 @@ class TestCorruptRuns:
             resume(run, samples, config=golden_config(), gateway=gateway, feedback=feedback)
         assert tree_hashes(run) == before
 
-    @pytest.mark.parametrize("index", [1, 4], ids=["between-lines", "at-the-end"])
+    @pytest.mark.parametrize("index", [1, 2], ids=["between-lines", "at-the-end"])
     def test_blank_cursor_line_is_corrupt(self, golden_dir, index):
         # No writer appends a blank line, so a complete blank line is damage.
         cursor = golden_dir / "state.cursor"
