@@ -16,10 +16,6 @@ class OverlappingMarkersError(EngineError):
     """Two boundary patterns matched the same line; the segmentation config is bad."""
 
 
-class AlreadyStructuredError(EngineError):
-    """Default steps were requested for a prompt that already has step instructions."""
-
-
 class SlotMissingError(EngineError):
     """A task slot referenced by the prompt has no value in the sample."""
 

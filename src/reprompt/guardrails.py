@@ -171,29 +171,26 @@ def review_candidate(
     seg_config: SegmentationConfig,
     required_tokens: tuple[str, ...],
     guard_config: GuardConfig,
-    repair: Caller | None,
+    repair: Caller,
 ) -> tuple[GuardReport, PromptDocument | None]:
     """Run the full guard pipeline over one candidate prompt text.
 
     Returns the report plus the parsed document when the candidate survives.
-    Placeholders trigger repair through the ``repair`` caller; with None
-    they reject (a clean text is never re-sent anywhere, which makes
-    re-reviewing a repaired prompt free and idempotent). Any repair failure
-    or residual violation rejects.
+    Placeholders trigger repair through the ``repair`` caller (a clean text
+    is never re-sent anywhere, which makes re-reviewing a repaired prompt
+    free and idempotent). Any repair failure or residual violation rejects.
     """
     patterns = compile_placeholder_patterns(guard_config.extra_placeholder_patterns)
     verdict = Verdict.ACCEPTED
     matches = detect_placeholders(candidate, patterns)
     if matches:
-        repaired = None
-        if repair is not None:
-            repaired = repair_placeholders(
-                candidate,
-                old,
-                caller=repair,
-                patterns=patterns,
-                attempts=guard_config.repair_attempts,
-            )
+        repaired = repair_placeholders(
+            candidate,
+            old,
+            caller=repair,
+            patterns=patterns,
+            attempts=guard_config.repair_attempts,
+        )
         if repaired is None:
             return GuardReport(
                 Verdict.REJECTED,

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import (
-    AlreadyStructuredError,
     EmptyPromptError,
     OverlappingMarkersError,
     SlotMissingError,
@@ -284,11 +283,11 @@ def inject_default_steps(doc: PromptDocument) -> PromptDocument:
 
     The block goes immediately before the first examples segment, or at the
     end of the document when there are no examples. Every other segment is
-    carried over byte-identical. Raises AlreadyStructuredError when the
-    document already has step instructions.
+    carried over byte-identical. A document that already has step
+    instructions is returned unchanged.
     """
     if has_step_instructions(doc):
-        raise AlreadyStructuredError("prompt already contains step instructions")
+        return doc
     insert_at = len(doc.segments)
     for idx, segment in enumerate(doc.segments):
         if segment.kind is SegmentKind.EXAMPLES:

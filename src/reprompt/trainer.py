@@ -19,16 +19,17 @@ inspected, and replayed:
 A batch's one bookkeeping write is its cursor line. Besides the counters
 it carries, when they exist, the batch's ``focus`` (case and text), the
 optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
-(hash, parent hash, placement and step segment text). Every cursor line
-is a batch line, and an epoch ends with its last one. _advance is the
-cursor's one transition: it checks a line against where the run stands
-and returns where the run stands next, closing the epoch at its last
-batch line. The readers fold it over the recorded lines
+(its hash and placement; the text is in the version's file). Every
+cursor line is a batch line, and an epoch ends with its last one.
+_advance is the cursor's one transition: it checks a line against where
+the run stands and returns where the run stands next, closing the epoch
+at its last batch line. The readers fold it over the recorded lines
 (_committed_versions), and resume passes each line through it before
-appending it. A second pass checks the hash chain and replays every
-version (see _check_run). _run_meta states run.meta once: train writes it
-and resume compares it key by key. _read_run_meta is its one reader, and
-checks it whole.
+appending it. A second pass checks each version file against its hash
+and replays it from its parent (see _check_run and _replay); resume
+replays each new version the same way before writing it. _run_meta
+states run.meta once: train writes it and resume compares it key by
+key. _read_run_meta is its one reader, and checks it whole.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -67,7 +68,6 @@ from .prompt_model import (
     PromptDocument,
     SegmentKind,
     SegmentationConfig,
-    has_step_instructions,
     inject_default_steps,
     parse_prompt,
     render_prompt,
@@ -133,13 +133,6 @@ class _RunPaths:
         return self.transcripts / f"e{epoch}" / f"b{batch}"
 
 
-def _write_version(paths: _RunPaths, doc: PromptDocument) -> str:
-    """Write version ``doc`` and return its hash."""
-    text = render_prompt(doc)
-    paths.version_txt(doc.version).write_text(text, encoding="utf-8")
-    return _sha256(text)
-
-
 def _write_transcripts(
     paths: _RunPaths, epoch: int, batch: int, transcripts: Sequence[Transcript]
 ) -> None:
@@ -159,12 +152,9 @@ def _write_transcripts(
 # for one).
 _CURSOR_FIELDS = ("epoch", "batch", "prompt_version", "episodes_total", "calls_total")
 
-# A committed version's fields that readers format or replay as text; the
-# focus case must also name a FocusCase that reaches the optimizer, and the
-# segment text be non-empty.
-_VERSION_STRINGS = (
-    "hash", "parent_hash", "placement", "focus_case", "focus_text", "segment_text",
-)
+# A committed version's fields that readers format as text; the focus case
+# must also name a FocusCase that reaches the optimizer.
+_VERSION_STRINGS = ("hash", "placement", "focus_case", "focus_text")
 _FOCUS_CASES = frozenset(
     case.value for case in FocusCase if case is not FocusCase.NO_GENERAL_REASON
 )
@@ -304,9 +294,7 @@ def train(
         raise ValueError(
             f"{paths.root} already holds a run; use resume() to continue it"
         )
-    doc = parse_prompt(initial_prompt, config.task.segmentation())
-    if not has_step_instructions(doc):
-        doc = inject_default_steps(doc)
+    doc = inject_default_steps(parse_prompt(initial_prompt, config.task.segmentation()))
     paths.make_dirs()
     text = render_prompt(doc)
     directory = {"v0_hash": _sha256(text)}
@@ -442,11 +430,11 @@ def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
     epoch, up to the run's last epoch. Its ``prompt_version`` must be the
     last committed version, or the next one on a line that carries a
     ``version`` record. ``episodes_total`` and ``calls_total`` never fall.
-    A version record's hashes, placement, focus text and segment text must
-    be strings, the segment text non-empty, the parent hash the last
-    version's hash, and the focus case a FocusCase other than
-    no_general_reason, which never reaches the optimizer. A line that
-    breaks a rule raises CorruptRunError.
+    A version record's hash, placement and focus text must be strings, and
+    the focus case a FocusCase other than no_general_reason, which never
+    reaches the optimizer; other keys are ignored, such as the
+    ``parent_hash`` and ``segment_text`` that older runs recorded. A line
+    that breaks a rule raises CorruptRunError.
 
     The epoch's last batch line also closes it: the next line is due in the
     next epoch, and the epoch counts towards the unchanged-epoch streak
@@ -478,23 +466,17 @@ def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
         vmeta = {
             "version": n,
             "hash": record.get("hash"),
-            "parent_hash": record.get("parent_hash"),
             "placement": record.get("placement"),
             "focus_case": focus.get("case"),
             "focus_text": focus.get("text"),
-            "segment_text": record.get("segment_text"),
         }
         bad = [k for k in _VERSION_STRINGS if not isinstance(vmeta[k], str)]
         if not bad and vmeta["focus_case"] not in _FOCUS_CASES:
             bad = ["focus_case"]
-        if not bad and not vmeta["segment_text"]:
-            bad = ["segment_text"]
         if bad:
             raise CorruptRunError(
                 f"the cursor's record of prompt v{n} has a malformed {bad[0]}"
             )
-        if vmeta["parent_hash"] != versions[-1]["hash"]:
-            raise CorruptRunError(f"prompt v{n} parent hash does not match v{n - 1}")
         versions += (vmeta,)
     cursor = cursor._replace(
         versions=versions, batch=cursor.batch + 1,
@@ -515,15 +497,34 @@ def _committed_versions(meta: _RunMeta, entries: Sequence[dict]) -> _Cursor:
     and v0's hash. It reads no file, so resume runs it before it discards
     anything. The first failure raises CorruptRunError.
     """
-    v0 = {
-        "version": 0, "hash": meta.v0_hash, "parent_hash": None, "placement": None,
-        "focus_case": None, "focus_text": None, "segment_text": None,
-    }
+    v0 = {"version": 0, "hash": meta.v0_hash, "placement": None,
+          "focus_case": None, "focus_text": None}
     cursor = _Cursor((v0,), epoch=1, batch=0, episodes_total=0, calls_total=0,
                      streak=0, epoch_start=0)
     for entry in entries:
         cursor = _advance(cursor, entry, meta.shape)
     return cursor
+
+
+def _replay(parent: PromptDocument, text: str) -> PromptDocument:
+    """The version after ``parent`` whose file holds ``text``: ``parent``
+    with only its step segment replaced. Each accepted optimizer update
+    changes only that segment, so ``text`` must hold the text before and
+    after the parent's step segment exactly, and a non-empty step block
+    between them; otherwise CorruptRunError."""
+    n = parent.version + 1
+    for k, segment in enumerate(parent.segments):
+        if segment.kind is SegmentKind.STEP_INSTRUCTIONS:
+            head = "".join(s.text for s in parent.segments[:k])
+            tail = "".join(s.text for s in parent.segments[k + 1:])
+            step = text[len(head):len(text) - len(tail)]
+            if step and text == head + step + tail:
+                segments = list(parent.segments)
+                segments[k] = segment._replace(text=step)
+                return PromptDocument(tuple(segments), version=n)
+    raise CorruptRunError(
+        f"replaying v{n} from v{n - 1} does not reproduce the stored prompt"
+    )
 
 
 def _check_run(
@@ -533,12 +534,9 @@ def _check_run(
 
     ``metas`` comes from _committed_versions and ``seg`` holds the run's
     own markers. Every committed file must exist and no file may be
-    uncommitted, and each text must match its hash (_advance has checked
-    each parent hash). Each accepted optimizer update changes only the
-    step-instruction segment, so swapping the recorded segment text into
-    the previous version, parsed with the run's own markers, must
-    reproduce the stored file byte for byte. The first failure raises
-    CorruptRunError.
+    uncommitted, and each text must match its hash. v0 is parsed with the
+    run's own markers, and every later version is replayed from the one
+    before it (see _replay). The first failure raises CorruptRunError.
     """
     numbers = [m["version"] for m in metas]
     on_disk = _version_numbers(paths)
@@ -559,24 +557,8 @@ def _check_run(
             raise CorruptRunError(
                 f"prompt v{n} text does not match its recorded hash"
             )
-        if n == 0:
-            doc = parse_prompt(text, seg)
-        else:
-            doc = PromptDocument(
-                segments=tuple(
-                    s._replace(text=vmeta["segment_text"])
-                    if s.kind is SegmentKind.STEP_INSTRUCTIONS
-                    else s
-                    for s in docs[-1].segments
-                ),
-                version=n,
-            )
-            if render_prompt(doc) != text:
-                raise CorruptRunError(
-                    f"replaying v{n} from v{n - 1} does not reproduce the stored prompt"
-                )
         records.append(VersionRecord(version=n, text=text, meta=vmeta))
-        docs.append(doc)
+        docs.append(_replay(docs[-1], text) if docs else parse_prompt(text, seg))
     return records, docs
 
 
@@ -728,16 +710,12 @@ def resume(
         outputs["optimizer_raw"] = update.raw_output
         if not update.changed:
             return prompt, episodes, outputs
-        new = update.new_prompt
-        outputs["version"] = {
-            "hash": _write_version(paths, new),
-            "parent_hash": cursor.versions[-1]["hash"],
-            "placement": str(update.placement),
-            "segment_text": next(
-                segment.text for segment in new.segments
-                if segment.kind is SegmentKind.STEP_INSTRUCTIONS
-            ),
-        }
+        # Replayed as the readers replay it, so a version they would refuse
+        # fails here, before its file is written.
+        text = render_prompt(update.new_prompt)
+        new = _replay(prompt, text)
+        paths.version_txt(new.version).write_text(text, encoding="utf-8")
+        outputs["version"] = {"hash": _sha256(text), "placement": str(update.placement)}
         return new, episodes, outputs
 
     def converged() -> bool:

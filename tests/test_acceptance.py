@@ -139,7 +139,7 @@ EX_BIG = (
 def _tampered_candidates():
     """Twenty candidates that tamper with protected or required content.
 
-    Yields (name, candidate_text, repair_caller_or_None).
+    Yields (name, candidate_text, repair_caller).
     """
     base = GUARD_BASE
     both = EX_SMALL + EX_BIG
@@ -149,39 +149,46 @@ def _tampered_candidates():
     repair_bad = make_caller(make_gateway(
         entry(["You are a template replacer"], base.replace(both, "⟨examples⟩\n\n"))
     ), "fixer")
+    repair_drop = make_caller(make_gateway(
+        entry(["You are a template replacer"], base.replace(both, EX_SMALL))
+    ), "fixer")
     cases = [
-        ("examples deleted", base.replace(both, ""), None),
-        ("examples stubbed, no repair channel",
-         base.replace(both, "<Examples from the original prompt>\n\n"), None),
+        ("examples deleted", base.replace(both, ""), repair_bad),
+        ("examples stubbed, repair drops an example",
+         base.replace(both, "<Examples from the original prompt>\n\n"), repair_drop),
         ("examples stubbed, repairable",
          base.replace(both, "<Examples from the original prompt>\n\n"), repair_ok),
         ("examples stubbed, repair keeps stub",
          base.replace(both, "<Examples from the original prompt>\n\n"), repair_bad),
-        ("word changed in example", base.replace("Task: small", "Task: tiny"), None),
-        ("example truncated", base.replace("PLAN:\nDay 1: x1\n", ""), None),
+        ("word changed in example",
+         base.replace("Task: small", "Task: tiny"), repair_bad),
+        ("example truncated", base.replace("PLAN:\nDay 1: x1\n", ""), repair_bad),
         ("format reworded",
-         base.replace('must contain "PLAN:"', 'should include "PLAN:"'), None),
+         base.replace('must contain "PLAN:"', 'should include "PLAN:"'), repair_bad),
         ("format deleted",
-         base.replace('Your final answer must contain "PLAN:".\n\n', ""), None),
-        ("examples swapped", base.replace(both, EX_BIG + EX_SMALL), None),
-        ("angle-bracket stub", base.replace(both, "⟨insert the examples⟩\n\n"), None),
-        ("brace stub", base.replace(both, "{Example block goes here}\n\n"), None),
+         base.replace('Your final answer must contain "PLAN:".\n\n', ""), repair_bad),
+        ("examples swapped", base.replace(both, EX_BIG + EX_SMALL), repair_bad),
+        ("angle-bracket stub",
+         base.replace(both, "⟨insert the examples⟩\n\n"), repair_bad),
+        ("brace stub", base.replace(both, "{Example block goes here}\n\n"), repair_bad),
         ("original-prompt stub",
-         base.replace(both, "<same as the original prompt>\n\n"), None),
-        ("example lowercased", base.replace("Task: big", "task: big"), None),
+         base.replace(both, "<same as the original prompt>\n\n"), repair_bad),
+        ("example lowercased", base.replace("Task: big", "task: big"), repair_bad),
         ("whitespace changed in example",
-         base.replace("Day 1: x1", "Day 1:  x1"), None),
+         base.replace("Day 1: x1", "Day 1:  x1"), repair_bad),
         ("close marker dropped",
-         base.replace("***** Example Ends *****\n\n***** Example *****\n", ""), None),
-        ("required token stripped", base.replace("PLAN:", "ANSWER:"), None),
+         base.replace("***** Example Ends *****\n\n***** Example *****\n", ""),
+         repair_bad),
+        ("required token stripped", base.replace("PLAN:", "ANSWER:"), repair_bad),
         ("sentence appended inside example",
-         base.replace("Day 1: y1\n*****", "Day 1: y1\nAlso pack a map.\n*****"), None),
+         base.replace("Day 1: y1\n*****", "Day 1: y1\nAlso pack a map.\n*****"),
+         repair_bad),
         ("line prepended inside example",
-         base.replace("Task: small", "Note the budget.\nTask: small"), None),
+         base.replace("Task: small", "Note the budget.\nTask: small"), repair_bad),
         ("stub plus format edit",
          base.replace(both, "<Examples from the original prompt>\n\n")
              .replace('must contain "PLAN:"', "may contain anything"), repair_ok),
-        ("singular example stub", base.replace(both, "<Example>\n\n"), None),
+        ("singular example stub", base.replace(both, "<Example>\n\n"), repair_bad),
     ]
     assert len(cases) == 20
     return cases

@@ -1046,12 +1046,8 @@ class TestInspect:
     @pytest.mark.parametrize("edit", [
         lambda e: e["version"].update(placement=5),
         lambda e: e.update(focus={"case": ["x"], "text": 3}),
-        lambda e: e["version"].update(segment_text=""),
         lambda e: e.update(focus={"case": "no_general_reason", "text": "a reason"}),
-    ], ids=[
-        "int-placement", "list-focus-case", "empty-segment-text",
-        "no-reason-focus-case",
-    ])
+    ], ids=["int-placement", "list-focus-case", "no-reason-focus-case"])
     def test_malformed_version_record_is_corrupt(self, tmp_path, capsys, edit):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()

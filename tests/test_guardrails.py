@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reprompt.errors import RejectedError, StageCallError
+from reprompt.gateway import Caller
 from reprompt.guardrails import (
     GuardConfig,
     GuardReport,
@@ -340,11 +342,15 @@ def test_repair_attempt_budget_is_configurable():
 
 # --- review pipeline -----------------------------------------------------------------
 
+# A repair caller with an empty script: a call through it raises, so a review
+# given it shows that its candidate was never sent for repair.
+NO_REPAIR = make_caller(make_gateway())
+
 
 def test_review_accepts_clean_candidate():
     candidate = with_steps("1. Read the query.\n2. Check the budget first.\n")
     report, parsed = review_candidate(
-        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
+        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=NO_REPAIR
     )
     assert report.verdict is Verdict.ACCEPTED
     assert parsed is not None
@@ -361,12 +367,17 @@ def test_review_repairs_placeholder_candidate():
 
 
 def test_review_rejects_placeholders_without_gateway():
-    report, parsed = review_candidate(
-        ORIGINAL, CANDIDATE_WITH_STUB, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
-    )
-    assert report.verdict is Verdict.REJECTED
-    assert parsed is None
-    assert report.violations[0].kind is ViolationKind.PLACEHOLDER_FOUND
+    # No gateway answers the repair call: the stub is never passed on, the
+    # review fails with the repair stage's error after one call.
+    gw = make_gateway()
+    with pytest.raises(StageCallError) as info:
+        review_candidate(
+            ORIGINAL, CANDIDATE_WITH_STUB, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(),
+            repair=Caller(gw, "agent", 0.0, 42, stage="repair"),
+        )
+    assert info.value.stage == "repair"
+    assert isinstance(info.value.cause, RejectedError)
+    assert gw.calls == 1
 
 
 def test_review_rejects_failed_repair():
@@ -379,11 +390,13 @@ def test_review_rejects_failed_repair():
     )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
+    assert report.violations[0].kind is ViolationKind.PLACEHOLDER_FOUND
+    assert gw.calls == 3
 
 
 def test_review_rejects_empty_candidate():
     report, parsed = review_candidate(
-        ORIGINAL, "", seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
+        ORIGINAL, "", seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=NO_REPAIR
     )
     assert parsed is None
     assert report == GuardReport(
@@ -395,7 +408,7 @@ def test_review_rejects_empty_candidate():
 def test_review_rejects_mutated_examples():
     candidate = ORIGINAL_TEXT.replace("Plan: p\n", "Plan: shortened\n")
     report, parsed = review_candidate(
-        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=None
+        ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(), guard_config=GuardConfig(), repair=NO_REPAIR
     )
     assert parsed is None
     assert report == GuardReport(
@@ -413,7 +426,7 @@ def test_review_enforces_required_tokens():
     candidate = with_steps("1. Read the query, team.\n2. Draft the plan.\n")
     report, parsed = review_candidate(
         ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION,
-        required_tokens=("never present",), guard_config=GuardConfig(), repair=None,
+        required_tokens=("never present",), guard_config=GuardConfig(), repair=NO_REPAIR,
     )
     assert report.verdict is Verdict.REJECTED
     assert report.violations[0].kind is ViolationKind.REQUIRED_TOKEN_MISSING
@@ -422,9 +435,12 @@ def test_review_enforces_required_tokens():
 def test_review_honors_extra_patterns():
     candidate = with_steps("1. Read.\n2. [[steps continue as before]]\n")
     cfg = GuardConfig(extra_placeholder_patterns=(r"\[\[.*?\]\]",))
+    # The repair keeps the stub, so the candidate stays rejected.
+    gw = make_gateway(entry(["You are a template replacer"], candidate, max_uses=9))
     report, parsed = review_candidate(
         ORIGINAL, candidate, seg_config=DEFAULT_SEGMENTATION, required_tokens=(),
-        guard_config=cfg, repair=None,
+        guard_config=cfg, repair=make_caller(gw),
     )
     assert report.verdict is Verdict.REJECTED
     assert parsed is None
+    assert gw.calls == 3

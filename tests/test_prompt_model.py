@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reprompt.errors import (
-    AlreadyStructuredError,
     EmptyPromptError,
     OverlappingMarkersError,
     SlotMissingError,
@@ -323,10 +322,9 @@ def test_inject_separator_variants(tail, separator):
     assert steps.text == separator + DEFAULT_STEP_INSTRUCTIONS
 
 
-def test_inject_rejects_structured_prompt():
+def test_inject_leaves_structured_prompt_unchanged():
     doc = parse_prompt("1. already has steps\n2. indeed\n")
-    with pytest.raises(AlreadyStructuredError):
-        inject_default_steps(doc)
+    assert inject_default_steps(doc) == doc
 
 
 # --- step lists ----------------------------------------------------------------
