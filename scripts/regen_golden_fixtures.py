@@ -28,12 +28,13 @@ from reprompt.prompt_model import (
     SegmentKind,
     StepEdit,
     StepEditOp,
+    classify_placement,
     inject_default_steps,
     parse_prompt,
     render_prompt,
 )
 from reprompt.summarizer import FocusCase, parse_conclusion, scrub_violations
-from reprompt.optimizer import classify_placement, parse_final_prompt
+from reprompt.optimizer import parse_final_prompt
 from reprompt.toy_task import (
     RULE_BUDGET,
     ToyAdapter,

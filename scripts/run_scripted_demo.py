@@ -19,7 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from reprompt.actor import RuleCheckFeedback
 from reprompt.config import parse_config
 from reprompt.gateway import ScriptedGateway, load_script
-from reprompt.prompt_model import diff_prompts, parse_prompt
+from reprompt.prompt_model import classify_placement, diff_prompts
 from reprompt.toy_task import ToyAdapter, load_toy_samples
 from reprompt.trainer import train, verify_chain
 
@@ -63,15 +63,13 @@ def main() -> int:
     # verify_chain checks the hash chain and replays every version with
     # the markers run.meta records.
     records = verify_chain(out)
-    seg = config.task.segmentation()
     print(f"hash chain and lineage replay verified over {len(records)} versions\n")
 
     for older, newer in zip(records, records[1:]):
-        a = parse_prompt(older.text, seg)
-        b = parse_prompt(newer.text, seg)
+        placement = classify_placement(older.doc, newer.doc)
         print(f"--- v{older.version} -> v{newer.version} "
-              f"({newer.meta['placement']}, focus: {newer.meta['focus_case']})")
-        print(diff_prompts(a, b))
+              f"({placement}, focus: {newer.meta['focus_case']})")
+        print(diff_prompts(older.doc, newer.doc))
         print()
 
     print(f"run directory: {out}")

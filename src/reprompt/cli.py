@@ -21,7 +21,7 @@ from .config import ConfigError, EngineConfig, load_config
 from .errors import EngineError
 from .evaluator import evaluate, write_report_tsv, write_report_yaml
 from .gateway import Gateway, HttpGateway, ScriptedGateway, load_script
-from .prompt_model import diff_prompts, parse_prompt
+from .prompt_model import classify_placement, diff_prompts, parse_prompt
 from .toy_task import ToyAdapter, generate_samples, load_toy_samples
 
 if TYPE_CHECKING:
@@ -170,8 +170,8 @@ def _cmd_inspect(args) -> int:
     from . import trainer
 
     records = trainer.verify_chain(args.out)
-    for record in records:
-        placement = record.meta.get("placement") or "-"
+    for n, record in enumerate(records):
+        placement = str(classify_placement(records[n - 1].doc, record.doc)) if n else "-"
         focus_case = record.meta.get("focus_case") or "initial"
         print(
             f"v{record.version}  {record.meta['hash'][:12]}  "

@@ -153,7 +153,7 @@ _SECTIONS: dict[str, tuple[type, dict[str, _Reader]]] = {
         "base_url": _text,
     }),
     "task": (TaskSettings, {
-        "kind": _text,
+        "kind": _one_of({"toy", "generic"}),
         "required_tokens": _list,
         "examples_open": _list,
         "examples_close": _list,

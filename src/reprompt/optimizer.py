@@ -2,10 +2,9 @@
 
 The optimizer asks a model for a full improved prompt, parses it from
 behind a fixed final-line marker and routes it through the guardrails,
-which let nothing outside the step instructions change; an accepted
-change carries its placement, a StepEdit read from the structural diff.
-A focus point with no general reason short-circuits to an identity update
-without any model call.
+which let nothing outside the step instructions change; a reply whose
+segments equal the prompt's is no change. A focus point with no general
+reason short-circuits to an identity update without any model call.
 """
 from __future__ import annotations
 
@@ -16,13 +15,9 @@ from .errors import GuardrailRejectionError, MissingFinalMarkerError
 from .gateway import Caller
 from .guardrails import GuardConfig, review_candidate
 from .prompt_model import (
-    WHOLE_BLOCK,
-    DiffStatus,
     PromptDocument,
-    SegmentKind,
     SegmentationConfig,
-    StepEdit,
-    diff_prompts,
+    diff_prompts,  # unused here; perfbench/tracing.py wraps optimizer.diff_prompts
     has_step_instructions,
     render_prompt,
 )
@@ -30,15 +25,9 @@ from .summarizer import FocusCase, FocusPoint
 
 
 class PromptUpdate(NamedTuple):
-    """``placement`` is set exactly when the prompt changed."""
-
     raw_output: str
     new_prompt: PromptDocument
-    placement: StepEdit | None = None
-
-    @property
-    def changed(self) -> bool:
-        return self.placement is not None
+    changed: bool = False
 
 
 def parse_final_prompt(raw: str) -> str | None:
@@ -60,19 +49,6 @@ def parse_final_prompt(raw: str) -> str | None:
     elif rest.startswith("\n"):
         rest = rest[1:]
     return rest
-
-
-def classify_placement(old: PromptDocument, new: PromptDocument) -> StepEdit | None:
-    """Where the step edit of a guarded candidate landed, read from the
-    diff's modified step entry; None when nothing changed. A change that
-    moved several steps, or none of them, is the whole-block replacement."""
-    for entry in diff_prompts(old, new).entries:
-        if (
-            entry.status is DiffStatus.MODIFIED
-            and entry.kind is SegmentKind.STEP_INSTRUCTIONS
-        ):
-            return entry.step_edit or WHOLE_BLOCK
-    return None
 
 
 def optimize(
@@ -123,15 +99,14 @@ def optimize(
         if parsed is None:
             last_reason = report.violations[0].detail
             continue
-        placement = classify_placement(prompt, parsed)
-        if placement is None:
+        if parsed.segments == prompt.segments:
             return PromptUpdate(raw_output=raw, new_prompt=prompt)
         return PromptUpdate(
             raw_output=raw,
             new_prompt=PromptDocument(
                 segments=parsed.segments, version=prompt.version + 1
             ),
-            placement=placement,
+            changed=True,
         )
     if marker_missing == attempts:
         raise MissingFinalMarkerError(

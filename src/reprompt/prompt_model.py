@@ -345,7 +345,7 @@ class StepEditOp(Enum):
 
 class StepEdit(NamedTuple):
     """Where an edit landed among the steps (``index`` is 1-based); its
-    label is what ``reprompt diff`` prints and a run's cursor records. A
+    label is what ``reprompt diff`` and ``reprompt inspect`` print. A
     ReplaceStep without an index replaces the whole block."""
 
     op: StepEditOp
@@ -455,6 +455,19 @@ def diff_prompts(a: PromptDocument, b: PromptDocument) -> StructuredDiff:
             for kind, _ in sb[j1 + paired : j2]:
                 entries.append(SegmentDiff(kind, DiffStatus.ADDED))
     return StructuredDiff(tuple(entries))
+
+
+def classify_placement(old: PromptDocument, new: PromptDocument) -> StepEdit | None:
+    """Where the step edit from ``old`` to ``new`` landed, read from the
+    diff's modified step entry; None when nothing changed. A change that
+    moved several steps, or none of them, is the whole-block replacement."""
+    for entry in diff_prompts(old, new).entries:
+        if (
+            entry.status is DiffStatus.MODIFIED
+            and entry.kind is SegmentKind.STEP_INSTRUCTIONS
+        ):
+            return entry.step_edit or WHOLE_BLOCK
+    return None
 
 
 # --- task slots --------------------------------------------------------------

@@ -19,17 +19,19 @@ inspected, and replayed:
 A batch's one bookkeeping write is its cursor line. Besides the counters
 it carries, when they exist, the batch's ``focus`` (case and text), the
 optimizer's raw output (``optimizer_raw``) and the ``version`` it wrote
-(its hash and placement; the text is in the version's file). Every
-cursor line is a batch line, and an epoch ends with its last one.
+(its hash; the text is in the version's file, and where its edit landed
+follows from the replay). Every cursor line is a batch line, and an
+epoch ends with its last one.
 _advance is the cursor's one transition: it checks a line against where
 the run stands and returns where the run stands next, closing the epoch
 at its last batch line. The readers fold it over the recorded lines
 (_committed_versions), and resume passes each line through it before
 appending it. A second pass checks each version file against its hash
-and replays it from its parent (see _check_run and _replay); resume
-replays each new version the same way before writing it. _run_meta
-states run.meta once: train writes it and resume compares it key by
-key. _read_run_meta is its one reader, and checks it whole.
+and replays it from its parent (see _check_run and _replay), so one read
+returns each version with its document; resume replays each new version
+the same way before writing it. _run_meta states run.meta once: train
+writes it and resume compares it key by key. _read_run_meta is its one
+reader, and checks it whole.
 
 Nothing in the directory depends on wall-clock time, so two runs from the
 same inputs produce byte-identical trees. ``train`` creates the directory
@@ -112,6 +114,7 @@ class VersionRecord(NamedTuple):
     version: int
     text: str
     meta: dict
+    doc: PromptDocument  # replayed from the version before it
 
 
 class _RunPaths:
@@ -154,7 +157,7 @@ _CURSOR_FIELDS = ("epoch", "batch", "prompt_version", "episodes_total", "calls_t
 
 # A committed version's fields that readers format as text; the focus case
 # must also name a FocusCase that reaches the optimizer.
-_VERSION_STRINGS = ("hash", "placement", "focus_case", "focus_text")
+_VERSION_STRINGS = ("hash", "focus_case", "focus_text")
 _FOCUS_CASES = frozenset(
     case.value for case in FocusCase if case is not FocusCase.NO_GENERAL_REASON
 )
@@ -430,9 +433,9 @@ def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
     epoch, up to the run's last epoch. Its ``prompt_version`` must be the
     last committed version, or the next one on a line that carries a
     ``version`` record. ``episodes_total`` and ``calls_total`` never fall.
-    A version record's hash, placement and focus text must be strings, and
-    the focus case a FocusCase other than no_general_reason, which never
-    reaches the optimizer; other keys are ignored, such as the
+    A version record's hash and focus text must be strings, and the focus
+    case a FocusCase other than no_general_reason, which never reaches the
+    optimizer; other keys are ignored, such as the ``placement``,
     ``parent_hash`` and ``segment_text`` that older runs recorded. A line
     that breaks a rule raises CorruptRunError.
 
@@ -466,7 +469,6 @@ def _advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
         vmeta = {
             "version": n,
             "hash": record.get("hash"),
-            "placement": record.get("placement"),
             "focus_case": focus.get("case"),
             "focus_text": focus.get("text"),
         }
@@ -497,8 +499,7 @@ def _committed_versions(meta: _RunMeta, entries: Sequence[dict]) -> _Cursor:
     and v0's hash. It reads no file, so resume runs it before it discards
     anything. The first failure raises CorruptRunError.
     """
-    v0 = {"version": 0, "hash": meta.v0_hash, "placement": None,
-          "focus_case": None, "focus_text": None}
+    v0 = {"version": 0, "hash": meta.v0_hash, "focus_case": None, "focus_text": None}
     cursor = _Cursor((v0,), epoch=1, batch=0, episodes_total=0, calls_total=0,
                      streak=0, epoch_start=0)
     for entry in entries:
@@ -510,15 +511,15 @@ def _replay(parent: PromptDocument, text: str) -> PromptDocument:
     """The version after ``parent`` whose file holds ``text``: ``parent``
     with only its step segment replaced. Each accepted optimizer update
     changes only that segment, so ``text`` must hold the text before and
-    after the parent's step segment exactly, and a non-empty step block
-    between them; otherwise CorruptRunError."""
+    after the parent's step segment exactly, and between them a non-empty
+    step block other than the parent's; otherwise CorruptRunError."""
     n = parent.version + 1
     for k, segment in enumerate(parent.segments):
         if segment.kind is SegmentKind.STEP_INSTRUCTIONS:
             head = "".join(s.text for s in parent.segments[:k])
             tail = "".join(s.text for s in parent.segments[k + 1:])
             step = text[len(head):len(text) - len(tail)]
-            if step and text == head + step + tail:
+            if step and step != segment.text and text == head + step + tail:
                 segments = list(parent.segments)
                 segments[k] = segment._replace(text=step)
                 return PromptDocument(tuple(segments), version=n)
@@ -529,8 +530,9 @@ def _replay(parent: PromptDocument, text: str) -> PromptDocument:
 
 def _check_run(
     paths: _RunPaths, seg: SegmentationConfig, metas: Sequence[dict]
-) -> tuple[list[VersionRecord], list[PromptDocument]]:
-    """Check and replay every committed prompt version, in order.
+) -> list[VersionRecord]:
+    """Check and replay every committed prompt version, in order, and
+    return their records, each with its replayed document.
 
     ``metas`` comes from _committed_versions and ``seg`` holds the run's
     own markers. Every committed file must exist and no file may be
@@ -550,16 +552,15 @@ def _check_run(
         raise CorruptRunError(f"prompt v{extra[0]} is not committed by any cursor line")
 
     records: list[VersionRecord] = []
-    docs: list[PromptDocument] = []
     for n, vmeta in enumerate(metas):
         text = paths.version_txt(n).read_text(encoding="utf-8")
         if _sha256(text) != vmeta["hash"]:
             raise CorruptRunError(
                 f"prompt v{n} text does not match its recorded hash"
             )
-        records.append(VersionRecord(version=n, text=text, meta=vmeta))
-        docs.append(_replay(docs[-1], text) if docs else parse_prompt(text, seg))
-    return records, docs
+        doc = _replay(records[-1].doc, text) if records else parse_prompt(text, seg)
+        records.append(VersionRecord(version=n, text=text, meta=vmeta, doc=doc))
+    return records
 
 
 def _run_paths(run_dir: str | Path) -> _RunPaths:
@@ -570,23 +571,19 @@ def _run_paths(run_dir: str | Path) -> _RunPaths:
     return paths
 
 
-def _read_run(run_dir: str | Path) -> tuple[list[VersionRecord], list[PromptDocument]]:
+def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
+    """Read a run directory once and check every committed version (see
+    _check_run); returns the version records. The cursor is only read: a
+    torn last line is skipped, not truncated."""
     paths = _run_paths(run_dir)
     meta = _read_run_meta(paths)
     cursor = _committed_versions(meta, _read_cursor(paths)[0])
     return _check_run(paths, meta.seg, cursor.versions)
 
 
-def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
-    """Read a run directory once and check every committed version (see
-    _check_run); returns the version records. The cursor is only read: a
-    torn last line is skipped, not truncated."""
-    return _read_run(run_dir)[0]
-
-
 def replay_lineage(run_dir: str | Path) -> list[PromptDocument]:
     """Like verify_chain, but returns the replayed prompt documents."""
-    return _read_run(run_dir)[1]
+    return [record.doc for record in verify_chain(run_dir)]
 
 
 def input_copies(run_dir: str | Path) -> tuple[Path | None, Path | None]:
@@ -653,7 +650,7 @@ def resume(
         if n >= len(cursor.versions):
             paths.version_txt(n).unlink()
     shutil.rmtree(paths.batch_dir(cursor.epoch, cursor.batch + 1), ignore_errors=True)
-    prompt = _check_run(paths, meta.seg, cursor.versions)[1][-1]
+    prompt = _check_run(paths, meta.seg, cursor.versions)[-1].doc
 
     train_cfg = config.train
     gw_cfg = config.gateway
@@ -715,7 +712,7 @@ def resume(
         text = render_prompt(update.new_prompt)
         new = _replay(prompt, text)
         paths.version_txt(new.version).write_text(text, encoding="utf-8")
-        outputs["version"] = {"hash": _sha256(text), "placement": str(update.placement)}
+        outputs["version"] = {"hash": _sha256(text)}
         return new, episodes, outputs
 
     def converged() -> bool:

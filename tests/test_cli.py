@@ -227,6 +227,23 @@ class TestTrain:
         )
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_task_kind_writes_nothing(self, tmp_path, capsys):
+        # Without rulecheck, which itself needs the toy task, only the
+        # config reader stands between a misspelt kind and a run directory.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            CFG_TEXT.replace("feedback = rulecheck", "feedback = none")
+            .replace("kind = toy", "kind = tyo"),
+            encoding="utf-8",
+        )
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--config") + 1] = str(cfg)
+        assert main(argv) == 1
+        assert "[task] kind must be one of ['generic', 'toy'], got 'tyo'" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_scripted_backend_needs_script(self, tmp_path, capsys):
         argv = golden_train_argv(tmp_path / "run")
         i = argv.index("--script")
@@ -273,12 +290,9 @@ class TestTrain:
         argv[argv.index("--script") + 1] = script
         assert main(argv) == 0
         assert "final prompt: v1" in capsys.readouterr().out
-        batch = json.loads(
-            (tmp_path / "run" / "state.cursor").read_text(encoding="utf-8").splitlines()[0]
-        )
-        assert batch["version"]["placement"] == "InsertBefore(2)"
         assert main(["inspect", "--out", str(tmp_path / "run")]) == 0
-        assert "InsertBefore(2)" in capsys.readouterr().out
+        v1_line = capsys.readouterr().out.splitlines()[1]
+        assert v1_line.split()[::2] == ["v1", "InsertBefore(2)"]
 
     @pytest.mark.parametrize("stage", ["summarizer", "optimizer", "repair"])
     def test_failed_stage_call_is_named(self, tmp_path, capsys, stage):
@@ -1043,11 +1057,28 @@ class TestInspect:
         ] * 2
         assert tree_hashes(run) == before
 
+    def test_a_stored_placement_is_ignored(self, tmp_path, capsys):
+        # Older runs recorded each version's placement. inspect derives it
+        # from the replayed versions, so a stored one, even a wrong one,
+        # changes nothing it prints.
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        capsys.readouterr()
+        assert main(["inspect", "--out", str(run)]) == 0
+        clean = capsys.readouterr().out
+        cursor = run / "state.cursor"
+        entries = [json.loads(line) for line in cursor.read_text(encoding="utf-8").splitlines()]
+        entries[0]["version"]["placement"] = "AppendStep"
+        cursor.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
+        assert main(["inspect", "--out", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert out == clean
+        assert out.splitlines()[1].split()[::2] == ["v1", "InsertBefore(2)"]
+
     @pytest.mark.parametrize("edit", [
-        lambda e: e["version"].update(placement=5),
         lambda e: e.update(focus={"case": ["x"], "text": 3}),
         lambda e: e.update(focus={"case": "no_general_reason", "text": "a reason"}),
-    ], ids=["int-placement", "list-focus-case", "no-reason-focus-case"])
+    ], ids=["list-focus-case", "no-reason-focus-case"])
     def test_malformed_version_record_is_corrupt(self, tmp_path, capsys, edit):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()

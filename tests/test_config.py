@@ -138,6 +138,11 @@ def test_bad_backend_rejected():
         parse_config("[gateway]\nbackend = carrier-pigeon\n")
 
 
+def test_unknown_task_kind_rejected():
+    with pytest.raises(ConfigError, match=r"\[task\] kind must be one of"):
+        parse_config("[task]\nkind = tyo\n")
+
+
 def test_negative_temperature_rejected():
     with pytest.raises(ConfigError, match="temperature"):
         parse_config("[gateway]\ntemperature = -1\n")

@@ -3,11 +3,12 @@ import pytest
 from reprompt import prompts
 from reprompt.errors import GuardrailRejectionError, MissingFinalMarkerError
 from reprompt.guardrails import GuardConfig
-from reprompt.optimizer import classify_placement, optimize, parse_final_prompt
+from reprompt.optimizer import optimize, parse_final_prompt
 from reprompt.prompt_model import (
     DEFAULT_SEGMENTATION,
     StepEdit,
     StepEditOp,
+    classify_placement,
     parse_prompt,
     render_prompt,
 )
@@ -83,52 +84,13 @@ def test_missing_marker_is_none():
     assert parse_final_prompt("no marker anywhere") is None
 
 
-# --- placement -----------------------------------------------------------------------
-
-
-def test_classify_placement_insert():
-    placement = classify_placement(OLD, parse_prompt(NEW_TEXT))
-    assert placement.op is StepEditOp.INSERT_BEFORE
-    assert placement.index == 2
-    assert not placement.multi_edit
-    assert str(placement) == "InsertBefore(2)"
-
-
-def test_classify_placement_append():
-    appended = OLD_TEXT.replace(
-        "2. Draft the plan.\n", "2. Draft the plan.\n3. Double-check the output.\n"
-    )
-    placement = classify_placement(OLD, parse_prompt(appended))
-    assert placement.op is StepEditOp.APPEND_STEP
-    assert str(placement) == "AppendStep"
-
-
-def test_classify_placement_coarse():
-    rewritten = OLD_TEXT.replace(
-        "1. Read the query.\n2. Draft the plan.\n",
-        "1. Restate the constraints.\n2. List the options.\n3. Pick one.\n",
-    )
-    placement = classify_placement(OLD, parse_prompt(rewritten))
-    assert placement.op is StepEditOp.REPLACE_STEP
-    assert placement.index is None
-    assert placement.multi_edit
-    assert str(placement) == "ReplaceStep(*) [multi-edit]"
-
-
-def test_classify_placement_with_equal_steps_is_whole_block():
-    spaced = OLD_TEXT.replace("2. Draft the plan.\n\n", "2. Draft the plan.\n\n\n")
-    assert classify_placement(OLD, parse_prompt(spaced)) == StepEdit(
-        StepEditOp.REPLACE_STEP
-    )
-
-
 def test_bare_item_candidate_is_an_insert():
     bare = OLD_TEXT.replace("2. Draft the plan.\n", "2.\n3. Draft the plan.\n")
     gw = make_gateway(entry(["You are a prompt optimizer"], f"{MARKER}\n{bare}"))
     update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed
-    assert update.placement == StepEdit(StepEditOp.INSERT_BEFORE, 2)
     assert render_prompt(update.new_prompt) == bare
+    assert classify_placement(OLD, update.new_prompt) == StepEdit(StepEditOp.INSERT_BEFORE, 2)
 
 
 # --- optimize -----------------------------------------------------------------------
@@ -139,7 +101,6 @@ def test_no_general_reason_is_identity_with_zero_calls():
     update = optimize(OLD, no_reason_focus(), **callers(gw), **SETTINGS)
     assert update.changed is False
     assert update.new_prompt is OLD
-    assert update.placement is None
     assert gw.calls == 0
 
 
@@ -151,7 +112,6 @@ def test_accepted_rewrite_bumps_version():
     assert update.changed
     assert render_prompt(update.new_prompt) == NEW_TEXT
     assert update.new_prompt.version == OLD.version + 1
-    assert update.placement.op is StepEditOp.INSERT_BEFORE
     assert gw.calls == 1
 
 
@@ -172,7 +132,6 @@ def test_identical_output_is_unchanged_but_consumes_a_call():
     )
     update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed is False
-    assert update.placement is None
     assert update.new_prompt is OLD
     assert gw.calls == 1
 

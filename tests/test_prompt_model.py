@@ -16,6 +16,7 @@ from reprompt.prompt_model import (
     SegmentationConfig,
     StepEdit,
     StepEditOp,
+    classify_placement,
     classify_step_edits,
     diff_prompts,
     fill_slots,
@@ -434,6 +435,61 @@ def test_diff_prints_the_cursor_label(new_steps, label):
     old = parse_prompt("Intro.\n\n1. a\n2. b\n")
     text = str(diff_prompts(old, parse_prompt("Intro.\n\n" + new_steps)))
     assert text.endswith(f"step_instructions    modified: {label}")
+
+
+# --- placement -------------------------------------------------------------------
+
+PLAN_TEXT = (
+    "Plan the trip.\n\n"
+    "1. Read the query.\n"
+    "2. Draft the plan.\n\n"
+    "***** Example *****\n"
+    "Query: q\nPlan: p\n"
+    "***** Example Ends *****\n\n"
+    "Here is the task:\n{query}\n"
+)
+PLAN = parse_prompt(PLAN_TEXT)
+
+
+def test_classify_placement_insert():
+    inserted = PLAN_TEXT.replace(
+        "2. Draft the plan.\n",
+        "2. Check the budget against the total cost.\n3. Draft the plan.\n",
+    )
+    placement = classify_placement(PLAN, parse_prompt(inserted))
+    assert placement.op is StepEditOp.INSERT_BEFORE
+    assert placement.index == 2
+    assert not placement.multi_edit
+    assert str(placement) == "InsertBefore(2)"
+
+
+def test_classify_placement_append():
+    appended = PLAN_TEXT.replace(
+        "2. Draft the plan.\n", "2. Draft the plan.\n3. Double-check the output.\n"
+    )
+    placement = classify_placement(PLAN, parse_prompt(appended))
+    assert placement.op is StepEditOp.APPEND_STEP
+    assert str(placement) == "AppendStep"
+
+
+def test_classify_placement_coarse():
+    rewritten = PLAN_TEXT.replace(
+        "1. Read the query.\n2. Draft the plan.\n",
+        "1. Restate the constraints.\n2. List the options.\n3. Pick one.\n",
+    )
+    placement = classify_placement(PLAN, parse_prompt(rewritten))
+    assert placement.op is StepEditOp.REPLACE_STEP
+    assert placement.index is None
+    assert placement.multi_edit
+    assert str(placement) == "ReplaceStep(*) [multi-edit]"
+
+
+def test_classify_placement_with_equal_steps_is_whole_block():
+    spaced = PLAN_TEXT.replace("2. Draft the plan.\n\n", "2. Draft the plan.\n\n\n")
+    assert classify_placement(PLAN, parse_prompt(spaced)) == StepEdit(
+        StepEditOp.REPLACE_STEP
+    )
+    assert classify_placement(PLAN, parse_prompt(PLAN_TEXT)) is None
 
 
 # --- slots -----------------------------------------------------------------------

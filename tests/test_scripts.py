@@ -104,7 +104,7 @@ def test_mutation_soak_subset(monkeypatch):
 
 
 # sha256 of the golden run's cursor in the older format, with epoch lines.
-OLDER_GOLDEN_CURSOR = "adb824fe2fd450697f449e43466fdc5fac3dc0ab137ea59619f07292effa0151"
+OLDER_GOLDEN_CURSOR = "86a357d44abb1e65db87a8b6028235e96309af0f3d3e0c4767e71918930f7884"
 
 
 def test_mutation_soak_older_cursor_is_corrupt(monkeypatch, tmp_path):

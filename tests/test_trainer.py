@@ -20,6 +20,7 @@ from reprompt.errors import BudgetExhaustedError, CorruptRunError
 from reprompt.gateway import ScriptedGateway, load_script
 from reprompt.prompt_model import (
     SegmentKind,
+    classify_placement,
     inject_default_steps,
     parse_prompt,
     render_prompt,
@@ -226,7 +227,8 @@ class TestGoldenRun:
 
     def test_version_meta_chain(self, tmp_path):
         run_golden(tmp_path / "run")
-        metas = [record.meta for record in verify_chain(tmp_path / "run")]
+        records = verify_chain(tmp_path / "run")
+        metas = [record.meta for record in records]
         texts = [
             (tmp_path / "run" / "prompts" / f"v{n}.txt").read_text(encoding="utf-8")
             for n in range(3)
@@ -235,15 +237,15 @@ class TestGoldenRun:
             assert meta["version"] == n
             digest = hashlib.sha256(texts[n].encode()).hexdigest()
             assert meta["hash"] == digest
-        assert set(metas[1]) == {
-            "version", "hash", "placement", "focus_case", "focus_text",
-        }
-        assert metas[0]["placement"] is None and metas[0]["focus_case"] is None
+        assert set(metas[1]) == {"version", "hash", "focus_case", "focus_text"}
+        assert metas[0]["focus_case"] is None
         run_meta = yaml.safe_load((tmp_path / "run" / "run.meta").read_text())
         assert run_meta["v0_hash"] == metas[0]["hash"]
-        assert metas[1]["placement"] == "InsertBefore(2)"
+        placements = [
+            str(classify_placement(a.doc, b.doc)) for a, b in zip(records, records[1:])
+        ]
+        assert placements == ["InsertBefore(2)", "AppendStep"]
         assert metas[1]["focus_case"] == "failure_reason"
-        assert metas[2]["placement"] == "AppendStep"
         assert metas[2]["focus_case"] == "helpful_thought"
 
     def test_cursor_entries(self, tmp_path):
@@ -256,7 +258,7 @@ class TestGoldenRun:
             "episodes_total": 3, "calls_total": 8, "note": "",
         }
         assert outputs <= first_batch.keys() and outputs <= second_batch.keys()
-        assert set(first_batch["version"]) == {"hash", "placement"}
+        assert set(first_batch["version"]) == {"hash"}
         assert {k: v for k, v in second_batch.items() if k not in outputs} == {
             "epoch": 2, "batch": 1, "prompt_version": 2,
             "episodes_total": 6, "calls_total": 14, "note": "",
@@ -1213,16 +1215,14 @@ class TestCorruptRuns:
 
     @pytest.mark.parametrize("edit", [
         lambda e: e["version"].update(hash=5),
-        lambda e: e["version"].update(placement=5),
-        lambda e: e["version"].update(placement=["x"]),
         lambda e: e.update(focus={"case": ["x"], "text": 3}),
         lambda e: e.update(focus={"case": "bogus", "text": "a reason"}),
         lambda e: e.update(focus={"case": "no_general_reason", "text": "a reason"}),
         lambda e: e["focus"].update(text=3),
         lambda e: e.pop("focus"),
     ], ids=[
-        "int-hash", "int-placement", "list-placement", "list-focus-case",
-        "unknown-focus-case", "no-reason-focus-case", "int-focus-text", "no-focus",
+        "int-hash", "list-focus-case", "unknown-focus-case", "no-reason-focus-case",
+        "int-focus-text", "no-focus",
     ])
     def test_malformed_version_record(self, golden_dir, edit):
         edit_cursor(golden_dir, 0, edit)
@@ -1249,6 +1249,18 @@ class TestCorruptRuns:
         text = text.replace(examples, examples.replace("\n", "\nOne more example line.\n", 1))
         v2.write_text(text, encoding="utf-8")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        edit_cursor(golden_dir, 1, lambda e: e["version"].update(hash=digest))
+        assert main(["inspect", "--out", str(golden_dir)]) == 2
+        assert "replaying v2 from v1 does not reproduce the stored prompt" in (
+            capsys.readouterr().err
+        )
+
+    def test_replay_rejects_a_version_equal_to_its_parent(self, golden_dir, capsys):
+        # No update leaves the steps as they were, so v2 may not repeat v1,
+        # even with its recorded hash made to match.
+        v1 = (golden_dir / "prompts" / "v1.txt").read_bytes()
+        (golden_dir / "prompts" / "v2.txt").write_bytes(v1)
+        digest = hashlib.sha256(v1).hexdigest()
         edit_cursor(golden_dir, 1, lambda e: e["version"].update(hash=digest))
         assert main(["inspect", "--out", str(golden_dir)]) == 2
         assert "replaying v2 from v1 does not reproduce the stored prompt" in (
@@ -1323,10 +1335,16 @@ class TestCorruptRuns:
          "end of the cursor after the run's 2 epoch"),
         (lambda lines: lines[1].update(calls_total=7), "fewer episodes or calls"),
         (lambda lines: lines[0].update(episodes_total=-1), "fewer episodes or calls"),
+        # A stripped version record leaves v1.txt uncommitted; the line's
+        # prompt_version, not the file, tells that the record is missing.
+        (lambda lines: lines[0].pop("version"),
+         "batch line of epoch 1, batch 1 records v1 where v0 is due"),
+        (lambda lines: lines[0].update(version="x"), "record of prompt v1 is not a mapping"),
     ], ids=[
         "negative-batch-version", "missing-batch-line", "huge-epoch-version",
         "negative-epoch-version", "duplicate-batch-line",
         "epoch-past-run-shape", "falling-calls", "negative-episodes",
+        "stripped-version-record", "string-version-record",
     ])
     def test_resume_refuses_a_bad_cursor_untouched(self, golden_dir, damage, message):
         lines = cursor_entries(golden_dir)
