@@ -67,7 +67,7 @@ def main() -> int:
 
     for older, newer in zip(records, records[1:]):
         placement = classify_placement(older.doc, newer.doc)
-        print(f"--- v{older.version} -> v{newer.version} "
+        print(f"--- v{older.doc.version} -> v{newer.doc.version} "
               f"({placement}, focus: {newer.meta['focus_case']})")
         print(diff_prompts(older.doc, newer.doc))
         print()

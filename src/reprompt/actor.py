@@ -70,9 +70,10 @@ class TaskSample(NamedTuple):
 def load_dataset(path: str) -> list[TaskSample]:
     """Read task samples from a YAML (or JSON) list of {id, slot_values} rows.
 
-    An id must be a string, since it names the sample's transcript file. A
-    slot name must be a string, and a slot value a string or a number,
-    which is filled in as written.
+    A row holds no other key, so a toy dataset is no generic one. An id must
+    be a string, since it names the sample's transcript file. A slot name
+    must be a string, and a slot value a string or a number, which is
+    filled in as written.
     """
     from .yamlio import load_yaml
 
@@ -86,6 +87,9 @@ def load_dataset(path: str) -> list[TaskSample]:
         sid = row["id"]
         if type(sid) is not str:
             raise ValueError(f"{path}: sample id must be a string, not {sid!r}")
+        extra = sorted(map(str, set(row) - {"id", "slot_values"}))
+        if extra:
+            raise ValueError(f"{path}: sample {sid}: unknown key(s): {', '.join(extra)}")
         slots = row.get("slot_values") or {}
         if not isinstance(slots, dict):
             raise ValueError(f"{path}: sample {sid}: slot_values must be a mapping")

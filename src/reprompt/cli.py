@@ -6,8 +6,10 @@ raised while running.
 
 Importing this module loads only what every command shares. The training
 stack (``trainer`` with the summarizer, optimizer and guardrails) is
-imported by the commands that run it, so ``eval`` and ``diff`` start
-without it.
+imported by the commands that run it, ``train`` and ``resume``, and the
+run directory's reader (``rundir``) by the commands that read one,
+``resume`` and ``inspect``; so ``eval`` and ``diff`` start without
+either, and ``inspect`` without the training stack.
 """
 from __future__ import annotations
 
@@ -28,9 +30,10 @@ if TYPE_CHECKING:
     from .trainer import TrainResult
 
 
-def _build_gateway(backend: str, script: str | None, config: EngineConfig) -> Gateway:
-    # argparse and the config reader both limit backend to scripted or http.
-    if backend == "http":
+def _build_gateway(backend: str | None, script: str | None, config: EngineConfig) -> Gateway:
+    # ``backend`` is --backend, which overrides the configured one; argparse
+    # and the config reader both limit it to scripted or http.
+    if (backend or config.gateway.backend) == "http":
         return HttpGateway(base_url=config.gateway.base_url)
     if not script:
         raise ConfigError("the scripted backend needs --script")
@@ -60,8 +63,7 @@ def _cmd_train(args) -> int:
     from . import trainer
 
     config = load_config(args.config)
-    backend = args.backend or config.gateway.backend
-    gateway = _build_gateway(backend, args.script, config)
+    gateway = _build_gateway(args.backend, args.script, config)
     samples, adapter = _load_task(config, args.dataset)
     feedback = _build_feedback(config.train.feedback, config, gateway, adapter, samples)
     initial = Path(args.prompt).read_text(encoding="utf-8")
@@ -80,17 +82,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from . import trainer
+    from . import rundir, trainer
 
     config = load_config(args.config)
     run_dir = Path(args.out)
-    copies = trainer.input_copies(run_dir)
+    copies = rundir.input_copies(run_dir)
     dataset = args.dataset or copies[0]
     script = args.script or copies[1]
     if dataset is None:
         raise ConfigError(f"{run_dir} holds no dataset copy; resume needs --dataset")
-    backend = args.backend or config.gateway.backend
-    gateway = _build_gateway(backend, script, config)
+    gateway = _build_gateway(args.backend, script, config)
     samples, adapter = _load_task(config, dataset)
     feedback = _build_feedback(config.train.feedback, config, gateway, adapter, samples)
     result = trainer.resume(
@@ -127,8 +128,7 @@ def _cmd_eval(args) -> int:
         samples, adapter = _load_task(config, args.test_set)
     else:
         raise ConfigError("eval needs --test-set or --trials")
-    backend = args.backend or config.gateway.backend
-    gateway = _build_gateway(backend, args.script, config)
+    gateway = _build_gateway(args.backend, args.script, config)
     tag = "none" if args.no_feedback else config.train.feedback
     feedback = _build_feedback(tag, config, gateway, adapter, samples)
     text = Path(args.prompt).read_text(encoding="utf-8")
@@ -167,14 +167,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from . import trainer
+    from . import rundir
 
-    records = trainer.verify_chain(args.out)
+    records = rundir.verify_chain(args.out)
     for n, record in enumerate(records):
         placement = str(classify_placement(records[n - 1].doc, record.doc)) if n else "-"
         focus_case = record.meta.get("focus_case") or "initial"
         print(
-            f"v{record.version}  {record.meta['hash'][:12]}  "
+            f"v{n}  {record.meta['hash'][:12]}  "
             f"{placement:<16s} {focus_case}"
         )
     print(f"{len(records)} version(s); hash chain and replay both check out")

@@ -339,8 +339,13 @@ def test_load_dataset(tmp_path):
         "- id: a\n  slot_values: {task_id: a, 1: y}\n",
         "sample a: slot name 1 must be a string",
     ),
+    (
+        # A toy row read as a generic one would load with no slots at all.
+        "- id: a\n  slot_values: {task_id: a}\n  days: 1\n  budget: 9\n",
+        "sample a: unknown key(s): budget, days",
+    ),
 ], ids=["null-id", "list-id", "int-id", "list-slot", "null-slot", "bool-slot",
-        "mapping-slot", "null-slot-name", "int-slot-name"])
+        "mapping-slot", "null-slot-name", "int-slot-name", "unknown-key"])
 def test_load_dataset_rejects_malformed_records(tmp_path, text, message):
     path = tmp_path / "d.yaml"
     path.write_text(text)

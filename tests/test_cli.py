@@ -244,6 +244,23 @@ class TestTrain:
         )
         assert not (tmp_path / "run").exists()
 
+    def test_toy_dataset_is_no_generic_dataset(self, tmp_path, capsys):
+        # Under kind = generic a toy row's keys are not slot values: the
+        # loader refuses the row before the run directory is made.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            CFG_TEXT.replace("feedback = rulecheck", "feedback = none")
+            .replace("kind = toy", "kind = generic"),
+            encoding="utf-8",
+        )
+        argv = golden_train_argv(tmp_path / "run")
+        argv[argv.index("--config") + 1] = str(cfg)
+        assert main(argv) == 1
+        assert "sample toy-1: unknown key(s): budget, days, options, routes" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_scripted_backend_needs_script(self, tmp_path, capsys):
         argv = golden_train_argv(tmp_path / "run")
         i = argv.index("--script")
@@ -1225,13 +1242,13 @@ class TestProcessKill:
 
 
 def test_importing_the_cli_loads_only_what_every_command_shares():
-    # The training stack, the HTTP client, PyYAML, threads, logging and csv
-    # wait for the command that uses them, so `eval` starts without them;
-    # no command needs dataclasses.
+    # The training stack, the run directory's reader, the HTTP client,
+    # PyYAML, threads, logging and csv wait for the command that uses them,
+    # so `eval` starts without them; no command needs dataclasses.
     deferred = (
         "yaml", "concurrent.futures", "logging", "csv", "reprompt.trainer",
-        "reprompt.optimizer", "reprompt.summarizer", "reprompt.guardrails",
-        "reprompt.http11", "dataclasses",
+        "reprompt.rundir", "reprompt.optimizer", "reprompt.summarizer",
+        "reprompt.guardrails", "reprompt.http11", "dataclasses",
     )
     code = f"import sys, reprompt.cli; print([m for m in {deferred!r} if m in sys.modules])"
     assert _fresh_interpreter(code) == ["[]"]
@@ -1290,6 +1307,21 @@ def test_train_resume_and_inspect_load_no_openssl(tmp_path):
     )
     assert _fresh_interpreter(code)[-1] == "[]"
     assert tree_hashes(tmp_path / "run") == golden_manifest()["files"]
+
+
+def test_inspect_loads_no_training_stack(tmp_path):
+    # The run directory's format is in rundir, which imports none of what
+    # only training runs, so reading a run loads none of it.
+    run = str(tmp_path / "run")
+    assert main(golden_train_argv(tmp_path / "run")) == 0
+    stack = ("reprompt.trainer", "reprompt.optimizer", "reprompt.guardrails")
+    code = (
+        "import sys\n"
+        "from reprompt.cli import main\n"
+        f"assert main(['inspect', '--out', {run!r}]) == 0\n"
+        f"print([m for m in {stack!r} if m in sys.modules])\n"
+    )
+    assert _fresh_interpreter(code)[-1] == "[]"
 
 
 def _fresh_interpreter(code: str) -> list[str]:

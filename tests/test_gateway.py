@@ -3,11 +3,14 @@ import http.server
 import itertools
 import json
 import os
+import select
+import socket
 import socketserver
 import subprocess
 import sys
 import textwrap
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -700,6 +703,18 @@ def test_host_is_idna_encoded_unless_ascii():
     assert _host("127.0.0.1:8080") == b"127.0.0.1:8080"
     assert _host("bücher.example") == b"xn--bcher-kva.example"
     assert _host("bücher.example:8080") == b"xn--bcher-kva.example:8080"
+
+
+def test_dropped_connection_is_seen_without_poll(monkeypatch):
+    # Where select has no poll (Windows), the idle check falls back to select().
+    from reprompt import http11
+
+    monkeypatch.setattr(http11, "select", types.SimpleNamespace(select=select.select))
+    ours, peer = socket.socketpair()
+    with ours, peer:
+        assert not http11._is_dropped(ours)
+        peer.close()
+        assert http11._is_dropped(ours)
 
 
 def test_pooled_calls_share_one_connection(loopback):

@@ -431,7 +431,7 @@ def test_diff_str_is_printable():
     ("1. x\n2. y\n3. z\n", "ReplaceStep(*) [multi-edit]"),
     ("1. a\n2.\n3. b\n", "InsertBefore(2)"),
 ], ids=["whole-block", "bare-item"])
-def test_diff_prints_the_cursor_label(new_steps, label):
+def test_diff_prints_the_step_edit_label(new_steps, label):
     old = parse_prompt("Intro.\n\n1. a\n2. b\n")
     text = str(diff_prompts(old, parse_prompt("Intro.\n\n" + new_steps)))
     assert text.endswith(f"step_instructions    modified: {label}")

@@ -3,7 +3,7 @@
 Outside data is checked where it enters, before a record is built from it:
 a dataset row in ``toy_task.toy_sample_from_dict``, a summarizer reply in
 ``summarizer.parse_conclusion``, a run directory's version records in
-``trainer._committed_versions`` and a config file in ``config.parse_config``.
+``rundir.advance`` and a config file in ``config.parse_config``.
 Every other record is built by the engine from values that passed them.
 """
 from pathlib import Path

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import GOLDEN, TOY_SEG, Recording, entry, make_gateway
-from reprompt import prompts, trainer
+from reprompt import prompts, rundir, trainer
 from reprompt.actor import NoFeedback, RuleCheckFeedback
 from reprompt.cli import main
 from reprompt.config import parse_config
@@ -71,22 +71,22 @@ def run_golden(run_dir, config=None, with_copies=False):
 
 @given(st.text())
 def test_sha256_matches_hashlib(text):
-    assert trainer._sha256(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert rundir._sha256(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_sha256_falls_back_to_hashlib(monkeypatch):
     # A build without the built-in SHA-256 modules: a fresh copy of the
-    # trainer module hashes through hashlib, to the same digests.
+    # rundir module hashes through hashlib, to the same digests.
     monkeypatch.setitem(sys.modules, "_sha2", None)
     monkeypatch.setitem(sys.modules, "_sha256", None)
     spec = importlib.util.spec_from_file_location(
-        "reprompt._trainer_without_builtin_sha256", trainer.__file__
+        "reprompt._rundir_without_builtin_sha256", rundir.__file__
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.sha256 is hashlib.sha256
     text = (GOLDEN / "initial_prompt.txt").read_text(encoding="utf-8")
-    assert module._sha256(text) == trainer._sha256(text)
+    assert module._sha256(text) == rundir._sha256(text)
 
 
 def tree_hashes(root):
@@ -317,9 +317,9 @@ class TestGoldenRun:
         digest = hashlib.sha256(
             json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
-        assert trainer._samples_sha256(toys) == digest
-        assert trainer._samples_sha256(list(map(to_task_sample, toys))) == digest
-        assert trainer._samples_sha256(toys[::-1]) != digest
+        assert rundir._samples_sha256(toys) == digest
+        assert rundir._samples_sha256(list(map(to_task_sample, toys))) == digest
+        assert rundir._samples_sha256(toys[::-1]) != digest
 
     def test_refuses_existing_run_dir(self, tmp_path):
         run_golden(tmp_path / "run")
@@ -366,9 +366,13 @@ class TestGoldenRun:
     def test_verify_chain_and_replay(self, tmp_path):
         run_golden(tmp_path / "run")
         records = verify_chain(tmp_path / "run")
-        assert [r.version for r in records] == [0, 1, 2]
+        assert [r.doc.version for r in records] == [0, 1, 2]
         docs = replay_lineage(tmp_path / "run")
-        assert [render_prompt(d) for d in docs] == [r.text for r in records]
+        assert docs == [r.doc for r in records]
+        assert [render_prompt(d) for d in docs] == [
+            (tmp_path / "run" / "prompts" / f"v{n}.txt").read_text(encoding="utf-8")
+            for n in range(3)
+        ]
 
     def test_resume_of_complete_run_returns_final_state(self, tmp_path):
         # Resuming a finished run, converged or not, reads the writer's end
@@ -476,6 +480,13 @@ class TestConvergence:
 
 # --- budgets and resume --------------------------------------------------------
 
+def run_cut_and_resumed(run_dir):
+    """The golden run stopped by a call budget of 8, then resumed to its end."""
+    with pytest.raises(BudgetExhaustedError):
+        run_golden(run_dir, config=golden_config(call_budget=8))
+    return resume_golden(run_dir)
+
+
 class TestBudgetAndResume:
     def test_budget_stops_between_batches(self, tmp_path):
         with pytest.raises(BudgetExhaustedError, match="can be resumed"):
@@ -532,9 +543,9 @@ class TestBudgetAndResume:
 
     def test_input_copies_are_the_ones_run_meta_names(self, tmp_path):
         run_golden(tmp_path / "bare")
-        assert trainer.input_copies(tmp_path / "bare") == (None, None)
+        assert rundir.input_copies(tmp_path / "bare") == (None, None)
         run_golden(tmp_path / "copies", with_copies=True)
-        assert trainer.input_copies(tmp_path / "copies") == (
+        assert rundir.input_copies(tmp_path / "copies") == (
             tmp_path / "copies" / "dataset.yaml", tmp_path / "copies" / "script.yaml",
         )
 
@@ -577,6 +588,20 @@ class TestBudgetAndResume:
         assert result.epochs_completed == 2
         manifest = yaml.safe_load((GOLDEN / "manifest.yaml").read_text())
         assert tree_hashes(tmp_path / "run") == manifest["files"]
+
+    @pytest.mark.parametrize("run", [
+        run_golden,
+        run_cut_and_resumed,
+        lambda run_dir: run_idle(run_dir)[0],
+    ], ids=["golden", "cut-and-resumed", "converged"])
+    def test_result_is_the_fold_of_the_cursor_as_written(self, tmp_path, run):
+        result = run(tmp_path / "run")
+        paths, meta = rundir.open_run(tmp_path / "run")
+        cursor = rundir.fold(meta, rundir.read_cursor(paths)[0])
+        assert tuple(v["version"] for v in cursor.versions) == result.versions
+        assert cursor.episodes_total == result.episodes_run
+        assert cursor.calls_total == result.calls_used
+        assert cursor.epoch - 1 == result.epochs_completed
 
     def test_older_version_records_are_read(self, tmp_path, capsys):
         # Older runs also recorded each version's parent hash and step block.
@@ -1155,7 +1180,7 @@ class TestCorruptRuns:
         )
         assert result.versions == (0, 1, 2)
         assert not (golden_dir / "prompts" / "v3.txt").exists()
-        assert [r.version for r in verify_chain(golden_dir)] == [0, 1, 2]
+        assert [r.doc.version for r in verify_chain(golden_dir)] == [0, 1, 2]
 
     def test_gap_in_versions(self, golden_dir):
         (golden_dir / "prompts" / "v1.txt").unlink()
@@ -1196,7 +1221,7 @@ class TestCorruptRuns:
         cursor = golden_dir / "state.cursor"
         complete = cursor.read_bytes()
         cursor.write_bytes(complete + b"\xff\xfe")
-        assert [r.version for r in verify_chain(golden_dir)] == [0, 1, 2]
+        assert [r.doc.version for r in verify_chain(golden_dir)] == [0, 1, 2]
         assert cursor.read_bytes() == complete + b"\xff\xfe"
         samples, feedback, _ = golden_inputs()
         resume(
@@ -1385,7 +1410,7 @@ class TestCorruptRuns:
         with pytest.raises(CorruptRunError, match=message):
             verify_chain(golden_dir)
         with pytest.raises(CorruptRunError, match=message):
-            trainer.input_copies(golden_dir)
+            rundir.input_copies(golden_dir)
         samples, feedback, _ = golden_inputs()
         with pytest.raises(CorruptRunError, match=message):
             resume(
@@ -1412,7 +1437,7 @@ class TestCorruptRuns:
         with pytest.raises(CorruptRunError, match=message):
             verify_chain(run)
         with pytest.raises(CorruptRunError, match=message):
-            trainer.input_copies(run)
+            rundir.input_copies(run)
         samples, feedback, gateway = golden_inputs()
         with pytest.raises(CorruptRunError, match=message):
             resume(run, samples, config=golden_config(), gateway=gateway, feedback=feedback)
