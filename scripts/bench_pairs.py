@@ -18,9 +18,15 @@ differently in every pair (``train_wide`` ``peak_rss_mb`` 26.84 against
 Per end-to-end metric it prints each side's median and quartiles, the
 change's wins and ties (a tie counts for neither side), and whether the
 gain rule holds: the change wins at least nine tenths of the pairs, and
-its median beats the base's by more than the base's q1-q3 spread. The
-direction of each metric comes from ``BENCHMARK.json``. Every run's
-``correct`` flag and failed count are printed too.
+its median beats the base's by more than the base's q1-q3 spread. It
+also applies the no-regression rule, in the ``worse`` column: yes when
+the change's median is worse than the base's by more than the metric's
+``bound``, read as a fraction of the base's median; unresolved when it
+is not, but the base's q1-q3 spread is wider than the bound and some run
+of the change reads no better than every run of the base; else no. The
+direction and bound of each metric come from ``BENCHMARK.json``. Every
+run's ``correct`` flag and failed count are printed too. It exits 1 when
+a run is not correct or failed an operation, or a metric is worse.
 """
 from __future__ import annotations
 
@@ -74,14 +80,23 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(base: list[float], change: list[float], better: str) -> dict:
-    """Medians, quartiles and wins of paired runs of one metric, and
-    whether the gain rule holds for the change."""
+def summarize(base: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Medians, quartiles and wins of paired runs of one metric, whether
+    the gain rule holds for the change, and whether it is worse (yes, no
+    or unresolved) by the no-regression rule with ``bound``."""
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change, strict=True))
     ties = sum(b == c for b, c in zip(base, change))
     b_q1, b_median, b_q3 = _quartiles(base)
     c_q1, c_median, c_q3 = _quartiles(change)
+    allowed = bound * abs(b_median)
+    every_run_better = min(sign * b for b in base) > max(sign * c for c in change)
+    if sign * (c_median - b_median) > allowed:
+        worse = "yes"
+    elif b_q3 - b_q1 > allowed and not every_run_better:
+        worse = "unresolved"
+    else:
+        worse = "no"
     return {
         "base": (b_median, b_q1, b_q3),
         "change": (c_median, c_q1, c_q3),
@@ -89,6 +104,7 @@ def summarize(base: list[float], change: list[float], better: str) -> dict:
         "ties": ties,
         "pairs": len(base),
         "gain": 10 * wins >= 9 * len(base) and sign * (b_median - c_median) > b_q3 - b_q1,
+        "worse": worse,
     }
 
 
@@ -106,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
     change = _git("stash", "create").decode().strip() or _git("rev-parse", "HEAD").decode().strip()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [(m["name"], m["unit"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed_base + i
@@ -119,15 +135,18 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\n{args.workload}, {args.pairs} pairs, {args.seconds:g} s runs, "
           f"seeds {args.seed_base}-{args.seed_base + args.pairs - 1}")
-    print("metric          base median [q1-q3]            change median [q1-q3]          wins  ties  gain")
-    for name, unit, better in metrics:
+    print("metric          base median [q1-q3]            change median [q1-q3]          "
+          "wins  ties  gain  worse")
+    worse = False
+    for name, unit, better, bound in metrics:
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        s = summarize(values["base"], values["change"], better)
+        s = summarize(values["base"], values["change"], better, bound)
         cells = [f"{m:.4g} [{q1:.4g}-{q3:.4g}] {unit}" for m, q1, q3 in (s["base"], s["change"])]
         print(f"{name:<15} {cells[0]:<30} {cells[1]:<30} {s['wins']:>2}/{s['pairs']:<2} "
-              f"{s['ties']:>2}/{s['pairs']:<2} {'yes' if s['gain'] else 'no'}")
+              f"{s['ties']:>2}/{s['pairs']:<2} {'yes' if s['gain'] else 'no':<5} {s['worse']}")
+        worse = worse or s["worse"] == "yes"
     bad = [side for side in runs for r in runs[side] if not r["correct"] or r["failed"]]
-    return 1 if bad else 0
+    return 1 if bad or worse else 0
 
 
 if __name__ == "__main__":

@@ -50,21 +50,16 @@ class Transcript(NamedTuple):
 
 
 class Sample(Protocol):
-    """What the episode loop needs from a task sample."""
+    """What the episode loop needs from a task sample: plain data, which
+    run_episode fills into the prompt."""
 
-    id: str
+    id: str  # names its transcript file
     slot_values: dict[str, str]  # what its prompt's slots are filled with
-
-    def render(self, prompt: PromptDocument) -> str: ...
 
 
 class TaskSample(NamedTuple):
     id: str
     slot_values: dict[str, str]
-
-    def render(self, prompt: PromptDocument) -> str:
-        """The round-1 message: the prompt with this sample's slots filled."""
-        return fill_slots(prompt, self.slot_values)
 
 
 def load_dataset(path: str) -> list[TaskSample]:
@@ -139,13 +134,14 @@ def run_episode(
 ) -> Transcript:
     """Run one episode and return its transcript.
 
-    The round-1 message is ``sample.render(prompt)``. A gateway or feedback
+    The round-1 message is the prompt with the sample's slots filled,
+    ``fill_slots(prompt, sample.slot_values)``. A gateway or feedback
     failure ends the episode early: the partial transcript comes back with
     terminal ERROR and ``error`` naming the failure.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    messages = (Message(Role.USER, sample.render(prompt)),)
+    messages = (Message(Role.USER, fill_slots(prompt, sample.slot_values)),)
     terminal, error = Terminal.MAX_ROUNDS_EXHAUSTED, ""
     while True:
         try:

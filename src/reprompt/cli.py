@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: train, eval, resume, inspect, diff. Exit code 0 on success,
-1 for bad input (config, files, flag combinations), 2 for engine errors
-raised while running.
+1 for bad input (config, files, flag combinations, an ``--out`` that
+names no run directory), 2 for engine errors raised while running.
 
 Importing this module loads only what every command shares. The training
 stack (``trainer`` with the summarizer, optimizer and guardrails) is
@@ -172,7 +172,7 @@ def _cmd_inspect(args) -> int:
     records = rundir.verify_chain(args.out)
     for n, record in enumerate(records):
         placement = str(classify_placement(records[n - 1].doc, record.doc)) if n else "-"
-        focus_case = record.meta.get("focus_case") or "initial"
+        focus_case = record.meta["focus_case"] or "initial"
         print(
             f"v{n}  {record.meta['hash'][:12]}  "
             f"{placement:<16s} {focus_case}"

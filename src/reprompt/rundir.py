@@ -70,7 +70,7 @@ def _sha256(text: str) -> str:
 
 
 class VersionRecord(NamedTuple):
-    meta: dict  # the version's number, hash and focus, as the cursor commits it
+    meta: dict  # the version's hash and focus case (None for v0); its number is its place
     doc: PromptDocument  # replayed from the version before it
 
 
@@ -107,9 +107,8 @@ def write_transcripts(paths: _RunPaths, epoch: int, batch: int,
 # for one).
 _CURSOR_FIELDS = ("epoch", "batch", "prompt_version", "episodes_total", "calls_total")
 
-# A committed version's fields that readers format as text; the focus case
-# must also name a FocusCase that reaches the optimizer.
-_VERSION_STRINGS = ("hash", "focus_case", "focus_text")
+# The focus cases a committed version may record: each FocusCase that
+# reaches the optimizer.
 _FOCUS_CASES = frozenset(c.value for c in FocusCase if c is not FocusCase.NO_GENERAL_REASON)
 
 
@@ -251,8 +250,11 @@ def open_run(run_dir: str | Path) -> tuple[_RunPaths, _RunMeta]:
     list and the required tokens as lists of strings, and v0's hash as a
     string. train records each input copy as its fixed name and the hash of
     its bytes, or as null with a null hash; the copy must exist and match.
-    The first failure raises CorruptRunError."""
+    The first failure raises CorruptRunError; a ``run_dir`` that is no
+    directory raises FileNotFoundError instead, as a bad input."""
     paths = _RunPaths(run_dir)
+    if not paths.root.is_dir():
+        raise FileNotFoundError(f"no run directory at {paths.root}")
     if not paths.prompts.is_dir():
         raise CorruptRunError(f"{paths.root} has no prompts directory")
     if not paths.run_meta.exists():
@@ -344,7 +346,7 @@ def _line(epoch: int, batch: int) -> str:
 class _Cursor(NamedTuple):
     """Where a run stands after its committed cursor lines."""
 
-    versions: list[dict]  # each committed version's meta, v0 first
+    versions: list[dict]  # each committed version's hash and focus case, v0 first
     epoch: int  # the epoch in progress; the run's epochs + 1 once all ran
     batch: int  # its last batch line, 0 before the first
     episodes_total: int
@@ -368,12 +370,13 @@ def advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
     ``parent_hash`` and ``segment_text`` that older runs recorded. A line
     that breaks a rule raises CorruptRunError, and changes nothing.
 
-    A new version's meta is appended to ``cursor.versions`` in place, so
-    a fold takes time linear in the versions; the returned cursor shares
-    that list. The epoch's last batch line also closes it: the next line is
-    due in the next epoch, and the epoch counts towards the unchanged-epoch
-    streak when its last version's hash is that of the version it started
-    from.
+    A new version's hash and focus case, ``{"hash", "focus_case"}``, are
+    appended to ``cursor.versions`` in place, so a fold takes time linear
+    in the versions; the returned cursor shares that list. The focus text
+    is checked but not kept, and a version's number is its position. The
+    epoch's last batch line also closes it: the next line is due in the
+    next epoch, and the epoch counts towards the unchanged-epoch streak
+    when its last version's hash is that of the version it started from.
     """
     per_epoch, epochs = shape
     n = entry["prompt_version"]
@@ -396,20 +399,19 @@ def advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
         focus = entry.get("focus") or {}
         if not isinstance(record, dict) or not isinstance(focus, dict):
             raise CorruptRunError(f"the cursor's record of prompt v{n} is not a mapping")
-        vmeta = {
-            "version": n,
+        fields = {
             "hash": record.get("hash"),
             "focus_case": focus.get("case"),
             "focus_text": focus.get("text"),
         }
-        bad = [k for k in _VERSION_STRINGS if not isinstance(vmeta[k], str)]
-        if not bad and vmeta["focus_case"] not in _FOCUS_CASES:
+        bad = [k for k, v in fields.items() if not isinstance(v, str)]
+        if not bad and fields["focus_case"] not in _FOCUS_CASES:
             bad = ["focus_case"]
         if bad:
             raise CorruptRunError(
                 f"the cursor's record of prompt v{n} has a malformed {bad[0]}"
             )
-        versions.append(vmeta)
+        versions.append({"hash": fields["hash"], "focus_case": fields["focus_case"]})
     cursor = cursor._replace(
         batch=cursor.batch + 1, episodes_total=episodes, calls_total=calls,
     )
@@ -424,11 +426,12 @@ def advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
 
 def fold(meta: _RunMeta, entries: Sequence[dict]) -> _Cursor:
     """Fold advance over the parsed cursor lines ``entries``, from v0
-    alone, and return where the run stands. ``meta`` gives the run shape
-    and v0's hash. It reads no file, so resume runs it before it discards
-    anything. The first failure raises CorruptRunError.
+    alone (``{"hash": v0_hash, "focus_case": None}``), and return where
+    the run stands. ``meta`` gives the run shape and v0's hash. It reads
+    no file, so resume runs it before it discards anything. The first
+    failure raises CorruptRunError.
     """
-    v0 = {"version": 0, "hash": meta.v0_hash, "focus_case": None, "focus_text": None}
+    v0 = {"hash": meta.v0_hash, "focus_case": None}
     cursor = _Cursor([v0], epoch=1, batch=0, episodes_total=0, calls_total=0,
                     streak=0, epoch_start=0)
     for entry in entries:
@@ -491,7 +494,7 @@ def check_run(paths: _RunPaths, seg: SegmentationConfig,
     and every later version is replayed from the one before it (see
     _replay). The first failure raises CorruptRunError.
     """
-    numbers = [m["version"] for m in metas]
+    numbers = range(len(metas))
     on_disk = _version_numbers(paths)
     for n in numbers:
         if n not in on_disk:

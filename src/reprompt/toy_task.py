@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 from .actor import TaskSample
 from .errors import UnparseableAnswerError
-from .prompt_model import PromptDocument, fill_slots
+# Unused here; perfbench/tracing.py wraps toy_task.fill_slots.
+from .prompt_model import fill_slots
 from .yamlio import load_yaml
 
 PLAN_MARKER = "PLAN:"
@@ -45,10 +46,6 @@ class ToySample(NamedTuple):
     def slot_values(self) -> dict[str, str]:
         """The prompt slots this sample fills, as its TaskSample holds them."""
         return sample_slots(self)
-
-    def render(self, prompt: PromptDocument) -> str:
-        """The round-1 message: the prompt with this sample's slots filled."""
-        return fill_slots(prompt, sample_slots(self))
 
 
 class CheckResult(NamedTuple):

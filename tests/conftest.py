@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import collections
+import contextlib
+import http.server
 import itertools
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -97,6 +101,39 @@ class Recording:
 def make_recording_gateway(*entries_data: dict) -> Recording:
     """Like ``make_gateway``, keeping every answered request in ``history``."""
     return Recording(make_gateway(*entries_data))
+
+
+class LoopbackServer(http.server.ThreadingHTTPServer):
+    """A threaded HTTP server on a free loopback port, answering with
+    ``handler``; ``url`` is the base URL an HttpGateway is given."""
+
+    daemon_threads = True
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.lock = threading.Lock()
+        self.requests = []
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+
+@contextlib.contextmanager
+def serving(server):
+    """Serve ``server`` on a thread while the block runs, then stop it."""
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def clear_proxies(monkeypatch):
+    for name in list(os.environ):
+        if "proxy" in name.lower():
+            monkeypatch.delenv(name)
 
 
 @pytest.fixture

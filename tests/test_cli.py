@@ -1,5 +1,6 @@
 """Command line entry points, driven through main(argv)."""
 import hashlib
+import http.server
 import importlib.util
 import json
 import os
@@ -13,12 +14,20 @@ import yaml
 
 import pytest
 
-from conftest import GOLDEN, TOY_SEG, entry, write_script
-from reprompt import cli, prompts
+from conftest import GOLDEN, TOY_SEG, LoopbackServer, clear_proxies, entry, serving, write_script
+from reprompt import cli, gateway, prompts
 from reprompt.cli import main
 from reprompt.config import parse_config
 from reprompt.evaluator import EvalReport
-from reprompt.gateway import ScriptedGateway
+from reprompt.gateway import (
+    API_KEY_ENV,
+    BASE_URL_ENV,
+    ChatRequest,
+    Message,
+    Role,
+    ScriptedGateway,
+    load_script,
+)
 from reprompt.prompt_model import inject_default_steps, parse_prompt, render_prompt
 from reprompt.toy_task import best_answer, format_plan, load_toy_samples, save_toy_samples
 
@@ -772,6 +781,12 @@ class TestResume:
         assert code == 1
         assert "error: this run's segmentation " in capsys.readouterr().err
 
+    def test_out_naming_no_directory_is_bad_input(self, tmp_path, capsys):
+        code = main(["resume", "--config", CFG, "--out", str(tmp_path / "nowhere")])
+        assert code == 1
+        assert "error: no run directory at " in capsys.readouterr().err
+        assert not (tmp_path / "nowhere").exists()
+
     def test_run_without_prompts_is_corrupt(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()
@@ -977,6 +992,10 @@ class TestInspect:
         assert "AppendStep" in out
         assert "failure_reason" in out and "helpful_thought" in out
         assert "3 version(s); hash chain and replay both check out" in out
+
+    def test_out_naming_no_directory_is_bad_input(self, tmp_path, capsys):
+        assert main(["inspect", "--out", str(tmp_path / "nowhere")]) == 1
+        assert "error: no run directory at " in capsys.readouterr().err
 
     def test_reads_each_version_once(self, tmp_path, capsys, file_reads):
         assert main(golden_train_argv(tmp_path / "run")) == 0
@@ -1200,6 +1219,112 @@ class TestDiff:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class _ScriptedCompletions(http.server.BaseHTTPRequestHandler):
+    """Answers each POST from the server's ScriptedGateway, as a
+    chat-completions body; the requests numbered (from 1) in the server's
+    ``faults`` get a 503 instead. Each answer goes out in one write: a head
+    and a body sent apart stall on delayed ACK."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 5  # an idle pooled connection must not hold the thread for long
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server = self.server
+        with server.lock:
+            server.requests.append(body)
+            fault = len(server.requests) in server.faults
+        if fault:
+            status, payload = 503, b""
+        else:
+            request = ChatRequest(
+                tuple(Message(Role(m["role"]), m["content"]) for m in body["messages"]),
+                body["model"], body["temperature"], body["seed"],
+            )
+            content = server.gateway.complete(request).content
+            status, payload = 200, json.dumps(
+                {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+            ).encode()
+        self.wfile.write(
+            f"HTTP/1.1 {status} Canned\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
+        )
+
+    def log_message(self, *args):
+        pass
+
+
+class _ScriptedServer(LoopbackServer):
+    def __init__(self, script):
+        super().__init__(_ScriptedCompletions)
+        self.gateway = ScriptedGateway(load_script(script))
+        self.faults = set()
+
+
+@pytest.fixture
+def wire(monkeypatch):
+    """The golden script served over HTTP, named by REPROMPT_BASE_URL."""
+    clear_proxies(monkeypatch)
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    with serving(_ScriptedServer(str(GOLDEN / "script.yaml"))) as server:
+        monkeypatch.setenv(BASE_URL_ENV, server.url)
+        yield server
+
+
+def http_train_argv(tmp_path, train_cfg=""):
+    """The golden train over --backend http, with ``train_cfg`` added to
+    its [train] section; no --script, so train copies none."""
+    cfg = tmp_path / "http.cfg"
+    cfg.write_text(CFG_TEXT.replace("[train]\n", f"[train]\n{train_cfg}"), encoding="utf-8")
+    return [
+        "train", "--config", str(cfg), "--backend", "http",
+        "--prompt", str(GOLDEN / "initial_prompt.txt"),
+        "--dataset", str(GOLDEN / "dataset.yaml"),
+        "--out", str(tmp_path / "run"),
+    ]
+
+
+def assert_golden_without_script(run_dir):
+    """The run's tree is the golden manifest's, less script.yaml, with
+    run.meta's script and script_sha256 null."""
+    files = dict(golden_manifest()["files"])
+    del files["script.yaml"]
+    tree = tree_hashes(run_dir)
+    meta = json.loads((run_dir / "run.meta").read_text(encoding="utf-8"))
+    assert (meta["script"], meta["script_sha256"]) == (None, None)
+    meta["script"] = "script.yaml"
+    meta["script_sha256"] = hashlib.sha256((GOLDEN / "script.yaml").read_bytes()).hexdigest()
+    tree["run.meta"] = hashlib.sha256((json.dumps(meta, indent=2) + "\n").encode()).hexdigest()
+    assert tree == files
+
+
+class TestOverHttp:
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_train_reaches_the_golden_tree(self, tmp_path, wire, parallelism):
+        argv = http_train_argv(tmp_path, f"parallelism = {parallelism}\n")
+        assert main(argv) == 0
+        assert len(wire.requests) == 14
+        assert_golden_without_script(tmp_path / "run")
+
+    def test_cut_run_resumes_to_the_golden_tree(self, tmp_path, wire, capsys):
+        assert main(http_train_argv(tmp_path, "call_budget = 8\n")) == 2
+        assert "call budget 8 reached" in capsys.readouterr().err
+        assert len(wire.requests) == 8
+        argv = ["resume", "--config", CFG, "--out", str(tmp_path / "run"), "--backend", "http"]
+        assert main(argv) == 0
+        assert len(wire.requests) == 14
+        assert_golden_without_script(tmp_path / "run")
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_one_503_is_retried_to_the_golden_tree(self, tmp_path, wire, monkeypatch, k):
+        monkeypatch.setattr(gateway, "_BACKOFF", (0.0, 0.0))
+        wire.faults.add(k)
+        assert main(http_train_argv(tmp_path)) == 0
+        assert len(wire.requests) == 15
+        assert_golden_without_script(tmp_path / "run")
 
 
 # A child train is killed once its run tree holds at least this many

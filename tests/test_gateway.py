@@ -38,7 +38,7 @@ from reprompt.gateway import (
     load_script,
 )
 
-from conftest import entry, make_gateway, write_script
+from conftest import LoopbackServer, clear_proxies, entry, make_gateway, serving, write_script
 
 
 def req(*parts, model="agent"):
@@ -484,43 +484,26 @@ class _Completions(http.server.BaseHTTPRequestHandler):
         pass
 
 
-class _LoopbackServer(http.server.ThreadingHTTPServer):
-    daemon_threads = True
-
+class _LoopbackServer(LoopbackServer):
     def __init__(self):
-        super().__init__(("127.0.0.1", 0), _Completions)
-        self.lock = threading.Lock()
+        super().__init__(_Completions)
         self.connections = 0
-        self.requests = []
         self.answers = []
         self.closed = threading.Semaphore(0)
         self.close_after_response = False
-        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
 
     def shutdown_request(self, request):
         super().shutdown_request(request)
         self.closed.release()
 
 
-def _clear_proxies(monkeypatch):
-    for name in list(os.environ):
-        if "proxy" in name.lower():
-            monkeypatch.delenv(name)
-
-
 @pytest.fixture
 def loopback(monkeypatch):
     """A _LoopbackServer, with the proxy variables cleared and key "k"."""
-    _clear_proxies(monkeypatch)
+    clear_proxies(monkeypatch)
     monkeypatch.setenv(API_KEY_ENV, "k")
-    server = _LoopbackServer()
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    with serving(_LoopbackServer()) as server:
+        yield server
 
 
 def make_http(loopback, *answers):
@@ -683,7 +666,7 @@ def test_base_url_with_a_space_or_control_character_is_an_error(url):
 @pytest.mark.parametrize("key", ["k\r\nX-Injected: 1", "k\rX", "k\nX"],
                          ids=["crlf", "cr", "lf"])
 def test_api_key_with_a_line_break_is_an_error(monkeypatch, key):
-    _clear_proxies(monkeypatch)
+    clear_proxies(monkeypatch)
     monkeypatch.setenv(API_KEY_ENV, key)
     with pytest.raises(ValueError, match="Authorization header value holds a line break"):
         HttpGateway(base_url="http://127.0.0.1:1/v1")
@@ -848,7 +831,7 @@ class _Recorder(socketserver.ThreadingTCPServer):
 @pytest.fixture
 def recorder(monkeypatch):
     """Starts _Recorder servers with the proxy variables cleared and key "k"."""
-    _clear_proxies(monkeypatch)
+    clear_proxies(monkeypatch)
     monkeypatch.setenv(API_KEY_ENV, "k")
     started = []
 
@@ -1235,7 +1218,7 @@ class _TlsRecorder(_Recorder):
 def tls_server(tmp_path, monkeypatch):
     """Starts a _TlsRecorder whose certificate names ``name`` and is the
     only one the client trusts (``SSL_CERT_FILE``)."""
-    _clear_proxies(monkeypatch)
+    clear_proxies(monkeypatch)
     monkeypatch.setenv(API_KEY_ENV, "k")
     started = []
 

@@ -144,22 +144,42 @@ def test_mutation_soak_damaged_copies_are_corrupt(monkeypatch, tmp_path):
 def test_bench_pairs_summary_applies_the_gain_rule(monkeypatch):
     pairs = import_script(monkeypatch, "bench_pairs")
     base = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # q1 12.25, q3 16.75
-    clear = pairs.summarize(base, [b - 5 for b in base], "lower")
+    clear = pairs.summarize(base, [b - 5 for b in base], "lower", 0.5)
     assert clear == {
         "base": (14.5, 12.25, 16.75), "change": (9.5, 7.25, 11.75),
-        "wins": 10, "ties": 0, "pairs": 10, "gain": True,
+        "wins": 10, "ties": 0, "pairs": 10, "gain": True, "worse": "no",
     }
     # Every pair won, but the medians differ by less than the base's spread.
-    assert not pairs.summarize(base, [b - 4 for b in base], "lower")["gain"]
+    assert not pairs.summarize(base, [b - 4 for b in base], "lower", 0.5)["gain"]
     # A wide gap, but a tie and a loss leave 8 wins of 10.
     mixed = [b - 5 for b in base[:8]] + [base[8], base[9] + 1]
-    assert pairs.summarize(base, mixed, "lower")["wins"] == 8
-    assert pairs.summarize(base, mixed, "lower")["ties"] == 1
-    assert not pairs.summarize(base, mixed, "lower")["gain"]
+    assert pairs.summarize(base, mixed, "lower", 0.5)["wins"] == 8
+    assert pairs.summarize(base, mixed, "lower", 0.5)["ties"] == 1
+    assert not pairs.summarize(base, mixed, "lower", 0.5)["gain"]
     # For a metric where higher is better, the same runs count the other way.
-    higher = pairs.summarize(base, [b + 5 for b in base], "higher")
+    higher = pairs.summarize(base, [b + 5 for b in base], "higher", 0.5)
     assert (higher["wins"], higher["gain"]) == (10, True)
-    assert pairs.summarize(base, [b + 5 for b in base], "lower")["wins"] == 0
+    assert pairs.summarize(base, [b + 5 for b in base], "lower", 0.5)["wins"] == 0
+
+    # The no-regression rule, on the median 14.5 and the spread 4.5.
+    def worse(change, better="lower", bound=0.25):  # 0.25 allows 3.625 here
+        return pairs.summarize(base, change, better, bound)["worse"]
+
+    # A median worse by more than the bound, whatever the spread.
+    assert worse([b + 5 for b in base]) == "yes"
+    assert worse([b + 5 for b in base], bound=0.5) == "no"
+    assert worse([b - 5 for b in base], "higher") == "yes"
+    # Within the bound, but the base spreads wider than it: unresolved.
+    assert worse(base) == "unresolved"
+    assert worse([b + 3 for b in base]) == "unresolved"
+    assert worse([b - 5 for b in base]) == "unresolved"
+    assert worse(base, bound=0.5) == "no"
+    # Unless every run of the change reads better than every run of the base.
+    assert worse([b - 10 for b in base]) == "no"
+    assert worse([b + 10 for b in base], "higher") == "no"
+    assert worse([b + 5 for b in base], "higher") == "unresolved"
+    # A metric that ties in every pair is never worse.
+    assert pairs.summarize([4.0] * 10, [4.0] * 10, "lower", 0.05)["worse"] == "no"
 
 
 def test_untested_lines_counts_each_statement_by_its_head(monkeypatch):

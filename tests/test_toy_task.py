@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import enumerate_plans
 from reprompt.errors import UnparseableAnswerError
-from reprompt.prompt_model import parse_prompt
+from reprompt.prompt_model import fill_slots, parse_prompt
 from reprompt.toy_task import (
     MAX_DAYS,
     RULE_BUDGET,
@@ -433,7 +433,7 @@ def test_to_task_sample_carries_slots():
 
 def test_sample_render_uses_prompt_slots():
     prompt = parse_prompt("Here is the task:\nTask id: {task_id}\nBudget: {budget}\n")
-    text = TWO_DAY.render(prompt)
+    text = fill_slots(prompt, TWO_DAY.slot_values)
     assert "Task id: t" in text
     assert "Budget: 50" in text
 
@@ -447,7 +447,9 @@ def test_toy_and_task_samples_render_the_same_message(seed):
         "Budget: {budget}\nOptions:\n{options}\nRoutes: {routes}\n"
     )
     sample = generate_sample(seed)
-    assert sample.render(prompt) == to_task_sample(sample).render(prompt)
+    assert fill_slots(prompt, sample.slot_values) == fill_slots(
+        prompt, to_task_sample(sample).slot_values
+    )
 
 
 # --- plan formatting and parsing --------------------------------------------------------

@@ -233,11 +233,12 @@ class TestGoldenRun:
             (tmp_path / "run" / "prompts" / f"v{n}.txt").read_text(encoding="utf-8")
             for n in range(3)
         ]
+        # A version's number is its record's position.
+        assert len(metas) == 3
         for n, meta in enumerate(metas):
-            assert meta["version"] == n
             digest = hashlib.sha256(texts[n].encode()).hexdigest()
             assert meta["hash"] == digest
-        assert set(metas[1]) == {"version", "hash", "focus_case", "focus_text"}
+            assert set(meta) == {"hash", "focus_case"}
         assert metas[0]["focus_case"] is None
         run_meta = yaml.safe_load((tmp_path / "run" / "run.meta").read_text())
         assert run_meta["v0_hash"] == metas[0]["hash"]
@@ -598,7 +599,7 @@ class TestBudgetAndResume:
         result = run(tmp_path / "run")
         paths, meta = rundir.open_run(tmp_path / "run")
         cursor = rundir.fold(meta, rundir.read_cursor(paths)[0])
-        assert tuple(v["version"] for v in cursor.versions) == result.versions
+        assert tuple(range(len(cursor.versions))) == result.versions
         assert cursor.episodes_total == result.episodes_run
         assert cursor.calls_total == result.calls_used
         assert cursor.epoch - 1 == result.epochs_completed
@@ -1191,7 +1192,7 @@ class TestCorruptRuns:
             verify_chain(golden_dir)
 
     def test_no_versions_at_all(self, tmp_path):
-        with pytest.raises(CorruptRunError, match="no prompts directory"):
+        with pytest.raises(FileNotFoundError, match="no run directory at "):
             verify_chain(tmp_path / "nowhere")
 
     def test_resume_without_prompts_directory(self, golden_dir):
