@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating pairs: a base revision against the working tree.
 
-    python scripts/bench_pairs.py --base HEAD~1 --workload eval_http \\
-        --pairs 10 --seconds 6 --seed-base 601
+    python scripts/bench_pairs.py --base HEAD --pairs 10 --seed-base 601
+    python scripts/bench_pairs.py --base HEAD --workload eval_http \\
+        --pairs 10 --seed-base 601
+
+Without ``--workload`` it runs every workload ``BENCHMARK.json`` lists,
+one after the other, and prints one table each; ``--seconds`` defaults
+to its ``run_seconds``, the length of the benchmark's own runs.
 
 Pair ``i`` runs ``perfbench/run.py --seed K+i --trace 0`` once on each
 side, the base first in even pairs and the change first in odd ones. Each
@@ -25,8 +30,9 @@ the change's median is worse than the base's by more than the metric's
 is not, but the base's q1-q3 spread is wider than the bound and some run
 of the change reads no better than every run of the base; else no. The
 direction and bound of each metric come from ``BENCHMARK.json``. Every
-run's ``correct`` flag and failed count are printed too. It exits 1 when
-a run is not correct or failed an operation, or a metric is worse.
+run's ``correct`` flag and failed count are printed too. It exits 1 when,
+on any workload, a run is not correct or failed an operation, or a metric
+is worse.
 """
 from __future__ import annotations
 
@@ -108,32 +114,20 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--base", required=True, help="the revision to compare against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--seed-base", type=int, required=True)
-    args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
-
-    base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
-    change = _git("stash", "create").decode().strip() or _git("rev-parse", "HEAD").decode().strip()
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+def compare(workload: str, base: str, change: str, args, metrics: list) -> bool:
+    """Run ``args.pairs`` pairs of ``workload`` and print its table; True
+    when a run is not correct or failed an operation, or a metric is worse."""
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     for i in range(args.pairs):
         seed = args.seed_base + i
         order = [("base", base), ("change", change)]
         for side, rev in order if i % 2 == 0 else order[::-1]:
-            result = run_side(rev, args.workload, seed, args.seconds)
+            result = run_side(rev, workload, seed, args.seconds)
             runs[side].append(result)
-            print(f"pair {i + 1} seed {seed} {side}: correct={result['correct']} "
+            print(f"{workload} pair {i + 1} seed {seed} {side}: correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']}", flush=True)
 
-    print(f"\n{args.workload}, {args.pairs} pairs, {args.seconds:g} s runs, "
+    print(f"\n{workload}, {args.pairs} pairs, {args.seconds:g} s runs, "
           f"seeds {args.seed_base}-{args.seed_base + args.pairs - 1}")
     print("metric          base median [q1-q3]            change median [q1-q3]          "
           "wins  ties  gain  worse")
@@ -145,8 +139,30 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name:<15} {cells[0]:<30} {cells[1]:<30} {s['wins']:>2}/{s['pairs']:<2} "
               f"{s['ties']:>2}/{s['pairs']:<2} {'yes' if s['gain'] else 'no':<5} {s['worse']}")
         worse = worse or s["worse"] == "yes"
-    bad = [side for side in runs for r in runs[side] if not r["correct"] or r["failed"]]
-    return 1 if bad or worse else 0
+    print(flush=True)
+    return worse or any(not r["correct"] or r["failed"] for side in runs for r in runs[side])
+
+
+def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--base", required=True, help="the revision to compare against")
+    parser.add_argument("--workload", choices=workloads,
+                        help="one workload (default: each in BENCHMARK.json)")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
+    parser.add_argument("--seed-base", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+
+    base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
+    change = _git("stash", "create").decode().strip() or _git("rev-parse", "HEAD").decode().strip()
+    metrics = [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    failed = [w for w in ([args.workload] if args.workload else workloads)
+              if compare(w, base, change, args, metrics)]
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

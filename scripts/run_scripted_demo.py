@@ -65,9 +65,9 @@ def main() -> int:
     records = verify_chain(out)
     print(f"hash chain and lineage replay verified over {len(records)} versions\n")
 
-    for older, newer in zip(records, records[1:]):
+    for n, (older, newer) in enumerate(zip(records, records[1:]), start=1):
         placement = classify_placement(older.doc, newer.doc)
-        print(f"--- v{older.doc.version} -> v{newer.doc.version} "
+        print(f"--- v{n - 1} -> v{n} "
               f"({placement}, focus: {newer.meta['focus_case']})")
         print(diff_prompts(older.doc, newer.doc))
         print()

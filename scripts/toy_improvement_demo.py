@@ -98,7 +98,7 @@ def main() -> int:
         )
     assert ANCHOR in render_prompt(result.final_prompt)
     print(f"one epoch on {len(toys)} samples landed on prompt "
-          f"v{result.final_prompt.version}")
+          f"v{result.versions[-1]}")
 
     holdout = generate_samples(
         args.samples, base_seed=args.seed, require_blind_fail=True

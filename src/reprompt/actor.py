@@ -66,9 +66,10 @@ def load_dataset(path: str) -> list[TaskSample]:
     """Read task samples from a YAML (or JSON) list of {id, slot_values} rows.
 
     A row holds no other key, so a toy dataset is no generic one. An id must
-    be a string, since it names the sample's transcript file. A slot name
-    must be a string, and a slot value a string or a number, which is
-    filled in as written.
+    be a string, since it names the sample's transcript file. slot_values
+    must be a mapping, or null or absent for no slots. A slot name must be
+    a string, and a slot value a string or a number, which is filled in as
+    written.
     """
     from .yamlio import load_yaml
 
@@ -85,7 +86,7 @@ def load_dataset(path: str) -> list[TaskSample]:
         extra = sorted(map(str, set(row) - {"id", "slot_values"}))
         if extra:
             raise ValueError(f"{path}: sample {sid}: unknown key(s): {', '.join(extra)}")
-        slots = row.get("slot_values") or {}
+        slots = {} if row.get("slot_values") is None else row["slot_values"]
         if not isinstance(slots, dict):
             raise ValueError(f"{path}: sample {sid}: slot_values must be a mapping")
         for key, value in slots.items():

@@ -102,8 +102,7 @@ def _cmd_resume(args) -> int:
 
 
 def _print_train_result(result: TrainResult) -> None:
-    doc = result.final_prompt
-    print(f"final prompt: v{doc.version}")
+    print(f"final prompt: v{result.versions[-1]}")
     print(f"versions written: {', '.join(f'v{n}' for n in result.versions)}")
     print(
         f"episodes: {result.episodes_run}, gateway calls: {result.calls_used}, "

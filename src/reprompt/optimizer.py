@@ -63,10 +63,12 @@ def optimize(
 ) -> PromptUpdate:
     """Produce the next prompt version for one focus point.
 
-    The no-general-reason case returns the input prompt unchanged with zero
-    gateway calls. Otherwise each attempt sends the optimizer prompt, and a
-    missing marker or a guardrail rejection consumes one attempt from the
-    shared budget; retries carry a note naming the previous rejection.
+    An accepted rewrite's ``new_prompt`` is the document the guardrails
+    parsed; the run gives it its number. The no-general-reason case returns
+    the input prompt unchanged with zero gateway calls. Otherwise each
+    attempt sends the optimizer prompt, and a missing marker or a guardrail
+    rejection consumes one attempt from the shared budget; retries carry a
+    note naming the previous rejection.
     """
     if not has_step_instructions(prompt):
         raise ValueError("optimize needs a structured prompt (with step instructions)")
@@ -99,15 +101,9 @@ def optimize(
         if parsed is None:
             last_reason = report.violations[0].detail
             continue
-        if parsed.segments == prompt.segments:
+        if parsed == prompt:
             return PromptUpdate(raw_output=raw, new_prompt=prompt)
-        return PromptUpdate(
-            raw_output=raw,
-            new_prompt=PromptDocument(
-                segments=parsed.segments, version=prompt.version + 1
-            ),
-            changed=True,
-        )
+        return PromptUpdate(raw_output=raw, new_prompt=parsed, changed=True)
     if marker_missing == attempts:
         raise MissingFinalMarkerError(
             f"no final-prompt line in any of {attempts} attempts"

@@ -38,11 +38,9 @@ class PromptSegment(NamedTuple):
 
 
 class PromptDocument(NamedTuple):
-    """An ordered segment sequence plus its version number; version n is
-    the child of version n - 1."""
+    """An ordered segment sequence; a version's number is the run's."""
 
     segments: tuple[PromptSegment, ...]
-    version: int = 0
 
 
 class SegmentationConfig(NamedTuple):
@@ -302,7 +300,7 @@ def inject_default_steps(doc: PromptDocument) -> PromptDocument:
         text=prefix + DEFAULT_STEP_INSTRUCTIONS + suffix,
     )
     segments = doc.segments[:insert_at] + (block,) + doc.segments[insert_at:]
-    return PromptDocument(segments=segments, version=doc.version)
+    return PromptDocument(segments=segments)
 
 
 # --- step lists -------------------------------------------------------------

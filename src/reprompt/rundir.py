@@ -228,7 +228,9 @@ def create(paths: _RunPaths, v0_text: str, config: EngineConfig, samples: Sequen
     os.replace(staged, paths.version_txt(0))
 
 
-_VERSION_FILE_RE = re.compile(r"^v(\d+)\.txt$")
+# Only the names version_txt writes: no leading zero, so a stray "v07.txt"
+# is no version file and is neither refused nor removed.
+_VERSION_FILE_RE = re.compile(r"^v(0|[1-9][0-9]*)\.txt$")
 
 
 class _RunMeta(NamedTuple):
@@ -359,11 +361,12 @@ def advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
     """The cursor's one transition: check a parsed cursor line against
     ``cursor`` and return where the run stands after it. It reads no file.
 
-    ``shape`` is the run's batches per epoch and epochs. The line must be
+    ``shape`` is run.meta's batches per epoch and epochs. The line must be
     the one due: each epoch's batch lines 1, 2, ... up to the batches per
-    epoch, up to the run's last epoch. Its ``prompt_version`` must be the
-    last committed version, or the next one on a line that carries a
-    ``version`` record. ``episodes_total`` and ``calls_total`` never fall.
+    epoch, up to the run's last epoch. A version's number is its place in
+    ``cursor.versions``, so ``prompt_version`` must be the last committed
+    number, plus one on a line that carries a ``version`` record.
+    ``episodes_total`` and ``calls_total`` never fall.
     A version record's hash and focus text must be strings, and the focus
     case a FocusCase other than no_general_reason, which never reaches the
     optimizer; other keys are ignored, such as the ``placement``,
@@ -373,10 +376,10 @@ def advance(cursor: _Cursor, entry: dict, shape: tuple[int, int]) -> _Cursor:
     A new version's hash and focus case, ``{"hash", "focus_case"}``, are
     appended to ``cursor.versions`` in place, so a fold takes time linear
     in the versions; the returned cursor shares that list. The focus text
-    is checked but not kept, and a version's number is its position. The
-    epoch's last batch line also closes it: the next line is due in the
-    next epoch, and the epoch counts towards the unchanged-epoch streak
-    when its last version's hash is that of the version it started from.
+    is checked but not kept. The epoch's last batch line also closes it:
+    the next line is due in the next epoch, and the epoch counts towards
+    the unchanged-epoch streak when its last version's hash is that of the
+    version it started from.
     """
     per_epoch, epochs = shape
     n = entry["prompt_version"]
@@ -451,13 +454,12 @@ def discard_uncommitted(paths: _RunPaths, cursor: _Cursor, complete: int) -> Non
     shutil.rmtree(paths.batch_dir(cursor.epoch, cursor.batch + 1), ignore_errors=True)
 
 
-def _replay(parent: PromptDocument, text: str) -> PromptDocument:
-    """The version after ``parent`` whose file holds ``text``: ``parent``
-    with only its step segment replaced. Each accepted optimizer update
-    changes only that segment, so ``text`` must hold the text before and
-    after the parent's step segment exactly, and between them a non-empty
-    step block other than the parent's; otherwise CorruptRunError."""
-    n = parent.version + 1
+def _replay(n: int, parent: PromptDocument, text: str) -> PromptDocument:
+    """Version ``n`` (the caller's number) whose file holds ``text``:
+    ``parent`` with only its step segment replaced. Each accepted optimizer
+    update changes only that segment, so ``text`` must hold the text before
+    and after the parent's step segment exactly, and between them a
+    non-empty step block other than the parent's; otherwise CorruptRunError."""
     for k, segment in enumerate(parent.segments):
         if segment.kind is SegmentKind.STEP_INSTRUCTIONS:
             head = "".join(s.text for s in parent.segments[:k])
@@ -466,20 +468,20 @@ def _replay(parent: PromptDocument, text: str) -> PromptDocument:
             if step and step != segment.text and text == head + step + tail:
                 segments = list(parent.segments)
                 segments[k] = segment._replace(text=step)
-                return PromptDocument(tuple(segments), version=n)
+                return PromptDocument(tuple(segments))
     raise CorruptRunError(
         f"replaying v{n} from v{n - 1} does not reproduce the stored prompt"
     )
 
 
-def write_version(paths: _RunPaths, parent: PromptDocument,
+def write_version(paths: _RunPaths, n: int, parent: PromptDocument,
                   text: str) -> tuple[PromptDocument, dict]:
-    """Write the version after ``parent``, whose rendered text is ``text``;
-    return its document and the cursor's record of it. It is replayed as
-    the readers replay it, so a version they would refuse raises
-    CorruptRunError here, before its file is written."""
-    new = _replay(parent, text)
-    paths.version_txt(new.version).write_text(text, encoding="utf-8")
+    """Write version ``n`` (the caller's number), the child of ``parent``,
+    whose rendered text is ``text``; return its document and the cursor's
+    record of it. It is replayed as the readers replay it, so a version
+    they would refuse raises CorruptRunError here, before its file is written."""
+    new = _replay(n, parent, text)
+    paths.version_txt(n).write_text(text, encoding="utf-8")
     return new, {"hash": _sha256(text)}
 
 
@@ -510,7 +512,7 @@ def check_run(paths: _RunPaths, seg: SegmentationConfig,
         text = paths.version_txt(n).read_text(encoding="utf-8")
         if _sha256(text) != vmeta["hash"]:
             raise CorruptRunError(f"prompt v{n} text does not match its recorded hash")
-        doc = _replay(records[-1].doc, text) if records else parse_prompt(text, seg)
+        doc = _replay(n, records[-1].doc, text) if records else parse_prompt(text, seg)
         records.append(VersionRecord(meta=vmeta, doc=doc))
     return records
 

@@ -100,10 +100,12 @@ def resume(
 
     The loop runs the batch due next and writes its line until the run's
     epochs are done or the unchanged-epoch streak reaches
-    ``convergence_patience``. Each line passes through rundir.advance, whose
-    result is the loop's one record of where the run stands (an epoch ends
-    at its last batch line), before it is appended. The cursor stays open
-    for appending, and each line is flushed before the next gateway call.
+    ``convergence_patience``. Each line passes through rundir.advance, with
+    run.meta's shape, whose result is the loop's one record of where the
+    run stands (an epoch ends at its last batch line), before it is
+    appended. The run numbers its versions: a new one is the count of
+    committed ones. The cursor stays open for appending, and each line is
+    flushed before the next gateway call.
 
     Batch-level failures (all episodes down, summarizer or optimizer
     giving up) skip that batch and leave the prompt unchanged. A gateway
@@ -136,8 +138,6 @@ def resume(
     patience = train_cfg.convergence_patience
     size = train_cfg.batch_size
     batches = [list(samples[i:i + size]) for i in range(0, len(samples), size)]
-    # run.meta, which gave the cursor its shape, matches this config.
-    shape = (len(batches), train_cfg.epochs)
     # The one count kept outside the cursor: calls_total is gateway.calls less it.
     calls_before = gateway.calls - cursor.calls_total
 
@@ -178,7 +178,7 @@ def resume(
         if not update.changed:
             return prompt, episodes, outputs
         new, outputs["version"] = rundir.write_version(
-            paths, prompt, render_prompt(update.new_prompt)
+            paths, len(cursor.versions), prompt, render_prompt(update.new_prompt)
         )
         return new, episodes, outputs
 
@@ -201,12 +201,12 @@ def resume(
             entry = {
                 "epoch": cursor.epoch,
                 "batch": cursor.batch + 1,
-                "prompt_version": prompt.version,
+                "prompt_version": len(cursor.versions) - ("version" not in outputs),
                 "episodes_total": cursor.episodes_total + episodes,
                 "calls_total": gateway.calls - calls_before,
                 **outputs,
             }
-            cursor = rundir.advance(cursor, entry, shape)
+            cursor = rundir.advance(cursor, entry, meta.shape)
             # One line per write, flushed before the next gateway call.
             log.write(rundir.cursor_line(entry))
             log.flush()

@@ -302,12 +302,16 @@ def test_load_dataset(tmp_path):
     path.write_text(
         "- id: s1\n  slot_values: {task_id: s1, budget: 90, rate: 0.5}\n"
         "- id: s2\n  slot_values: {task_id: s2}\n"
+        "- id: s3\n  slot_values: null\n"
+        "- id: s4\n"
     )
     samples = load_dataset(str(path))
-    assert [s.id for s in samples] == ["s1", "s2"]
+    assert [s.id for s in samples] == ["s1", "s2", "s3", "s4"]
     # Numbers are filled in as written.
     assert samples[0].slot_values["budget"] == "90"
     assert samples[0].slot_values["rate"] == "0.5"
+    # A null or absent slot_values is no slots.
+    assert samples[2].slot_values == samples[3].slot_values == {}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -344,8 +348,14 @@ def test_load_dataset(tmp_path):
         "- id: a\n  slot_values: {task_id: a}\n  days: 1\n  budget: 9\n",
         "sample a: unknown key(s): budget, days",
     ),
+    # Falsy values that are no mapping are refused, not read as no slots.
+    ("- id: a\n  slot_values: []\n", "sample a: slot_values must be a mapping"),
+    ("- id: a\n  slot_values: 0\n", "sample a: slot_values must be a mapping"),
+    ("- id: a\n  slot_values: ''\n", "sample a: slot_values must be a mapping"),
+    ("- id: a\n  slot_values: false\n", "sample a: slot_values must be a mapping"),
 ], ids=["null-id", "list-id", "int-id", "list-slot", "null-slot", "bool-slot",
-        "mapping-slot", "null-slot-name", "int-slot-name", "unknown-key"])
+        "mapping-slot", "null-slot-name", "int-slot-name", "unknown-key",
+        "empty-list-slots", "zero-slots", "empty-string-slots", "false-slots"])
 def test_load_dataset_rejects_malformed_records(tmp_path, text, message):
     path = tmp_path / "d.yaml"
     path.write_text(text)

@@ -201,7 +201,8 @@ class TestTrain:
         argv[argv.index("--dataset") + 1] = str(tmp_path / "dataset.yaml")
         return argv
 
-    @pytest.mark.parametrize("slots", ["[x]", "x"], ids=["list", "string"])
+    @pytest.mark.parametrize("slots", ["[x]", "x", "[]", "false"],
+                             ids=["list", "string", "empty-list", "false"])
     def test_generic_slot_values_must_be_a_mapping(self, tmp_path, capsys, slots):
         argv = self.generic_argv(tmp_path, "none", f"- id: a\n  slot_values: {slots}\n")
         assert main(argv) == 1
@@ -493,6 +494,23 @@ class TestResume:
         out = capsys.readouterr().out
         assert "final prompt: v2" in out
         assert "converged: no" in out
+
+    @pytest.mark.parametrize("name", ["v07.txt", "v01.txt", "v00.txt", "v\u0663.txt"],
+                             ids=["v07", "v01", "v00", "arabic-indic-3"])
+    def test_other_spelling_of_a_version_name_is_a_stray_file(self, tmp_path, capsys, name):
+        # The writer names version n "v{n}.txt" in ASCII digits without a
+        # leading zero; any other spelling of a number is a stray file
+        # that neither inspect nor resume reads or removes.
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        (run / "prompts" / name).write_text("stray\n", encoding="utf-8")
+        before = tree_hashes(run)
+        capsys.readouterr()
+        assert main(["inspect", "--out", str(run)]) == 0
+        assert "3 version(s); hash chain and replay both check out" in capsys.readouterr().out
+        assert main(["resume", "--config", CFG, "--out", str(run)]) == 0
+        assert "final prompt: v2" in capsys.readouterr().out
+        assert tree_hashes(run) == before
 
     def edit_run_meta(self, run, **changes):
         meta = json.loads((run / "run.meta").read_text(encoding="utf-8"))
@@ -1223,9 +1241,13 @@ class TestDiff:
 
 class _ScriptedCompletions(http.server.BaseHTTPRequestHandler):
     """Answers each POST from the server's ScriptedGateway, as a
-    chat-completions body; the requests numbered (from 1) in the server's
-    ``faults`` get a 503 instead. Each answer goes out in one write: a head
-    and a body sent apart stall on delayed ACK."""
+    chat-completions body. A request whose number (from 1) the server's
+    ``faults`` maps to a fault kind gets that fault instead: "503" or "429"
+    with an empty body, "drop" (the connection closed with no reply),
+    "cut" (a Content-Length that promises more bytes than are sent, then
+    close) or "not-json" (a 200 whose body is not JSON). HttpGateway tries
+    all but the last again. Each answer goes out in one write: a head and
+    a body sent apart stall on delayed ACK."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -1236,9 +1258,19 @@ class _ScriptedCompletions(http.server.BaseHTTPRequestHandler):
         server = self.server
         with server.lock:
             server.requests.append(body)
-            fault = len(server.requests) in server.faults
-        if fault:
-            status, payload = 503, b""
+            fault = server.faults.get(len(server.requests))
+        if fault == "drop":
+            self.close_connection = True
+            return
+        promised = None  # the Content-Length, when it is not the payload's
+        if fault in ("503", "429"):
+            status, payload = int(fault), b""
+        elif fault == "not-json":
+            status, payload = 200, b"<html>not a completion</html>"
+        elif fault == "cut":
+            status, payload = 200, b'{"choices": [{"message": {"content": "'
+            promised = len(payload) + 64
+            self.close_connection = True
         else:
             request = ChatRequest(
                 tuple(Message(Role(m["role"]), m["content"]) for m in body["messages"]),
@@ -1250,7 +1282,7 @@ class _ScriptedCompletions(http.server.BaseHTTPRequestHandler):
             ).encode()
         self.wfile.write(
             f"HTTP/1.1 {status} Canned\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
+            f"Content-Length: {promised or len(payload)}\r\n\r\n".encode() + payload
         )
 
     def log_message(self, *args):
@@ -1261,7 +1293,7 @@ class _ScriptedServer(LoopbackServer):
     def __init__(self, script):
         super().__init__(_ScriptedCompletions)
         self.gateway = ScriptedGateway(load_script(script))
-        self.faults = set()
+        self.faults = {}
 
 
 @pytest.fixture
@@ -1318,12 +1350,31 @@ class TestOverHttp:
         assert len(wire.requests) == 14
         assert_golden_without_script(tmp_path / "run")
 
-    @pytest.mark.parametrize("k", range(1, 15))
-    def test_one_503_is_retried_to_the_golden_tree(self, tmp_path, wire, monkeypatch, k):
+    # Each fault HttpGateway tries again, at each request k; a 503's id is
+    # "[k]" and every other kind's "[kind-k]".
+    @pytest.mark.parametrize("k, kind", [
+        pytest.param(k, kind, id=str(k) if kind == "503" else f"{kind}-{k}")
+        for kind in ("503", "429", "drop", "cut") for k in range(1, 15)
+    ])
+    def test_one_503_is_retried_to_the_golden_tree(self, tmp_path, wire, monkeypatch, k,
+                                                   kind):
         monkeypatch.setattr(gateway, "_BACKOFF", (0.0, 0.0))
-        wire.faults.add(k)
+        wire.faults[k] = kind
         assert main(http_train_argv(tmp_path)) == 0
         assert len(wire.requests) == 15
+        assert_golden_without_script(tmp_path / "run")
+
+    def test_non_json_body_is_not_retried(self, tmp_path, wire, capsys):
+        # Request 7 is the golden run's first summarizer call; a 200 whose
+        # body is not JSON fails it at once, with its batch uncommitted.
+        wire.faults[7] = "not-json"
+        assert main(http_train_argv(tmp_path)) == 2
+        assert "summarizer call failed" in capsys.readouterr().err
+        assert len(wire.requests) == 7
+        assert wire.requests[6]["messages"][0]["content"].startswith("You are a summarizer")
+        argv = ["resume", "--config", CFG, "--out", str(tmp_path / "run"), "--backend", "http"]
+        assert main(argv) == 0
+        assert len(wire.requests) == 7 + 14
         assert_golden_without_script(tmp_path / "run")
 
 

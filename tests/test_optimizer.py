@@ -104,14 +104,16 @@ def test_no_general_reason_is_identity_with_zero_calls():
     assert gw.calls == 0
 
 
-def test_accepted_rewrite_bumps_version():
+def test_accepted_rewrite_returns_the_parsed_document():
+    # The document carries no version number; the run numbers it.
     gw = make_gateway(
         entry(["You are a prompt optimizer"], f"analysis\n{MARKER}\n{NEW_TEXT}")
     )
     update = optimize(OLD, focus(), **callers(gw), **SETTINGS)
     assert update.changed
     assert render_prompt(update.new_prompt) == NEW_TEXT
-    assert update.new_prompt.version == OLD.version + 1
+    assert update.new_prompt == parse_prompt(NEW_TEXT, SETTINGS["seg_config"])
+    assert update.new_prompt._fields == ("segments",)
     assert gw.calls == 1
 
 

@@ -22,7 +22,7 @@ STEPS = PromptSegment(SegmentKind.STEP_INSTRUCTIONS, "1. Check the budget.\n")
 OPTION = ToyOption("a1", 10, "Oslo")
 
 REQUEST = {"messages": (USER,), "model": "m", "temperature": 0.0, "seed": 1}
-DOCUMENT = {"segments": (PREAMBLE, STEPS), "version": 1}
+DOCUMENT = {"segments": (PREAMBLE, STEPS)}
 FAILURE = {"case": FocusCase.FAILURE_REASON, "text": "the budget is ignored"}
 NO_REASON = {"case": FocusCase.NO_GENERAL_REASON, "text": ""}
 SAMPLE = {

@@ -1,6 +1,7 @@
 """The demo scripts run end to end in their own interpreter."""
 import hashlib
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
@@ -180,6 +181,34 @@ def test_bench_pairs_summary_applies_the_gain_rule(monkeypatch):
     assert worse([b + 5 for b in base], "higher") == "unresolved"
     # A metric that ties in every pair is never worse.
     assert pairs.summarize([4.0] * 10, [4.0] * 10, "lower", 0.05)["worse"] == "no"
+
+
+def test_bench_pairs_defaults_to_the_benchmarks_runs(monkeypatch, capsys):
+    pairs = import_script(monkeypatch, "bench_pairs")
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [m["name"] for m in spec["end_to_end"]]
+    calls = []
+
+    def run_side(rev, workload, seed, seconds):
+        calls.append((workload, seconds))
+        correct = not (workload == "train_deep" and rev == "change")
+        metrics = {name: {"value": 1.0} for name in names}
+        return {"correct": correct, "failed": 0, "attempted": 1, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    monkeypatch.setattr(pairs, "_git", lambda *args: b"change" if "stash" in args else b"base")
+    workloads = [w["name"] for w in spec["workloads"]]
+    # Every workload, each at run_seconds, one table each; one incorrect
+    # run of one workload fails the whole comparison.
+    assert pairs.main(["--base", "HEAD", "--pairs", "2", "--seed-base", "1"]) == 1
+    assert calls == [(w, spec["run_seconds"]) for w in workloads for _ in range(4)]
+    out = capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.splitlines() if " pairs, " in line] == workloads
+    calls.clear()
+    argv = ["--base", "HEAD", "--pairs", "2", "--seed-base", "1", "--workload", "eval_http",
+            "--seconds", "6"]
+    assert pairs.main(argv) == 0
+    assert calls == [("eval_http", 6.0)] * 4
 
 
 def test_untested_lines_counts_each_statement_by_its_head(monkeypatch):

@@ -97,6 +97,13 @@ def tree_hashes(root):
     }
 
 
+def version_texts(run_dir, count):
+    """The texts of prompt files v0 to v{count - 1}: version n is file n."""
+    return [
+        (run_dir / "prompts" / f"v{n}.txt").read_text(encoding="utf-8") for n in range(count)
+    ]
+
+
 def edit_run_meta(run_dir, **changes):
     meta = json.loads((run_dir / "run.meta").read_text(encoding="utf-8"))
     meta.update(changes)
@@ -367,13 +374,9 @@ class TestGoldenRun:
     def test_verify_chain_and_replay(self, tmp_path):
         run_golden(tmp_path / "run")
         records = verify_chain(tmp_path / "run")
-        assert [r.doc.version for r in records] == [0, 1, 2]
         docs = replay_lineage(tmp_path / "run")
         assert docs == [r.doc for r in records]
-        assert [render_prompt(d) for d in docs] == [
-            (tmp_path / "run" / "prompts" / f"v{n}.txt").read_text(encoding="utf-8")
-            for n in range(3)
-        ]
+        assert [render_prompt(d) for d in docs] == version_texts(tmp_path / "run", 3)
 
     def test_resume_of_complete_run_returns_final_state(self, tmp_path):
         # Resuming a finished run, converged or not, reads the writer's end
@@ -1181,7 +1184,8 @@ class TestCorruptRuns:
         )
         assert result.versions == (0, 1, 2)
         assert not (golden_dir / "prompts" / "v3.txt").exists()
-        assert [r.doc.version for r in verify_chain(golden_dir)] == [0, 1, 2]
+        rendered = [render_prompt(r.doc) for r in verify_chain(golden_dir)]
+        assert rendered == version_texts(golden_dir, 3)
 
     def test_gap_in_versions(self, golden_dir):
         (golden_dir / "prompts" / "v1.txt").unlink()
@@ -1222,7 +1226,8 @@ class TestCorruptRuns:
         cursor = golden_dir / "state.cursor"
         complete = cursor.read_bytes()
         cursor.write_bytes(complete + b"\xff\xfe")
-        assert [r.doc.version for r in verify_chain(golden_dir)] == [0, 1, 2]
+        rendered = [render_prompt(r.doc) for r in verify_chain(golden_dir)]
+        assert rendered == version_texts(golden_dir, 3)
         assert cursor.read_bytes() == complete + b"\xff\xfe"
         samples, feedback, _ = golden_inputs()
         resume(
