@@ -30,7 +30,8 @@ the change's median is worse than the base's by more than the metric's
 is not, but the base's q1-q3 spread is wider than the bound and some run
 of the change reads no better than every run of the base; else no. The
 direction and bound of each metric come from ``BENCHMARK.json``. Every
-run's ``correct`` flag and failed count are printed too. It exits 1 when,
+run's ``correct`` flag, failed count and end-to-end values are printed as
+it ends, so a reader can tell noise from a shift. It exits 1 when,
 on any workload, a run is not correct or failed an operation, or a metric
 is worse.
 """
@@ -124,8 +125,11 @@ def compare(workload: str, base: str, change: str, args, metrics: list) -> bool:
         for side, rev in order if i % 2 == 0 else order[::-1]:
             result = run_side(rev, workload, seed, args.seconds)
             runs[side].append(result)
+            values = " ".join(
+                f"{name}={result['metrics'][name]['value']:.4g}" for name, *_ in metrics
+            )
             print(f"{workload} pair {i + 1} seed {seed} {side}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']}", flush=True)
+                  f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
     print(f"\n{workload}, {args.pairs} pairs, {args.seconds:g} s runs, "
           f"seeds {args.seed_base}-{args.seed_base + args.pairs - 1}")

@@ -7,7 +7,9 @@ copies that directory, applies one damage, then runs ``reprompt inspect``
 and ``reprompt resume`` on it in this process. The damages:
 
 - per file: delete it, truncate it to 0 bytes, to half and by its last
-  byte, and flip the low bit of a byte at nine evenly spaced offsets;
+  byte, flip the low bit of a byte at nine evenly spaced offsets, and
+  replace it with an empty directory;
+- once: add an empty directory named like the next version file;
 - per cursor field, per field of a version record or focus, and per
   run.meta key: remove it or set it to null, a string, a float, a list, a
   mapping, a bool, -1 or 10**30;
@@ -26,8 +28,13 @@ Each case must keep these invariants:
 - a ``resume`` that does not exit 0 leaves the tree byte-identical;
 - after a ``resume`` that exits 0, ``inspect`` exits 0;
 - a cursor in the older format, any damage to the dataset or script
-  copy, and any other value of the run.meta hash of either copy make a
-  corrupt run: ``inspect`` and ``resume`` both exit 2.
+  copy, any other value of the run.meta hash of either copy, and a
+  directory in the place of any file but a transcript, or named like the
+  next version file, make a corrupt run: ``inspect`` and ``resume`` both
+  exit 2.
+
+The tree compared is each file's bytes and each directory's path, so a
+``resume`` that removes a directory has changed it.
 
     python scripts/mutation_soak.py [--every N]
 
@@ -70,8 +77,9 @@ CONFIG_INPUTS = {
     "temperature", "segmentation", "required_tokens", "guards", "run.meta",
     "dataset", "script",
 }
-# Damage to this target makes a corrupt run: inspect and resume must exit 2.
+# Damage to these targets makes a corrupt run: inspect and resume must exit 2.
 CORRUPTING = "state.cursor epoch lines"
+NOT_A_FILE = "a directory in a run file's place"
 # So does damage to the input copies and to the hashes run.meta records of them.
 COPIES = {"dataset.yaml", "script.yaml", "dataset_sha256", "script_sha256"}
 
@@ -99,11 +107,12 @@ def run_cli(argv: list[str]) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def tree(root: Path) -> dict[str, str]:
+def tree(root: Path) -> dict[str, str | None]:
+    """Each file's SHA-256, and None for each directory, by path."""
     return {
-        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
         for p in sorted(root.rglob("*"))
-        if p.is_file()
     }
 
 
@@ -148,15 +157,27 @@ def _flip(name: str, offset: int) -> Damage:
     return damage
 
 
+def _directory(name: str) -> Damage:
+    def damage(run):
+        (run / name).unlink(missing_ok=True)
+        (run / name).mkdir()
+    return damage
+
+
 def _file_cases(golden: Path) -> list[tuple[str, str, Damage]]:
     cases = []
-    for name in tree(golden):
+    files = [name for name, digest in tree(golden).items() if digest is not None]
+    for name in files:
         size = (golden / name).stat().st_size
         cases.append((name, f"{name}: delete", _delete(name)))
         for label, length in (("empty", 0), ("half", size // 2), ("drop last byte", size - 1)):
             cases.append((name, f"{name}: truncate {label}", _cut(name, length)))
         for offset in sorted({k * (size - 1) // (FLIPS - 1) for k in range(FLIPS)}):
             cases.append((name, f"{name}: flip byte {offset}", _flip(name, offset)))
+        target = name if name.startswith("transcripts/") else NOT_A_FILE
+        cases.append((target, f"{name}: replace with a directory", _directory(name)))
+    stray = f"prompts/v{sum(name.startswith('prompts/') for name in files)}.txt"
+    cases.append((NOT_A_FILE, f"{stray}: add a directory", _directory(stray)))
     return cases
 
 
@@ -250,7 +271,7 @@ def _meta_cases(golden: Path) -> list[tuple[str, str, Damage]]:
 
 def cases(golden: Path) -> list[tuple[str, str, Damage]]:
     """Every case as (target, label, damage). The target is the damaged
-    file, the damaged run.meta key, or CORRUPTING."""
+    file, the damaged run.meta key, CORRUPTING or NOT_A_FILE."""
     return _file_cases(golden) + _cursor_cases(golden) + _meta_cases(golden)
 
 
@@ -261,7 +282,7 @@ def check(golden: Path, work: Path, target: str, damage: Damage) -> list[str]:
     shutil.copytree(golden, run)
     damage(run)
     problems = []
-    corrupting = target == CORRUPTING or target in COPIES
+    corrupting = target in (CORRUPTING, NOT_A_FILE) or target in COPIES
     inspect, _, _ = run_cli(["inspect", "--out", str(run)])
     if inspect not in ((2,) if corrupting else (0, 2)):
         problems.append(f"inspect: {inspect}")

@@ -82,21 +82,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    """Open the run once, load its copies or the flags' files, and resume it."""
     from . import rundir, trainer
 
     config = load_config(args.config)
-    run_dir = Path(args.out)
-    copies = rundir.input_copies(run_dir)
-    dataset = args.dataset or copies[0]
-    script = args.script or copies[1]
+    paths, meta = run = rundir.open_run(args.out)
+    dataset = args.dataset or meta.copies[0]
+    script = args.script or meta.copies[1]
     if dataset is None:
-        raise ConfigError(f"{run_dir} holds no dataset copy; resume needs --dataset")
+        raise ConfigError(f"{paths.root} holds no dataset copy; resume needs --dataset")
     gateway = _build_gateway(args.backend, script, config)
     samples, adapter = _load_task(config, dataset)
     feedback = _build_feedback(config.train.feedback, config, gateway, adapter, samples)
-    result = trainer.resume(
-        run_dir, samples, config=config, gateway=gateway, feedback=feedback
-    )
+    result = trainer.resume(run, samples, config=config, gateway=gateway, feedback=feedback)
     _print_train_result(result)
     return 0
 

@@ -127,12 +127,15 @@ def read_cursor(paths: _RunPaths) -> tuple[list[dict], int]:
 
     A final line without its newline was cut by a crash mid-append, so it
     commits nothing and is skipped; only resume truncates it, to the
-    returned length. A complete line that is not UTF-8 JSON, or not a
-    batch record whose fields have the types resume relies on, raises
-    CorruptRunError; no writer appends a blank line, so one is corrupt too.
+    returned length. A complete line that is not UTF-8 JSON, not a batch
+    record whose fields have the types resume relies on, or blank (no
+    writer appends one) raises CorruptRunError; so does a directory in the
+    cursor's place.
     """
     if not paths.cursor.exists():
         return [], 0
+    if paths.cursor.is_dir():
+        raise CorruptRunError(f"{paths.cursor} is not a file")
     data = paths.cursor.read_bytes()
     complete = data[:data.rfind(b"\n") + 1]
     entries = []
@@ -245,15 +248,15 @@ class _RunMeta(NamedTuple):
 
 
 def open_run(run_dir: str | Path) -> tuple[_RunPaths, _RunMeta]:
-    """The paths of an existing run directory, which must hold prompts/, and
-    its run.meta, read and checked. run.meta must be a JSON object, so a
-    block-YAML run.meta is unreadable. It must record the sample count,
-    batch size and epochs as positive integers, each segmentation marker
-    list and the required tokens as lists of strings, and v0's hash as a
-    string. train records each input copy as its fixed name and the hash of
-    its bytes, or as null with a null hash; the copy must exist and match.
-    The first failure raises CorruptRunError; a ``run_dir`` that is no
-    directory raises FileNotFoundError instead, as a bad input."""
+    """The opened run trainer.resume takes: the paths of an existing run
+    directory, which must hold prompts/, and its run.meta, read and checked.
+    run.meta must be a JSON object (a block-YAML one is unreadable) that
+    records the sample count, batch size and epochs as positive integers,
+    each segmentation marker list and the required tokens as lists of
+    strings, and v0's hash as a string; and each input copy as its fixed
+    name and the hash of its bytes, or as null with a null hash. A copy must
+    be a file that matches. The first failure raises CorruptRunError; a
+    ``run_dir`` that is no directory raises FileNotFoundError, as bad input."""
     paths = _RunPaths(run_dir)
     if not paths.root.is_dir():
         raise FileNotFoundError(f"no run directory at {paths.root}")
@@ -263,7 +266,7 @@ def open_run(run_dir: str | Path) -> tuple[_RunPaths, _RunMeta]:
         raise CorruptRunError(f"{paths.root} has no {RUN_META_NAME}")
     try:
         meta = json.loads(paths.run_meta.read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError, or text that is not JSON
+    except (ValueError, IsADirectoryError) as exc:  # not UTF-8, not JSON, or a directory
         raise CorruptRunError(f"{paths.run_meta} is unreadable: {exc}") from None
     if not isinstance(meta, dict):
         raise CorruptRunError(f"{paths.run_meta} is not a mapping")
@@ -298,10 +301,9 @@ def open_run(run_dir: str | Path) -> tuple[_RunPaths, _RunMeta]:
                 "or null is written"
             )
         copy = None if value is None else paths.root / name
-        try:
-            digest = None if copy is None else sha256(copy.read_bytes()).hexdigest()
-        except FileNotFoundError:
-            raise CorruptRunError(f"{paths.run_meta} names {copy}, which is missing") from None
+        if copy is not None and not copy.is_file():
+            raise CorruptRunError(f"{paths.run_meta} names {copy}, which is missing or no file")
+        digest = None if copy is None else sha256(copy.read_bytes()).hexdigest()
         if meta.get(f"{key}_sha256") != digest:
             raise CorruptRunError(
                 f"{copy} does not match the {key}_sha256 in {paths.run_meta}" if copy
@@ -333,11 +335,12 @@ def compare_run_meta(paths: _RunPaths, meta: _RunMeta, config: EngineConfig,
 
 
 def _version_numbers(paths: _RunPaths) -> set[int]:
-    return {
-        int(m.group(1))
-        for m in map(_VERSION_FILE_RE.match, os.listdir(paths.prompts))
-        if m
-    }
+    with os.scandir(paths.prompts) as entries:
+        found = [(entry, _VERSION_FILE_RE.match(entry.name)) for entry in entries]
+    for entry, m in found:
+        if m and not entry.is_file():
+            raise CorruptRunError(f"{entry.path} is not a file")
+    return {int(m.group(1)) for _, m in found if m}
 
 
 def _line(epoch: int, batch: int) -> str:
@@ -443,14 +446,14 @@ def fold(meta: _RunMeta, entries: Sequence[dict]) -> _Cursor:
 
 
 def discard_uncommitted(paths: _RunPaths, cursor: _Cursor, complete: int) -> None:
-    """Remove what a crash left past ``cursor``: a torn last cursor line
-    (the bytes past ``complete``), version files no line commits and the
+    """Remove what a crash left past ``cursor``: version files no line
+    commits, a torn last cursor line (the bytes past ``complete``) and the
     transcripts of the first uncommitted batch."""
-    if paths.cursor.exists() and paths.cursor.stat().st_size > complete:
-        os.truncate(paths.cursor, complete)
-    for n in _version_numbers(paths):
+    for n in _version_numbers(paths):  # checks every name before an unlink
         if n >= len(cursor.versions):
             paths.version_txt(n).unlink()
+    if paths.cursor.exists() and paths.cursor.stat().st_size > complete:
+        os.truncate(paths.cursor, complete)
     shutil.rmtree(paths.batch_dir(cursor.epoch, cursor.batch + 1), ignore_errors=True)
 
 
@@ -529,10 +532,3 @@ def verify_chain(run_dir: str | Path) -> list[VersionRecord]:
 def replay_lineage(run_dir: str | Path) -> list[PromptDocument]:
     """Like verify_chain, but returns the replayed prompt documents."""
     return [record.doc for record in verify_chain(run_dir)]
-
-
-def input_copies(run_dir: str | Path) -> tuple[Path | None, Path | None]:
-    """The dataset and script copies run.meta names, each None when train
-    copied no such file, as open_run checked them. ``reprompt resume``
-    loads them unless it is given --dataset or --script."""
-    return open_run(run_dir)[1].copies

@@ -65,7 +65,7 @@ def train(
     dataset_src: str | Path | None,
     script_src: str | Path | None,
 ) -> TrainResult:
-    """Create a fresh run directory, then run the loop over it with resume().
+    """Create a fresh run directory, then open it and run resume() on it.
 
     The initial prompt gets the default step block injected when it has no
     step instructions of its own; the structured text is what version 0
@@ -77,11 +77,12 @@ def train(
     paths = rundir.new_run(run_dir)
     doc = inject_default_steps(parse_prompt(initial_prompt, config.task.segmentation()))
     rundir.create(paths, render_prompt(doc), config, samples, dataset_src, script_src)
-    return resume(run_dir, samples, config=config, gateway=gateway, feedback=feedback)
+    run = rundir.open_run(paths.root)
+    return resume(run, samples, config=config, gateway=gateway, feedback=feedback)
 
 
 def resume(
-    run_dir: str | Path,
+    run: tuple[rundir._RunPaths, rundir._RunMeta],
     samples: Sequence[Sample],
     *,
     config: EngineConfig,
@@ -96,7 +97,8 @@ def resume(
     other than this config and sample list would write ValueError, both
     with the directory untouched. Then whatever a crash left behind is
     discarded, to be redone, before the versions are checked and replayed.
-    run.meta and the cursor are each read once.
+    ``run`` is what rundir.open_run returns; run.meta and the cursor are each
+    read once.
 
     The loop runs the batch due next and writes its line until the run's
     epochs are done or the unchanged-epoch streak reaches
@@ -116,7 +118,7 @@ def resume(
     completed work committed, so the run can be resumed again.
     """
     _check_samples(samples)
-    paths, meta = rundir.open_run(run_dir)
+    paths, meta = run
     entries, complete = rundir.read_cursor(paths)
     cursor = rundir.fold(meta, entries)
     rundir.compare_run_meta(paths, meta, config, samples)

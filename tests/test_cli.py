@@ -812,6 +812,40 @@ class TestResume:
         assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 2
         assert "has no prompts directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [
+        "state.cursor", "run.meta", "dataset.yaml", "script.yaml", "prompts/v1.txt",
+        "prompts/v3.txt",
+    ])
+    def test_directory_in_place_of_a_run_file_is_corrupt(self, tmp_path, capsys, name):
+        # Each run file, or the next version's name, as an empty directory:
+        # both commands name it and exit 2, and resume changes nothing.
+        run = tmp_path / "run"
+        assert main(golden_train_argv(run)) == 0
+        if (run / name).exists():
+            (run / name).unlink()
+        (run / name).mkdir()
+        before = tree_hashes(run), sorted(run.rglob("*"))
+        capsys.readouterr()
+        assert main(["inspect", "--out", str(run)]) == 2
+        assert main(["resume", "--config", CFG, "--out", str(run)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("engine error: ") and str(run / name) in line
+                   for line in err)
+        assert (tree_hashes(run), sorted(run.rglob("*"))) == before
+
+    def test_reads_run_meta_and_each_copy_once(self, tmp_path, capsys, file_reads):
+        # One open_run serves the copies and resume; the dataset copy is
+        # read once more to load it, and the script copy is loaded through
+        # open(), which file_reads does not count.
+        assert main(golden_train_argv(tmp_path / "run")) == 0
+        file_reads.clear()
+        assert main(["resume", "--config", CFG, "--out", str(tmp_path / "run")]) == 0
+        assert file_reads == {
+            "run.cfg": 1, "run.meta": 1, "dataset.yaml": 2, "script.yaml": 1,
+            "state.cursor": 1, "v0.txt": 1, "v1.txt": 1, "v2.txt": 1,
+        }
+
     def test_invalid_utf8_cursor_line_is_corrupt(self, tmp_path, capsys):
         assert main(golden_train_argv(tmp_path / "run")) == 0
         capsys.readouterr()
@@ -1362,6 +1396,21 @@ class TestOverHttp:
         wire.faults[k] = kind
         assert main(http_train_argv(tmp_path)) == 0
         assert len(wire.requests) == 15
+        assert_golden_without_script(tmp_path / "run")
+
+    @pytest.mark.parametrize("kind", ["503", "429", "drop", "cut"])
+    def test_three_faults_in_a_row_end_the_call(self, tmp_path, wire, capsys, monkeypatch,
+                                                kind):
+        # Requests 7-9 are the first summarizer call and both of its retries;
+        # the batch stays uncommitted, and resume redoes it.
+        monkeypatch.setattr(gateway, "_BACKOFF", (0.0, 0.0))
+        wire.faults.update(dict.fromkeys((7, 8, 9), kind))
+        assert main(http_train_argv(tmp_path)) == 2
+        assert "summarizer call failed (epoch 1, batch 1)" in capsys.readouterr().err
+        assert len(wire.requests) == 9
+        argv = ["resume", "--config", CFG, "--out", str(tmp_path / "run"), "--backend", "http"]
+        assert main(argv) == 0
+        assert len(wire.requests) == 9 + 14
         assert_golden_without_script(tmp_path / "run")
 
     def test_non_json_body_is_not_retried(self, tmp_path, wire, capsys):

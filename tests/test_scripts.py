@@ -142,6 +142,23 @@ def test_mutation_soak_damaged_copies_are_corrupt(monkeypatch, tmp_path):
         assert soak.check(golden, tmp_path, target, damage) == [], label
 
 
+def test_mutation_soak_directories_are_corrupt(monkeypatch, tmp_path):
+    # A directory in the place of any file but a transcript, or named like
+    # the next version file, must make inspect and resume exit 2; the subset
+    # above need not pick these cases.
+    soak = import_script(monkeypatch, "mutation_soak")
+    golden = tmp_path / "golden"
+    soak.train_golden(golden)
+    selected = [case for case in soak.cases(golden) if "directory" in case[1]]
+    files = [name for name, digest in soak.tree(golden).items() if digest is not None]
+    assert [label for _, label, _ in selected] == [
+        f"{name}: replace with a directory" for name in files
+    ] + ["prompts/v3.txt: add a directory"]
+    assert sum(target == soak.NOT_A_FILE for target, _, _ in selected) == 8
+    for target, label, damage in selected:
+        assert soak.check(golden, tmp_path, target, damage) == [], label
+
+
 def test_bench_pairs_summary_applies_the_gain_rule(monkeypatch):
     pairs = import_script(monkeypatch, "bench_pairs")
     base = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # q1 12.25, q3 16.75
@@ -192,7 +209,7 @@ def test_bench_pairs_defaults_to_the_benchmarks_runs(monkeypatch, capsys):
     def run_side(rev, workload, seed, seconds):
         calls.append((workload, seconds))
         correct = not (workload == "train_deep" and rev == "change")
-        metrics = {name: {"value": 1.0} for name in names}
+        metrics = {name: {"value": k + seed / 8} for k, name in enumerate(names)}
         return {"correct": correct, "failed": 0, "attempted": 1, "metrics": metrics}
 
     monkeypatch.setattr(pairs, "run_side", run_side)
@@ -204,6 +221,22 @@ def test_bench_pairs_defaults_to_the_benchmarks_runs(monkeypatch, capsys):
     assert calls == [(w, spec["run_seconds"]) for w in workloads for _ in range(4)]
     out = capsys.readouterr().out
     assert [line.split(",")[0] for line in out.splitlines() if " pairs, " in line] == workloads
+    # Each run's line gives its flags and every end-to-end value; pair 2
+    # runs the change first.
+    progress = [line for line in out.splitlines() if " pair " in line]
+    assert len(progress) == 4 * len(workloads)
+
+    def values(seed):
+        return " ".join(f"{name}={k + seed / 8:g}" for k, name in enumerate(names))
+
+    assert progress[:3] == [
+        f"{workloads[0]} pair 1 seed 1 base: correct=True failed=0/1 {values(1)}",
+        f"{workloads[0]} pair 1 seed 1 change: correct=True failed=0/1 {values(1)}",
+        f"{workloads[0]} pair 2 seed 2 change: correct=True failed=0/1 {values(2)}",
+    ]
+    assert progress[6] == (
+        f"{workloads[1]} pair 2 seed 2 change: correct=False failed=0/1 {values(2)}"
+    )
     calls.clear()
     argv = ["--base", "HEAD", "--pairs", "2", "--seed-base", "1", "--workload", "eval_http",
             "--seconds", "6"]

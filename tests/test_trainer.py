@@ -27,12 +27,12 @@ from reprompt.prompt_model import (
 )
 from reprompt.summarizer import ELIDED_PROMPT_LINE
 from reprompt.toy_task import ToyAdapter, load_toy_samples, to_task_sample
-from reprompt.trainer import (
-    replay_lineage,
-    resume,
-    train,
-    verify_chain,
-)
+from reprompt.trainer import replay_lineage, train, verify_chain
+
+
+def resume(run_dir, samples, **kwargs):
+    """trainer.resume on the run that rundir.open_run opens at ``run_dir``."""
+    return trainer.resume(rundir.open_run(run_dir), samples, **kwargs)
 
 
 def golden_config(**train_overrides):
@@ -547,9 +547,9 @@ class TestBudgetAndResume:
 
     def test_input_copies_are_the_ones_run_meta_names(self, tmp_path):
         run_golden(tmp_path / "bare")
-        assert rundir.input_copies(tmp_path / "bare") == (None, None)
+        assert rundir.open_run(tmp_path / "bare")[1].copies == (None, None)
         run_golden(tmp_path / "copies", with_copies=True)
-        assert rundir.input_copies(tmp_path / "copies") == (
+        assert rundir.open_run(tmp_path / "copies")[1].copies == (
             tmp_path / "copies" / "dataset.yaml", tmp_path / "copies" / "script.yaml",
         )
 
@@ -1416,7 +1416,7 @@ class TestCorruptRuns:
         with pytest.raises(CorruptRunError, match=message):
             verify_chain(golden_dir)
         with pytest.raises(CorruptRunError, match=message):
-            rundir.input_copies(golden_dir)
+            rundir.open_run(golden_dir)[1].copies
         samples, feedback, _ = golden_inputs()
         with pytest.raises(CorruptRunError, match=message):
             resume(
@@ -1443,7 +1443,7 @@ class TestCorruptRuns:
         with pytest.raises(CorruptRunError, match=message):
             verify_chain(run)
         with pytest.raises(CorruptRunError, match=message):
-            rundir.input_copies(run)
+            rundir.open_run(run)[1].copies
         samples, feedback, gateway = golden_inputs()
         with pytest.raises(CorruptRunError, match=message):
             resume(run, samples, config=golden_config(), gateway=gateway, feedback=feedback)
